@@ -68,7 +68,16 @@ def _gateway(config: dict) -> LLMGateway:
         max_attempts=int(config["max_attempts"]),
         backoff_base=float(config["backoff_base"]),
         max_in_flight=int(config["max_in_flight"]),
+        embed_batch_size=int(config["embed_batch_size"]),
     ))
+
+
+class JsonLogFormatter(logging.Formatter):
+    """One JSON object per log line, whatever characters the message holds."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps({"level": record.levelname, "logger": record.name,
+                           "msg": record.getMessage()})
 
 
 def _fail(message: str) -> None:
@@ -84,11 +93,10 @@ def _fail(message: str) -> None:
 def main(ctx, config_path, verbose):
     """Relevance annotation toolkit: annotate (query, document) pairs with
     calibrated confidence scores and evaluate annotators and retrievers."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
-        stream=sys.stderr,
-        format='{"level":"%(levelname)s","logger":"%(name)s","msg":"%(message)s"}',
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(JsonLogFormatter())
+    logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
+                        handlers=[handler])
     ctx.obj = load_config(config_path)
 
 
@@ -150,13 +158,17 @@ def rank(config, queries_path, documents_path, out_path):
     """Rank documents per query with the dense embedding retriever."""
     queries = corpus_mod.load_queries(queries_path)
     chunks = corpus_mod.load_chunks(documents_path)
-    gateway = _gateway(config)
     try:
-        rankings = [rank_documents(q, chunks, gateway) for q in queries]
-    except TransportError as exc:
+        gateway = _gateway(config)
+        rankings = rank_documents(queries, chunks, gateway)
+    except (TransportError, ValueError) as exc:
         _fail(str(exc))
     save_rankings(out_path, rankings)
-    click.echo(json.dumps({"rankings": len(rankings), "out": out_path}))
+    click.echo(json.dumps({
+        "rankings": len(rankings), "embedded_texts": gateway.embedded_texts,
+        "network_calls": gateway.network_calls, "retries": gateway.retry_count,
+        "out": out_path,
+    }))
 
 
 @main.command()

@@ -15,6 +15,7 @@ DEFAULTS: dict[str, str] = {
     "max_in_flight": "8",
     "max_attempts": "4",
     "backoff_base": "0.5",
+    "embed_batch_size": "2048",
     "variant": "point-ask-d",
     "calibration": "both",
     "seed": "40",

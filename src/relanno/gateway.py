@@ -64,6 +64,11 @@ def cache_key(kind: str, model: str, payload: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _check_dimensions(dims: set[int]) -> None:
+    if len(dims) > 1 or 0 in dims:
+        raise TransportError(f"inconsistent embedding dimensions: {sorted(dims)}")
+
+
 class DiskCache:
     """Write-once JSON cache keyed by content hash."""
 
@@ -104,18 +109,23 @@ class GatewayConfig:
     backoff_base: float = 0.5
     max_in_flight: int = 8
     timeout: float = 60.0
+    # Inputs per embedding request; OpenAI's endpoint accepts at most 2048.
+    embed_batch_size: int = 2048
 
 
 class LLMGateway:
     """Thread-safe handle to chat + embedding endpoints with caching."""
 
     def __init__(self, config: GatewayConfig):
+        if config.embed_batch_size < 1:
+            raise ValueError("embed_batch_size must be at least 1")
         self.config = config
         self.cache = DiskCache(config.cache_dir) if config.cache_dir else None
         self._semaphore = threading.Semaphore(config.max_in_flight)
         self._session = requests.Session()
         self.retry_count = 0
         self.network_calls = 0
+        self.embedded_texts = 0
         self._counter_lock = threading.Lock()
 
     # --- transport ---------------------------------------------------------
@@ -204,37 +214,43 @@ class LLMGateway:
     # --- embeddings --------------------------------------------------------
 
     def embed(self, texts: list[str]) -> EmbeddingResponse:
+        """Vectors for texts in input order.
+
+        Each distinct text missing from the cache is sent once, in requests of
+        at most `embed_batch_size` inputs. Every vector, cached or fresh, must
+        have the same dimension; a batch that breaks this is not cached.
+        """
         if not texts:
             raise ValueError("embed needs a nonempty list of texts")
         if any(not t.strip() for t in texts):
             raise ValueError("embed texts must be non-empty")
         model = self.config.embedding_model
-        vectors: list[Optional[list[float]]] = [None] * len(texts)
-        missing: list[int] = []
-        any_cached = False
-        for i, text in enumerate(texts):
-            if self.cache:
-                hit = self.cache.get(cache_key("embedding", model, text))
-                if hit is not None:
-                    vectors[i] = hit["embedding"]
-                    any_cached = True
-                    continue
-            missing.append(i)
-        if missing:
-            body = {"model": model, "input": [texts[i] for i in missing]}
-            raw = self._post("/embeddings", body)
+        found: dict[str, list[float]] = {}
+        missing: list[str] = []
+        for text in dict.fromkeys(texts):
+            hit = self.cache.get(cache_key("embedding", model, text)) if self.cache else None
+            if hit is not None:
+                found[text] = hit["embedding"]
+            else:
+                missing.append(text)
+        dims = {len(v) for v in found.values()}
+        _check_dimensions(dims)
+        batch_size = self.config.embed_batch_size
+        for start in range(0, len(missing), batch_size):
+            batch = missing[start:start + batch_size]
+            raw = self._post("/embeddings", {"model": model, "input": batch})
             data = sorted(raw["data"], key=lambda d: d["index"])
-            for slot, item in zip(missing, data):
-                vec = [float(x) for x in item["embedding"]]
-                vectors[slot] = vec
+            if len(data) != len(batch):
+                raise TransportError(
+                    f"embedding endpoint returned {len(data)} vectors for {len(batch)} inputs")
+            vectors = [[float(x) for x in item["embedding"]] for item in data]
+            dims |= {len(v) for v in vectors}
+            _check_dimensions(dims)
+            for text, vec in zip(batch, vectors):
+                found[text] = vec
                 if self.cache:
-                    self.cache.put(cache_key("embedding", model, texts[slot]),
-                                   {"embedding": vec})
-        out = [v for v in vectors if v is not None]
-        if len(out) != len(texts):
-            raise TransportError("embedding endpoint returned fewer vectors than inputs")
-        dims = {len(v) for v in out}
-        if len(dims) != 1 or 0 in dims:
-            raise TransportError(f"inconsistent embedding dimensions: {dims}")
-        return EmbeddingResponse(vectors=out, model=model,
-                                 cached=any_cached and not missing)
+                    self.cache.put(cache_key("embedding", model, text), {"embedding": vec})
+            with self._counter_lock:
+                self.embedded_texts += len(batch)
+        return EmbeddingResponse(vectors=[found[t] for t in texts], model=model,
+                                 cached=not missing)

@@ -34,8 +34,9 @@ def hash_embedding(text: str, dim: int = EMBEDDING_DIM) -> list[float]:
 
 
 class _State:
-    def __init__(self, rules: list[dict]):
+    def __init__(self, rules: list[dict], max_embed_inputs: Optional[int]):
         self.rules = rules
+        self.max_embed_inputs = max_embed_inputs
         self.hits: dict[int, int] = {}
         self.lock = threading.Lock()
         self.request_count = 0
@@ -121,6 +122,11 @@ class _Handler(BaseHTTPRequestHandler):
         inputs = body.get("input", [])
         if isinstance(inputs, str):
             inputs = [inputs]
+        cap = self.state.max_embed_inputs
+        if cap is not None and len(inputs) > cap:
+            self._send(400, {"error": {"message": (
+                f"{len(inputs)} inputs exceed the limit of {cap} per request")}})
+            return
         data = [
             {"object": "embedding", "index": i, "embedding": hash_embedding(text)}
             for i, text in enumerate(inputs)
@@ -131,10 +137,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MockLLMServer:
-    """Background fixture server; use as a context manager or start()/stop()."""
+    """Background fixture server; use as a context manager or start()/stop().
 
-    def __init__(self, fixtures_dir: Optional[str | Path] = None, port: int = 0):
-        self._state = _State(_load_rules(fixtures_dir))
+    `max_embed_inputs` caps the inputs of one embedding request; above it the
+    server answers HTTP 400, as hosted endpoints do. None means no cap.
+    """
+
+    def __init__(self, fixtures_dir: Optional[str | Path] = None, port: int = 0,
+                 max_embed_inputs: Optional[int] = None):
+        self._state = _State(_load_rules(fixtures_dir), max_embed_inputs)
         handler = type("BoundHandler", (_Handler,), {"state": self._state})
         self._server = ThreadingHTTPServer(("127.0.0.1", port), handler)
         self._thread: Optional[threading.Thread] = None

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .corpus import DocumentChunk, Query, read_jsonl, write_jsonl
 from .gateway import LLMGateway
@@ -20,33 +21,47 @@ class Ranking:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(x * x for x in b))
-    if norm_a == 0.0 or norm_b == 0.0:
+def cosine_similarity(a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    """Cosine of each row of `a` (n x k) against each row of `b` (m x k), as n x m.
+
+    Raw dot products are divided by the product of the norms; rows are not
+    normalised first, so integer-valued vectors score exactly as
+    `dot / (|a| * |b|)` does in scalar float64 arithmetic.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("cosine similarity needs two matrices of row vectors")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    norm_a = np.linalg.norm(a, axis=1)
+    norm_b = np.linalg.norm(b, axis=1)
+    if not (norm_a.all() and norm_b.all()):
         raise ValueError("cosine similarity undefined for zero vector")
-    dot = sum(x * y for x, y in zip(a, b))
-    return dot / (norm_a * norm_b)
+    return (a @ b.T) / np.outer(norm_a, norm_b)
 
 
-def rank_documents(query: Query, chunks: list[DocumentChunk],
-                   gateway: LLMGateway) -> Ranking:
-    """Embed query and chunks, score by cosine, sort descending.
+def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
+                   gateway: LLMGateway) -> list[Ranking]:
+    """Rank every chunk for every query by cosine, descending, in one pass.
 
-    Ties break lexicographically by doc_id so rankings are reproducible.
+    Query and chunk texts go to the gateway in one `embed` call. Ties break
+    lexicographically by doc_id so rankings are reproducible.
     """
     if not chunks:
         raise ValueError("rank_documents needs at least one chunk")
-    query_vec = gateway.embed([query.text]).vectors[0]
-    doc_vecs = gateway.embed([c.text for c in chunks]).vectors
-    scored = [
-        (chunk.id, cosine_similarity(query_vec, vec))
-        for chunk, vec in zip(chunks, doc_vecs)
-    ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return Ranking(query_id=query.id, entries=scored)
+    if not queries:
+        return []
+    chunks = sorted(chunks, key=lambda c: c.id)
+    vectors = gateway.embed([q.text for q in queries] + [c.text for c in chunks]).vectors
+    scores = cosine_similarity(vectors[:len(queries)], vectors[len(queries):])
+    # Columns are in doc_id order, so a stable sort keeps the doc_id tie-break.
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked_scores = np.take_along_axis(scores, order, axis=1)
+    doc_ids = [c.id for c in chunks]
+    return [Ranking(query_id=query.id,
+                    entries=[(doc_ids[j], s) for j, s in zip(columns, row)])
+            for query, columns, row in zip(queries, order.tolist(), ranked_scores.tolist())]
 
 
 def retrieve_top_k(ranking: Ranking, k: int) -> list[str]:

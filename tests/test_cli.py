@@ -1,11 +1,14 @@
 import csv
+import io
 import json
+import logging
 
 import pytest
 from click.testing import CliRunner
 
 from relanno import corpus as corpus_mod
-from relanno.cli import main
+from relanno import mockserver
+from relanno.cli import JsonLogFormatter, main
 from relanno.retrieval import Ranking, save_rankings
 
 
@@ -75,15 +78,65 @@ class TestIngest:
         assert "validation failed" in result.output
 
 
+def rank_fixtures(workspace, expect_exit=0):
+    return run_cli(workspace, "rank",
+                   "--queries", str(workspace / "queries.jsonl"),
+                   "--documents", str(workspace / "documents.jsonl"),
+                   "--out", str(workspace / "rankings.jsonl"),
+                   expect_exit=expect_exit)
+
+
 def test_rank_writes_one_ranking_per_query(workspace):
-    out = workspace / "rankings.jsonl"
-    run_cli(workspace, "rank",
-            "--queries", str(workspace / "queries.jsonl"),
-            "--documents", str(workspace / "documents.jsonl"),
-            "--out", str(out))
-    rankings = corpus_mod.read_jsonl(out)
+    first = json.loads(rank_fixtures(workspace).output)
+    rankings = corpus_mod.read_jsonl(workspace / "rankings.jsonl")
     assert [r["query_id"] for r in rankings] == ["q1", "q2"]
     assert all(len(r["entries"]) == 4 for r in rankings)
+    # 2 queries + 4 chunks in one embedding request; a re-run is all cache.
+    assert (first["embedded_texts"], first["network_calls"], first["retries"]) == (6, 1, 0)
+    second = json.loads(rank_fixtures(workspace).output)
+    assert (second["embedded_texts"], second["network_calls"]) == (0, 0)
+
+
+def assert_one_line_json_error(result, fragment):
+    assert isinstance(result.exception, SystemExit)  # not an escaped traceback
+    [line] = result.output.strip().splitlines()
+    assert fragment in json.loads(line)["error"]
+
+
+class TestRankFailures:
+    def test_empty_corpus(self, workspace):
+        (workspace / "documents.jsonl").write_text("", encoding="utf-8")
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   "at least one chunk")
+
+    def test_zero_norm_vector(self, workspace, monkeypatch):
+        monkeypatch.setattr(mockserver, "hash_embedding",
+                            lambda text: [0.0] * mockserver.EMBEDDING_DIM)
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   "zero vector")
+
+    def test_dimensions_disagree_across_batches(self, workspace, monkeypatch):
+        with open(workspace / "relanno.conf", "a", encoding="utf-8") as f:
+            f.write("embed_batch_size=1\n")
+        monkeypatch.setattr(mockserver, "hash_embedding",
+                            lambda text: [1.0] * (16 if "GOVDOC" in text else 32))
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   "inconsistent embedding dimensions")
+
+
+def test_log_line_with_quotes_is_json():
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(JsonLogFormatter())
+    logger = logging.getLogger("relanno.test_log_format")
+    logger.addHandler(handler)
+    try:
+        logger.warning('chunk "%s" merged into %s', "d1", 'd"2\\')
+    finally:
+        logger.removeHandler(handler)
+    assert json.loads(stream.getvalue()) == {
+        "level": "WARNING", "logger": "relanno.test_log_format",
+        "msg": 'chunk "d1" merged into d"2\\'}
 
 
 def test_sample_balances_pairs(workspace):

@@ -10,6 +10,7 @@ from relanno.gateway import (
     TransportError,
     cache_key,
 )
+from relanno.mockserver import MockLLMServer, hash_embedding
 
 
 def test_fixture_round_trip(uncached_gateway):
@@ -108,6 +109,27 @@ class TestEmbed:
         response = gateway.embed(["alpha beta"])
         assert mock_server.request_count == calls
         assert response.cached is True
+
+    def test_batches_keep_input_order(self):
+        texts = [f"passage{i} about topic{i % 3}" for i in range(10)]
+        with MockLLMServer(max_embed_inputs=3) as server:
+            gateway = LLMGateway(GatewayConfig(base_url=server.base_url,
+                                               embed_batch_size=3))
+            response = gateway.embed(texts)
+            assert server.request_count == 4
+        assert response.vectors == [hash_embedding(t) for t in texts]
+        assert gateway.embedded_texts == 10
+
+    def test_batch_above_endpoint_cap_rejected(self):
+        with MockLLMServer(max_embed_inputs=3) as server:
+            gateway = LLMGateway(GatewayConfig(base_url=server.base_url,
+                                               embed_batch_size=4))
+            with pytest.raises(TransportError, match="HTTP 400"):
+                gateway.embed([f"text{i}" for i in range(4)])
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            LLMGateway(GatewayConfig(base_url="http://127.0.0.1:1", embed_batch_size=0))
 
 
 class TestCacheKey:
