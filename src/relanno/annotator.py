@@ -58,6 +58,12 @@ def derive_relevance_score(guess: str, confidence: float) -> float:
     return confidence if guess == "Yes" else 1.0 - confidence
 
 
+def primary_confidence(confidence_ask: Optional[float],
+                       confidence_tok: Optional[float]) -> float:
+    """Tok is the primary calibration source whenever logprobs are available."""
+    return float(confidence_tok if confidence_tok is not None else confidence_ask)
+
+
 def extract_tok_confidence(response: ChatResponse) -> float:
     """Probability of the realized Yes/No token after the final guess label."""
     if not response.tokens:
@@ -101,12 +107,11 @@ def annotate_pair(
 
     confidence_ask = parsed.confidence if calibration in ("ask", "both") else None
     confidence_tok = extract_tok_confidence(response) if want_tok else None
-    # Tok is the primary calibration source whenever logprobs are available.
-    primary = confidence_tok if confidence_tok is not None else confidence_ask
     return Annotation(
         query_id=pair.query_id, doc_id=pair.doc_id,
         guess=parsed.guess,
-        relevance_score=derive_relevance_score(parsed.guess, primary),
+        relevance_score=derive_relevance_score(
+            parsed.guess, primary_confidence(confidence_ask, confidence_tok)),
         confidence_ask=confidence_ask, confidence_tok=confidence_tok,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )

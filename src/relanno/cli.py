@@ -18,6 +18,7 @@ from .annotator import (
     annotate_corpus,
     annotation_from_dict,
     annotation_to_dict,
+    primary_confidence,
     relevant_info_proxy,
 )
 from .config import load_config
@@ -67,7 +68,6 @@ def _gateway(config: dict) -> LLMGateway:
         cache_dir=config["cache_dir"] or None,
         max_attempts=int(config["max_attempts"]),
         backoff_base=float(config["backoff_base"]),
-        max_in_flight=int(config["max_in_flight"]),
         embed_batch_size=int(config["embed_batch_size"]),
     ))
 
@@ -248,10 +248,10 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
             split=row.get("split", "unassigned"))
         for row in corpus_mod.read_jsonl(pairs_path)
     ]
-    variant = PromptVariant.from_label(variant or config["variant"])
     calibration = calibration or config["calibration"]
-    gateway = _gateway(config)
     try:
+        variant = PromptVariant.from_label(variant or config["variant"])
+        gateway = _gateway(config)
         result = annotate_corpus(
             pairs, queries, chunks, variant, gateway,
             calibration=calibration, model=config["chat_model"],
@@ -286,29 +286,18 @@ def distill_cmd(config, annotations_path, queries_path, documents_path,
     queries = {q.id: q for q in corpus_mod.load_queries(queries_path)}
     chunks = {c.id: c for c in corpus_mod.load_chunks(documents_path)}
     split = corpus_mod.load_split(split_path)
-    variant = PromptVariant.from_label(variant or config["variant"])
     try:
+        variant = PromptVariant.from_label(variant or config["variant"])
         manifest = distill_mod.export_training_data(
             annotations, queries, chunks, split, variant, out_path,
             teacher_model=config["chat_model"])
-    except (LeakageError, KeyError) as exc:
+    except (LeakageError, KeyError, ValueError) as exc:
         _fail(str(exc))
-    records = distill_mod.load_training_records(out_path)
-    balance = distill_mod.audit_balance(records) if records else None
     with open(manifest_path, "w", encoding="utf-8") as f:
-        payload = manifest.as_dict()
-        if balance is not None:
-            payload["balance"] = balance.as_dict()
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(manifest.as_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
     click.echo(json.dumps({"records": manifest.count, "skipped": manifest.skipped,
                            "out": out_path}))
-
-
-def _primary_confidence(row: dict) -> float:
-    if row.get("confidence_tok") is not None:
-        return float(row["confidence_tok"])
-    return float(row["confidence_ask"])
 
 
 def _build_run(annotation_rows: list[dict], gold: list[corpus_mod.GoldLabel],
@@ -357,7 +346,7 @@ def evaluate(config, annotations_path, gold_path, scheme, out_path,
         is_relevant = (binarize_gold(g.binary) if g.binary is not None
                        else g.grade > 0)
         pred = row["guess"] == "Yes"
-        conf = _primary_confidence(row)
+        conf = primary_confidence(row.get("confidence_ask"), row.get("confidence_tok"))
         confidences.append(conf)
         correct.append(pred == is_relevant)
         predicted_rel.append(pred)
@@ -408,7 +397,8 @@ def audit(config, annotations_path, original_path, out_path, per_bin, seed,
     """Stratify model-vs-original disagreements; optionally score an audit."""
     rows = corpus_mod.read_jsonl(annotations_path)
     for row in rows:
-        row["confidence"] = _primary_confidence(row)
+        row["confidence"] = primary_confidence(row.get("confidence_ask"),
+                                               row.get("confidence_tok"))
     original = {
         (g.query_id, g.doc_id): ("relevant" if binarize_gold(g.binary) or
                                  (g.binary is None and g.grade > 0) else "irrelevant")

@@ -12,7 +12,6 @@ DEFAULTS: dict[str, str] = {
     "embedding_model": "text-embedding-3-small",
     "api_key_env": "RELANNO_API_KEY",
     "cache_dir": "",
-    "max_in_flight": "8",
     "max_attempts": "4",
     "backoff_base": "0.5",
     "embed_batch_size": "2048",

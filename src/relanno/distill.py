@@ -12,7 +12,12 @@ from typing import Optional
 
 from .annotator import Annotation
 from .corpus import DocumentChunk, Query, Split
-from .prompting import PromptVariant, format_pointwise_completion, render_pointwise_prompt
+from .prompting import (
+    POINTWISE_PARTS,
+    PromptVariant,
+    format_pointwise_completion,
+    render_pointwise_prompt,
+)
 
 log = logging.getLogger(__name__)
 
@@ -44,28 +49,35 @@ class ExportManifest:
     variant: str
     teacher_model: str
     template_hashes: dict[str, str]
+    balance: Optional[BalanceReport] = None  # None for an empty export
 
     @property
     def yes_fraction(self) -> float:
         return self.yes_count / self.count if self.count else 0.0
 
     def as_dict(self) -> dict:
-        return {
+        row = {
             "count": self.count, "yes_count": self.yes_count,
             "no_count": self.no_count, "skipped": self.skipped,
             "yes_fraction": self.yes_fraction, "variant": self.variant,
             "teacher_model": self.teacher_model,
             "template_hashes": self.template_hashes,
         }
+        if self.balance is not None:
+            row["balance"] = self.balance.as_dict()
+        return row
 
 
 def _template_hashes() -> dict[str, str]:
+    """Digests of every template file, plus of the pointwise parts kept in code."""
     hashes = {}
     for entry in sorted(resources.files("relanno.templates").iterdir(),
                         key=lambda e: e.name):
         if entry.name.endswith(".txt"):
             digest = hashlib.sha256(entry.read_bytes()).hexdigest()
             hashes[entry.name] = digest
+    parts = json.dumps(POINTWISE_PARTS, sort_keys=True, ensure_ascii=False)
+    hashes["pointwise_parts"] = hashlib.sha256(parts.encode("utf-8")).hexdigest()
     return hashes
 
 
@@ -91,7 +103,7 @@ def build_training_record(
                       else 1.0 - annotation.relevance_score)
     completion = format_pointwise_completion(
         guess=annotation.guess, confidence=confidence,
-        reason=annotation.reason if variant.cot else None)
+        reason=annotation.reason if variant.cot else None, variant=variant)
     return TrainingRecord(
         user=prompt, assistant=completion,
         meta={
@@ -110,7 +122,8 @@ def export_training_data(
     out_path: str | Path,
     teacher_model: str = "",
 ) -> ExportManifest:
-    """Write train.jsonl; hard-fails on any test-split query or report."""
+    """Write train.jsonl and audit its Yes/No balance; hard-fails on any
+    test-split query or report."""
     records = []
     skipped = 0
     for ann in annotations:
@@ -134,12 +147,13 @@ def export_training_data(
         for record in records:
             f.write(json.dumps(record.as_dict(), ensure_ascii=False, sort_keys=True)
                     + "\n")
-    yes = sum(1 for r in records if "[Guess]: Yes" in r.assistant)
+    balance = audit_balance(records) if records else None
+    yes = balance.yes_count if balance else 0
     return ExportManifest(
         count=len(records), yes_count=yes, no_count=len(records) - yes,
         skipped=skipped, variant=variant.label(),
         teacher_model=teacher_model or (annotations[0].model if annotations else ""),
-        template_hashes=_template_hashes(),
+        template_hashes=_template_hashes(), balance=balance,
     )
 
 
@@ -182,15 +196,3 @@ def audit_balance(records: list[TrainingRecord],
         per_query=per_query, empty_queries=empty,
     )
 
-
-def load_training_records(path: str | Path) -> list[TrainingRecord]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            records.append(TrainingRecord(
-                user=row["user"], assistant=row["assistant"],
-                meta=row.get("meta", {}), system=row.get("system")))
-    return records

@@ -1,8 +1,9 @@
 """Client for OpenAI-style chat-completion and embedding endpoints.
 
 Captures per-token log probabilities, retries transient failures with
-exponential backoff, bounds in-flight concurrency, and caches raw endpoint
-responses on disk so corpus-scale runs are cheap to resume.
+exponential backoff, and caches raw endpoint responses on disk so
+corpus-scale runs are cheap to resume. Callers bound concurrency: the
+gateway is thread-safe and adds no limit of its own.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class GatewayConfig:
     cache_dir: Optional[str] = None
     max_attempts: int = 4
     backoff_base: float = 0.5
-    max_in_flight: int = 8
     timeout: float = 60.0
     # Inputs per embedding request; OpenAI's endpoint accepts at most 2048.
     embed_batch_size: int = 2048
@@ -121,7 +121,6 @@ class LLMGateway:
             raise ValueError("embed_batch_size must be at least 1")
         self.config = config
         self.cache = DiskCache(config.cache_dir) if config.cache_dir else None
-        self._semaphore = threading.Semaphore(config.max_in_flight)
         self._session = requests.Session()
         self.retry_count = 0
         self.network_calls = 0
@@ -147,13 +146,12 @@ class LLMGateway:
                 with self._counter_lock:
                     self.retry_count += 1
             try:
-                with self._semaphore:
-                    with self._counter_lock:
-                        self.network_calls += 1
-                    resp = self._session.post(
-                        url, json=body, headers=self._headers(),
-                        timeout=self.config.timeout,
-                    )
+                with self._counter_lock:
+                    self.network_calls += 1
+                resp = self._session.post(
+                    url, json=body, headers=self._headers(),
+                    timeout=self.config.timeout,
+                )
             except requests.RequestException as exc:
                 last_error = str(exc)
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)

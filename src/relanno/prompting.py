@@ -1,11 +1,13 @@
 """Prompt template rendering and structured response parsing.
 
 Templates live as text assets under relanno/templates so they can be
-versioned and iterated on without code changes.
+versioned and iterated on without code changes. The one pointwise template
+takes the parts that vary by variant from POINTWISE_PARTS.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -29,16 +31,59 @@ class ParseError(ValueError):
         self.raw_text = raw_text
 
 
+# The parts of templates/pointwise.txt that vary, keyed by PromptVariant field
+# and then by that field's value. Each variant fills every slot exactly once.
+POINTWISE_PARTS: dict[str, dict] = {
+    "with_definition": {
+        True: {
+            "preamble": (
+                "You are a helpful assistant who assists human analysts in identifying "
+                "useful information within climate reports for their analysis.\n\n"),
+            "inputs": (
+                "a <paragraph> extracted from a lengthy report, and "
+                "<background_information> that explains the <question>. "
+                "<background_information> first explains the <question> and then raises "
+                "examples to help you to better understand the <question>"),
+        },
+        False: {
+            "preamble": "",
+            "inputs": "and a <paragraph> extracted from a lengthy report",
+        },
+    },
+    "cot": {
+        False: {"reason_line": ""},
+        True: {"reason_line": (
+            "[Reason]: <Reason why and how the paragraph is helpful or not helpful for "
+            "answering the question. Clearly indicate your stance.>\n")},
+    },
+    "confidence_phrasing": {
+        "ask_confidence": {
+            "asked_for": "your confidence that the guess is correct",
+            "confidence_label": "[Confidence]:",
+            "confidence_hint": (
+                "<Give your honest confidence score between 0.0 and 1.0 about the "
+                "correctness of your guess. 0 means your previous guess is very likely "
+                "to be wrong, and 1 means you are very confident about the guess.>"),
+        },
+        "ask_probability": {
+            "asked_for": "the probability that the <paragraph> is helpful",
+            "confidence_label": "[Probability Helpful]:",
+            "confidence_hint": (
+                "<The probability between 0.0 and 1.0 that the <paragraph> is helpful to "
+                "the <question>. 0.0 is completely unhelpful and 1.0 is completely "
+                "helpful.>"),
+        },
+    },
+}
+
+
 @dataclass(frozen=True)
 class PromptVariant:
-    ranking_mode: str = "pointwise"  # pointwise | listwise
     cot: bool = False
     with_definition: bool = True
     confidence_phrasing: str = "ask_confidence"  # ask_confidence | ask_probability
 
     def label(self) -> str:
-        if self.ranking_mode == "listwise":
-            return "list-d" if self.with_definition else "list"
         parts = ["point"]
         if self.cot:
             parts.append("cot")
@@ -49,17 +94,19 @@ class PromptVariant:
 
     @classmethod
     def from_label(cls, label: str) -> "PromptVariant":
-        parts = label.lower().split("-")
-        if parts[0] == "list":
-            return cls(ranking_mode="listwise", with_definition="d" in parts)
-        if parts[0] != "point":
-            raise ValueError(f"unknown variant label: {label}")
-        return cls(
-            ranking_mode="pointwise",
-            cot="cot" in parts,
-            with_definition="d" in parts,
-            confidence_phrasing="ask_probability" if "prob" in parts else "ask_confidence",
-        )
+        variant = VARIANTS.get(label)
+        if variant is None:
+            raise ValueError(f"unknown variant label: {label!r} "
+                             f"(expected one of {', '.join(VARIANTS)})")
+        return variant
+
+
+# Every combination of part options, by label: the labels from_label accepts.
+VARIANTS: dict[str, PromptVariant] = {
+    variant.label(): variant
+    for variant in (PromptVariant(**dict(zip(POINTWISE_PARTS, options)))
+                    for options in itertools.product(*POINTWISE_PARTS.values()))
+}
 
 
 @dataclass
@@ -70,9 +117,15 @@ class ParsedPointwise:
     warnings: list[str] = field(default_factory=list)
 
 
+_TEMPLATES: dict[str, str] = {}
+
+
 def load_template(name: str) -> str:
-    return resources.files("relanno.templates").joinpath(f"{name}.txt").read_text(
-        encoding="utf-8")
+    """Template text; each file is read once per process."""
+    if name not in _TEMPLATES:
+        _TEMPLATES[name] = resources.files("relanno.templates").joinpath(
+            f"{name}.txt").read_text(encoding="utf-8")
+    return _TEMPLATES[name]
 
 
 def render_definition_prompt(question: str) -> str:
@@ -97,29 +150,22 @@ def render_fixed_qa_definition() -> RelevanceDefinition:
         meaning=QA_FIXED_DEFINITION_MEANING, examples=[], provenance="fixed")
 
 
-def _pointwise_template_name(variant: PromptVariant) -> str:
-    if not variant.with_definition:
-        return "pointwise_nodef_cot" if variant.cot else "pointwise_nodef"
-    if variant.confidence_phrasing == "ask_probability":
-        return "pointwise_prob_cot" if variant.cot else "pointwise_prob"
-    return "pointwise_cot" if variant.cot else "pointwise"
-
-
 def render_pointwise_prompt(
     question: str,
     chunk_text: str,
     variant: PromptVariant,
     definition: Optional[RelevanceDefinition] = None,
 ) -> str:
-    if variant.ranking_mode != "pointwise":
-        raise ValueError("render_pointwise_prompt needs a pointwise variant")
     if variant.with_definition and definition is None:
         raise ValueError("variant requires a relevance definition but none was given")
-    template = load_template(_pointwise_template_name(variant))
-    fields = {"question": question, "paragraph_chunk": chunk_text}
-    if variant.with_definition:
-        fields["background_information"] = definition.as_text()
-    return template.format(**fields)
+    slots = {}
+    for field_name, options in POINTWISE_PARTS.items():
+        slots.update(options[getattr(variant, field_name)])
+    background = (f'<background_information>: "{definition.as_text()}"\n'
+                  if variant.with_definition else "")
+    # One format call: braces inside the inputs are never formatted again.
+    return load_template("pointwise").format(
+        question=question, paragraph_chunk=chunk_text, background=background, **slots)
 
 
 def render_listwise_prompt(
@@ -173,7 +219,8 @@ def parse_definition_response(text: str,
 
 GUESS_LABEL = "[Guess]:"
 REASON_LABEL = "[Reason]:"
-CONFIDENCE_LABELS = ("[Confidence]:", "[Probability Helpful]:")
+CONFIDENCE_LABELS = tuple(parts["confidence_label"]
+                          for parts in POINTWISE_PARTS["confidence_phrasing"].values())
 _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
@@ -243,13 +290,17 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
 
 
 def format_pointwise_completion(guess: str, confidence: float,
-                                reason: Optional[str] = None) -> str:
-    """Inverse of parse_pointwise_response for valid inputs."""
+                                reason: Optional[str] = None, *,
+                                variant: PromptVariant) -> str:
+    """Inverse of parse_pointwise_response for valid inputs, using the
+    confidence label that the variant's prompt asks for."""
+    confidence_label = POINTWISE_PARTS["confidence_phrasing"][
+        variant.confidence_phrasing]["confidence_label"]
     lines = []
     if reason is not None:
         lines.append(f"{REASON_LABEL} {reason}")
     lines.append(f"{GUESS_LABEL} {guess}")
-    lines.append(f"[Confidence]: {confidence}")
+    lines.append(f"{confidence_label} {confidence}")
     return "\n".join(lines)
 
 

@@ -207,7 +207,8 @@ def test_format_round_trips():
                   if rng.random() < 0.5 else None)
         variant = PromptVariant(cot=reason is not None)
         parsed = parse_pointwise_response(
-            format_pointwise_completion(guess, confidence, reason), variant)
+            format_pointwise_completion(guess, confidence, reason, variant=variant),
+            variant)
         assert parsed.guess == guess
         assert parsed.confidence == pytest.approx(confidence, abs=1e-12)
         assert parsed.reason == reason

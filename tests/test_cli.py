@@ -274,6 +274,51 @@ class TestDistillCommand:
         assert "q2" in result.output
 
 
+class TestVariantErrors:
+    """A variant label the pointwise template does not render fails with a
+    one-line JSON error, whether it comes from the flag or the config."""
+
+    LABELS = ["bogus", "point-foo", "list-d"]
+
+    def variant_args(self, workspace, label, source):
+        if source == "flag":
+            return ["--variant", label]
+        with open(workspace / "relanno.conf", "a", encoding="utf-8") as f:
+            f.write(f"variant={label}\n")
+        return []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_annotate(self, workspace, label, source):
+        args = self.variant_args(workspace, label, source)
+        result = run_cli(workspace, "annotate",
+                         "--pairs", str(write_all_pairs(workspace)),
+                         "--queries", str(workspace / "queries.jsonl"),
+                         "--documents", str(workspace / "documents.jsonl"),
+                         "--out", str(workspace / "out.jsonl"), *args,
+                         expect_exit=1)
+        assert_one_line_json_error(result, f"unknown variant label: {label!r}")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_distill(self, workspace, label, source):
+        annotations, _ = annotate_all(workspace)
+        (workspace / "split.json").write_text(json.dumps({
+            "train_queries": ["q1", "q2"], "test_queries": [],
+            "train_reports": ["r1", "r2"], "test_reports": [], "seed": 40}),
+            encoding="utf-8")
+        args = self.variant_args(workspace, label, source)
+        result = run_cli(workspace, "distill", "--annotations", str(annotations),
+                         "--queries", str(workspace / "queries.jsonl"),
+                         "--documents", str(workspace / "documents.jsonl"),
+                         "--split", str(workspace / "split.json"),
+                         "--out", str(workspace / "train.jsonl"),
+                         "--manifest", str(workspace / "manifest.json"), *args,
+                         expect_exit=1)
+        assert_one_line_json_error(result, f"unknown variant label: {label!r}")
+        assert not (workspace / "manifest.json").exists()
+
+
 def test_sweep_csv(workspace):
     annotations, _ = annotate_all(workspace)
     out = workspace / "sweep.csv"

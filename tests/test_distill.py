@@ -1,13 +1,13 @@
 import pytest
 
 from relanno.annotator import Annotation
-from relanno.corpus import Split
+from relanno.corpus import Split, read_jsonl
 from relanno.distill import (
     LeakageError,
+    TrainingRecord,
     audit_balance,
     build_training_record,
     export_training_data,
-    load_training_records,
 )
 from relanno.prompting import PromptVariant, parse_pointwise_response
 
@@ -64,6 +64,22 @@ class TestBuildTrainingRecord:
         assert build_training_record(annotation(), queries["q1"], chunks["d1"],
                                      COT_VARIANT) is None
 
+    @pytest.mark.parametrize("label, confidence_label", [
+        ("point-ask-d", "[Confidence]:"), ("point-ask", "[Confidence]:"),
+        ("point-prob-d", "[Probability Helpful]:"),
+        ("point-prob", "[Probability Helpful]:"),
+    ])
+    def test_completion_uses_the_prompts_confidence_label(self, corpus, label,
+                                                          confidence_label):
+        queries, chunks = corpus
+        variant = PromptVariant.from_label(label)
+        record = build_training_record(annotation(), queries["q1"], chunks["d1"],
+                                       variant)
+        assert confidence_label in record.user
+        assert record.assistant.endswith(f"{confidence_label} 0.9")
+        parsed = parse_pointwise_response(record.assistant, variant)
+        assert (parsed.guess, parsed.confidence) == ("Yes", 0.9)
+
     def test_missing_ask_confidence_derived_from_score(self, corpus):
         queries, chunks = corpus
         ann = Annotation("q1", "d1", "No", 0.3, confidence_ask=None)
@@ -80,13 +96,33 @@ class TestExport:
         out = tmp_path / "train.jsonl"
         manifest = export_training_data(annotations, queries, chunks,
                                         make_split(), VARIANT, out)
-        records = load_training_records(out)
+        records = read_jsonl(out)
         assert len(records) == 2
         assert manifest.count == 2
         assert manifest.yes_count == 1
         assert manifest.yes_fraction == pytest.approx(0.5)
         assert manifest.teacher_model == "teacher"
         assert manifest.template_hashes  # prompts pinned for reproducibility
+        assert set(manifest.template_hashes) >= {"pointwise.txt", "pointwise_parts"}
+
+    def test_manifest_balance_counts_the_written_records(self, corpus, tmp_path):
+        queries, chunks = corpus
+        out = tmp_path / "train.jsonl"
+        manifest = export_training_data(
+            [annotation("q1", "d1", "Yes", 0.9), annotation("q1", "d2", "No", 0.8)],
+            queries, chunks, make_split(), VARIANT, out)
+        written = [TrainingRecord(**row) for row in read_jsonl(out)]
+        assert manifest.balance == audit_balance(written)
+        assert manifest.as_dict()["balance"] == manifest.balance.as_dict()
+        assert (manifest.yes_count, manifest.no_count) == (1, 1)
+
+    def test_empty_export_has_no_balance(self, corpus, tmp_path):
+        queries, chunks = corpus
+        manifest = export_training_data([annotation("q1", "d1")], queries, chunks,
+                                        make_split(), COT_VARIANT,
+                                        tmp_path / "t.jsonl")
+        assert manifest.count == 0
+        assert "balance" not in manifest.as_dict()
 
     def test_test_query_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -125,7 +161,7 @@ class TestAuditBalance:
         out = tmp_path / "train.jsonl"
         export_training_data(annotations, queries, chunks, make_split(),
                              VARIANT, out)
-        return load_training_records(out)
+        return [TrainingRecord(**row) for row in read_jsonl(out)]
 
     def test_balanced_not_flagged(self, corpus, tmp_path):
         records = self.export(corpus, tmp_path,

@@ -1,11 +1,17 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relanno.corpus import RelevanceDefinition
 from relanno.prompting import (
+    CONFIDENCE_LABELS,
+    VARIANTS,
     ParseError,
     PromptVariant,
     format_pointwise_completion,
+    load_template,
     parse_definition_response,
     parse_listwise_response,
     parse_pointwise_response,
@@ -170,7 +176,7 @@ class TestParsePointwise:
     @settings(max_examples=300)
     def test_format_parse_round_trip(self, guess, confidence, reason):
         variant = PromptVariant(cot=reason is not None)
-        text = format_pointwise_completion(guess, confidence, reason)
+        text = format_pointwise_completion(guess, confidence, reason, variant=variant)
         parsed = parse_pointwise_response(text, variant)
         assert parsed.guess == guess
         assert parsed.confidence == pytest.approx(confidence)
@@ -220,13 +226,89 @@ class TestVariantLabels:
         PromptVariant(), PromptVariant(cot=True),
         PromptVariant(with_definition=False),
         PromptVariant(confidence_phrasing="ask_probability"),
-        PromptVariant(ranking_mode="listwise"),
-        PromptVariant(ranking_mode="listwise", with_definition=False),
     ])
     def test_label_round_trip(self, variant):
-        restored = PromptVariant.from_label(variant.label())
-        if variant.ranking_mode == "listwise":
-            assert restored.ranking_mode == "listwise"
-            assert restored.with_definition == variant.with_definition
-        else:
-            assert restored == variant
+        assert PromptVariant.from_label(variant.label()) == variant
+
+    # Listwise reranking is the Python API annotator.listwise_rerank; no
+    # variant label selects it.
+    @pytest.mark.parametrize("label", [
+        "list-d", "list", "bogus", "point-foo", "point-ask-d-x", "POINT-ASK-D",
+        "point-d-ask", "point-ask-cot-d", "",
+    ])
+    def test_unrendered_labels_rejected(self, label):
+        with pytest.raises(ValueError, match="unknown variant label"):
+            PromptVariant.from_label(label)
+
+    def test_accepted_labels(self):
+        accepted = {f"point{cot}-{conf}{d}" for cot in ("", "-cot")
+                    for conf in ("ask", "prob") for d in ("", "-d")}
+        assert set(VARIANTS) == accepted
+        assert len(accepted) == 8
+
+
+# Fixed inputs with braces (including the template's own field names), quotes
+# and newlines, so a second format pass or a lost character changes the digest.
+GOLDEN_QUESTION = 'Does the {question} plan cover "scope 3"?\nAnd {0} }{ too?'
+GOLDEN_CHUNK = ('Emissions fell by {paragraph_chunk} 5% ("net")\n'
+                'under {background_information} }}.')
+GOLDEN_DEFINITION = RelevanceDefinition(
+    meaning='Targets named {question} or "net zero"\nacross years',
+    examples=["A {} pathway", 'A quoted "goal"\non two lines'])
+
+# SHA-256 of each prompt as rendered by the six per-variant template files
+# that the single pointwise template replaced. Prompts are hashed into cache
+# keys, so these must never change.
+GOLDEN_PROMPT_DIGESTS = {
+    "point-ask-d": "2dcf579810e4672ec19cbca34d73a4d527f8988c30f778a486cce124b7a2320e",
+    "point-cot-ask-d": "96d0b3842e264e82e822e597577697f2fabdd4883294f649a6a8f3adad05f755",
+    "point-prob-d": "5babd8b5e9534e5e01ed8aacb4efad4bcf2777e95e0d6d4fc8040f0348fc1760",
+    "point-cot-prob-d": "0a7a0ae880d98c6d7c86ecf097bc0d9c44efa522462cd7b6893d87fb722a49e8",
+    "point-ask": "2505179ee645a2caca85ebe91943be8e518160fc7de92008a5da559412701066",
+    "point-cot-ask": "20a10a7c26a5d8c7e93de9f1d109c63b1aff0c72961a622025408edc0bf6c48f",
+}
+
+
+def render_golden(variant):
+    definition = GOLDEN_DEFINITION if variant.with_definition else None
+    return render_pointwise_prompt(GOLDEN_QUESTION, GOLDEN_CHUNK, variant, definition)
+
+
+class TestPointwiseTemplate:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_PROMPT_DIGESTS))
+    def test_golden_prompt(self, label):
+        prompt = render_golden(PromptVariant.from_label(label))
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_PROMPT_DIGESTS[label]
+
+    def test_template_read_once(self):
+        assert load_template("pointwise") is load_template("pointwise")
+
+    @given(
+        st.sampled_from(sorted(VARIANTS)),
+        st.sampled_from(["Yes", "No"]),
+        st.floats(min_value=0, max_value=1).map(lambda c: round(c, 6)),
+        st.text(alphabet=st.characters(whitelist_categories=("L", "N", "Zs")),
+                min_size=1, max_size=40).map(str.strip).filter(bool),
+    )
+    @settings(max_examples=200)
+    def test_every_variant(self, label, guess, confidence, reason):
+        variant = PromptVariant.from_label(label)
+        assert variant.label() == label
+        prompt = render_golden(variant)
+        assert ("[Reason]" in prompt) == ("-cot-" in label)
+        assert ("<background_information>" in prompt) == label.endswith("-d")
+        expected_label = ("[Probability Helpful]:" if "-prob" in label
+                          else "[Confidence]:")
+        assert [c for c in CONFIDENCE_LABELS if c in prompt] == [expected_label]
+        assert prompt.count(expected_label) == 1
+        assert prompt.count(GOLDEN_QUESTION) == 1
+        assert prompt.count(GOLDEN_CHUNK) == 1
+
+        text = format_pointwise_completion(
+            guess, confidence, reason if variant.cot else None, variant=variant)
+        assert [c for c in CONFIDENCE_LABELS if c in text] == [expected_label]
+        parsed = parse_pointwise_response(text, variant)
+        assert parsed.guess == guess
+        assert parsed.confidence == pytest.approx(confidence)
+        assert parsed.reason == (reason if variant.cot else None)
