@@ -58,10 +58,14 @@ def derive_relevance_score(guess: str, confidence: float) -> float:
     return confidence if guess == "Yes" else 1.0 - confidence
 
 
-def primary_confidence(confidence_ask: Optional[float],
-                       confidence_tok: Optional[float]) -> float:
+def primary_confidence(annotation: Annotation) -> float:
     """Tok is the primary calibration source whenever logprobs are available."""
-    return float(confidence_tok if confidence_tok is not None else confidence_ask)
+    if annotation.confidence_tok is not None:
+        return annotation.confidence_tok
+    if annotation.confidence_ask is not None:
+        return annotation.confidence_ask
+    raise ValueError(f"annotation ({annotation.query_id},{annotation.doc_id}) has "
+                     "neither confidence_ask nor confidence_tok")
 
 
 def extract_tok_confidence(response: ChatResponse) -> float:
@@ -105,16 +109,16 @@ def annotate_pair(
         model=model, user=prompt, want_logprobs=want_tok))
     parsed = parse_pointwise_response(response.text, variant)
 
-    confidence_ask = parsed.confidence if calibration in ("ask", "both") else None
-    confidence_tok = extract_tok_confidence(response) if want_tok else None
-    return Annotation(
-        query_id=pair.query_id, doc_id=pair.doc_id,
-        guess=parsed.guess,
-        relevance_score=derive_relevance_score(
-            parsed.guess, primary_confidence(confidence_ask, confidence_tok)),
-        confidence_ask=confidence_ask, confidence_tok=confidence_tok,
+    annotation = Annotation(
+        query_id=pair.query_id, doc_id=pair.doc_id, guess=parsed.guess,
+        relevance_score=0.0,
+        confidence_ask=parsed.confidence if calibration in ("ask", "both") else None,
+        confidence_tok=extract_tok_confidence(response) if want_tok else None,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )
+    annotation.relevance_score = derive_relevance_score(
+        parsed.guess, primary_confidence(annotation))
+    return annotation
 
 
 @dataclass
@@ -220,31 +224,3 @@ def relevant_info_proxy(annotations: list[Annotation]) -> list[tuple[str, float]
     means = [(qid, sum(scores) / len(scores)) for qid, scores in by_query.items()]
     means.sort(key=lambda e: (-e[1], e[0]))
     return means
-
-
-# --- JSONL I/O -------------------------------------------------------------
-
-def annotation_to_dict(a: Annotation) -> dict:
-    row: dict = {
-        "query_id": a.query_id, "doc_id": a.doc_id, "guess": a.guess,
-        "relevance_score": a.relevance_score, "model": a.model,
-        "variant": a.variant,
-    }
-    if a.confidence_ask is not None:
-        row["confidence_ask"] = a.confidence_ask
-    if a.confidence_tok is not None:
-        row["confidence_tok"] = a.confidence_tok
-    if a.reason is not None:
-        row["reason"] = a.reason
-    return row
-
-
-def annotation_from_dict(row: dict) -> Annotation:
-    return Annotation(
-        query_id=row["query_id"], doc_id=row["doc_id"], guess=row["guess"],
-        relevance_score=float(row["relevance_score"]),
-        confidence_ask=row.get("confidence_ask"),
-        confidence_tok=row.get("confidence_tok"),
-        reason=row.get("reason"), model=row.get("model", ""),
-        variant=row.get("variant", "point-ask-d"),
-    )

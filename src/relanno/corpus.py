@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from types import UnionType
+from typing import (Callable, Iterable, Optional, TypeVar, Union, get_args, get_origin,
+                    get_type_hints)
 
 
 def whitespace_token_count(text: str) -> int:
@@ -27,6 +31,13 @@ class RelevanceDefinition:
             for i, ex in enumerate(self.examples, start=1):
                 lines.append(f"{i}. {ex}")
         return "\n".join(lines)
+
+
+@dataclass
+class DefinitionExample:
+    """A row of `define --examples`: one gold example for a query."""
+    query_id: str
+    example: str
 
 
 @dataclass
@@ -211,27 +222,145 @@ def validate_corpus(
     return report
 
 
-# --- JSONL I/O -------------------------------------------------------------
+# --- Row codec and JSON I/O -------------------------------------------------
 
-def _definition_from_dict(d: dict) -> RelevanceDefinition:
-    return RelevanceDefinition(
-        meaning=d["meaning"],
-        examples=list(d.get("examples", [])),
-        provenance=d.get("provenance", "generated"),
-    )
+T = TypeVar("T")
 
 
-def _definition_to_dict(d: RelevanceDefinition) -> dict:
-    return {"meaning": d.meaning, "examples": d.examples, "provenance": d.provenance}
+class RowError(ValueError):
+    """A row, or a field of one, that does not fit its dataclass."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(f"field {field!r}: {message}" if field else message)
+        self.message = message
+        self.field = field
+
+    def within(self, key: str) -> RowError:
+        """The same error seen from one level up; key is a field name or "[i]"."""
+        sep = "" if not self.field or self.field.startswith("[") else "."
+        return RowError(self.message, key + sep + self.field)
+
+
+def _show(value: object) -> str:
+    return json.dumps(value, ensure_ascii=False)[:40]
+
+
+def _scalar(kinds: tuple[type, ...], what: str, convert: Optional[Callable] = None) -> Callable:
+    def decode(value):
+        # type(), not isinstance(): a bool must not pass as a number.
+        if type(value) in kinds:
+            return value if convert is None else convert(value)
+        raise RowError(f"expected {what}, got {_show(value)}")
+    return decode
+
+
+def _decoder(hint) -> Callable:
+    """Checks a JSON value against a type hint and returns the value to store."""
+    origin, args = get_origin(hint), get_args(hint)
+    if isinstance(hint, type) and is_dataclass(hint):
+        return lambda value: from_row(hint, value)
+    if origin in (Union, UnionType):
+        [inner] = [a for a in args if a is not type(None)]
+        decode = _decoder(inner)
+        return lambda value: None if value is None else decode(value)
+    if hint in (str, bool, int, float):
+        return {str: _scalar((str,), "a string"),
+                bool: _scalar((bool,), "true or false"),
+                int: _scalar((int,), "an integer"),
+                float: _scalar((int, float), "a number", float)}[hint]
+    if origin not in (list, set, tuple):
+        raise TypeError(f"no row decoder for type {hint!r}")
+    decoders = [_decoder(a) for a in args]
+    size = len(decoders) if origin is tuple else None
+    if size is None:
+        decoders = itertools.repeat(decoders[0])  # one decoder for every item
+
+    def decode_sequence(value):
+        if type(value) is not list or size not in (None, len(value)):
+            what = "a list" if size is None else f"a list of {size} items"
+            raise RowError(f"expected {what}, got {_show(value)}")
+        items = []
+        for i, (decode, item) in enumerate(zip(decoders, value)):
+            try:
+                items.append(decode(item))
+            except RowError as exc:
+                raise exc.within(f"[{i}]") from None
+        return items if origin is list else origin(items)
+    return decode_sequence
+
+
+def _encoder(hint) -> Optional[Callable]:
+    """What to_row applies to a non-None value of this type; None means as is."""
+    origin, args = get_origin(hint), get_args(hint)
+    if isinstance(hint, type) and is_dataclass(hint):
+        return to_row
+    if origin in (Union, UnionType):
+        return _encoder(next(a for a in args if a is not type(None)))
+    if origin is set:
+        return sorted
+    if origin is dict and args:
+        encode = _encoder(args[1])
+        return encode and (lambda value: {k: encode(v) for k, v in value.items()})
+    return None
+
+
+@functools.cache
+def _decoders(cls: type) -> list[tuple[str, Callable, bool]]:
+    """(name, decoder, required) per field of cls."""
+    hints = get_type_hints(cls)
+    return [(f.name, _decoder(hints[f.name]),
+             f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)]
+
+
+@functools.cache
+def _encoders(cls: type) -> list[tuple[str, Optional[Callable], bool]]:
+    """(name, encoder, left out when None) per field of cls."""
+    hints = get_type_hints(cls)
+    return [(f.name, _encoder(hints[f.name]), f.default is None) for f in fields(cls)]
+
+
+def from_row(cls: type[T], row: object) -> T:
+    """A dataclass from a JSON object. Values must have the JSON type of their
+    field: a number for float and int (never a bool or a string), null only
+    for Optional, an object for a nested dataclass. Extra keys are ignored."""
+    if type(row) is not dict:
+        raise RowError(f"expected an object, got {_show(row)}")
+    kwargs = {}
+    for name, decode, required in _decoders(cls):
+        if name in row:
+            try:
+                kwargs[name] = decode(row[name])
+            except RowError as exc:
+                raise exc.within(name) from None
+        elif required:
+            raise RowError("missing", name)
+    return cls(**kwargs)
+
+
+def to_row(obj: object) -> dict:
+    """A dataclass as a JSON-ready dict. A field is left out only when it is
+    None and its default is None; sets become sorted lists."""
+    row = {}
+    for name, encode, omit_none in _encoders(type(obj)):
+        value = getattr(obj, name)
+        if value is None:
+            if not omit_none:
+                row[name] = None
+        else:
+            row[name] = value if encode is None else encode(value)
+    return row
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
     rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise RowError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
     return rows
 
 
@@ -241,71 +370,43 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
             f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def load_queries(path: str | Path) -> list[Query]:
-    queries = []
-    for row in read_jsonl(path):
-        definition = row.get("definition")
-        queries.append(Query(
-            id=row["id"], text=row["text"],
-            definition=_definition_from_dict(definition) if definition else None,
-        ))
-    return queries
-
-
-def save_queries(path: str | Path, queries: list[Query]) -> None:
-    rows = []
-    for q in queries:
-        row: dict = {"id": q.id, "text": q.text}
-        if q.definition is not None:
-            row["definition"] = _definition_to_dict(q.definition)
-        rows.append(row)
-    write_jsonl(path, rows)
-
-
-def load_chunks(path: str | Path) -> list[DocumentChunk]:
-    return [
-        DocumentChunk(
-            id=row["id"], report_id=row["report_id"], text=row["text"],
-            token_count=row.get("token_count", -1),
-        )
-        for row in read_jsonl(path)
-    ]
-
-
-def save_chunks(path: str | Path, chunks: list[DocumentChunk]) -> None:
-    write_jsonl(path, (
-        {"id": c.id, "report_id": c.report_id, "text": c.text, "token_count": c.token_count}
-        for c in chunks
-    ))
-
-
-def load_gold(path: str | Path) -> list[GoldLabel]:
-    return [
-        GoldLabel(
-            query_id=row["query_id"], doc_id=row["doc_id"], grade=float(row["grade"]),
-            binary=row.get("binary"), uncertain=bool(row.get("uncertain", False)),
-        )
-        for row in read_jsonl(path)
-    ]
-
-
-def load_split(path: str | Path) -> Split:
+def _line_number(path: str | Path, index: int) -> int:
+    """The line of the index-th row of a JSONL file, counting blank lines."""
     with open(path, encoding="utf-8") as f:
-        d = json.load(f)
-    return Split(
-        train_queries=set(d["train_queries"]), test_queries=set(d["test_queries"]),
-        train_reports=set(d["train_reports"]), test_reports=set(d["test_reports"]),
-        seed=d["seed"],
-    )
+        rows = (n for n, line in enumerate(f, start=1) if line.strip())
+        return next(itertools.islice(rows, index, None))
 
 
-def save_split(path: str | Path, split: Split) -> None:
+def read_rows(path: str | Path, cls: type[T]) -> list[T]:
+    """The rows of a JSONL file as cls objects; a bad row raises a RowError
+    that names path:line and the field."""
+    out = []
+    for index, row in enumerate(read_jsonl(path)):
+        try:
+            out.append(from_row(cls, row))
+        except RowError as exc:
+            raise RowError(f"{path}:{_line_number(path, index)}: {exc}") from None
+    return out
+
+
+def write_rows(path: str | Path, objs: Iterable[object]) -> None:
+    write_jsonl(path, (to_row(obj) for obj in objs))
+
+
+def read_json(path: str | Path, cls: type[T]) -> T:
+    """One JSON document as a cls object, checked as from_row checks a row."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            row = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise RowError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    try:
+        return from_row(cls, row)
+    except RowError as exc:
+        raise RowError(f"{path}: {exc}") from None
+
+
+def write_json(path: str | Path, row: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({
-            "train_queries": sorted(split.train_queries),
-            "test_queries": sorted(split.test_queries),
-            "train_reports": sorted(split.train_reports),
-            "test_reports": sorted(split.test_reports),
-            "seed": split.seed,
-        }, f, indent=2, sort_keys=True)
+        json.dump(row, f, indent=2, sort_keys=True)
         f.write("\n")

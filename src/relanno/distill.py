@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from .annotator import Annotation
-from .corpus import DocumentChunk, Query, Split
+from .corpus import DocumentChunk, Query, Split, write_rows
 from .prompting import (
     POINTWISE_PARTS,
     PromptVariant,
@@ -33,12 +33,6 @@ class TrainingRecord:
     meta: dict
     system: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        row: dict = {"user": self.user, "assistant": self.assistant, "meta": self.meta}
-        if self.system is not None:
-            row["system"] = self.system
-        return row
-
 
 @dataclass
 class ExportManifest:
@@ -49,23 +43,8 @@ class ExportManifest:
     variant: str
     teacher_model: str
     template_hashes: dict[str, str]
+    yes_fraction: float = 0.0
     balance: Optional[BalanceReport] = None  # None for an empty export
-
-    @property
-    def yes_fraction(self) -> float:
-        return self.yes_count / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        row = {
-            "count": self.count, "yes_count": self.yes_count,
-            "no_count": self.no_count, "skipped": self.skipped,
-            "yes_fraction": self.yes_fraction, "variant": self.variant,
-            "teacher_model": self.teacher_model,
-            "template_hashes": self.template_hashes,
-        }
-        if self.balance is not None:
-            row["balance"] = self.balance.as_dict()
-        return row
 
 
 def _template_hashes() -> dict[str, str]:
@@ -137,23 +116,23 @@ def export_training_data(
             raise LeakageError(
                 f"annotation for doc {ann.doc_id} from test-split report "
                 f"{chunk.report_id} in training export")
+        if ann.query_id not in queries:
+            raise KeyError(f"annotation references unknown query id: {ann.query_id}")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)
         if record is None:
             skipped += 1
             continue
         records.append(record)
 
-    with open(out_path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record.as_dict(), ensure_ascii=False, sort_keys=True)
-                    + "\n")
+    write_rows(out_path, records)
     balance = audit_balance(records) if records else None
     yes = balance.yes_count if balance else 0
     return ExportManifest(
         count=len(records), yes_count=yes, no_count=len(records) - yes,
         skipped=skipped, variant=variant.label(),
         teacher_model=teacher_model or (annotations[0].model if annotations else ""),
-        template_hashes=_template_hashes(), balance=balance,
+        template_hashes=_template_hashes(),
+        yes_fraction=balance.yes_fraction if balance else 0.0, balance=balance,
     )
 
 
@@ -165,13 +144,6 @@ class BalanceReport:
     flagged: bool
     per_query: dict[str, dict[str, int]] = field(default_factory=dict)
     empty_queries: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "yes_count": self.yes_count, "no_count": self.no_count,
-            "yes_fraction": self.yes_fraction, "flagged": self.flagged,
-            "per_query": self.per_query, "empty_queries": self.empty_queries,
-        }
 
 
 def audit_balance(records: list[TrainingRecord],

@@ -214,10 +214,6 @@ class MetricReport:
     avg: float
     raw: dict[str, float]
 
-    def as_dict(self) -> dict:
-        return {"unc": self.unc, "bin": self.bin, "cal": self.cal,
-                "info": self.info, "avg": self.avg, "raw": dict(self.raw)}
-
     def rounded(self) -> dict:
         out = {k: round(v, 2) for k, v in
                (("unc", self.unc), ("bin", self.bin), ("cal", self.cal),

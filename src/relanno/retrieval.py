@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .corpus import DocumentChunk, Query, read_jsonl, write_jsonl
+from .corpus import DocumentChunk, Query, read_rows, write_rows
 from .gateway import LLMGateway
 
 
@@ -80,15 +80,8 @@ def retrieve_by_threshold(scores: list[tuple[str, float]], theta: float) -> list
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:
-    return [
-        Ranking(query_id=row["query_id"],
-                entries=[(doc_id, float(score)) for doc_id, score in row["entries"]])
-        for row in read_jsonl(path)
-    ]
+    return read_rows(path, Ranking)
 
 
 def save_rankings(path: str | Path, rankings: list[Ranking]) -> None:
-    write_jsonl(path, (
-        {"query_id": r.query_id, "entries": [[d, s] for d, s in r.entries]}
-        for r in rankings
-    ))
+    write_rows(path, rankings)

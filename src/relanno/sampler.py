@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .annotator import Annotation, primary_confidence
 from .corpus import QueryDocPair
 from .retrieval import Ranking
 
@@ -26,6 +27,14 @@ class Disagreement:
     original_label: str    # relevant | irrelevant
     confidence: float
     bin: str
+
+
+@dataclass
+class Verdict:
+    """A row of `audit --verdicts`: which side a human auditor found right."""
+    query_id: str
+    doc_id: str
+    verdict: str  # model | original
 
 
 @dataclass
@@ -90,7 +99,7 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
 
 
 def stratify_disagreements(
-    annotations: list[dict],
+    annotations: list[Annotation],
     original_labels: dict[tuple[str, str], str],
     per_bin: int,
     seed: int,
@@ -98,21 +107,21 @@ def stratify_disagreements(
     """Keep (query, doc) pairs where the model guess contradicts the original
     label, partition by confidence bin, and sample per_bin from each bin.
 
-    annotations: dicts with query_id, doc_id, guess ("Yes"/"No"), confidence.
     original_labels: (query_id, doc_id) -> "relevant" | "irrelevant".
     """
+    if per_bin < 1:
+        raise ValueError("per_bin must be at least 1")
     disagreements: dict[str, list[Disagreement]] = {name: [] for name, _, _ in BIN_EDGES}
     for ann in annotations:
-        key = (ann["query_id"], ann["doc_id"])
-        original = original_labels.get(key)
+        original = original_labels.get((ann.query_id, ann.doc_id))
         if original is None:
             continue
-        model = "relevant" if ann["guess"] == "Yes" else "irrelevant"
+        model = "relevant" if ann.guess == "Yes" else "irrelevant"
         if model == original:
             continue
-        conf = float(ann["confidence"])
+        conf = primary_confidence(ann)
         disagreements[confidence_bin(conf)].append(Disagreement(
-            query_id=ann["query_id"], doc_id=ann["doc_id"],
+            query_id=ann.query_id, doc_id=ann.doc_id,
             model_guess=model, original_label=original,
             confidence=conf, bin=confidence_bin(conf),
         ))
@@ -135,11 +144,20 @@ class AccuracyCell:
     accuracy: Optional[float]  # percentage; None when the stratum is empty
 
 
+@dataclass
+class AccuracyTable:
+    # Cells keyed all | original_relevant | original_irrelevant.
+    low_conf: dict[str, AccuracyCell]   # confidence <= cutoff
+    high_conf: dict[str, AccuracyCell]  # confidence > cutoff
+    cutoff: float
+    high_conf_fraction: Optional[float] = None  # of all confidences, when given
+
+
 def disagreement_accuracy_table(
     audited: list[tuple[Disagreement, str]],
     cutoff: float = 0.95,
     all_confidences: Optional[list[float]] = None,
-) -> dict:
+) -> AccuracyTable:
     """Accuracy of the model side of each disagreement, split at the cutoff.
 
     audited: (disagreement, human_verdict) where human_verdict is "model" or
@@ -152,35 +170,19 @@ def disagreement_accuracy_table(
         wins = sum(1 for _, verdict in items if verdict == "model")
         return AccuracyCell(count=len(items), accuracy=100.0 * wins / len(items))
 
-    table: dict = {}
+    strata = {}
     for stratum, pred in (("low_conf", lambda d: d.confidence <= cutoff),
                           ("high_conf", lambda d: d.confidence > cutoff)):
         items = [(d, v) for d, v in audited if pred(d)]
-        table[stratum] = {
+        strata[stratum] = {
             "all": cell(items),
             "original_relevant": cell(
                 [(d, v) for d, v in items if d.original_label == "relevant"]),
             "original_irrelevant": cell(
                 [(d, v) for d, v in items if d.original_label == "irrelevant"]),
         }
-    table["cutoff"] = cutoff
+    table = AccuracyTable(**strata, cutoff=cutoff)
     if all_confidences:
         high = sum(1 for c in all_confidences if c > cutoff)
-        table["high_conf_fraction"] = high / len(all_confidences)
+        table.high_conf_fraction = high / len(all_confidences)
     return table
-
-
-def disagreement_to_dict(d: Disagreement) -> dict:
-    return {
-        "query_id": d.query_id, "doc_id": d.doc_id,
-        "model_guess": d.model_guess, "original_label": d.original_label,
-        "confidence": d.confidence, "bin": d.bin,
-    }
-
-
-def disagreement_from_dict(row: dict) -> Disagreement:
-    return Disagreement(
-        query_id=row["query_id"], doc_id=row["doc_id"],
-        model_guess=row["model_guess"], original_label=row["original_label"],
-        confidence=float(row["confidence"]), bin=row["bin"],
-    )

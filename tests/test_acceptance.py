@@ -331,8 +331,8 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     """ingest -> rank -> sample -> annotate -> evaluate with a private cache."""
     work = tmp_path / tag
     work.mkdir()
-    corpus_mod.save_queries(work / "queries.jsonl", fixture_queries)
-    corpus_mod.save_chunks(work / "documents.jsonl", fixture_chunks)
+    corpus_mod.write_rows(work / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(work / "documents.jsonl", fixture_chunks)
     corpus_mod.write_jsonl(work / "gold.jsonl", (
         {"query_id": g.query_id, "doc_id": g.doc_id, "grade": g.grade,
          "binary": g.binary, "uncertain": g.uncertain} for g in fixture_gold))

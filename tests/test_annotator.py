@@ -8,14 +8,12 @@ from relanno.annotator import (
     ExtractionError,
     annotate_corpus,
     annotate_pair,
-    annotation_from_dict,
-    annotation_to_dict,
     derive_relevance_score,
     extract_tok_confidence,
     listwise_rerank,
     relevant_info_proxy,
 )
-from relanno.corpus import DocumentChunk, Query, QueryDocPair
+from relanno.corpus import DocumentChunk, Query, QueryDocPair, from_row, to_row
 from relanno.gateway import CapabilityError, ChatResponse
 from relanno.prompting import PromptVariant
 from relanno.retrieval import Ranking
@@ -246,10 +244,10 @@ def test_annotation_dict_round_trip():
     ann = Annotation("q1", "d1", "Yes", 0.8, confidence_ask=0.9,
                      confidence_tok=0.8, reason="states the figure",
                      model="mock", variant="point-cot-ask-d")
-    assert annotation_from_dict(annotation_to_dict(ann)) == ann
+    assert from_row(Annotation, to_row(ann)) == ann
 
 
 def test_annotation_dict_omits_absent_fields():
-    row = annotation_to_dict(Annotation("q", "d", "No", 0.3))
+    row = to_row(Annotation("q", "d", "No", 0.3))
     assert "confidence_ask" not in row
     assert "reason" not in row

@@ -16,8 +16,8 @@ from relanno.retrieval import Ranking, save_rankings
 def workspace(tmp_path, mock_server, fixture_queries, fixture_chunks,
               fixture_gold):
     mock_server.reset_counters()
-    corpus_mod.save_queries(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.save_chunks(tmp_path / "documents.jsonl", fixture_chunks)
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", fixture_chunks)
     corpus_mod.write_jsonl(tmp_path / "gold.jsonl", (
         {"query_id": g.query_id, "doc_id": g.doc_id, "grade": g.grade,
          "binary": g.binary, "uncertain": g.uncertain}
@@ -62,13 +62,13 @@ class TestIngest:
         summary = json.loads(result.output)
         assert summary["queries"] == 2
         assert summary["documents"] == 4
-        split = corpus_mod.load_split(out_dir / "split.json")
+        split = corpus_mod.read_json(out_dir / "split.json", corpus_mod.Split)
         assert split.train_queries.isdisjoint(split.test_queries)
         assert split.train_reports.isdisjoint(split.test_reports)
 
     def test_validation_failure_exits_nonzero(self, workspace, fixture_queries):
-        corpus_mod.save_queries(workspace / "dup.jsonl",
-                                fixture_queries + fixture_queries[:1])
+        corpus_mod.write_rows(workspace / "dup.jsonl",
+                              fixture_queries + fixture_queries[:1])
         result = run_cli(workspace, "ingest",
                          "--queries", str(workspace / "dup.jsonl"),
                          "--documents", str(workspace / "documents.jsonl"),
@@ -97,10 +97,14 @@ def test_rank_writes_one_ranking_per_query(workspace):
     assert (second["embedded_texts"], second["network_calls"]) == (0, 0)
 
 
-def assert_one_line_json_error(result, fragment):
+def assert_one_line_json_error(result, *fragments):
+    """Exit 1 and exactly one line on stderr: a JSON error holding each fragment."""
+    assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not an escaped traceback
-    [line] = result.output.strip().splitlines()
-    assert fragment in json.loads(line)["error"]
+    [line] = result.stderr.strip().splitlines()
+    message = json.loads(line)["error"]
+    for fragment in fragments:
+        assert fragment in message, message
 
 
 class TestRankFailures:
@@ -371,9 +375,135 @@ def test_benchmark_reversed_rankings(workspace):
 
 def test_define_generates_definitions(workspace, fixture_queries):
     plain = [corpus_mod.Query(id=q.id, text=q.text) for q in fixture_queries]
-    corpus_mod.save_queries(workspace / "plain.jsonl", plain)
+    corpus_mod.write_rows(workspace / "plain.jsonl", plain)
     out = workspace / "defined.jsonl"
     run_cli(workspace, "define", "--queries", str(workspace / "plain.jsonl"),
             "--out", str(out))
-    defined = corpus_mod.load_queries(out)
+    defined = corpus_mod.read_rows(out, corpus_mod.Query)
     assert all(q.definition is not None for q in defined)
+
+
+def write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+NO_CONFIDENCE = json.dumps({"query_id": "q1", "doc_id": "d2", "guess": "Yes",
+                            "relevance_score": 0.9})
+
+
+class TestMissingConfidence:
+    """A row with neither confidence names its pair instead of crashing."""
+
+    def test_evaluate(self, workspace):
+        rows = write_lines(workspace / "one.jsonl", NO_CONFIDENCE)
+        result = run_cli(workspace, "evaluate", "--annotations", rows,
+                         "--gold", str(workspace / "gold.jsonl"),
+                         "--out", str(workspace / "report.json"), expect_exit=1)
+        assert_one_line_json_error(result, "(q1,d2)", "neither confidence_ask nor confidence_tok")
+
+    def test_audit(self, workspace):
+        rows = write_lines(workspace / "one.jsonl", NO_CONFIDENCE)
+        result = run_cli(workspace, "audit", "--annotations", rows,
+                         "--original", str(workspace / "gold.jsonl"),
+                         "--out", str(workspace / "d.jsonl"), expect_exit=1)
+        assert_one_line_json_error(result, "(q1,d2)", "neither confidence_ask nor confidence_tok")
+
+
+def range_case(workspace, name):
+    """Arguments for one out-of-range flag, on otherwise valid inputs."""
+    if name == "sample --k 0":
+        rankings = workspace / "rankings.jsonl"
+        save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
+        return ["sample", "--rankings", str(rankings), "--out", str(workspace / "p.jsonl"),
+                "--k", "0"]
+    if name == "ingest --min-tokens 0":
+        return ["ingest", "--queries", str(workspace / "queries.jsonl"),
+                "--documents", str(workspace / "documents.jsonl"),
+                "--out-dir", str(workspace / "c"), "--min-tokens", "0"]
+    annotations, _ = annotate_all(workspace)
+    if name == "audit --per-bin -1":
+        return ["audit", "--annotations", str(annotations),
+                "--original", str(workspace / "gold.jsonl"),
+                "--out", str(workspace / "d.jsonl"), "--per-bin", "-1"]
+    return ["evaluate", "--annotations", str(annotations),
+            "--gold", str(workspace / "gold.jsonl"),
+            "--out", str(workspace / "r.json"), "--ece-bins", "0"]
+
+
+@pytest.mark.parametrize("name,fragment", [
+    ("sample --k 0", "k and per_side must be at least 1"),
+    ("ingest --min-tokens 0", "min_tokens must be positive"),
+    ("audit --per-bin -1", "per_bin must be at least 1"),
+    ("evaluate --ece-bins 0", "bins must be at least 1"),
+])
+def test_out_of_range_flag_is_one_json_error(workspace, name, fragment):
+    result = run_cli(workspace, *range_case(workspace, name), expect_exit=1)
+    assert_one_line_json_error(result, fragment)
+
+
+def bad_input_case(workspace, name):
+    """(arguments, fragments the error must hold) for one malformed input."""
+    w = workspace
+    queries, documents, gold = (str(w / n) for n in
+                                ("queries.jsonl", "documents.jsonl", "gold.jsonl"))
+    annotations = write_lines(w / "ann.jsonl", json.dumps(
+        {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
+         "confidence_ask": 0.9}))
+    if name == "query without text":
+        bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q1", "text": "x"}),
+                          json.dumps({"id": "q2"}))
+        return ["rank", "--queries", bad, "--documents", documents,
+                "--out", str(w / "r.jsonl")], ["bad.jsonl:2", "field 'text': missing"]
+    if name == "pair without doc_id":
+        bad = write_lines(w / "bad.jsonl", "", json.dumps({"query_id": "q1"}))
+        return ["annotate", "--pairs", bad, "--queries", queries, "--documents", documents,
+                "--out", str(w / "a.jsonl")], ["bad.jsonl:2", "field 'doc_id': missing"]
+    if name == "ranking entry without score":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "entries": [["d2", 0.5], ["d1"]]}))
+        return ["sample", "--rankings", bad, "--out", str(w / "p.jsonl")], [
+            "bad.jsonl:1", "field 'entries[1]'", "expected a list of 2 items"]
+    if name == "gold grade as a word":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": "high"}))
+        return ["evaluate", "--annotations", annotations, "--gold", bad,
+                "--out", str(w / "r.json")], [
+            "bad.jsonl:1", "field 'grade'", "expected a number, got \"high\""]
+    if name == "broken JSONL line":
+        bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q1", "text": "x"}),
+                          '{"id": "q2", "text": ')
+        return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
+            "bad.jsonl:2", "not valid JSON"]
+    if name == "split without train_queries":
+        split = w / "split.json"
+        split.write_text(json.dumps({"test_queries": [], "train_reports": [],
+                                     "test_reports": [], "seed": 1}), encoding="utf-8")
+        return ["distill", "--annotations", annotations, "--queries", queries,
+                "--documents", documents, "--split", str(split),
+                "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], [
+            "split.json", "field 'train_queries': missing"]
+    if name == "nested definition field":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"id": "q1", "text": "x", "definition": {"meaning": 3}}))
+        return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
+            "bad.jsonl:1", "field 'definition.meaning'", "expected a string, got 3"]
+    if name == "uncertain as a string":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": 1, "uncertain": "false"}))
+        return ["sweep", "--annotations", annotations, "--gold", bad,
+                "--out", str(w / "s.csv")], [
+            "bad.jsonl:1", "field 'uncertain'", "expected true or false"]
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "query without text", "pair without doc_id", "ranking entry without score",
+    "gold grade as a word", "broken JSONL line", "split without train_queries",
+    "nested definition field", "uncertain as a string",
+])
+def test_bad_input_row_is_one_json_error(workspace, name):
+    args, fragments = bad_input_case(workspace, name)
+    result = run_cli(workspace, *args, expect_exit=1)
+    assert_one_line_json_error(result, *fragments)
+

@@ -6,16 +6,19 @@ from relanno.corpus import (
     DocumentChunk,
     GoldLabel,
     Query,
+    RowError,
+    Split,
     SplitError,
-    load_chunks,
-    load_queries,
+    from_row,
     merge_short_chunks,
-    save_chunks,
-    save_queries,
+    read_rows,
     split_train_test,
+    to_row,
     validate_corpus,
     whitespace_token_count,
+    write_rows,
 )
+from relanno.sampler import AccuracyCell
 
 
 def chunk(i, n_tokens, report="r1"):
@@ -124,12 +127,58 @@ class TestValidateCorpus:
 def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
     qpath = tmp_path / "queries.jsonl"
     dpath = tmp_path / "documents.jsonl"
-    save_queries(qpath, fixture_queries)
-    save_chunks(dpath, fixture_chunks)
-    assert load_queries(qpath) == fixture_queries
-    assert load_chunks(dpath) == fixture_chunks
+    write_rows(qpath, fixture_queries)
+    write_rows(dpath, fixture_chunks)
+    assert read_rows(qpath, Query) == fixture_queries
+    assert read_rows(dpath, DocumentChunk) == fixture_chunks
 
 
 def test_token_count_defaults_to_whitespace():
     c = DocumentChunk(id="x", report_id="r", text="one two three")
     assert c.token_count == whitespace_token_count(c.text) == 3
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("row,field,fragment", [
+        ({"id": "q1"}, "text", "missing"),
+        ({"id": 1, "text": "t"}, "id", "expected a string, got 1"),
+        ({"id": "q1", "text": None}, "text", "expected a string, got null"),
+        ({"id": "q1", "text": "t", "definition": []}, "definition", "expected an object"),
+        ({"id": "q1", "text": "t", "definition": {"meaning": "m", "examples": ["a", 2]}},
+         "definition.examples[1]", "expected a string, got 2"),
+    ])
+    def test_bad_query_row_names_the_field(self, row, field, fragment):
+        with pytest.raises(RowError) as info:
+            from_row(Query, row)
+        assert info.value.field == field
+        assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("grade", ["0.5", True, None, [0.5]])
+    def test_number_field_takes_only_a_number(self, grade):
+        with pytest.raises(RowError, match="field 'grade': expected a number"):
+            from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": grade})
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_bool_field_takes_only_a_bool(self, flag):
+        with pytest.raises(RowError, match="field 'uncertain': expected true or false"):
+            from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": 0, "uncertain": flag})
+
+    def test_int_for_float_extra_keys_and_defaults(self):
+        gold = from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": 1, "note": "x"})
+        assert gold == GoldLabel("q", "d", 1.0)
+        assert type(gold.grade) is float
+
+    def test_to_row_drops_none_only_where_the_default_is_none(self):
+        assert to_row(Query("q1", "t")) == {"id": "q1", "text": "t"}
+        assert to_row(AccuracyCell(count=0, accuracy=None)) == {"count": 0, "accuracy": None}
+        split = Split({"b", "a"}, {"c"}, set(), {"r"}, seed=3)
+        assert to_row(split) == {"train_queries": ["a", "b"], "test_queries": ["c"],
+                                 "train_reports": [], "test_reports": ["r"], "seed": 3}
+        assert from_row(Split, to_row(split)) == split
+
+    def test_read_rows_names_the_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"query_id": "q", "doc_id": "d", "grade": 1}\n\n'
+                        '{"query_id": "q", "doc_id": "d", "grade": "high"}\n', encoding="utf-8")
+        with pytest.raises(RowError, match=r"gold.jsonl:3: field 'grade'"):
+            read_rows(path, GoldLabel)

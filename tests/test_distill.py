@@ -1,7 +1,7 @@
 import pytest
 
 from relanno.annotator import Annotation
-from relanno.corpus import Split, read_jsonl
+from relanno.corpus import Split, read_jsonl, to_row
 from relanno.distill import (
     LeakageError,
     TrainingRecord,
@@ -113,7 +113,7 @@ class TestExport:
             queries, chunks, make_split(), VARIANT, out)
         written = [TrainingRecord(**row) for row in read_jsonl(out)]
         assert manifest.balance == audit_balance(written)
-        assert manifest.as_dict()["balance"] == manifest.balance.as_dict()
+        assert to_row(manifest)["balance"] == to_row(manifest.balance)
         assert (manifest.yes_count, manifest.no_count) == (1, 1)
 
     def test_empty_export_has_no_balance(self, corpus, tmp_path):
@@ -122,7 +122,7 @@ class TestExport:
                                         make_split(), COT_VARIANT,
                                         tmp_path / "t.jsonl")
         assert manifest.count == 0
-        assert "balance" not in manifest.as_dict()
+        assert "balance" not in to_row(manifest)
 
     def test_test_query_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
