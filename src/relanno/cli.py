@@ -76,13 +76,15 @@ def _fail(message: str) -> None:
 
 
 class _ErrorBoundary(click.Group):
-    """Ends a command that fails on bad input, config or endpoint answers
-    with `_fail`'s one JSON line and exit 1. Click usage errors keep exit 2."""
+    """Ends a command that fails on bad input, config, files or endpoint
+    answers with `_fail`'s one JSON line and exit 1. Click usage errors keep
+    exit 2."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, KeyError, TransportError, CapabilityError, LeakageError) as exc:
+        except (ValueError, KeyError, OSError, TransportError, CapabilityError,
+                LeakageError) as exc:
             _fail(str(exc))
 
 
@@ -286,7 +288,12 @@ def _build_run(annotations: list[Annotation], gold: list[GoldLabel], scheme: str
         gains = {(g.query_id, g.doc_id): g.grade for g in gold}
     else:
         mapping = gain_mapping(scheme)
-        gains = {(g.query_id, g.doc_id): mapping(g.binary) for g in gold}
+        gains = {}
+        for g in gold:
+            try:
+                gains[(g.query_id, g.doc_id)] = mapping(g.binary)
+            except ValueError as exc:
+                raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
     run: dict = {}
     for ann in annotations:
         predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 log = logging.getLogger(__name__)
 
@@ -36,17 +35,12 @@ def ece(data: CalibrationInput, bins: int = 10) -> float:
     correct = np.asarray(data.correct, dtype=float)
     # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
     indices = np.minimum((conf * bins).astype(int), bins - 1)
-    total = len(conf)
-    out = 0.0
-    for b in range(bins):
-        mask = indices == b
-        n_b = int(mask.sum())
-        if n_b == 0:
-            continue
-        acc = correct[mask].mean()
-        avg_conf = conf[mask].mean()
-        out += (n_b / total) * abs(acc - avg_conf)
-    return float(out)
+    counts = np.bincount(indices, minlength=bins)
+    filled = counts > 0
+    n_b = counts[filled]
+    acc = np.bincount(indices, weights=correct, minlength=bins)[filled] / n_b
+    avg_conf = np.bincount(indices, weights=conf, minlength=bins)[filled] / n_b
+    return float(np.sum(n_b / len(conf) * np.abs(acc - avg_conf)))
 
 
 def brier(data: CalibrationInput) -> float:
@@ -63,7 +57,10 @@ def auroc(data: CalibrationInput) -> float:
     neg = conf[~correct]
     if len(pos) == 0 or len(neg) == 0:
         raise UndefinedMetricError("auroc needs both correct and incorrect items")
-    ranks = stats.rankdata(np.concatenate([pos, neg]))
+    # Tie-averaged ranks: a run of c equal values ending at rank r gets r - (c-1)/2.
+    _, inverse, counts = np.unique(np.concatenate([pos, neg]), return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     rank_sum = ranks[:len(pos)].sum()
     u = rank_sum - len(pos) * (len(pos) + 1) / 2
     return float(u / (len(pos) * len(neg)))
@@ -192,17 +189,42 @@ def gain_mapping(label_scheme: str) -> Callable[[object], float]:
     raise ValueError(f"unknown label scheme: {label_scheme}")
 
 
+def _sort_counting_inversions(values: list) -> tuple[list, int]:
+    """`values` sorted, and the number of pairs i < j with values[i] > values[j],
+    by merge sort (Knight 1966)."""
+    if len(values) < 2:
+        return values, 0
+    mid = len(values) // 2
+    left, left_inversions = _sort_counting_inversions(values[:mid])
+    right, right_inversions = _sort_counting_inversions(values[mid:])
+    inversions = left_inversions + right_inversions
+    merged = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            merged.append(right[j])
+            j += 1
+            inversions += len(left) - i
+        else:
+            merged.append(left[i])
+            i += 1
+    return merged + left[i:] + right[j:], inversions
+
+
 def kendall_tau(rank_a: list, rank_b: list) -> float:
-    """Tau-b over the positions implied by two orderings of the same id set."""
+    """Tau-b over the positions implied by two orderings of the same id set.
+
+    Positions have no ties, so tau-b is (concordant - discordant) / pairs,
+    where the discordant pairs are the inversions of b's positions in a's order.
+    """
     if set(rank_a) != set(rank_b) or len(rank_a) != len(set(rank_a)):
         raise ValueError("rankings must be over the same id set without duplicates")
     if len(rank_a) < 2:
         raise ValueError("kendall_tau needs at least 2 items")
     pos_b = {doc_id: i for i, doc_id in enumerate(rank_b)}
-    a_positions = list(range(len(rank_a)))
-    b_positions = [pos_b[doc_id] for doc_id in rank_a]
-    tau, _ = stats.kendalltau(a_positions, b_positions)
-    return float(tau)
+    _, discordant = _sort_counting_inversions([pos_b[doc_id] for doc_id in rank_a])
+    pairs = len(rank_a) * (len(rank_a) - 1) // 2
+    return (pairs - 2 * discordant) / pairs
 
 
 @dataclass
@@ -262,15 +284,20 @@ def f1_threshold_sweep(
         raise ValueError("scores and gold must be aligned")
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValueError("grid thetas must be in [0,1]")
-    points = []
+    scores = np.asarray(relevance_scores, dtype=float)
+    order = np.argsort(scores)
+    # Scores >= theta are the n_pred highest: a cut never falls inside a run of ties.
+    n_preds = len(scores) - np.searchsorted(scores[order], np.asarray(grid, dtype=float),
+                                            side="left")
+    # tp_top[m]: gold positives among the m highest scores.
+    tp_top = np.append(0, np.cumsum(np.asarray(gold_relevant, dtype=int)[order][::-1]))
     n_gold = sum(gold_relevant)
-    for theta in grid:
-        predicted = [s >= theta for s in relevance_scores]
-        tp = sum(1 for p, g in zip(predicted, gold_relevant) if p and g)
-        n_pred = sum(predicted)
+    points = []
+    for theta, n_pred in zip(grid, n_preds.tolist()):
+        tp = int(tp_top[n_pred])
         precision = tp / n_pred if n_pred else 0.0
         recall = tp / n_gold if n_gold else 0.0
-        points.append(SweepPoint(
-            theta=theta, f1=f1_binary(predicted, gold_relevant),
-            precision=precision, recall=recall))
+        # f1_binary's expressions, with tp + fp = n_pred and tp + fn = n_gold.
+        f1 = 0.0 if tp == 0 else 2 * precision * recall / (precision + recall)
+        points.append(SweepPoint(theta=theta, f1=f1, precision=precision, recall=recall))
     return points

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -37,6 +41,16 @@ def run_cli(workspace, *args, expect_exit=0):
                                   *args])
     assert result.exit_code == expect_exit, result.output
     return result
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats alone took over a second to import; every command process paid it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, relanno.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_group_and_subcommand_help():
@@ -488,6 +502,19 @@ def bad_input_case(workspace, name):
             {"id": "q1", "text": "x", "definition": {"meaning": 3}}))
         return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
             "bad.jsonl:1", "field 'definition.meaning'", "expected a string, got 3"]
+    if name == "gold row without binary":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": 1, "binary": "relevant"}),
+            json.dumps({"query_id": "q3", "doc_id": "d3", "grade": 0.7}))
+        return ["evaluate", "--annotations", annotations, "--gold", bad,
+                "--out", str(w / "r.json")], [
+            "(q3,d3)", "unknown three_way label: None"]
+    if name == "out path in a missing directory":
+        rankings = w / "rankings.jsonl"
+        save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
+        return ["sample", "--rankings", str(rankings),
+                "--out", str(w / "nodir" / "pairs.jsonl")], [
+            "No such file or directory", "pairs.jsonl"]
     if name == "uncertain as a string":
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "grade": 1, "uncertain": "false"}))
@@ -500,7 +527,8 @@ def bad_input_case(workspace, name):
 @pytest.mark.parametrize("name", [
     "query without text", "pair without doc_id", "ranking entry without score",
     "gold grade as a word", "broken JSONL line", "split without train_queries",
-    "nested definition field", "uncertain as a string",
+    "nested definition field", "uncertain as a string", "gold row without binary",
+    "out path in a missing directory",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

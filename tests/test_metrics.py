@@ -90,6 +90,19 @@ def oracle_ece(confidences, correct, bins):
     return total
 
 
+def oracle_f1_sweep(scores, gold, grid):
+    points = []
+    for theta in grid:
+        predicted = [s >= theta for s in scores]
+        tp = sum(1 for p, g in zip(predicted, gold) if p and g)
+        n_pred = sum(predicted)
+        n_gold = sum(gold)
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gold if n_gold else 0.0
+        points.append((theta, f1_binary(predicted, gold), precision, recall))
+    return points
+
+
 # --- calibration metrics ---------------------------------------------------
 
 class TestEce:
@@ -108,12 +121,22 @@ class TestEce:
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(0)
         for _ in range(300):
-            n = rng.randint(1, 8)
-            conf = [rng.random() for _ in range(n)]
+            n = rng.randint(1, 60)
+            bins = rng.choice([1, 3, 10, 37])
+            conf = [rng.choice([rng.random(), round(rng.random(), 1)]) for _ in range(n)]
             correct = [rng.random() < 0.5 for _ in range(n)]
             data = CalibrationInput(conf, correct)
-            assert ece(data, bins=10) == pytest.approx(
-                oracle_ece(conf, correct, 10), abs=1e-9)
+            assert ece(data, bins=bins) == pytest.approx(
+                oracle_ece(conf, correct, bins), abs=1e-9)
+
+    def test_one_item_per_bin(self):
+        # A million bins put these ten confidences in ten bins of their own, so
+        # ECE is the mean of |correct - confidence|; the cost is O(n + bins).
+        conf = [0.05 + i / 10 for i in range(10)]
+        correct = [i % 3 == 0 for i in range(10)]
+        expected = sum(abs(ok - c) for c, ok in zip(conf, correct)) / 10
+        assert ece(CalibrationInput(conf, correct), bins=10**6) == pytest.approx(
+            expected, abs=1e-12)
 
 
 class TestBrier:
@@ -323,6 +346,19 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             f1_threshold_sweep([0.5], [True], [1.5])
 
+    def test_matches_bruteforce_exactly(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(0, 40)
+            scores = [rng.choice([0.0, 1.0, round(rng.random(), 1), rng.random()])
+                      for _ in range(n)]
+            gold = [rng.random() < 0.5 for _ in range(n)]
+            grid = sorted({0.0, 1.0, *rng.sample(scores, min(n, 5)),
+                           *(rng.random() for _ in range(3))})
+            points = [(p.theta, p.f1, p.precision, p.recall)
+                      for p in f1_threshold_sweep(scores, gold, grid)]
+            assert points == oracle_f1_sweep(scores, gold, grid)
+
 
 # --- randomized oracle suite and invariance properties ---------------------
 
@@ -361,6 +397,15 @@ class TestRandomOracles:
             assert ndcg(single_query_run(predicted, gold), k=k) == pytest.approx(
                 oracle_ndcg_single(predicted, gold, k), abs=1e-9)
 
+    def test_auroc_matches_bruteforce_large_with_ties(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            n = rng.randint(100, 500)
+            conf = [round(rng.random(), 1) for _ in range(n)]
+            correct = [rng.random() < 0.5 for _ in range(n)]
+            data = CalibrationInput(conf, correct)
+            assert auroc(data) == pytest.approx(oracle_auroc(conf, correct), abs=1e-9)
+
     def test_tau_matches_bruteforce(self):
         rng = random.Random(4)
         for _ in range(300):
@@ -369,6 +414,22 @@ class TestRandomOracles:
             b = list(range(n))
             rng.shuffle(a)
             rng.shuffle(b)
+            assert kendall_tau(a, b) == pytest.approx(
+                oracle_kendall_tau(a, b), abs=1e-9)
+
+    def test_tau_matches_bruteforce_large(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randint(100, 300)
+            a = [f"d{i}" for i in range(n)]
+            rng.shuffle(a)
+            b = list(a)
+            if rng.random() < 0.5:
+                rng.shuffle(b)
+            else:  # nearly the same order: a few swaps
+                for _ in range(rng.randint(1, 5)):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    b[i], b[j] = b[j], b[i]
             assert kendall_tau(a, b) == pytest.approx(
                 oracle_kendall_tau(a, b), abs=1e-9)
 
