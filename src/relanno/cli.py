@@ -283,24 +283,17 @@ def _with_gold(annotations: list[Annotation],
     return scored
 
 
-def _build_run(annotations: list[Annotation], gold: list[GoldLabel], scheme: str) -> dict:
-    if scheme == "graded_1_3":
-        gains = {(g.query_id, g.doc_id): g.grade for g in gold}
-    else:
-        mapping = gain_mapping(scheme)
-        gains = {}
-        for g in gold:
-            try:
-                gains[(g.query_id, g.doc_id)] = mapping(g.binary)
-            except ValueError as exc:
-                raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
+def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> dict:
+    """Per query, the predicted scores and gold gains of the annotated pairs."""
+    mapping = gain_mapping(scheme)
     run: dict = {}
-    for ann in annotations:
+    for ann, g in scored:
         predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
-        key = (ann.query_id, ann.doc_id)
         predicted[ann.doc_id] = ann.relevance_score
-        if key in gains:
-            gold_gains[ann.doc_id] = gains[key]
+        try:
+            gold_gains[ann.doc_id] = g.grade if scheme == "graded_1_3" else mapping(g.binary)
+        except ValueError as exc:
+            raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
     return run
 
 
@@ -322,11 +315,15 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
     gold = read_rows(gold_path, GoldLabel)
     scored = _with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
+    for (a, _), c in zip(scored, confidences):
+        if not 0.0 <= c <= 1.0:  # NaN fails too
+            raise ValueError(f"annotation ({a.query_id},{a.doc_id}): "
+                             f"confidence out of [0,1]: {c}")
     predicted_rel = [a.guess == "Yes" for a, _ in scored]
     gold_rel = [_gold_relevant(g) for _, g in scored]
     calibration = CalibrationInput(
         confidences=confidences, correct=[p == g for p, g in zip(predicted_rel, gold_rel)])
-    run = _build_run([a for a, _ in scored], gold, scheme)
+    run = _build_run(scored, scheme)
     sub = {
         "ece": ece(calibration, bins=ece_bins),
         "brier": brier(calibration),

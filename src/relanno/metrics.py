@@ -35,11 +35,10 @@ def ece(data: CalibrationInput, bins: int = 10) -> float:
     correct = np.asarray(data.correct, dtype=float)
     # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
     indices = np.minimum((conf * bins).astype(int), bins - 1)
-    counts = np.bincount(indices, minlength=bins)
-    filled = counts > 0
-    n_b = counts[filled]
-    acc = np.bincount(indices, weights=correct, minlength=bins)[filled] / n_b
-    avg_conf = np.bincount(indices, weights=conf, minlength=bins)[filled] / n_b
+    # Only the filled bins: time and memory do not grow with `bins`.
+    _, filled, n_b = np.unique(indices, return_inverse=True, return_counts=True)
+    acc = np.bincount(filled, weights=correct) / n_b
+    avg_conf = np.bincount(filled, weights=conf) / n_b
     return float(np.sum(n_b / len(conf) * np.abs(acc - avg_conf)))
 
 
@@ -284,20 +283,15 @@ def f1_threshold_sweep(
         raise ValueError("scores and gold must be aligned")
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValueError("grid thetas must be in [0,1]")
-    scores = np.asarray(relevance_scores, dtype=float)
-    order = np.argsort(scores)
-    # Scores >= theta are the n_pred highest: a cut never falls inside a run of ties.
-    n_preds = len(scores) - np.searchsorted(scores[order], np.asarray(grid, dtype=float),
-                                            side="left")
-    # tp_top[m]: gold positives among the m highest scores.
-    tp_top = np.append(0, np.cumsum(np.asarray(gold_relevant, dtype=int)[order][::-1]))
-    n_gold = sum(gold_relevant)
     points = []
-    for theta, n_pred in zip(grid, n_preds.tolist()):
-        tp = int(tp_top[n_pred])
+    n_gold = sum(gold_relevant)
+    for theta in grid:
+        predicted = [s >= theta for s in relevance_scores]
+        tp = sum(1 for p, g in zip(predicted, gold_relevant) if p and g)
+        n_pred = sum(predicted)
         precision = tp / n_pred if n_pred else 0.0
         recall = tp / n_gold if n_gold else 0.0
-        # f1_binary's expressions, with tp + fp = n_pred and tp + fn = n_gold.
-        f1 = 0.0 if tp == 0 else 2 * precision * recall / (precision + recall)
-        points.append(SweepPoint(theta=theta, f1=f1, precision=precision, recall=recall))
+        points.append(SweepPoint(
+            theta=theta, f1=f1_binary(predicted, gold_relevant),
+            precision=precision, recall=recall))
     return points

@@ -245,6 +245,21 @@ class TestEvaluate:
             outputs.append((out.read_bytes(), proxy.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_unannotated_gold_rows_are_not_mapped(self, workspace):
+        # A gold row without `binary` fails three_way only if a pair is annotated.
+        annotations, _ = annotate_all(workspace)
+        gold, out = workspace / "gold.jsonl", workspace / "report.json"
+
+        def report():
+            run_cli(workspace, "evaluate", "--annotations", str(annotations),
+                    "--gold", str(gold), "--out", str(out))
+            return out.read_bytes()
+
+        before = report()
+        with gold.open("a", encoding="utf-8") as f:
+            f.write(json.dumps({"query_id": "q9", "doc_id": "d9", "grade": 0.7}) + "\n")
+        assert report() == before
+
     def test_no_overlap_fails(self, workspace):
         corpus_mod.write_jsonl(workspace / "other.jsonl", [
             {"query_id": "q9", "doc_id": "d9", "guess": "Yes",
@@ -504,11 +519,16 @@ def bad_input_case(workspace, name):
             "bad.jsonl:1", "field 'definition.meaning'", "expected a string, got 3"]
     if name == "gold row without binary":
         bad = write_lines(w / "bad.jsonl", json.dumps(
-            {"query_id": "q1", "doc_id": "d1", "grade": 1, "binary": "relevant"}),
-            json.dumps({"query_id": "q3", "doc_id": "d3", "grade": 0.7}))
+            {"query_id": "q1", "doc_id": "d1", "grade": 0.7}))
         return ["evaluate", "--annotations", annotations, "--gold", bad,
                 "--out", str(w / "r.json")], [
-            "(q3,d3)", "unknown three_way label: None"]
+            "(q1,d1)", "unknown three_way label: None"]
+    if name == "confidence out of range":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
+             "confidence_tok": -0.1}))
+        return ["evaluate", "--annotations", bad, "--gold", gold,
+                "--out", str(w / "r.json")], ["(q1,d1)", "confidence out of [0,1]: -0.1"]
     if name == "out path in a missing directory":
         rankings = w / "rankings.jsonl"
         save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
@@ -528,7 +548,7 @@ def bad_input_case(workspace, name):
     "query without text", "pair without doc_id", "ranking entry without score",
     "gold grade as a word", "broken JSONL line", "split without train_queries",
     "nested definition field", "uncertain as a string", "gold row without binary",
-    "out path in a missing directory",
+    "confidence out of range", "out path in a missing directory",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
