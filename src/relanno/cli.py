@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sqlite3
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -83,8 +84,8 @@ class _ErrorBoundary(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, KeyError, OSError, TransportError, CapabilityError,
-                LeakageError) as exc:
+        except (ValueError, KeyError, OSError, sqlite3.Error, TransportError,
+                CapabilityError, LeakageError) as exc:
             _fail(str(exc))
 
 
@@ -124,17 +125,21 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
     """Validate a corpus, merge short chunks, and write a leakage-free split."""
     queries = read_rows(queries_path, Query)
     chunks = read_rows(documents_path, DocumentChunk)
-    gold = read_rows(gold_path, GoldLabel) if gold_path else None
+    gold = read_rows(gold_path, GoldLabel) if gold_path else []
 
-    merged = corpus_mod.merge_short_chunks(chunks, min_tokens)
-    for warning in merged.warnings:
-        log.warning("%s", warning)
-
-    report = corpus_mod.validate_corpus(queries, merged.chunks, gold)
+    report = corpus_mod.validate_corpus(queries, chunks, gold)
     if not report.ok:
         for finding in report.findings:
             log.error("%s", finding)
         _fail(f"corpus validation failed with {len(report.findings)} finding(s)")
+
+    merged = corpus_mod.merge_short_chunks(chunks, min_tokens)
+    for warning in merged.warnings:
+        log.warning("%s", warning)
+    moved = [f"({g.query_id},{g.doc_id}) -> {merged.merged_into[g.doc_id]}"
+             for g in gold if g.doc_id in merged.merged_into]
+    if moved:
+        log.warning("gold labels on chunks merged into a neighbour: %s", ", ".join(moved))
 
     split = corpus_mod.split_train_test(
         [q.id for q in queries], [c.report_id for c in merged.chunks],
@@ -211,7 +216,10 @@ def define(config, queries_path, out_path, examples_path):
             prompt = render_definition_prompt(query.text)
             provenance = "generated"
         response = gateway.chat_complete(ChatRequest(model=config.chat_model, user=prompt))
-        query.definition = parse_definition_response(response.text, provenance)
+        try:
+            query.definition = parse_definition_response(response.text, provenance)
+        except ValueError as exc:
+            raise ValueError(f"query {query.id}: {exc}") from None
     write_rows(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), "out": out_path}))
 
@@ -417,8 +425,12 @@ def benchmark(rankings_a, rankings_b):
     shared = sorted(set(a) & set(b))
     if not shared:
         _fail("rankings files share no query ids")
-    taus = {query_id: kendall_tau(a[query_id].doc_ids(), b[query_id].doc_ids())
-            for query_id in shared}
+    taus = {}
+    for query_id in shared:
+        try:
+            taus[query_id] = kendall_tau(a[query_id].doc_ids(), b[query_id].doc_ids())
+        except ValueError as exc:
+            raise ValueError(f"query {query_id}: {exc}") from None
     mean_tau = sum(taus.values()) / len(taus)
     click.echo(json.dumps({"mean_kendall_tau": mean_tau, "per_query": taus},
                           sort_keys=True))

@@ -89,6 +89,8 @@ class Split:
 class MergeResult:
     chunks: list[DocumentChunk]
     warnings: list[str] = field(default_factory=list)
+    # The id of each chunk merged into a neighbour -> the id of that neighbour.
+    merged_into: dict[str, str] = field(default_factory=dict)
 
 
 class SplitError(ValueError):
@@ -107,23 +109,24 @@ def merge_short_chunks(
     """
     if min_tokens <= 0:
         raise ValueError("min_tokens must be positive")
-    merged: list[DocumentChunk] = []
-    warnings: list[str] = []
+    result = MergeResult(chunks=[])
 
     def flush(buffer: list[DocumentChunk]) -> None:
         if not buffer:
             return
+        for absorbed in buffer[1:]:
+            result.merged_into[absorbed.id] = buffer[0].id
         text = "\n".join(c.text for c in buffer)
         out = DocumentChunk(
             id=buffer[0].id, report_id=buffer[0].report_id,
             text=text, token_count=counter(text),
         )
         if out.token_count < min_tokens:
-            warnings.append(
+            result.warnings.append(
                 f"chunk {out.id} of report {out.report_id} remains short "
                 f"({out.token_count} < {min_tokens} tokens)"
             )
-        merged.append(out)
+        result.chunks.append(out)
 
     buffer: list[DocumentChunk] = []
     acc = 0
@@ -139,7 +142,7 @@ def merge_short_chunks(
             flush(buffer)
             buffer, acc = [], 0
     flush(buffer)
-    return MergeResult(chunks=merged, warnings=warnings)
+    return result
 
 
 def split_train_test(

@@ -1,7 +1,7 @@
 """Client for OpenAI-style chat-completion and embedding endpoints.
 
 Captures per-token log probabilities, retries transient failures with
-exponential backoff, and caches raw endpoint responses on disk so
+exponential backoff, and caches raw endpoint responses in one SQLite file so
 corpus-scale runs are cheap to resume. Callers bound concurrency: the
 gateway is thread-safe and adds no limit of its own.
 """
@@ -12,12 +12,14 @@ import hashlib
 import json
 import logging
 import os
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
+import numpy as np
 import requests
 
 log = logging.getLogger(__name__)
@@ -70,33 +72,66 @@ def _check_dimensions(dims: set[int]) -> None:
         raise TransportError(f"inconsistent embedding dimensions: {sorted(dims)}")
 
 
-class DiskCache:
-    """Write-once JSON cache keyed by content hash."""
+def _vector_bytes(vector: list[float]) -> bytes:
+    return np.asarray(vector, dtype="<f8").tobytes()
+
+
+def _vector_from_bytes(blob: bytes) -> list[float]:
+    return np.frombuffer(blob, dtype="<f8").tolist()
+
+
+class ResponseStore:
+    """Write-once store of endpoint answers keyed by content hash: one SQLite
+    file, `<root>/responses.sqlite3`, in WAL mode. Values are bytes; each
+    `put` is its own committed transaction, so a killed run keeps every answer
+    it stored.
+
+    A new store imports the `<key>.json` files that earlier versions wrote one
+    per answer into `root`, once, and leaves them in place.
+    """
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        # Autocommit: every statement outside an explicit BEGIN commits alone.
+        self._db = sqlite3.connect(root / "responses.sqlite3", isolation_level=None,
+                                   check_same_thread=False)
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        with self._db:  # the table and the import commit together or not at all
+            self._db.execute("BEGIN IMMEDIATE")
+            if not self._db.execute("SELECT 1 FROM sqlite_master WHERE name = 'responses'"
+                                    ).fetchone():
+                self._db.execute(
+                    "CREATE TABLE responses (key TEXT PRIMARY KEY, value BLOB NOT NULL)")
+                self._db.executemany("INSERT OR IGNORE INTO responses VALUES (?, ?)",
+                                     _json_files(root))
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-
-    def put(self, key: str, value: dict) -> None:
+    def get(self, key: str) -> Optional[bytes]:
         with self._lock:
-            path = self._path(key)
-            if path.exists():
-                return
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(value, f, ensure_ascii=False)
-            tmp.replace(path)
+            row = self._db.execute("SELECT value FROM responses WHERE key = ?",
+                                   (key,)).fetchone()
+        return row[0] if row else None
+
+    def put(self, key: str, value: bytes) -> None:
+        with self._lock:
+            self._db.execute("INSERT OR IGNORE INTO responses VALUES (?, ?)", (key, value))
+
+
+def _json_files(root: Path) -> Iterator[tuple[str, bytes]]:
+    """(key, value) rows from one-file-per-answer caches: an `{"embedding": [...]}`
+    file becomes its vector's bytes, any other file its JSON bytes."""
+    for path in sorted(root.glob("*.json")):
+        blob = path.read_bytes()
+        try:
+            value = json.loads(blob)
+        except ValueError as exc:
+            raise ValueError(f"cannot import cache file {path}: {exc}") from None
+        if (isinstance(value, dict) and value.keys() == {"embedding"}
+                and isinstance(value["embedding"], list)):
+            blob = _vector_bytes(value["embedding"])
+        yield path.stem, blob
 
 
 @dataclass
@@ -120,7 +155,7 @@ class LLMGateway:
         if config.embed_batch_size < 1:
             raise ValueError("embed_batch_size must be at least 1")
         self.config = config
-        self.cache = DiskCache(config.cache_dir) if config.cache_dir else None
+        self.cache = ResponseStore(config.cache_dir) if config.cache_dir else None
         self._session = requests.Session()
         self.retry_count = 0
         self.network_calls = 0
@@ -188,10 +223,11 @@ class LLMGateway:
         key = cache_key("chat", model, body)
         cached = self.cache.get(key) if self.cache else None
         if cached is not None:
-            return self._parse_chat(cached, model, request.want_logprobs, cached=True)
+            return self._parse_chat(json.loads(cached), model, request.want_logprobs,
+                                    cached=True)
         raw = self._post("/chat/completions", body)
         if self.cache:
-            self.cache.put(key, raw)
+            self.cache.put(key, json.dumps(raw, ensure_ascii=False).encode("utf-8"))
         return self._parse_chat(raw, model, request.want_logprobs, cached=False)
 
     @staticmethod
@@ -228,7 +264,7 @@ class LLMGateway:
         for text in dict.fromkeys(texts):
             hit = self.cache.get(cache_key("embedding", model, text)) if self.cache else None
             if hit is not None:
-                found[text] = hit["embedding"]
+                found[text] = _vector_from_bytes(hit)
             else:
                 missing.append(text)
         dims = {len(v) for v in found.values()}
@@ -247,7 +283,7 @@ class LLMGateway:
             for text, vec in zip(batch, vectors):
                 found[text] = vec
                 if self.cache:
-                    self.cache.put(cache_key("embedding", model, text), {"embedding": vec})
+                    self.cache.put(cache_key("embedding", model, text), _vector_bytes(vec))
             with self._counter_lock:
                 self.embedded_texts += len(batch)
         return EmbeddingResponse(vectors=[found[t] for t in texts], model=model,

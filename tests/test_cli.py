@@ -91,6 +91,26 @@ class TestIngest:
                          expect_exit=1)
         assert "validation failed" in result.output
 
+    def test_gold_on_a_merged_chunk_is_a_warning(self, workspace, caplog):
+        # Eight one-sentence chunks of one report merge into one at the
+        # default --min-tokens; gold names each of them as given.
+        chunks = [corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1" if i <= 8 else "r2",
+                                           text=f"Sentence number {i} of the report.")
+                  for i in range(1, 10)]
+        corpus_mod.write_rows(workspace / "short.jsonl", chunks)
+        corpus_mod.write_rows(workspace / "short_gold.jsonl", [
+            corpus_mod.GoldLabel("q1", c.id, grade=0.0, binary="irrelevant")
+            for c in chunks[:8]])
+        result = run_cli(workspace, "ingest",
+                         "--queries", str(workspace / "queries.jsonl"),
+                         "--documents", str(workspace / "short.jsonl"),
+                         "--gold", str(workspace / "short_gold.jsonl"),
+                         "--out-dir", str(workspace / "ingested"))
+        assert json.loads(result.output)["documents"] == 2
+        [warning] = [r.getMessage() for r in caplog.records if "gold" in r.getMessage()]
+        assert warning == ("gold labels on chunks merged into a neighbour: " + ", ".join(
+            f"(q1,d{i}) -> d1" for i in range(2, 9)))
+
 
 def rank_fixtures(workspace, expect_exit=0):
     return run_cli(workspace, "rank",
@@ -541,6 +561,21 @@ def bad_input_case(workspace, name):
         return ["sweep", "--annotations", annotations, "--gold", bad,
                 "--out", str(w / "s.csv")], [
             "bad.jsonl:1", "field 'uncertain'", "expected true or false"]
+    if name == "cache file that is not a database":
+        (w / "cache").mkdir()
+        (w / "cache" / "responses.sqlite3").write_text("not a database\n" * 100)
+        return ["rank", "--queries", queries, "--documents", documents,
+                "--out", str(w / "r.jsonl")], ["file is not a database"]
+    if name == "definition answer without meaning":
+        bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q7", "text": "MALFORMEDDOC?"}))
+        return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
+            "query q7: no meaning anchor in definition response"]
+    if name == "rankings over different doc ids":
+        save_rankings(w / "a.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
+        save_rankings(w / "b.jsonl", [Ranking("q1", [("d1", 0.9), ("d3", 0.1)])])
+        return ["benchmark", "--rankings-a", str(w / "a.jsonl"),
+                "--rankings-b", str(w / "b.jsonl")], [
+            "query q1: rankings must be over the same id set"]
     raise AssertionError(name)
 
 
@@ -549,6 +584,8 @@ def bad_input_case(workspace, name):
     "gold grade as a word", "broken JSONL line", "split without train_queries",
     "nested definition field", "uncertain as a string", "gold row without binary",
     "confidence out of range", "out path in a missing directory",
+    "cache file that is not a database", "definition answer without meaning",
+    "rankings over different doc ids",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -38,6 +38,7 @@ class TestMergeShortChunks:
         result = merge_short_chunks(chunks, 120)
         assert [c.token_count for c in result.chunks] == [150, 200]
         assert result.chunks[0].id == "c0"
+        assert result.merged_into == {"c1": "c0", "c2": "c0"}
 
     def test_single_short_chunk_warns(self):
         result = merge_short_chunks([chunk(0, 80)], 120)
@@ -65,6 +66,10 @@ class TestMergeShortChunks:
         # all but the last chunk reach the threshold
         for c in result.chunks[:-1]:
             assert c.token_count >= min_tokens
+        # every id given is kept, or names the kept chunk it merged into
+        kept = [c.id for c in result.chunks]
+        assert sorted(kept + list(result.merged_into)) == sorted(c.id for c in chunks)
+        assert set(result.merged_into.values()) <= set(kept)
         again = merge_short_chunks(result.chunks, min_tokens)
         assert [c.text for c in again.chunks] == [c.text for c in result.chunks]
 

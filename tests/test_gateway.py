@@ -1,13 +1,23 @@
+import json
 import math
+import struct
+import sys
+import tempfile
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relanno.gateway import (
     CapabilityError,
     ChatRequest,
     GatewayConfig,
     LLMGateway,
+    ResponseStore,
     TransportError,
+    _vector_bytes,
+    _vector_from_bytes,
     cache_key,
 )
 from relanno.mockserver import MockLLMServer, hash_embedding
@@ -154,3 +164,129 @@ def test_tok_probability_in_unit_interval(uncached_gateway):
         model="mock", user="SCOPE3DOC", want_logprobs=True))
     for _, logprob in response.tokens:
         assert 0 < math.exp(logprob) <= 1
+
+
+def _bits(vector):
+    return struct.pack(f"<{len(vector)}d", *vector)
+
+
+class TestResponseStore:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    @example([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1e300, float("inf")])
+    def test_vectors_round_trip_bit_exact(self, vector):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ResponseStore(tmp)
+            store.put("k", _vector_bytes(vector))
+            assert _bits(_vector_from_bytes(store.get("k"))) == _bits(vector)
+
+    def test_write_once(self, tmp_path):
+        store = ResponseStore(tmp_path)
+        store.put("k", b"first")
+        store.put("k", b"second")
+        assert store.get("k") == b"first"
+        assert store.get("other") is None
+        assert ResponseStore(tmp_path).get("k") == b"first"
+
+    def test_threads_put_and_get_at_once(self, tmp_path):
+        store = ResponseStore(tmp_path)
+        errors = []
+        start = threading.Barrier(8)
+
+        def work(t):
+            try:
+                start.wait()
+                for i in range(50):
+                    store.put(f"{t}-{i}", f"{t}:{i}".encode())
+                    assert store.get(f"{t}-{i}") == f"{t}:{i}".encode()
+                    store.put(f"shared-{i}", f"{t}".encode())  # all threads race here
+                    assert store.get(f"shared-{i}") is not None
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reopened = ResponseStore(tmp_path)
+        assert all(reopened.get(f"{t}-{i}") == f"{t}:{i}".encode()
+                   for t in range(8) for i in range(50))
+        assert all(reopened.get(f"shared-{i}") == store.get(f"shared-{i}")
+                   and int(store.get(f"shared-{i}")) in range(8) for i in range(50))
+
+    def test_second_gateway_serves_from_the_same_file(self, mock_server, tmp_path):
+        config = GatewayConfig(base_url=mock_server.base_url, cache_dir=str(tmp_path),
+                               backoff_base=0.01)
+        request = ChatRequest(model="mock", user="Judge this: SCOPE3DOC passage",
+                              want_logprobs=True)
+        first = LLMGateway(config)
+        chat, vectors = first.chat_complete(request), first.embed(["alpha", "beta"]).vectors
+        mock_server.reset_counters()
+        second = LLMGateway(config)
+        again = second.chat_complete(request)
+        assert (again.text, again.tokens, again.cached) == (chat.text, chat.tokens, True)
+        assert second.embed(["beta", "alpha"]).vectors == vectors[::-1]
+        assert mock_server.request_count == 0
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".json"] == []
+
+
+def write_one_file_per_answer_cache(root, mock_server, calls):
+    """Fill root as the one-JSON-file-per-answer cache did: `<key>.json` holding
+    the raw chat answer, or `{"embedding": [...]}` per embedded text."""
+    gateway = LLMGateway(GatewayConfig(base_url=mock_server.base_url, backoff_base=0.01))
+    post = gateway._post
+
+    def record(path, body):
+        raw = post(path, body)
+        if path == "/embeddings":
+            for text, item in zip(body["input"], raw["data"]):
+                files[cache_key("embedding", body["model"], text)] = {
+                    "embedding": item["embedding"]}
+        else:
+            files[cache_key("chat", body["model"], body)] = raw
+        return raw
+
+    files = {}
+    gateway._post = record
+    answers = calls(gateway)
+    root.mkdir()
+    for key, value in files.items():
+        with open(root / f"{key}.json", "w", encoding="utf-8") as f:
+            json.dump(value, f, ensure_ascii=False)
+    return answers
+
+
+def test_one_file_per_answer_cache_is_imported_once(mock_server, tmp_path):
+    def calls(gateway):
+        chat = gateway.chat_complete(ChatRequest(model="mock", user="Judge: WATERDOC é",
+                                                 want_logprobs=True))
+        return chat.text, chat.tokens, gateway.embed(["water usage", "émissions"]).vectors
+
+    root = tmp_path / "cache"
+    expected = write_one_file_per_answer_cache(root, mock_server, calls)
+    old_files = sorted(p.name for p in root.iterdir())
+    mock_server.reset_counters()
+    gateway = LLMGateway(GatewayConfig(base_url=mock_server.base_url, cache_dir=str(root)))
+    assert calls(gateway) == expected
+    assert mock_server.request_count == 0
+    assert sorted(p.name for p in root.glob("*.json")) == old_files  # left in place
+    # Import happens when the file is created, never again.
+    (root / "late.json").write_text(json.dumps({"embedding": [1.0]}), encoding="utf-8")
+    assert ResponseStore(root).get("late") is None
+
+
+def test_corrupt_one_file_per_answer_cache_names_the_file(tmp_path):
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.json"):
+        ResponseStore(tmp_path)
+    (tmp_path / "bad.json").unlink()
+    ResponseStore(tmp_path).put("k", b"v")  # the failed import left no table behind
