@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-import numpy as np
-import requests
+from . import lazy_import
+
+np = lazy_import("numpy")
+requests = lazy_import("requests")
 
 log = logging.getLogger(__name__)
 
@@ -156,6 +158,8 @@ class LLMGateway:
             raise ValueError("embed_batch_size must be at least 1")
         self.config = config
         self.cache = ResponseStore(config.cache_dir) if config.cache_dir else None
+        # Also loads `requests`, here on the thread that builds the gateway and
+        # before any worker pool uses it (see `lazy_import`).
         self._session = requests.Session()
         self.retry_count = 0
         self.network_calls = 0

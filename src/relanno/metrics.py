@@ -8,7 +8,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
+from . import lazy_import
+
+np = lazy_import("numpy")
 
 log = logging.getLogger(__name__)
 

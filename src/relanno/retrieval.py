@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.typing import ArrayLike
-
+from . import lazy_import
 from .corpus import DocumentChunk, Query, read_rows, write_rows
 from .gateway import LLMGateway
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+np = lazy_import("numpy")
 
 
 @dataclass

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from relanno import corpus as corpus_mod
-from relanno import mockserver
+from relanno import lazy_import, mockserver
 from relanno.cli import JsonLogFormatter, main
 from relanno.retrieval import Ranking, save_rankings
 
@@ -43,14 +43,103 @@ def run_cli(workspace, *args, expect_exit=0):
     return result
 
 
+def run_fresh(code, *args):
+    """The stdout lines of `python -c code args...` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.stats alone took over a second to import; every command process paid it.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, relanno.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded.strip() == "[]"
+    loaded = run_fresh("import sys, relanno.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded == ["[]"]
+
+
+# Runs `relanno ARGS...`, then prints its exit code and which of numpy and
+# requests it executed. Each is checked by a submodule that only a real load
+# imports: the lazy placeholder of the package itself is always in sys.modules.
+PROBE = """\
+import json, sys
+from relanno.cli import main
+try:
+    main(sys.argv[1:], prog_name="relanno")
+except SystemExit as exc:
+    code = exc.code
+markers = {"numpy": ("numpy._core", "numpy.core"), "requests": ("requests.adapters",)}
+print(json.dumps({"exit": code, "loaded": sorted(
+    name for name, subs in markers.items() if any(s in sys.modules for s in subs))}))
+"""
+
+
+def loop_command(workspace, name):
+    """The arguments of one loop command on the fixtures, its inputs written first."""
+    w = workspace
+    queries, documents, gold = (str(w / n) for n in
+                                ("queries.jsonl", "documents.jsonl", "gold.jsonl"))
+    if name == "ingest":
+        return ["ingest", "--queries", queries, "--documents", documents, "--gold", gold,
+                "--out-dir", str(w / "corpus"), "--min-tokens", "1"]
+    if name == "rank":
+        return ["rank", "--queries", queries, "--documents", documents,
+                "--out", str(w / "rankings.jsonl")]
+    if name == "sample":
+        save_rankings(w / "rankings.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
+        return ["sample", "--rankings", str(w / "rankings.jsonl"),
+                "--out", str(w / "pairs.jsonl"), "--k", "1", "--per-side", "1"]
+    if name == "define":
+        return ["define", "--queries", queries, "--out", str(w / "defined.jsonl")]
+    if name == "annotate":
+        return ["annotate", "--pairs", str(write_all_pairs(w)), "--queries", queries,
+                "--documents", documents, "--out", str(w / "annotations.jsonl"),
+                "--calibration", "ask", "--parallelism", "8"]
+    annotations, _ = annotate_all(w)
+    if name == "evaluate":
+        return ["evaluate", "--annotations", str(annotations), "--gold", gold,
+                "--out", str(w / "report.json")]
+    if name == "audit":
+        return ["audit", "--annotations", str(annotations), "--original", gold,
+                "--out", str(w / "disagreements.jsonl")]
+    (w / "split.json").write_text(json.dumps({
+        "train_queries": ["q1", "q2"], "test_queries": [],
+        "train_reports": ["r1", "r2"], "test_reports": [], "seed": 40}), encoding="utf-8")
+    return ["distill", "--annotations", str(annotations), "--queries", queries,
+            "--documents", documents, "--split", str(w / "split.json"),
+            "--out", str(w / "train.jsonl"), "--manifest", str(w / "manifest.json")]
+
+
+@pytest.mark.parametrize("name,loaded", [
+    ("ingest", []), ("rank", ["numpy", "requests"]), ("sample", []),
+    ("define", ["requests"]), ("annotate", ["requests"]), ("evaluate", ["numpy"]),
+    ("audit", []), ("distill", []),
+])
+def test_command_executes_only_the_heavy_packages_it_uses(workspace, name, loaded):
+    *output, probe = run_fresh(PROBE, "--config", str(workspace / "relanno.conf"),
+                               *loop_command(workspace, name))
+    assert json.loads(probe) == {"exit": 0, "loaded": loaded}, output
+    if name == "annotate":  # 8 worker threads in a process that loaded nothing yet
+        assert json.loads(output[-1])["annotations"] == 8
+
+
+def test_gateway_loads_requests_on_the_thread_that_builds_it():
+    # A lazy module's first load is not thread-safe on every supported Python,
+    # so it must not happen first inside annotate's worker threads.
+    assert run_fresh("import sys\n"
+                     "from relanno.gateway import GatewayConfig, LLMGateway\n"
+                     "print('requests.adapters' in sys.modules)\n"
+                     "LLMGateway(GatewayConfig(base_url='http://127.0.0.1:9'))\n"
+                     "print('requests.adapters' in sys.modules)") == ["False", "True"]
+
+
+def test_lazy_import_of_a_missing_module_fails_at_once():
+    with pytest.raises(ModuleNotFoundError, match="no_such_pkg"):
+        lazy_import("no_such_pkg")
+    assert "no_such_pkg" not in sys.modules
+
+
+def test_lazy_import_returns_an_imported_module_as_it_is():
+    assert lazy_import("json") is json
 
 
 def test_group_and_subcommand_help():
@@ -432,6 +521,47 @@ def test_define_generates_definitions(workspace, fixture_queries):
     assert all(q.definition is not None for q in defined)
 
 
+def define_at(workspace, monkeypatch, mock_server, queries, parallelism, expect_exit=0):
+    """Run define on queries, with q2's examples, against its own empty cache."""
+    corpus_mod.write_rows(workspace / "plain.jsonl", queries)
+    corpus_mod.write_jsonl(workspace / "examples.jsonl",
+                           [{"query_id": "q2", "example": "Water withdrawal figures."}])
+    monkeypatch.setenv("RELANNO_CACHE_DIR", str(workspace / f"cache{parallelism}"))
+    mock_server.reset_counters()
+    out = workspace / f"defined{parallelism}.jsonl"
+    result = run_cli(workspace, "define", "--queries", str(workspace / "plain.jsonl"),
+                     "--examples", str(workspace / "examples.jsonl"), "--out", str(out),
+                     "--parallelism", str(parallelism), expect_exit=expect_exit)
+    return result, out
+
+
+def test_define_parallelism_keeps_output(workspace, monkeypatch, mock_server):
+    queries = [corpus_mod.Query(id=f"q{i}", text=f"Question {i} on emissions?")
+               for i in range(1, 11)]
+    outputs = []
+    for parallelism in (1, 8):
+        _, out = define_at(workspace, monkeypatch, mock_server, queries, parallelism)
+        assert mock_server.request_count == len(queries)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    defined = corpus_mod.read_rows(out, corpus_mod.Query)
+    assert [q.id for q in defined] == [q.id for q in queries]
+    assert [q.definition.provenance for q in defined[:3]] == ["generated", "improved",
+                                                              "generated"]
+
+
+def test_define_parallelism_names_the_first_malformed_answer(workspace, monkeypatch,
+                                                               mock_server):
+    queries = [corpus_mod.Query(id=f"q{i}", text=f"Question {i} on emissions?"
+                                + (" MALFORMEDDOC" if i in (3, 6) else ""))
+               for i in range(1, 9)]
+    for parallelism in (1, 8):
+        result, out = define_at(workspace, monkeypatch, mock_server, queries, parallelism,
+                                expect_exit=1)
+        assert_one_line_json_error(result, "query q3: no meaning anchor")
+        assert not out.exists()
+
+
 def write_lines(path, *lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
@@ -466,6 +596,9 @@ def range_case(workspace, name):
         save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         return ["sample", "--rankings", str(rankings), "--out", str(workspace / "p.jsonl"),
                 "--k", "0"]
+    if name == "define --parallelism 0":
+        return ["define", "--queries", str(workspace / "queries.jsonl"),
+                "--out", str(workspace / "d.jsonl"), "--parallelism", "0"]
     if name == "ingest --min-tokens 0":
         return ["ingest", "--queries", str(workspace / "queries.jsonl"),
                 "--documents", str(workspace / "documents.jsonl"),
@@ -483,6 +616,7 @@ def range_case(workspace, name):
 @pytest.mark.parametrize("name,fragment", [
     ("sample --k 0", "k and per_side must be at least 1"),
     ("ingest --min-tokens 0", "min_tokens must be positive"),
+    ("define --parallelism 0", "parallelism must be at least 1"),
     ("audit --per-bin -1", "per_bin must be at least 1"),
     ("evaluate --ece-bins 0", "bins must be at least 1"),
 ])
