@@ -7,7 +7,6 @@ import json
 import logging
 import sqlite3
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -200,19 +199,15 @@ def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--examples", "examples_path", type=click.Path(exists=True), default=None,
               help="JSONL of {query_id, example}; triggers improved definitions.")
-@click.option("--parallelism", type=int, default=1)
 @click.pass_obj
-def define(config, queries_path, out_path, examples_path, parallelism):
+def define(config, queries_path, out_path, examples_path):
     """Draft (or improve) a relevance definition for each query."""
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
     queries = read_rows(queries_path, Query)
     examples_by_query: dict[str, list[str]] = {}
     for row in read_rows(examples_path, DefinitionExample) if examples_path else []:
         examples_by_query.setdefault(row.query_id, []).append(row.example)
     gateway = _gateway(config)
-
-    def draft(query):
+    for query in queries:
         gold_examples = examples_by_query.get(query.id)
         if gold_examples:
             prompt = render_improved_definition_prompt(query.text, gold_examples)
@@ -222,14 +217,9 @@ def define(config, queries_path, out_path, examples_path, parallelism):
             provenance = "generated"
         response = gateway.chat_complete(ChatRequest(model=config.chat_model, user=prompt))
         try:
-            return parse_definition_response(response.text, provenance)
+            query.definition = parse_definition_response(response.text, provenance)
         except ValueError as exc:
             raise ValueError(f"query {query.id}: {exc}") from None
-
-    # map yields in input order, so the first failing query is the one reported.
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        for query, definition in zip(queries, pool.map(draft, queries)):
-            query.definition = definition
     write_rows(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), "out": out_path}))
 

@@ -521,47 +521,6 @@ def test_define_generates_definitions(workspace, fixture_queries):
     assert all(q.definition is not None for q in defined)
 
 
-def define_at(workspace, monkeypatch, mock_server, queries, parallelism, expect_exit=0):
-    """Run define on queries, with q2's examples, against its own empty cache."""
-    corpus_mod.write_rows(workspace / "plain.jsonl", queries)
-    corpus_mod.write_jsonl(workspace / "examples.jsonl",
-                           [{"query_id": "q2", "example": "Water withdrawal figures."}])
-    monkeypatch.setenv("RELANNO_CACHE_DIR", str(workspace / f"cache{parallelism}"))
-    mock_server.reset_counters()
-    out = workspace / f"defined{parallelism}.jsonl"
-    result = run_cli(workspace, "define", "--queries", str(workspace / "plain.jsonl"),
-                     "--examples", str(workspace / "examples.jsonl"), "--out", str(out),
-                     "--parallelism", str(parallelism), expect_exit=expect_exit)
-    return result, out
-
-
-def test_define_parallelism_keeps_output(workspace, monkeypatch, mock_server):
-    queries = [corpus_mod.Query(id=f"q{i}", text=f"Question {i} on emissions?")
-               for i in range(1, 11)]
-    outputs = []
-    for parallelism in (1, 8):
-        _, out = define_at(workspace, monkeypatch, mock_server, queries, parallelism)
-        assert mock_server.request_count == len(queries)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    defined = corpus_mod.read_rows(out, corpus_mod.Query)
-    assert [q.id for q in defined] == [q.id for q in queries]
-    assert [q.definition.provenance for q in defined[:3]] == ["generated", "improved",
-                                                              "generated"]
-
-
-def test_define_parallelism_names_the_first_malformed_answer(workspace, monkeypatch,
-                                                               mock_server):
-    queries = [corpus_mod.Query(id=f"q{i}", text=f"Question {i} on emissions?"
-                                + (" MALFORMEDDOC" if i in (3, 6) else ""))
-               for i in range(1, 9)]
-    for parallelism in (1, 8):
-        result, out = define_at(workspace, monkeypatch, mock_server, queries, parallelism,
-                                expect_exit=1)
-        assert_one_line_json_error(result, "query q3: no meaning anchor")
-        assert not out.exists()
-
-
 def write_lines(path, *lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
@@ -596,9 +555,6 @@ def range_case(workspace, name):
         save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         return ["sample", "--rankings", str(rankings), "--out", str(workspace / "p.jsonl"),
                 "--k", "0"]
-    if name == "define --parallelism 0":
-        return ["define", "--queries", str(workspace / "queries.jsonl"),
-                "--out", str(workspace / "d.jsonl"), "--parallelism", "0"]
     if name == "ingest --min-tokens 0":
         return ["ingest", "--queries", str(workspace / "queries.jsonl"),
                 "--documents", str(workspace / "documents.jsonl"),
@@ -616,7 +572,6 @@ def range_case(workspace, name):
 @pytest.mark.parametrize("name,fragment", [
     ("sample --k 0", "k and per_side must be at least 1"),
     ("ingest --min-tokens 0", "min_tokens must be positive"),
-    ("define --parallelism 0", "parallelism must be at least 1"),
     ("audit --per-bin -1", "per_bin must be at least 1"),
     ("evaluate --ece-bins 0", "bins must be at least 1"),
 ])
