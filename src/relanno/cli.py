@@ -7,7 +7,6 @@ import json
 import logging
 import sqlite3
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -15,11 +14,11 @@ import click
 from . import corpus as corpus_mod
 from . import distill as distill_mod
 from .annotator import Annotation, annotate_corpus, primary_confidence, relevant_info_proxy
-from .config import CALIBRATIONS, KEYS, Config, load_config
+from .config import CALIBRATIONS, KEYS, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair, Split,
                      read_json, read_rows, to_row, write_json, write_rows)
 from .distill import LeakageError
-from .gateway import CapabilityError, ChatRequest, GatewayConfig, LLMGateway, TransportError
+from .gateway import CapabilityError, ChatRequest, LLMGateway, TransportError
 from .metrics import (
     CalibrationInput,
     aggregate_report,
@@ -50,12 +49,6 @@ from .sampler import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _gateway(config: Config) -> LLMGateway:
-    """A gateway set up from the config keys that GatewayConfig shares."""
-    return LLMGateway(GatewayConfig(**{f.name: getattr(config, f.name)
-                                       for f in fields(GatewayConfig) if f.name in KEYS}))
 
 
 def _gold_relevant(gold: GoldLabel) -> bool:
@@ -164,7 +157,7 @@ def rank(config, queries_path, documents_path, out_path):
     """Rank documents per query with the dense embedding retriever."""
     queries = read_rows(queries_path, Query)
     chunks = read_rows(documents_path, DocumentChunk)
-    gateway = _gateway(config)
+    gateway = LLMGateway(config)
     rankings = rank_documents(queries, chunks, gateway)
     save_rankings(out_path, rankings)
     click.echo(json.dumps({
@@ -206,7 +199,7 @@ def define(config, queries_path, out_path, examples_path):
     examples_by_query: dict[str, list[str]] = {}
     for row in read_rows(examples_path, DefinitionExample) if examples_path else []:
         examples_by_query.setdefault(row.query_id, []).append(row.example)
-    gateway = _gateway(config)
+    gateway = LLMGateway(config)
     for query in queries:
         gold_examples = examples_by_query.get(query.id)
         if gold_examples:
@@ -241,7 +234,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
     chunks = {c.id: c for c in read_rows(documents_path, DocumentChunk)}
     pairs = read_rows(pairs_path, QueryDocPair)
     variant = PromptVariant.from_label(variant)
-    gateway = _gateway(config)
+    gateway = LLMGateway(config)
     result = annotate_corpus(
         pairs, queries, chunks, variant, gateway,
         calibration=calibration, model=config.chat_model, parallelism=parallelism)

@@ -22,7 +22,7 @@ class Config:
     cache_dir: Optional[str] = None  # an empty value means no cache
     max_attempts: int = 4
     backoff_base: float = 0.5
-    embed_batch_size: int = 2048
+    embed_batch_size: int = 2048  # OpenAI's endpoint takes at most 2048
     variant: str = "point-ask-d"
     calibration: str = "both"
     seed: int = 40

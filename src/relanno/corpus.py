@@ -21,7 +21,7 @@ def whitespace_token_count(text: str) -> int:
 class RelevanceDefinition:
     meaning: str
     examples: list[str] = field(default_factory=list)
-    provenance: str = "generated"  # generated | improved | fixed | human
+    provenance: str = "generated"  # generated | improved | human
 
     def as_text(self) -> str:
         """Render meaning + numbered examples as one definition block."""
@@ -100,7 +100,6 @@ class SplitError(ValueError):
 def merge_short_chunks(
     chunks: list[DocumentChunk],
     min_tokens: int,
-    counter: Callable[[str], int] = whitespace_token_count,
 ) -> MergeResult:
     """Greedily concatenate adjacent short chunks until each reaches min_tokens.
 
@@ -119,7 +118,7 @@ def merge_short_chunks(
         text = "\n".join(c.text for c in buffer)
         out = DocumentChunk(
             id=buffer[0].id, report_id=buffer[0].report_id,
-            text=text, token_count=counter(text),
+            text=text, token_count=whitespace_token_count(text),
         )
         if out.token_count < min_tokens:
             result.warnings.append(
@@ -137,7 +136,7 @@ def merge_short_chunks(
             buffer, acc = [], 0
         current_report = chunk.report_id
         buffer.append(chunk)
-        acc += counter(chunk.text)
+        acc += whitespace_token_count(chunk.text)
         if acc >= min_tokens:
             flush(buffer)
             buffer, acc = [], 0

@@ -31,7 +31,6 @@ class TrainingRecord:
     user: str
     assistant: str
     meta: dict
-    system: Optional[str] = None
 
 
 @dataclass
@@ -75,11 +74,14 @@ def build_training_record(
         question=query.text, chunk_text=chunk.text,
         variant=variant, definition=query.definition)
     # Completion confidence targets what the student should verbalize: the
-    # teacher's Ask confidence when present, else the derived score.
+    # teacher's Ask answer when present. Without one, the score derived from
+    # Tok is P(helpful), which is what a prob prompt asks for; an ask prompt
+    # asks for the confidence in the guess.
     confidence = annotation.confidence_ask
     if confidence is None:
-        confidence = (annotation.relevance_score if annotation.guess == "Yes"
-                      else 1.0 - annotation.relevance_score)
+        confidence = annotation.relevance_score
+        if variant.confidence_phrasing == "ask_confidence" and annotation.guess == "No":
+            confidence = 1.0 - confidence
     completion = format_pointwise_completion(
         guess=annotation.guess, confidence=confidence,
         reason=annotation.reason if variant.cot else None, variant=variant)
@@ -147,9 +149,8 @@ class BalanceReport:
 
 
 def audit_balance(records: list[TrainingRecord],
-                  band: tuple[float, float] = (0.25, 0.75),
                   expected_queries: Optional[list[str]] = None) -> BalanceReport:
-    """Yes/No balance of an export; flags ratios outside the accepted band."""
+    """Yes/No balance of an export; flags a Yes fraction outside [0.25, 0.75]."""
     if not records:
         raise ValueError("audit_balance needs at least one record")
     per_query: dict[str, dict[str, int]] = {}
@@ -164,7 +165,7 @@ def audit_balance(records: list[TrainingRecord],
     empty = sorted(set(expected_queries or []) - set(per_query))
     return BalanceReport(
         yes_count=yes, no_count=len(records) - yes, yes_fraction=fraction,
-        flagged=not band[0] <= fraction <= band[1],
+        flagged=not 0.25 <= fraction <= 0.75,
         per_query=per_query, empty_queries=empty,
     )
 

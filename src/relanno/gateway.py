@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import lazy_import
+from .config import Config
 
 np = lazy_import("numpy")
 requests = lazy_import("requests")
@@ -27,6 +28,7 @@ requests = lazy_import("requests")
 log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
+TIMEOUT_S = 60.0
 
 
 class TransportError(RuntimeError):
@@ -41,9 +43,6 @@ class CapabilityError(RuntimeError):
 class ChatRequest:
     model: str
     user: str
-    system: Optional[str] = None
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
     want_logprobs: bool = False
 
 
@@ -136,24 +135,10 @@ def _json_files(root: Path) -> Iterator[tuple[str, bytes]]:
         yield path.stem, blob
 
 
-@dataclass
-class GatewayConfig:
-    base_url: str
-    chat_model: str = "gpt-4"
-    embedding_model: str = "text-embedding-3-small"
-    api_key_env: str = "RELANNO_API_KEY"
-    cache_dir: Optional[str] = None
-    max_attempts: int = 4
-    backoff_base: float = 0.5
-    timeout: float = 60.0
-    # Inputs per embedding request; OpenAI's endpoint accepts at most 2048.
-    embed_batch_size: int = 2048
-
-
 class LLMGateway:
     """Thread-safe handle to chat + embedding endpoints with caching."""
 
-    def __init__(self, config: GatewayConfig):
+    def __init__(self, config: Config):
         if config.embed_batch_size < 1:
             raise ValueError("embed_batch_size must be at least 1")
         self.config = config
@@ -189,7 +174,7 @@ class LLMGateway:
                     self.network_calls += 1
                 resp = self._session.post(
                     url, json=body, headers=self._headers(),
-                    timeout=self.config.timeout,
+                    timeout=TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 last_error = str(exc)
@@ -210,16 +195,11 @@ class LLMGateway:
             raise ValueError("user prompt must be non-empty")
         model = request.model or self.config.chat_model
         # Reproducibility: the pipeline never runs above temperature 0.
-        temperature = min(request.temperature, 0.0)
-        messages = []
-        if request.system:
-            messages.append({"role": "system", "content": request.system})
-        messages.append({"role": "user", "content": request.user})
         body = {
             "model": model,
-            "messages": messages,
-            "temperature": temperature,
-            "max_tokens": request.max_output_tokens,
+            "messages": [{"role": "user", "content": request.user}],
+            "temperature": 0.0,
+            "max_tokens": 1024,
         }
         if request.want_logprobs:
             body["logprobs"] = True

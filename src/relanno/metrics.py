@@ -98,15 +98,9 @@ def f1_binary(predicted_relevant: Sequence[bool], gold_relevant: Sequence[bool])
     return 2 * precision * recall / (precision + recall)
 
 
-def binarize_gold(binary_label: Optional[str], partial_policy: str = "relevant") -> bool:
-    """Map a three-way gold label to the binary relevant class."""
-    if binary_label == "relevant":
-        return True
-    if binary_label == "partial":
-        if partial_policy not in ("relevant", "irrelevant"):
-            raise ValueError(f"unknown partial_policy: {partial_policy}")
-        return partial_policy == "relevant"
-    return False
+def binarize_gold(binary_label: Optional[str]) -> bool:
+    """Map a three-way gold label to the binary relevant class; partial counts."""
+    return binary_label in ("relevant", "partial")
 
 
 RunAndGold = dict[str, tuple[dict[str, float], dict[str, float]]]
@@ -139,12 +133,11 @@ def ndcg(run: RunAndGold, k: Optional[int] = None) -> float:
     return float(np.mean(values))
 
 
-def mean_average_precision(run: RunAndGold, k: Optional[int] = None,
-                           binarize_threshold: float = 0.0) -> float:
-    """Macro-averaged AP with gold binarized as gain > threshold."""
+def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
+    """Macro-averaged AP with gold binarized as gain > 0."""
     values = []
     for query_id, (predicted, gold) in run.items():
-        positives = {d for d, g in gold.items() if g > binarize_threshold}
+        positives = {d for d, g in gold.items() if g > 0}
         if not positives:
             log.warning("query %s has no positive gold gain; excluded from MAP",
                         query_id)

@@ -18,13 +18,6 @@ from .corpus import RelevanceDefinition
 
 log = logging.getLogger(__name__)
 
-QA_FIXED_DEFINITION_MEANING = (
-    "The <paragraph> is useful only if some of its content directly answer the "
-    "<question> or at least a part of the <question>. Content with relevant "
-    "topic but without direct answers are not useful."
-)
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, raw_text: str = ""):
         super().__init__(message)
@@ -144,12 +137,6 @@ def render_improved_definition_prompt(question: str, gold_examples: list[str]) -
         question=question, examples=examples)
 
 
-def render_fixed_qa_definition() -> RelevanceDefinition:
-    """Constant definition used when annotating QA-style datasets."""
-    return RelevanceDefinition(
-        meaning=QA_FIXED_DEFINITION_MEANING, examples=[], provenance="fixed")
-
-
 def render_pointwise_prompt(
     question: str,
     chunk_text: str,
@@ -166,26 +153,6 @@ def render_pointwise_prompt(
     # One format call: braces inside the inputs are never formatted again.
     return load_template("pointwise").format(
         question=question, paragraph_chunk=chunk_text, background=background, **slots)
-
-
-def render_listwise_prompt(
-    question: str,
-    passages: list[str],
-    definition: Optional[RelevanceDefinition] = None,
-) -> tuple[str, str]:
-    """Returns (system, user) messages with passages numbered [1]..[n]."""
-    if not passages:
-        raise ValueError("need at least one passage")
-    numbered = "\n".join(f"[{i}] {p}" for i, p in enumerate(passages, start=1))
-    system = load_template("listwise_system").strip()
-    if definition is not None:
-        user = load_template("listwise_user_def").format(
-            num=len(passages), query=question, passages=numbered,
-            relevance_definition=definition.as_text())
-    else:
-        user = load_template("listwise_user").format(
-            num=len(passages), query=question, passages=numbered)
-    return system, user
 
 
 # --- response parsing ------------------------------------------------------
@@ -303,21 +270,3 @@ def format_pointwise_completion(guess: str, confidence: float,
     lines.append(f"{confidence_label} {confidence}")
     return "\n".join(lines)
 
-
-def parse_listwise_response(text: str, n: int) -> list[int]:
-    """Extract a permutation of 1..n from '[4] > [2] > ...' style output.
-
-    Duplicates keep their first occurrence; missing identifiers are appended
-    in original order so the result is always a full permutation.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    found = [int(m) for m in re.findall(r"\[(\d+)\]", text)]
-    if not found:
-        raise ParseError("no bracketed identifiers in listwise response", raw_text=text)
-    seen: list[int] = []
-    for ident in found:
-        if 1 <= ident <= n and ident not in seen:
-            seen.append(ident)
-    seen.extend(i for i in range(1, n + 1) if i not in seen)
-    return seen

@@ -1,4 +1,4 @@
-"""Dense-retrieval ranking over chunks, plus top-k and threshold retrieval."""
+"""Dense-retrieval ranking over chunks."""
 
 from __future__ import annotations
 
@@ -66,21 +66,6 @@ def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
     return [Ranking(query_id=query.id,
                     entries=[(doc_ids[j], s) for j, s in zip(columns, row)])
             for query, columns, row in zip(queries, order.tolist(), ranked_scores.tolist())]
-
-
-def retrieve_top_k(ranking: Ranking, k: int) -> list[str]:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return ranking.doc_ids()[:k]
-
-
-def retrieve_by_threshold(scores: list[tuple[str, float]], theta: float) -> list[str]:
-    """All doc ids with relevance score >= theta, descending by score."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must be in [0,1]")
-    kept = [(doc_id, s) for doc_id, s in scores if s >= theta]
-    kept.sort(key=lambda e: (-e[1], e[0]))
-    return [doc_id for doc_id, _ in kept]
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:

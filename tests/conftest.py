@@ -4,7 +4,8 @@ import math
 import pytest
 
 from relanno.corpus import DocumentChunk, GoldLabel, Query, RelevanceDefinition
-from relanno.gateway import GatewayConfig, LLMGateway
+from relanno.config import Config
+from relanno.gateway import LLMGateway
 from relanno.mockserver import MockLLMServer
 
 
@@ -82,9 +83,6 @@ CHAT_RULES = [
     {"match": "WATERDOC", "text": "[Guess]: Yes\n[Confidence]: 0.8"},
     {"match": "GOVDOC", "text": "[Guess]: No\n[Confidence]: 0.95"},
     {"match": "MIXDOC", "text": "[Guess]: Yes\n[Confidence]: 0.55"},
-    {"match": "LISTREV", "text": "[2] > [1]"},
-    {"match": "LISTID", "text": "[1] > [2]"},
-    {"match": "LISTBAD", "text": "these passages defy comparison"},
     {"match": "An analyst posts a <question> about a climate report",
      "text": ("Meaning of the question: The question asks about a reported "
               "quantity.\n"
@@ -110,7 +108,7 @@ def mock_server(fixtures_dir):
 @pytest.fixture
 def gateway(mock_server, tmp_path):
     mock_server.reset_counters()
-    return LLMGateway(GatewayConfig(
+    return LLMGateway(Config(
         base_url=mock_server.base_url,
         cache_dir=str(tmp_path / "cache"),
         backoff_base=0.01,
@@ -120,5 +118,5 @@ def gateway(mock_server, tmp_path):
 @pytest.fixture
 def uncached_gateway(mock_server):
     mock_server.reset_counters()
-    return LLMGateway(GatewayConfig(
+    return LLMGateway(Config(
         base_url=mock_server.base_url, cache_dir=None, backoff_base=0.01))

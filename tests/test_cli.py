@@ -126,9 +126,10 @@ def test_gateway_loads_requests_on_the_thread_that_builds_it():
     # A lazy module's first load is not thread-safe on every supported Python,
     # so it must not happen first inside annotate's worker threads.
     assert run_fresh("import sys\n"
-                     "from relanno.gateway import GatewayConfig, LLMGateway\n"
+                     "from relanno.config import Config\n"
+                     "from relanno.gateway import LLMGateway\n"
                      "print('requests.adapters' in sys.modules)\n"
-                     "LLMGateway(GatewayConfig(base_url='http://127.0.0.1:9'))\n"
+                     "LLMGateway(Config(base_url='http://127.0.0.1:9'))\n"
                      "print('requests.adapters' in sys.modules)") == ["False", "True"]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from relanno.annotator import Annotation
+from relanno.annotator import Annotation, derive_relevance_score
 from relanno.corpus import Split, read_jsonl, to_row
 from relanno.distill import (
     LeakageError,
@@ -86,6 +86,24 @@ class TestBuildTrainingRecord:
         record = build_training_record(ann, queries["q1"], chunks["d1"], VARIANT)
         parsed = parse_pointwise_response(record.assistant, VARIANT)
         assert (parsed.guess, parsed.confidence) == ("No", pytest.approx(0.7))
+
+    # Tok-only annotations: a prob prompt asks for P(helpful), an ask prompt for
+    # the confidence in the guess. Tok at 0.9 on "No" means P(helpful) = 0.1.
+    @pytest.mark.parametrize("label, guess, exported", [
+        ("point-prob-d", "No", 0.1), ("point-cot-prob", "No", 0.1),
+        ("point-prob-d", "Yes", 0.9),
+        ("point-cot-ask", "No", 0.9),
+        ("point-ask-d", "Yes", 0.9),
+    ])
+    def test_tok_only_export_writes_what_the_prompt_asks_for(self, corpus, label, guess,
+                                                             exported):
+        queries, chunks = corpus
+        variant = PromptVariant.from_label(label)
+        ann = Annotation("q1", "d1", guess, derive_relevance_score(guess, 0.9),
+                         confidence_tok=0.9, reason="cites the figure")
+        record = build_training_record(ann, queries["q1"], chunks["d1"], variant)
+        parsed = parse_pointwise_response(record.assistant, variant)
+        assert (parsed.guess, parsed.confidence) == (guess, pytest.approx(exported))
 
 
 class TestExport:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from relanno.gateway import (
     CapabilityError,
     ChatRequest,
-    GatewayConfig,
     LLMGateway,
     ResponseStore,
     TransportError,
@@ -20,6 +19,7 @@ from relanno.gateway import (
     _vector_from_bytes,
     cache_key,
 )
+from relanno.config import Config
 from relanno.mockserver import MockLLMServer, hash_embedding
 
 
@@ -49,7 +49,7 @@ def test_retry_on_429(gateway):
 
 
 def test_retries_exhausted():
-    gateway = LLMGateway(GatewayConfig(
+    gateway = LLMGateway(Config(
         base_url="http://127.0.0.1:1", max_attempts=2, backoff_base=0.01))
     with pytest.raises(TransportError):
         gateway.chat_complete(ChatRequest(model="mock", user="hello"))
@@ -85,18 +85,40 @@ def test_empty_prompt_rejected(uncached_gateway):
         uncached_gateway.chat_complete(ChatRequest(model="mock", user="  "))
 
 
-def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
-    captured = {}
+def test_every_chat_body_pins_temperature_and_max_tokens(uncached_gateway, monkeypatch):
+    bodies = []
     original = uncached_gateway._post
 
     def spy(path, body):
-        captured.update(body)
+        bodies.append(body)
         return original(path, body)
 
     monkeypatch.setattr(uncached_gateway, "_post", spy)
-    uncached_gateway.chat_complete(ChatRequest(
-        model="mock", user="SCOPE3DOC", temperature=0.7))
-    assert captured["temperature"] == 0.0
+    for model in ("mock", ""):
+        for want_logprobs in (False, True):
+            uncached_gateway.chat_complete(ChatRequest(
+                model=model, user="SCOPE3DOC", want_logprobs=want_logprobs))
+    assert len(bodies) == 4
+    for body in bodies:
+        assert body["messages"] == [{"role": "user", "content": "SCOPE3DOC"}]
+        assert (body["temperature"], body["max_tokens"]) == (0.0, 1024)
+        assert type(body["temperature"]) is float  # 0 and 0.0 hash to different keys
+
+
+# Cache keys as earlier versions computed them: if one changes, every answer
+# cached under it is lost.
+GOLDEN_CHAT_KEY = "c23ddad1c9524a345401367ef6079243985268250da43ce8c40eeed7cf169eb1"
+GOLDEN_EMBEDDING_KEY = "4c3c7333b7a0457980a7f1c8e749588ab20a314e5bb4c1b54c88cc9d9472e22e"
+
+
+def test_cache_keys_golden(gateway):
+    keys = []
+    get = gateway.cache.get
+    gateway.cache.get = lambda key: keys.append(key) or get(key)
+    gateway.chat_complete(ChatRequest(model="mock", user="Judge this: SCOPE3DOC passage",
+                                      want_logprobs=True))
+    gateway.embed(["water usage"])
+    assert keys == [GOLDEN_CHAT_KEY, GOLDEN_EMBEDDING_KEY]
 
 
 class TestEmbed:
@@ -123,8 +145,7 @@ class TestEmbed:
     def test_batches_keep_input_order(self):
         texts = [f"passage{i} about topic{i % 3}" for i in range(10)]
         with MockLLMServer(max_embed_inputs=3) as server:
-            gateway = LLMGateway(GatewayConfig(base_url=server.base_url,
-                                               embed_batch_size=3))
+            gateway = LLMGateway(Config(base_url=server.base_url, embed_batch_size=3))
             response = gateway.embed(texts)
             assert server.request_count == 4
         assert response.vectors == [hash_embedding(t) for t in texts]
@@ -132,14 +153,13 @@ class TestEmbed:
 
     def test_batch_above_endpoint_cap_rejected(self):
         with MockLLMServer(max_embed_inputs=3) as server:
-            gateway = LLMGateway(GatewayConfig(base_url=server.base_url,
-                                               embed_batch_size=4))
+            gateway = LLMGateway(Config(base_url=server.base_url, embed_batch_size=4))
             with pytest.raises(TransportError, match="HTTP 400"):
                 gateway.embed([f"text{i}" for i in range(4)])
 
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ValueError):
-            LLMGateway(GatewayConfig(base_url="http://127.0.0.1:1", embed_batch_size=0))
+            LLMGateway(Config(base_url="http://127.0.0.1:1", embed_batch_size=0))
 
 
 class TestCacheKey:
@@ -224,8 +244,8 @@ class TestResponseStore:
                    and int(store.get(f"shared-{i}")) in range(8) for i in range(50))
 
     def test_second_gateway_serves_from_the_same_file(self, mock_server, tmp_path):
-        config = GatewayConfig(base_url=mock_server.base_url, cache_dir=str(tmp_path),
-                               backoff_base=0.01)
+        config = Config(base_url=mock_server.base_url, cache_dir=str(tmp_path),
+                        backoff_base=0.01)
         request = ChatRequest(model="mock", user="Judge this: SCOPE3DOC passage",
                               want_logprobs=True)
         first = LLMGateway(config)
@@ -242,7 +262,7 @@ class TestResponseStore:
 def write_one_file_per_answer_cache(root, mock_server, calls):
     """Fill root as the one-JSON-file-per-answer cache did: `<key>.json` holding
     the raw chat answer, or `{"embedding": [...]}` per embedded text."""
-    gateway = LLMGateway(GatewayConfig(base_url=mock_server.base_url, backoff_base=0.01))
+    gateway = LLMGateway(Config(base_url=mock_server.base_url, backoff_base=0.01))
     post = gateway._post
 
     def record(path, body):
@@ -275,7 +295,7 @@ def test_one_file_per_answer_cache_is_imported_once(mock_server, tmp_path):
     expected = write_one_file_per_answer_cache(root, mock_server, calls)
     old_files = sorted(p.name for p in root.iterdir())
     mock_server.reset_counters()
-    gateway = LLMGateway(GatewayConfig(base_url=mock_server.base_url, cache_dir=str(root)))
+    gateway = LLMGateway(Config(base_url=mock_server.base_url, cache_dir=str(root)))
     assert calls(gateway) == expected
     assert mock_server.request_count == 0
     assert sorted(p.name for p in root.glob("*.json")) == old_files  # left in place

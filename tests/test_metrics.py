@@ -198,7 +198,8 @@ class TestF1Binary:
 
     def test_partial_policy(self):
         assert binarize_gold("partial") is True
-        assert binarize_gold("partial", partial_policy="irrelevant") is False
+        assert binarize_gold("relevant") is True
+        assert binarize_gold(None) is False
         assert binarize_gold("irrelevant") is False
 
 

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relanno.corpus import DocumentChunk, Query
-from relanno.gateway import GatewayConfig, LLMGateway
+from relanno.config import Config
+from relanno.gateway import LLMGateway
 from relanno.mockserver import MockLLMServer, hash_embedding
 from relanno.retrieval import (
     Ranking,
     cosine_similarity,
     load_rankings,
     rank_documents,
-    retrieve_by_threshold,
-    retrieve_top_k,
     save_rankings,
 )
 
@@ -131,9 +130,8 @@ def test_rankings_match_scalar_reference(capped_server, query_texts, chunk_texts
     with tempfile.TemporaryDirectory() as tmp:
         expected, got = Path(tmp, "expected.jsonl"), Path(tmp, "got.jsonl")
         save_rankings(expected, reference_rankings(queries, chunks))
-        config = GatewayConfig(base_url=capped_server.base_url,
-                               cache_dir=str(Path(tmp, "cache")),
-                               embed_batch_size=batch_size)
+        config = Config(base_url=capped_server.base_url,
+                        cache_dir=str(Path(tmp, "cache")), embed_batch_size=batch_size)
         for requests_expected in (math.ceil(distinct / batch_size), 0):
             capped_server.reset_counters()
             save_rankings(got, rank_documents(queries, chunks, LLMGateway(config)))
@@ -143,45 +141,6 @@ def test_rankings_match_scalar_reference(capped_server, query_texts, chunk_texts
 
 def make_ranking(n=10):
     return Ranking(query_id="q", entries=[(f"d{i}", 1.0 - i / n) for i in range(n)])
-
-
-class TestRetrieveTopK:
-    def test_basic(self):
-        assert len(retrieve_top_k(make_ranking(10), 5)) == 5
-
-    def test_k_larger_than_n(self):
-        assert len(retrieve_top_k(make_ranking(3), 5)) == 3
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            retrieve_top_k(make_ranking(3), 0)
-
-    def test_prefix_property(self):
-        ranking = make_ranking(10)
-        for k in range(1, 10):
-            assert retrieve_top_k(ranking, k) == retrieve_top_k(ranking, k + 1)[:k]
-
-
-class TestRetrieveByThreshold:
-    SCORES = [("a", 0.9), ("b", 0.5), ("c", 0.2)]
-
-    def test_inclusive_cutoff(self):
-        assert retrieve_by_threshold(self.SCORES, 0.5) == ["a", "b"]
-
-    def test_vacuous_threshold(self):
-        assert retrieve_by_threshold(self.SCORES, 0.0) == ["a", "b", "c"]
-
-    def test_top_threshold(self):
-        assert retrieve_by_threshold(self.SCORES + [("d", 1.0)], 1.0) == ["d"]
-
-    @given(st.lists(st.floats(min_value=0, max_value=1), min_size=0, max_size=30),
-           st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
-    @settings(max_examples=200)
-    def test_monotone_in_theta(self, values, t1, t2):
-        scores = [(f"d{i}", v) for i, v in enumerate(values)]
-        lo, hi = min(t1, t2), max(t1, t2)
-        assert set(retrieve_by_threshold(scores, hi)) <= set(
-            retrieve_by_threshold(scores, lo))
 
 
 def test_rankings_jsonl_round_trip(tmp_path):
