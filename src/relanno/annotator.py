@@ -1,5 +1,5 @@
-"""Pointwise annotation with dual calibration and per-query
-relevant-information proxies."""
+"""Pointwise annotation with dual calibration, listwise baseline, and
+per-query relevant-information proxies."""
 
 from __future__ import annotations
 
@@ -10,15 +10,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .corpus import DocumentChunk, Query, QueryDocPair
+from .corpus import DocumentChunk, Query, QueryDocPair, RelevanceDefinition
 from .gateway import CapabilityError, ChatRequest, ChatResponse, LLMGateway
 from .prompting import (
     GUESS_LABEL,
     ParseError,
     PromptVariant,
+    parse_listwise_response,
     parse_pointwise_response,
+    render_listwise_prompt,
     render_pointwise_prompt,
 )
+from .retrieval import Ranking
 
 log = logging.getLogger(__name__)
 
@@ -166,6 +169,48 @@ def annotate_corpus(
         else:
             result.annotations.append(outcome)
     return result
+
+
+def listwise_rerank(
+    query: Query,
+    initial: Ranking,
+    chunks: dict[str, DocumentChunk],
+    gateway: LLMGateway,
+    window: int = 10,
+    step: int = 5,
+    definition: Optional[RelevanceDefinition] = None,
+    model: str = "",
+) -> Ranking:
+    """Sliding-window permutation pass from list tail toward the head.
+
+    Each window is reranked in place via the listwise prompt; a window whose
+    response fails to parse keeps its prior order.
+    """
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    if not 1 <= step <= window:
+        raise ValueError("step must be in [1, window]")
+    order = initial.doc_ids()
+    n = len(order)
+    start = max(0, n - window)
+    while True:
+        ids = order[start:start + window]
+        passages = [chunks[doc_id].text for doc_id in ids]
+        system, user = render_listwise_prompt(query.text, passages, definition)
+        response = gateway.chat_complete(ChatRequest(
+            model=model, system=system, user=user))
+        try:
+            permutation = parse_listwise_response(response.text, len(ids))
+        except ParseError as exc:
+            log.warning("listwise window at %d left unchanged: %s", start, exc)
+        else:
+            order[start:start + window] = [ids[i - 1] for i in permutation]
+        if start == 0:
+            break
+        start = max(0, start - step)
+    # The method yields only an order; synthesize descending scores in (0,1].
+    entries = [(doc_id, (n - i) / n) for i, doc_id in enumerate(order)]
+    return Ranking(query_id=query.id, entries=entries)
 
 
 def relevant_info_proxy(annotations: list[Annotation]) -> list[tuple[str, float]]:

@@ -43,6 +43,7 @@ class CapabilityError(RuntimeError):
 class ChatRequest:
     model: str
     user: str
+    system: Optional[str] = None
     want_logprobs: bool = False
 
 
@@ -194,10 +195,14 @@ class LLMGateway:
         if not request.user.strip():
             raise ValueError("user prompt must be non-empty")
         model = request.model or self.config.chat_model
+        messages = []
+        if request.system:
+            messages.append({"role": "system", "content": request.system})
+        messages.append({"role": "user", "content": request.user})
         # Reproducibility: the pipeline never runs above temperature 0.
         body = {
             "model": model,
-            "messages": [{"role": "user", "content": request.user}],
+            "messages": messages,
             "temperature": 0.0,
             "max_tokens": 1024,
         }

@@ -155,6 +155,26 @@ def render_pointwise_prompt(
         question=question, paragraph_chunk=chunk_text, background=background, **slots)
 
 
+def render_listwise_prompt(
+    question: str,
+    passages: list[str],
+    definition: Optional[RelevanceDefinition] = None,
+) -> tuple[str, str]:
+    """Returns (system, user) messages with passages numbered [1]..[n]."""
+    if not passages:
+        raise ValueError("need at least one passage")
+    numbered = "\n".join(f"[{i}] {p}" for i, p in enumerate(passages, start=1))
+    system = load_template("listwise_system").strip()
+    if definition is not None:
+        user = load_template("listwise_user_def").format(
+            num=len(passages), query=question, passages=numbered,
+            relevance_definition=definition.as_text())
+    else:
+        user = load_template("listwise_user").format(
+            num=len(passages), query=question, passages=numbered)
+    return system, user
+
+
 # --- response parsing ------------------------------------------------------
 
 MEANING_ANCHOR = "Meaning of the question:"
@@ -270,3 +290,21 @@ def format_pointwise_completion(guess: str, confidence: float,
     lines.append(f"{confidence_label} {confidence}")
     return "\n".join(lines)
 
+
+def parse_listwise_response(text: str, n: int) -> list[int]:
+    """Extract a permutation of 1..n from '[4] > [2] > ...' style output.
+
+    Duplicates keep their first occurrence; missing identifiers are appended
+    in original order so the result is always a full permutation.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    found = [int(m) for m in re.findall(r"\[(\d+)\]", text)]
+    if not found:
+        raise ParseError("no bracketed identifiers in listwise response", raw_text=text)
+    seen: list[int] = []
+    for ident in found:
+        if 1 <= ident <= n and ident not in seen:
+            seen.append(ident)
+    seen.extend(i for i in range(1, n + 1) if i not in seen)
+    return seen

@@ -83,6 +83,9 @@ CHAT_RULES = [
     {"match": "WATERDOC", "text": "[Guess]: Yes\n[Confidence]: 0.8"},
     {"match": "GOVDOC", "text": "[Guess]: No\n[Confidence]: 0.95"},
     {"match": "MIXDOC", "text": "[Guess]: Yes\n[Confidence]: 0.55"},
+    {"match": "LISTREV", "text": "[2] > [1]"},
+    {"match": "LISTID", "text": "[1] > [2]"},
+    {"match": "LISTBAD", "text": "these passages defy comparison"},
     {"match": "An analyst posts a <question> about a climate report",
      "text": ("Meaning of the question: The question asks about a reported "
               "quantity.\n"

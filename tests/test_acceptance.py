@@ -4,13 +4,14 @@ whole toolkit, plus an end-to-end determinism run against the mock server."""
 import json
 import math
 import random
+import string
 import time
 
 import pytest
 from click.testing import CliRunner
 
 from relanno import corpus as corpus_mod
-from relanno.annotator import derive_relevance_score
+from relanno.annotator import derive_relevance_score, listwise_rerank
 from relanno.cli import main
 from relanno.corpus import DocumentChunk, Query, Split, split_train_test
 from relanno.distill import LeakageError, export_training_data
@@ -30,8 +31,10 @@ from relanno.metrics import (
 from relanno.prompting import (
     PromptVariant,
     format_pointwise_completion,
+    parse_listwise_response,
     parse_pointwise_response,
 )
+from relanno.retrieval import Ranking
 
 # --- brute-force oracles (independent re-derivations, kept deliberately dumb)
 
@@ -193,7 +196,8 @@ class TestReferenceArithmetic:
 
 
 def test_format_round_trips():
-    """10,000 random triples: render then parse is the identity."""
+    """10,000 random triples: render then parse is the identity; every fuzzed
+    listwise response with a bracketed integer parses to a permutation."""
     rng = random.Random(99)
     words = ["cites", "the", "table", "emissions", "figure", "policy", "water"]
     for _ in range(10_000):
@@ -208,7 +212,17 @@ def test_format_round_trips():
         assert parsed.guess == guess
         assert parsed.confidence == pytest.approx(confidence, abs=1e-12)
         assert parsed.reason == reason
-    print("PASS format round-trips (10000 pointwise)")
+
+    alphabet = string.ascii_letters + " >[]()0123456789"
+    checked = 0
+    for _ in range(2_000):
+        n = rng.randint(1, 8)
+        text = "".join(rng.choices(alphabet, k=rng.randint(1, 40)))
+        text += f" [{rng.randint(0, 12)}]"  # guarantee one bracketed integer
+        result = parse_listwise_response(text, n)
+        assert sorted(result) == list(range(1, n + 1))
+        checked += 1
+    print(f"PASS format round-trips (10000 pointwise, {checked} listwise)")
 
 
 def test_calibration_extraction():
@@ -288,6 +302,30 @@ def test_split_hygiene():
             export_training_data([ann("q1", "d2")], queries, chunks, split,
                                  variant, out)
     print("PASS split hygiene (1000 draws) and leakage guard")
+
+
+def test_listwise_trace(uncached_gateway, caplog):
+    def chunks_for(marker):
+        return {f"d{i}": DocumentChunk(id=f"d{i}", report_id="r",
+                                       text=f"{marker} passage {i}")
+                for i in (1, 2, 3)}
+
+    initial = Ranking(query_id="q", entries=[("d1", 0.9), ("d2", 0.8), ("d3", 0.7)])
+    ranked = listwise_rerank(Query(id="q", text="q?"), initial,
+                             chunks_for("LISTREV"), uncached_gateway,
+                             window=2, step=1)
+    assert ranked.doc_ids() == ["d3", "d1", "d2"]
+
+    bad = {f"d{i}": DocumentChunk(id=f"d{i}", report_id="r",
+                                  text=f"LISTBAD passage {i}") for i in (1, 2)}
+    with caplog.at_level("WARNING", logger="relanno.annotator"):
+        ranked = listwise_rerank(
+            Query(id="q", text="q?"),
+            Ranking(query_id="q", entries=[("d1", 0.9), ("d2", 0.8)]),
+            bad, uncached_gateway, window=2, step=1)
+    assert ranked.doc_ids() == ["d1", "d2"]
+    assert sum("left unchanged" in r.message for r in caplog.records) == 1
+    print("PASS listwise trace [1,2,3] -> [3,1,2] and malformed window")
 
 
 def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,

@@ -8,6 +8,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relanno"
 
 # The documented test double: tests and offline dry runs start it, the package never does.
 EXEMPT_MODULES = {"mockserver.py"}
+# The paper's listwise (RankGPT) baseline: a Python entry point that no command runs yet.
+EXEMPT_NAMES = {"annotator.listwise_rerank"}
 
 
 def _is_click_command(node: ast.stmt) -> bool:
@@ -50,9 +52,10 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
         if module in EXEMPT_MODULES or _is_click_command(statement):
             continue
         for name in _defined_names(statement):
-            if not name.startswith("_") and not any(
+            qualified = f"{module.removesuffix('.py')}.{name}"
+            if not name.startswith("_") and qualified not in EXEMPT_NAMES and not any(
                     name in used for j, used in enumerate(uses) if j != i):
-                dead.append(f"{module.removesuffix('.py')}.{name}")
+                dead.append(qualified)
     return dead
 
 

@@ -85,7 +85,7 @@ def test_empty_prompt_rejected(uncached_gateway):
         uncached_gateway.chat_complete(ChatRequest(model="mock", user="  "))
 
 
-def test_every_chat_body_pins_temperature_and_max_tokens(uncached_gateway, monkeypatch):
+def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
     bodies = []
     original = uncached_gateway._post
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from relanno.corpus import DocumentChunk, Query
 from relanno.config import Config
 from relanno.gateway import LLMGateway
+from relanno.metrics import f1_threshold_sweep
 from relanno.mockserver import MockLLMServer, hash_embedding
 from relanno.retrieval import (
     Ranking,
@@ -18,6 +19,7 @@ from relanno.retrieval import (
     rank_documents,
     save_rankings,
 )
+from relanno.sampler import balanced_sample
 
 
 class TestCosineSimilarity:
@@ -141,6 +143,61 @@ def test_rankings_match_scalar_reference(capped_server, query_texts, chunk_texts
 
 def make_ranking(n=10):
     return Ranking(query_id="q", entries=[(f"d{i}", 1.0 - i / n) for i in range(n)])
+
+
+def sampled_top_k(ranking, k):
+    """Top-k retrieval as `sample` does it: with per_side at least the ranking's
+    length, balanced_sample keeps every doc of rank <= k."""
+    sample = balanced_sample(ranking, k=k, per_side=len(ranking.entries), seed=0)
+    return [pair.doc_id for pair in sample.pairs if pair.retriever_rank <= k]
+
+
+class TestRetrieveTopK:
+    def test_basic(self):
+        assert sampled_top_k(make_ranking(10), 5) == ["d0", "d1", "d2", "d3", "d4"]
+
+    def test_k_larger_than_n(self):
+        assert len(sampled_top_k(make_ranking(3), 5)) == 3
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError):
+            sampled_top_k(make_ranking(3), 0)
+
+    def test_prefix_property(self):
+        ranking = make_ranking(10)
+        for k in range(1, 10):
+            assert sampled_top_k(ranking, k) == sampled_top_k(ranking, k + 1)[:k]
+
+
+def swept(scores, gold, theta):
+    """(precision, recall) of threshold retrieval as `sweep` does it: a doc is
+    retrieved iff its score >= theta."""
+    [point] = f1_threshold_sweep(scores, gold, [theta])
+    return point.precision, point.recall
+
+
+class TestRetrieveByThreshold:
+    SCORES = [0.9, 0.5, 0.2]
+
+    def test_inclusive_cutoff(self):
+        # only the doc scored exactly theta is relevant: it is retrieved, and
+        # so is the one above it
+        assert swept(self.SCORES, [False, True, False], 0.5) == (0.5, 1.0)
+
+    def test_vacuous_threshold(self):
+        assert swept(self.SCORES, [True, True, True], 0.0) == (1.0, 1.0)
+
+    def test_top_threshold(self):
+        assert swept(self.SCORES + [1.0], [False, False, False, True], 1.0) == (1.0, 1.0)
+
+    @given(st.lists(st.floats(min_value=0, max_value=1), min_size=0, max_size=30),
+           st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
+    @settings(max_examples=200)
+    def test_monotone_in_theta(self, values, t1, t2):
+        # every doc relevant, so recall is the share of docs retrieved
+        gold = [True] * len(values)
+        lo, hi = min(t1, t2), max(t1, t2)
+        assert swept(values, gold, hi)[1] <= swept(values, gold, lo)[1]
 
 
 def test_rankings_jsonl_round_trip(tmp_path):
