@@ -18,7 +18,7 @@ from .config import CALIBRATIONS, KEYS, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair, Split,
                      read_json, read_rows, to_row, write_json, write_rows)
 from .distill import LeakageError
-from .gateway import CapabilityError, ChatRequest, LLMGateway, TransportError
+from .gateway import CapabilityError, LLMGateway, TransportError
 from .metrics import (
     CalibrationInput,
     aggregate_report,
@@ -208,7 +208,7 @@ def define(config, queries_path, out_path, examples_path):
         else:
             prompt = render_definition_prompt(query.text)
             provenance = "generated"
-        response = gateway.chat_complete(ChatRequest(model=config.chat_model, user=prompt))
+        response = gateway.chat_complete(prompt)
         try:
             query.definition = parse_definition_response(response.text, provenance)
         except ValueError as exc:
@@ -237,7 +237,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
     gateway = LLMGateway(config)
     result = annotate_corpus(
         pairs, queries, chunks, variant, gateway,
-        calibration=calibration, model=config.chat_model, parallelism=parallelism)
+        calibration=calibration, parallelism=parallelism)
     write_rows(out_path, result.annotations)
     if errors_path:
         write_rows(errors_path, result.errors)
@@ -292,7 +292,7 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> dict:
         predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
         predicted[ann.doc_id] = ann.relevance_score
         try:
-            gold_gains[ann.doc_id] = g.grade if scheme == "graded_1_3" else mapping(g.binary)
+            gold_gains[ann.doc_id] = mapping(g)
         except ValueError as exc:
             raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
     return run

@@ -127,7 +127,7 @@ def export_training_data(
         records.append(record)
 
     write_rows(out_path, records)
-    balance = audit_balance(records) if records else None
+    balance = audit_balance(records, sorted(split.train_queries)) if records else None
     yes = balance.yes_count if balance else 0
     return ExportManifest(
         count=len(records), yes_count=yes, no_count=len(records) - yes,
@@ -149,8 +149,9 @@ class BalanceReport:
 
 
 def audit_balance(records: list[TrainingRecord],
-                  expected_queries: Optional[list[str]] = None) -> BalanceReport:
-    """Yes/No balance of an export; flags a Yes fraction outside [0.25, 0.75]."""
+                  expected_queries: list[str]) -> BalanceReport:
+    """Yes/No balance of an export; flags a Yes fraction outside [0.25, 0.75]
+    and lists the expected queries that have no record."""
     if not records:
         raise ValueError("audit_balance needs at least one record")
     per_query: dict[str, dict[str, int]] = {}
@@ -162,7 +163,7 @@ def audit_balance(records: list[TrainingRecord],
         bucket = per_query.setdefault(qid, {"yes": 0, "no": 0})
         bucket["yes" if guess_yes else "no"] += 1
     fraction = yes / len(records)
-    empty = sorted(set(expected_queries or []) - set(per_query))
+    empty = sorted(set(expected_queries) - set(per_query))
     return BalanceReport(
         yes_count=yes, no_count=len(records) - yes, yes_fraction=fraction,
         flagged=not 0.25 <= fraction <= 0.75,

@@ -15,7 +15,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -39,25 +39,10 @@ class CapabilityError(RuntimeError):
     """Endpoint cannot provide a required feature (e.g. token logprobs)."""
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    model: str
-    user: str
-    system: Optional[str] = None
-    want_logprobs: bool = False
-
-
 @dataclass
 class ChatResponse:
     text: str
     tokens: list[tuple[str, float]]
-    model: str
-    cached: bool = False
-
-
-@dataclass
-class EmbeddingResponse:
-    vectors: list[list[float]]
     model: str
     cached: bool = False
 
@@ -191,33 +176,29 @@ class LLMGateway:
 
     # --- chat --------------------------------------------------------------
 
-    def chat_complete(self, request: ChatRequest) -> ChatResponse:
-        if not request.user.strip():
+    def chat_complete(self, user: str, want_logprobs: bool = False) -> ChatResponse:
+        """The chat model's answer to one user message."""
+        if not user.strip():
             raise ValueError("user prompt must be non-empty")
-        model = request.model or self.config.chat_model
-        messages = []
-        if request.system:
-            messages.append({"role": "system", "content": request.system})
-        messages.append({"role": "user", "content": request.user})
+        model = self.config.chat_model
         # Reproducibility: the pipeline never runs above temperature 0.
         body = {
             "model": model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": user}],
             "temperature": 0.0,
             "max_tokens": 1024,
         }
-        if request.want_logprobs:
+        if want_logprobs:
             body["logprobs"] = True
 
         key = cache_key("chat", model, body)
         cached = self.cache.get(key) if self.cache else None
         if cached is not None:
-            return self._parse_chat(json.loads(cached), model, request.want_logprobs,
-                                    cached=True)
+            return self._parse_chat(json.loads(cached), model, want_logprobs, cached=True)
         raw = self._post("/chat/completions", body)
         if self.cache:
             self.cache.put(key, json.dumps(raw, ensure_ascii=False).encode("utf-8"))
-        return self._parse_chat(raw, model, request.want_logprobs, cached=False)
+        return self._parse_chat(raw, model, want_logprobs, cached=False)
 
     @staticmethod
     def _parse_chat(raw: dict, model: str, want_logprobs: bool, cached: bool) -> ChatResponse:
@@ -236,7 +217,7 @@ class LLMGateway:
 
     # --- embeddings --------------------------------------------------------
 
-    def embed(self, texts: list[str]) -> EmbeddingResponse:
+    def embed(self, texts: list[str]) -> list[list[float]]:
         """Vectors for texts in input order.
 
         Each distinct text missing from the cache is sent once, in requests of
@@ -275,5 +256,4 @@ class LLMGateway:
                     self.cache.put(cache_key("embedding", model, text), _vector_bytes(vec))
             with self._counter_lock:
                 self.embedded_texts += len(batch)
-        return EmbeddingResponse(vectors=[found[t] for t in texts], model=model,
-                                 cached=not missing)
+        return [found[t] for t in texts]

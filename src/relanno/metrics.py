@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import lazy_import
+from .corpus import GoldLabel
 
 np = lazy_import("numpy")
 
@@ -158,27 +159,24 @@ def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
     return float(np.mean(values))
 
 
-def gain_mapping(label_scheme: str) -> Callable[[object], float]:
-    """Label-to-gain mapping for the supported gold label schemes."""
+def gain_mapping(label_scheme: str) -> Callable[[GoldLabel], float]:
+    """Gold-label-to-gain mapping for the supported label schemes: graded_1_3
+    takes the gold grade, the others map the binary label."""
     if label_scheme == "three_way":
         table = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
 
-        def three_way(label: object) -> float:
-            if label not in table:
-                raise ValueError(f"unknown three_way label: {label!r}")
-            return table[label]
+        def three_way(gold: GoldLabel) -> float:
+            if gold.binary not in table:
+                raise ValueError(f"unknown three_way label: {gold.binary!r}")
+            return table[gold.binary]
         return three_way
     if label_scheme == "graded_1_3":
-        def graded(label: object) -> float:
-            if label in (0, "0", None, "unannotated"):
-                return 0.0
-            if label in (1, 2, 3):
-                return label / 3.0
-            raise ValueError(f"unknown graded_1_3 label: {label!r}")
+        def graded(gold: GoldLabel) -> float:
+            return gold.grade
         return graded
     if label_scheme == "binary":
-        def binary(label: object) -> float:
-            return 1.0 if label == "relevant" else 0.0
+        def binary(gold: GoldLabel) -> float:
+            return 1.0 if gold.binary == "relevant" else 0.0
         return binary
     raise ValueError(f"unknown label scheme: {label_scheme}")
 

@@ -57,7 +57,7 @@ def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
     if not queries:
         return []
     chunks = sorted(chunks, key=lambda c: c.id)
-    vectors = gateway.embed([q.text for q in queries] + [c.text for c in chunks]).vectors
+    vectors = gateway.embed([q.text for q in queries] + [c.text for c in chunks])
     scores = cosine_similarity(vectors[:len(queries)], vectors[len(queries):])
     # Columns are in doc_id order, so a stable sort keeps the doc_id tie-break.
     order = np.argsort(-scores, axis=1, kind="stable")

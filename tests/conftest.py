@@ -6,7 +6,7 @@ import pytest
 from relanno.corpus import DocumentChunk, GoldLabel, Query, RelevanceDefinition
 from relanno.config import Config
 from relanno.gateway import LLMGateway
-from relanno.mockserver import MockLLMServer
+from mockserver import MockLLMServer
 
 
 def make_definition(topic="the firm's Scope 3 emission"):
@@ -83,9 +83,6 @@ CHAT_RULES = [
     {"match": "WATERDOC", "text": "[Guess]: Yes\n[Confidence]: 0.8"},
     {"match": "GOVDOC", "text": "[Guess]: No\n[Confidence]: 0.95"},
     {"match": "MIXDOC", "text": "[Guess]: Yes\n[Confidence]: 0.55"},
-    {"match": "LISTREV", "text": "[2] > [1]"},
-    {"match": "LISTID", "text": "[1] > [2]"},
-    {"match": "LISTBAD", "text": "these passages defy comparison"},
     {"match": "An analyst posts a <question> about a climate report",
      "text": ("Meaning of the question: The question asks about a reported "
               "quantity.\n"

@@ -1,19 +1,19 @@
 """Acceptance suite: oracle, property, and reference-arithmetic checks for the
 whole toolkit, plus an end-to-end determinism run against the mock server."""
 
+import hashlib
 import json
 import math
 import random
-import string
 import time
 
 import pytest
 from click.testing import CliRunner
 
 from relanno import corpus as corpus_mod
-from relanno.annotator import derive_relevance_score, listwise_rerank
+from relanno.annotator import Annotation, derive_relevance_score
 from relanno.cli import main
-from relanno.corpus import DocumentChunk, Query, Split, split_train_test
+from relanno.corpus import DocumentChunk, GoldLabel, Query, Split, split_train_test
 from relanno.distill import LeakageError, export_training_data
 from relanno.metrics import (
     CalibrationInput,
@@ -31,10 +31,8 @@ from relanno.metrics import (
 from relanno.prompting import (
     PromptVariant,
     format_pointwise_completion,
-    parse_listwise_response,
     parse_pointwise_response,
 )
-from relanno.retrieval import Ranking
 
 # --- brute-force oracles (independent re-derivations, kept deliberately dumb)
 
@@ -190,14 +188,14 @@ class TestReferenceArithmetic:
         assert report.avg == pytest.approx(80.00, abs=0.005)
 
     def test_gain_mappings(self):
-        assert gain_mapping("three_way")("partial") == 0.5
-        assert gain_mapping("graded_1_3")(2) == pytest.approx(2 / 3)
+        partial = GoldLabel("q", "d", grade=2.0, binary="partial")
+        assert gain_mapping("three_way")(partial) == 0.5
+        assert gain_mapping("graded_1_3")(partial) == 2.0
         print("PASS gain mappings")
 
 
 def test_format_round_trips():
-    """10,000 random triples: render then parse is the identity; every fuzzed
-    listwise response with a bracketed integer parses to a permutation."""
+    """10,000 random triples: render then parse is the identity."""
     rng = random.Random(99)
     words = ["cites", "the", "table", "emissions", "figure", "policy", "water"]
     for _ in range(10_000):
@@ -212,17 +210,7 @@ def test_format_round_trips():
         assert parsed.guess == guess
         assert parsed.confidence == pytest.approx(confidence, abs=1e-12)
         assert parsed.reason == reason
-
-    alphabet = string.ascii_letters + " >[]()0123456789"
-    checked = 0
-    for _ in range(2_000):
-        n = rng.randint(1, 8)
-        text = "".join(rng.choices(alphabet, k=rng.randint(1, 40)))
-        text += f" [{rng.randint(0, 12)}]"  # guarantee one bracketed integer
-        result = parse_listwise_response(text, n)
-        assert sorted(result) == list(range(1, n + 1))
-        checked += 1
-    print(f"PASS format round-trips (10000 pointwise, {checked} listwise)")
+    print("PASS format round-trips (10000 pointwise)")
 
 
 def test_calibration_extraction():
@@ -281,7 +269,6 @@ def test_split_hygiene():
         assert split.train_queries | split.test_queries == {
             f"q{i}" for i in range(n_q)}
 
-    from relanno.annotator import Annotation
     split = Split(train_queries={"q1"}, test_queries={"q2"},
                   train_reports={"r1"}, test_reports={"r2"}, seed=0)
     queries = {"q1": Query(id="q1", text="t"), "q2": Query(id="q2", text="t")}
@@ -304,33 +291,24 @@ def test_split_hygiene():
     print("PASS split hygiene (1000 draws) and leakage guard")
 
 
-def test_listwise_trace(uncached_gateway, caplog):
-    def chunks_for(marker):
-        return {f"d{i}": DocumentChunk(id=f"d{i}", report_id="r",
-                                       text=f"{marker} passage {i}")
-                for i in (1, 2, 3)}
-
-    initial = Ranking(query_id="q", entries=[("d1", 0.9), ("d2", 0.8), ("d3", 0.7)])
-    ranked = listwise_rerank(Query(id="q", text="q?"), initial,
-                             chunks_for("LISTREV"), uncached_gateway,
-                             window=2, step=1)
-    assert ranked.doc_ids() == ["d3", "d1", "d2"]
-
-    bad = {f"d{i}": DocumentChunk(id=f"d{i}", report_id="r",
-                                  text=f"LISTBAD passage {i}") for i in (1, 2)}
-    with caplog.at_level("WARNING", logger="relanno.annotator"):
-        ranked = listwise_rerank(
-            Query(id="q", text="q?"),
-            Ranking(query_id="q", entries=[("d1", 0.9), ("d2", 0.8)]),
-            bad, uncached_gateway, window=2, step=1)
-    assert ranked.doc_ids() == ["d1", "d2"]
-    assert sum("left unchanged" in r.message for r in caplog.records) == 1
-    print("PASS listwise trace [1,2,3] -> [3,1,2] and malformed window")
+# SHA-256 of every output of the fixture loop (`run_pipeline`). A change that
+# alters an output on purpose updates its digest here and names it in CHANGES.md.
+GOLDEN_SHA256 = {
+    "rankings.jsonl": "9cf761b1bf15353d48f3cf01ea608a1f3fc75dfe3ce550da3c87b098f8e5782e",
+    "pairs.jsonl": "55ed48aa3270aa0b7db92b49a0de89feb05bae0eeadc3dfc0d3cbb5de898d4e1",
+    "defined.jsonl": "72cb7c77882b27421cd3615ab0597b02b901a4285822eb00a2d819abf748c554",
+    "annotations.jsonl": "deb53a458b6c62d764622544c8a08d3e79ea27601735c3a0e6452a05a5c4362e",
+    "report.json": "697b8439f5a770144fd62cae71589936fa6b689c9ab413ac518375fd85dd35d9",
+    "disagreements.jsonl": "632ff3d6345b2dcc173d845005c8b8fcfcdeb2d44a94b366fe10e7762a09bd12",
+    "train.jsonl": "0aff7e1dd00915d05daddedda56ee1e0d31505a91be72b67ff36e76872b5648d",
+    "manifest.json": "8463376a0fd5bcd0cb2f81da479ede9b919eb7a52a22abe2682af7021f6a17e9",
+}
 
 
 def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
                  fixture_gold, tag, parallelism):
-    """ingest -> rank -> sample -> annotate -> evaluate with a private cache."""
+    """The fixture loop, ingest -> rank -> sample -> define -> annotate ->
+    evaluate -> audit -> distill, with a private cache: the bytes of each output."""
     work = tmp_path / tag
     work.mkdir()
     corpus_mod.write_rows(work / "queries.jsonl", fixture_queries)
@@ -342,51 +320,68 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     config.write_text(f"base_url={mock_server.base_url}\n"
                       f"cache_dir={work / 'cache'}\nbackoff_base=0.01\n",
                       encoding="utf-8")
+    ingested = work / "ingested"
 
     runner = CliRunner()
 
     def invoke(*args):
-        result = runner.invoke(main, ["--config", str(config), *args])
+        result = runner.invoke(main, ["--config", str(config), *map(str, args)])
         assert result.exit_code == 0, result.output
         return result
 
-    invoke("ingest", "--queries", str(work / "queries.jsonl"),
-           "--documents", str(work / "documents.jsonl"),
-           "--gold", str(work / "gold.jsonl"),
-           "--out-dir", str(work / "ingested"), "--min-tokens", "1",
+    invoke("ingest", "--queries", work / "queries.jsonl",
+           "--documents", work / "documents.jsonl", "--gold", work / "gold.jsonl",
+           "--out-dir", ingested, "--min-tokens", "1",
            "--query-test-fraction", "0.5", "--report-test-fraction", "0.5")
-    invoke("rank", "--queries", str(work / "ingested" / "queries.jsonl"),
-           "--documents", str(work / "ingested" / "documents.jsonl"),
-           "--out", str(work / "rankings.jsonl"))
-    invoke("sample", "--rankings", str(work / "rankings.jsonl"),
-           "--out", str(work / "pairs.jsonl"), "--k", "2", "--per-side", "2",
-           "--seed", "11")
-    invoke("annotate", "--pairs", str(work / "pairs.jsonl"),
-           "--queries", str(work / "ingested" / "queries.jsonl"),
-           "--documents", str(work / "ingested" / "documents.jsonl"),
-           "--out", str(work / "annotations.jsonl"),
-           "--calibration", "ask", "--parallelism", str(parallelism))
-    invoke("evaluate", "--annotations", str(work / "annotations.jsonl"),
-           "--gold", str(work / "gold.jsonl"),
-           "--out", str(work / "report.json"))
-    return ((work / "annotations.jsonl").read_bytes(),
-            (work / "report.json").read_bytes())
+    invoke("rank", "--queries", ingested / "queries.jsonl",
+           "--documents", ingested / "documents.jsonl", "--out", work / "rankings.jsonl")
+    invoke("sample", "--rankings", work / "rankings.jsonl",
+           "--out", work / "pairs.jsonl", "--k", "2", "--per-side", "2", "--seed", "11")
+    invoke("define", "--queries", ingested / "queries.jsonl",
+           "--out", work / "defined.jsonl")
+    invoke("annotate", "--pairs", work / "pairs.jsonl",
+           "--queries", work / "defined.jsonl",
+           "--documents", ingested / "documents.jsonl",
+           "--out", work / "annotations.jsonl",
+           "--calibration", "both", "--parallelism", parallelism)
+    invoke("evaluate", "--annotations", work / "annotations.jsonl",
+           "--gold", work / "gold.jsonl", "--out", work / "report.json")
+    invoke("audit", "--annotations", work / "annotations.jsonl",
+           "--original", work / "gold.jsonl", "--out", work / "disagreements.jsonl")
+    # distill refuses test-split data: keep train queries x train reports.
+    split = corpus_mod.read_json(ingested / "split.json", Split)
+    report_of = {c.id: c.report_id
+                 for c in corpus_mod.read_rows(ingested / "documents.jsonl", DocumentChunk)}
+    corpus_mod.write_rows(work / "train_annotations.jsonl", (
+        a for a in corpus_mod.read_rows(work / "annotations.jsonl", Annotation)
+        if a.query_id in split.train_queries and report_of[a.doc_id] in split.train_reports))
+    invoke("distill", "--annotations", work / "train_annotations.jsonl",
+           "--queries", work / "defined.jsonl",
+           "--documents", ingested / "documents.jsonl",
+           "--split", ingested / "split.json", "--out", work / "train.jsonl",
+           "--manifest", work / "manifest.json", "--variant", "point-ask-d")
+    return {name: (work / name).read_bytes()
+            for name in ("rankings.jsonl", "pairs.jsonl", "defined.jsonl",
+                         "annotations.jsonl", "report.json", "disagreements.jsonl",
+                         "train.jsonl", "manifest.json")}
 
 
 def test_end_to_end_determinism(tmp_path, mock_server, fixture_queries,
                                 fixture_chunks, fixture_gold):
-    """Byte-identical annotations.jsonl and report.json across repeated runs
-    and across parallelism in {1, 8}; whole check < 30 s."""
+    """Every output of the fixture loop matches its pinned SHA-256, in repeated
+    runs and at parallelism 1 and 8; whole check < 30 s."""
     mock_server.reset_counters()
     started = time.monotonic()
-    outputs = [
+    runs = [
         run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
                      fixture_gold, tag, parallelism)
         for tag, parallelism in (("serial_a", 1), ("serial_b", 1), ("wide", 8))
     ]
     elapsed = time.monotonic() - started
-    assert outputs[0] == outputs[1] == outputs[2]
-    report = json.loads(outputs[0][1])
+    for outputs in runs:
+        assert {name: hashlib.sha256(blob).hexdigest()
+                for name, blob in outputs.items()} == GOLDEN_SHA256
+    report = json.loads(runs[0]["report.json"])
     assert set(report) == {"unc", "bin", "cal", "info", "avg", "raw"}
     assert elapsed < 30.0
-    print(f"PASS end-to-end determinism in {elapsed:.2f}s")
+    print(f"PASS end-to-end goldens in {elapsed:.2f}s")

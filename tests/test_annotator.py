@@ -10,13 +10,11 @@ from relanno.annotator import (
     annotate_pair,
     derive_relevance_score,
     extract_tok_confidence,
-    listwise_rerank,
     relevant_info_proxy,
 )
-from relanno.corpus import DocumentChunk, Query, QueryDocPair, from_row, to_row
+from relanno.corpus import DocumentChunk, QueryDocPair, from_row, to_row
 from relanno.gateway import CapabilityError, ChatResponse
 from relanno.prompting import PromptVariant
-from relanno.retrieval import Ranking
 
 VARIANT = PromptVariant()
 
@@ -164,61 +162,6 @@ class TestAnnotateCorpus:
     def test_bad_parallelism(self, gateway, fixture_queries, fixture_chunks):
         with pytest.raises(ValueError):
             annotate_corpus([], {}, {}, VARIANT, gateway, parallelism=0)
-
-
-def listwise_chunks(marker, n=3):
-    return {f"d{i}": DocumentChunk(id=f"d{i}", report_id="r",
-                                   text=f"{marker} passage number {i}")
-            for i in range(1, n + 1)}
-
-
-def initial_ranking(n=3):
-    return Ranking(query_id="q",
-                   entries=[(f"d{i}", 1.0 - i / 10) for i in range(1, n + 1)])
-
-
-class TestListwiseRerank:
-    def test_reversing_windows_trace(self, uncached_gateway):
-        # windows (back to front) with w=2, s=1: positions (2,3) then (1,2);
-        # reversing each turns [1,2,3] into [3,1,2]
-        chunks = listwise_chunks("LISTREV")
-        ranking = listwise_rerank(Query(id="q", text="q?"), initial_ranking(),
-                                  chunks, uncached_gateway, window=2, step=1)
-        assert ranking.doc_ids() == ["d3", "d1", "d2"]
-
-    def test_identity_windows_keep_order(self, uncached_gateway):
-        chunks = listwise_chunks("LISTID")
-        ranking = listwise_rerank(Query(id="q", text="q?"), initial_ranking(),
-                                  chunks, uncached_gateway, window=2, step=1)
-        assert ranking.doc_ids() == ["d1", "d2", "d3"]
-
-    def test_synthetic_scores_descend_from_order(self, uncached_gateway):
-        chunks = listwise_chunks("LISTID")
-        ranking = listwise_rerank(Query(id="q", text="q?"), initial_ranking(),
-                                  chunks, uncached_gateway, window=2, step=1)
-        assert ranking.entries == [("d1", 3 / 3), ("d2", 2 / 3), ("d3", 1 / 3)]
-
-    def test_malformed_window_left_unchanged_with_warning(self, uncached_gateway,
-                                                          caplog):
-        chunks = listwise_chunks("LISTBAD", n=2)
-        with caplog.at_level("WARNING", logger="relanno.annotator"):
-            ranking = listwise_rerank(Query(id="q", text="q?"),
-                                      initial_ranking(n=2), chunks,
-                                      uncached_gateway, window=2, step=1)
-        assert ranking.doc_ids() == ["d1", "d2"]
-        assert sum("left unchanged" in r.message for r in caplog.records) == 1
-
-    def test_window_smaller_than_two_rejected(self, uncached_gateway):
-        with pytest.raises(ValueError):
-            listwise_rerank(Query(id="q", text="q?"), initial_ranking(),
-                            listwise_chunks("LISTID"), uncached_gateway,
-                            window=1, step=1)
-
-    def test_step_larger_than_window_rejected(self, uncached_gateway):
-        with pytest.raises(ValueError):
-            listwise_rerank(Query(id="q", text="q?"), initial_ranking(),
-                            listwise_chunks("LISTID"), uncached_gateway,
-                            window=2, step=3)
 
 
 class TestRelevantInfoProxy:

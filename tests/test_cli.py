@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import mockserver
 from relanno import corpus as corpus_mod
-from relanno import lazy_import, mockserver
+from relanno import lazy_import
 from relanno.cli import JsonLogFormatter, main
 from relanno.retrieval import Ranking, save_rankings
 

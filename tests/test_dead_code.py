@@ -1,15 +1,11 @@
 """Every public top-level function, class and constant in the package is used
-by the package itself: code that only tests reach is deleted, not kept."""
+by the package itself, and every template is loaded by it: code that only
+tests reach is deleted, not kept."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relanno"
-
-# The documented test double: tests and offline dry runs start it, the package never does.
-EXEMPT_MODULES = {"mockserver.py"}
-# The paper's listwise (RankGPT) baseline: a Python entry point that no command runs yet.
-EXEMPT_NAMES = {"annotator.listwise_rerank"}
 
 
 def _is_click_command(node: ast.stmt) -> bool:
@@ -49,20 +45,40 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     uses = [_used_names(statement) for _, statement in statements]
     dead = []
     for i, (module, statement) in enumerate(statements):
-        if module in EXEMPT_MODULES or _is_click_command(statement):
+        if _is_click_command(statement):
             continue
         for name in _defined_names(statement):
-            qualified = f"{module.removesuffix('.py')}.{name}"
-            if not name.startswith("_") and qualified not in EXEMPT_NAMES and not any(
+            if not name.startswith("_") and not any(
                     name in used for j, used in enumerate(uses) if j != i):
-                dead.append(qualified)
+                dead.append(f"{module.removesuffix('.py')}.{name}")
     return dead
 
 
+def unloaded_templates(sources: dict[str, str], templates: list[str]) -> list[str]:
+    """Each template file name that no `load_template("<name>")` call in
+    sources loads."""
+    loaded = {node.args[0].value
+              for code in sources.values() for node in ast.walk(ast.parse(code))
+              if isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "load_template"
+              and isinstance(node.args[0], ast.Constant)}
+    return [name for name in templates if name.removesuffix(".txt") not in loaded]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+
+
 def test_every_public_definition_is_used_by_the_package():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    sources = package_sources()
     assert len(sources) > 10
     assert unreferenced(sources) == []
+
+
+def test_every_template_is_loaded_by_the_package():
+    templates = sorted(path.name for path in (PACKAGE / "templates").glob("*.txt"))
+    assert templates
+    assert unloaded_templates(package_sources(), templates) == []
 
 
 def test_scan_flags_definitions_that_only_their_own_body_uses():
@@ -72,6 +88,12 @@ def test_scan_flags_definitions_that_only_their_own_body_uses():
                  "def unused(n):\n    return unused(n - 1)\n"
                  "class Dead:\n    def copy(self) -> 'Dead':\n        return Dead()\n"),
         "b.py": "from . import a\nprint(a.used(1))\n",
-        "mockserver.py": "def serve():\n    pass\n",
+        "c.py": "def serve():\n    pass\n",
     }
-    assert unreferenced(sources) == ["a.unused", "a.Dead"]
+    assert unreferenced(sources) == ["a.unused", "a.Dead", "c.serve"]
+
+
+def test_template_scan_flags_templates_no_call_loads():
+    sources = {"a.py": ("from .p import load_template\nload_template('kept')\n"
+                        "print('orphan')\n")}
+    assert unloaded_templates(sources, ["kept.txt", "orphan.txt"]) == ["orphan.txt"]

@@ -130,7 +130,7 @@ class TestExport:
             [annotation("q1", "d1", "Yes", 0.9), annotation("q1", "d2", "No", 0.8)],
             queries, chunks, make_split(), VARIANT, out)
         written = [TrainingRecord(**row) for row in read_jsonl(out)]
-        assert manifest.balance == audit_balance(written)
+        assert manifest.balance == audit_balance(written, ["q1"])
         assert to_row(manifest)["balance"] == to_row(manifest.balance)
         assert (manifest.yes_count, manifest.no_count) == (1, 1)
 
@@ -166,6 +166,17 @@ class TestExport:
         assert manifest.count == 1
         assert manifest.skipped == 1
 
+    def test_train_queries_without_a_record_listed(self, corpus, tmp_path):
+        queries, chunks = corpus
+        split = Split(train_queries={"q1", "q2", "q3"}, test_queries=set(),
+                      train_reports={"r1"}, test_reports={"r2"}, seed=40)
+        annotations = [annotation("q1", "d1", reason="has the figure"),
+                       annotation("q2", "d2", "No", 0.8)]  # reason missing: skipped
+        manifest = export_training_data(annotations, queries, chunks, split,
+                                        COT_VARIANT, tmp_path / "t.jsonl")
+        assert (manifest.count, manifest.skipped) == (1, 1)
+        assert manifest.balance.empty_queries == ["q2", "q3"]
+
     def test_unknown_doc_rejected(self, corpus, tmp_path):
         queries, chunks = corpus
         with pytest.raises(KeyError):
@@ -185,7 +196,7 @@ class TestAuditBalance:
         records = self.export(corpus, tmp_path,
                               [annotation("q1", "d1", "Yes", 0.9),
                                annotation("q1", "d2", "No", 0.8)])
-        report = audit_balance(records)
+        report = audit_balance(records, ["q1"])
         assert report.yes_fraction == pytest.approx(0.5)
         assert not report.flagged
 
@@ -193,7 +204,7 @@ class TestAuditBalance:
         records = self.export(corpus, tmp_path,
                               [annotation("q1", f"d{i}", "Yes", 0.9)
                                for i in (1, 2)])
-        assert audit_balance(records).flagged
+        assert audit_balance(records, ["q1"]).flagged
 
     def test_expected_queries_reported_when_absent(self, corpus, tmp_path):
         records = self.export(corpus, tmp_path,
@@ -203,4 +214,4 @@ class TestAuditBalance:
 
     def test_empty_export_rejected(self):
         with pytest.raises(ValueError):
-            audit_balance([])
+            audit_balance([], ["q1"])

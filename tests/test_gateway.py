@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from relanno.gateway import (
     CapabilityError,
-    ChatRequest,
     LLMGateway,
     ResponseStore,
     TransportError,
@@ -20,21 +19,19 @@ from relanno.gateway import (
     cache_key,
 )
 from relanno.config import Config
-from relanno.mockserver import MockLLMServer, hash_embedding
+from mockserver import MockLLMServer, hash_embedding
 
 
 def test_fixture_round_trip(uncached_gateway):
-    response = uncached_gateway.chat_complete(ChatRequest(
-        model="mock", user="Judge this: SCOPE3DOC passage"))
+    response = uncached_gateway.chat_complete("Judge this: SCOPE3DOC passage")
     assert response.text == "[Guess]: Yes\n[Confidence]: 0.9"
     assert response.cached is False
 
 
 def test_cache_contract(gateway, mock_server):
-    request = ChatRequest(model="mock", user="Judge this: WATERDOC passage")
-    first = gateway.chat_complete(request)
+    first = gateway.chat_complete("Judge this: WATERDOC passage")
     calls_after_first = mock_server.request_count
-    second = gateway.chat_complete(request)
+    second = gateway.chat_complete("Judge this: WATERDOC passage")
     assert first.cached is False
     assert second.cached is True
     assert second.text == first.text
@@ -42,8 +39,7 @@ def test_cache_contract(gateway, mock_server):
 
 
 def test_retry_on_429(gateway):
-    response = gateway.chat_complete(ChatRequest(
-        model="mock", user="Judge this: RETRYDOC passage"))
+    response = gateway.chat_complete("Judge this: RETRYDOC passage")
     assert response.text == "[Guess]: Yes\n[Confidence]: 0.6"
     assert gateway.retry_count == 1
 
@@ -52,12 +48,12 @@ def test_retries_exhausted():
     gateway = LLMGateway(Config(
         base_url="http://127.0.0.1:1", max_attempts=2, backoff_base=0.01))
     with pytest.raises(TransportError):
-        gateway.chat_complete(ChatRequest(model="mock", user="hello"))
+        gateway.chat_complete("hello")
 
 
 def test_logprobs_captured(uncached_gateway):
-    response = uncached_gateway.chat_complete(ChatRequest(
-        model="mock", user="Judge this: SCOPE3DOC passage", want_logprobs=True))
+    response = uncached_gateway.chat_complete("Judge this: SCOPE3DOC passage",
+                                              want_logprobs=True)
     assert response.tokens
     assert all(lp <= 0 for _, lp in response.tokens)
     surfaces = "".join(s for s, _ in response.tokens)
@@ -76,13 +72,12 @@ def test_missing_logprobs_is_capability_error(uncached_gateway, monkeypatch):
 
     monkeypatch.setattr(uncached_gateway, "_post", strip_logprobs)
     with pytest.raises(CapabilityError):
-        uncached_gateway.chat_complete(ChatRequest(
-            model="mock", user="SCOPE3DOC", want_logprobs=True))
+        uncached_gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
 
 
 def test_empty_prompt_rejected(uncached_gateway):
     with pytest.raises(ValueError):
-        uncached_gateway.chat_complete(ChatRequest(model="mock", user="  "))
+        uncached_gateway.chat_complete("  ")
 
 
 def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
@@ -94,12 +89,11 @@ def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
         return original(path, body)
 
     monkeypatch.setattr(uncached_gateway, "_post", spy)
-    for model in ("mock", ""):
-        for want_logprobs in (False, True):
-            uncached_gateway.chat_complete(ChatRequest(
-                model=model, user="SCOPE3DOC", want_logprobs=want_logprobs))
-    assert len(bodies) == 4
+    for want_logprobs in (False, True):
+        uncached_gateway.chat_complete("SCOPE3DOC", want_logprobs=want_logprobs)
+    assert len(bodies) == 2
     for body in bodies:
+        assert body["model"] == uncached_gateway.config.chat_model
         assert body["messages"] == [{"role": "user", "content": "SCOPE3DOC"}]
         assert (body["temperature"], body["max_tokens"]) == (0.0, 1024)
         assert type(body["temperature"]) is float  # 0 and 0.0 hash to different keys
@@ -111,44 +105,44 @@ GOLDEN_CHAT_KEY = "c23ddad1c9524a345401367ef6079243985268250da43ce8c40eeed7cf169
 GOLDEN_EMBEDDING_KEY = "4c3c7333b7a0457980a7f1c8e749588ab20a314e5bb4c1b54c88cc9d9472e22e"
 
 
-def test_cache_keys_golden(gateway):
+def test_cache_keys_golden(mock_server, tmp_path):
+    gateway = LLMGateway(Config(base_url=mock_server.base_url, cache_dir=str(tmp_path),
+                                chat_model="mock"))
     keys = []
     get = gateway.cache.get
     gateway.cache.get = lambda key: keys.append(key) or get(key)
-    gateway.chat_complete(ChatRequest(model="mock", user="Judge this: SCOPE3DOC passage",
-                                      want_logprobs=True))
+    gateway.chat_complete("Judge this: SCOPE3DOC passage", want_logprobs=True)
     gateway.embed(["water usage"])
     assert keys == [GOLDEN_CHAT_KEY, GOLDEN_EMBEDDING_KEY]
 
 
 class TestEmbed:
     def test_shapes_aligned(self, uncached_gateway):
-        response = uncached_gateway.embed(["a", "b"])
-        assert len(response.vectors) == 2
-        assert len(response.vectors[0]) == len(response.vectors[1]) > 0
+        vectors = uncached_gateway.embed(["a", "b"])
+        assert len(vectors) == 2
+        assert len(vectors[0]) == len(vectors[1]) > 0
 
     def test_repeated_text_identical(self, uncached_gateway):
-        response = uncached_gateway.embed(["water usage", "other", "water usage"])
-        assert response.vectors[0] == response.vectors[2]
+        vectors = uncached_gateway.embed(["water usage", "other", "water usage"])
+        assert vectors[0] == vectors[2]
 
     def test_empty_list_rejected(self, uncached_gateway):
         with pytest.raises(ValueError):
             uncached_gateway.embed([])
 
     def test_cached_per_text(self, gateway, mock_server):
-        gateway.embed(["alpha beta"])
+        first = gateway.embed(["alpha beta"])
         calls = mock_server.request_count
-        response = gateway.embed(["alpha beta"])
+        assert gateway.embed(["alpha beta"]) == first
         assert mock_server.request_count == calls
-        assert response.cached is True
 
     def test_batches_keep_input_order(self):
         texts = [f"passage{i} about topic{i % 3}" for i in range(10)]
         with MockLLMServer(max_embed_inputs=3) as server:
             gateway = LLMGateway(Config(base_url=server.base_url, embed_batch_size=3))
-            response = gateway.embed(texts)
+            vectors = gateway.embed(texts)
             assert server.request_count == 4
-        assert response.vectors == [hash_embedding(t) for t in texts]
+        assert vectors == [hash_embedding(t) for t in texts]
         assert gateway.embedded_texts == 10
 
     def test_batch_above_endpoint_cap_rejected(self):
@@ -180,8 +174,7 @@ class TestCacheKey:
 
 
 def test_tok_probability_in_unit_interval(uncached_gateway):
-    response = uncached_gateway.chat_complete(ChatRequest(
-        model="mock", user="SCOPE3DOC", want_logprobs=True))
+    response = uncached_gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
     for _, logprob in response.tokens:
         assert 0 < math.exp(logprob) <= 1
 
@@ -246,15 +239,15 @@ class TestResponseStore:
     def test_second_gateway_serves_from_the_same_file(self, mock_server, tmp_path):
         config = Config(base_url=mock_server.base_url, cache_dir=str(tmp_path),
                         backoff_base=0.01)
-        request = ChatRequest(model="mock", user="Judge this: SCOPE3DOC passage",
-                              want_logprobs=True)
+        prompt = "Judge this: SCOPE3DOC passage"
         first = LLMGateway(config)
-        chat, vectors = first.chat_complete(request), first.embed(["alpha", "beta"]).vectors
+        chat = first.chat_complete(prompt, want_logprobs=True)
+        vectors = first.embed(["alpha", "beta"])
         mock_server.reset_counters()
         second = LLMGateway(config)
-        again = second.chat_complete(request)
+        again = second.chat_complete(prompt, want_logprobs=True)
         assert (again.text, again.tokens, again.cached) == (chat.text, chat.tokens, True)
-        assert second.embed(["beta", "alpha"]).vectors == vectors[::-1]
+        assert second.embed(["beta", "alpha"]) == vectors[::-1]
         assert mock_server.request_count == 0
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".json"] == []
 
@@ -287,9 +280,8 @@ def write_one_file_per_answer_cache(root, mock_server, calls):
 
 def test_one_file_per_answer_cache_is_imported_once(mock_server, tmp_path):
     def calls(gateway):
-        chat = gateway.chat_complete(ChatRequest(model="mock", user="Judge: WATERDOC é",
-                                                 want_logprobs=True))
-        return chat.text, chat.tokens, gateway.embed(["water usage", "émissions"]).vectors
+        chat = gateway.chat_complete("Judge: WATERDOC é", want_logprobs=True)
+        return chat.text, chat.tokens, gateway.embed(["water usage", "émissions"])
 
     root = tmp_path / "cache"
     expected = write_one_file_per_answer_cache(root, mock_server, calls)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relanno.corpus import GoldLabel
 from relanno.metrics import (
     CalibrationInput,
     UndefinedMetricError,
@@ -255,28 +256,30 @@ class TestMap:
         assert mean_average_precision(run) == pytest.approx(1.0)
 
 
+def gold_label(binary=None, grade=0.0):
+    return GoldLabel("q", "d", grade=grade, binary=binary)
+
+
 class TestGainMapping:
     def test_three_way(self):
         mapping = gain_mapping("three_way")
-        assert mapping("relevant") == 1.0
-        assert mapping("partial") == 0.5
-        assert mapping("irrelevant") == 0.0
+        assert mapping(gold_label("relevant")) == 1.0
+        assert mapping(gold_label("partial")) == 0.5
+        assert mapping(gold_label("irrelevant")) == 0.0
 
     def test_graded(self):
         mapping = gain_mapping("graded_1_3")
-        assert mapping(1) == pytest.approx(1 / 3)
-        assert mapping(2) == pytest.approx(2 / 3)
-        assert mapping(3) == 1.0
-        assert mapping("unannotated") == 0.0
+        for grade in (0.0, 1 / 3, 0.5, 2.0, 3.0):
+            assert mapping(gold_label("relevant", grade)) == grade
 
     def test_binary(self):
         mapping = gain_mapping("binary")
-        assert mapping("relevant") == 1.0
-        assert mapping("irrelevant") == 0.0
+        assert mapping(gold_label("relevant")) == 1.0
+        assert mapping(gold_label("irrelevant")) == 0.0
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
-            gain_mapping("three_way")("sort of")
+            gain_mapping("three_way")(gold_label("sort of"))
         with pytest.raises(ValueError):
             gain_mapping("nope")
 

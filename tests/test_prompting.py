@@ -13,11 +13,9 @@ from relanno.prompting import (
     format_pointwise_completion,
     load_template,
     parse_definition_response,
-    parse_listwise_response,
     parse_pointwise_response,
     render_definition_prompt,
     render_improved_definition_prompt,
-    render_listwise_prompt,
     render_pointwise_prompt,
 )
 
@@ -97,23 +95,6 @@ class TestPointwisePrompt:
         assert prompt.count(chunk) == 1
 
 
-class TestListwisePrompt:
-    def test_identifiers_once_each(self):
-        _, user = render_listwise_prompt("q?", ["pa", "pb", "pc"])
-        for i, passage in enumerate(["pa", "pb", "pc"], start=1):
-            assert user.count(f"[{i}] {passage}") == 1
-
-    def test_definition_block(self):
-        system, user = render_listwise_prompt(
-            "q?", ["pa"], definition=DEFINITION)
-        assert "background information that explains the query" in user
-
-    def test_system_prompt(self):
-        system, _ = render_listwise_prompt("q?", ["pa"])
-        assert system == ("You are RankLLM, an intelligent assistant that can rank "
-                          "passages based on their relevancy to the query.")
-
-
 class TestParsePointwise:
     def test_plain(self):
         parsed = parse_pointwise_response("[Guess]: Yes\n[Confidence]: 0.85",
@@ -172,29 +153,6 @@ class TestParsePointwise:
         assert parsed.reason == reason
 
 
-class TestParseListwise:
-    def test_clean_permutation(self):
-        assert parse_listwise_response("[4] > [2] > [1] > [3]", 4) == [4, 2, 1, 3]
-
-    def test_dedupe_then_complete(self):
-        assert parse_listwise_response("[2] > [2] > [1]", 3) == [2, 1, 3]
-
-    def test_no_brackets(self):
-        with pytest.raises(ParseError):
-            parse_listwise_response("no brackets", 2)
-
-    def test_out_of_range_identifiers_ignored(self):
-        assert parse_listwise_response("[9] > [2]", 3) == [2, 1, 3]
-
-    @given(st.integers(min_value=1, max_value=8),
-           st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=20))
-    @settings(max_examples=300)
-    def test_always_a_permutation(self, n, idents):
-        text = " > ".join(f"[{i}]" for i in idents)
-        result = parse_listwise_response(text, n)
-        assert sorted(result) == list(range(1, n + 1))
-
-
 class TestParseDefinitionResponse:
     def test_meaning_and_examples(self):
         text = ("Meaning of the question: It asks about Scope 3 emissions.\n"
@@ -219,8 +177,7 @@ class TestVariantLabels:
     def test_label_round_trip(self, variant):
         assert PromptVariant.from_label(variant.label()) == variant
 
-    # Listwise reranking is the Python API annotator.listwise_rerank; no
-    # variant label selects it.
+    # Listwise labels stay rejected: relanno annotates pointwise only.
     @pytest.mark.parametrize("label", [
         "list-d", "list", "bogus", "point-foo", "point-ask-d-x", "POINT-ASK-D",
         "point-d-ask", "point-ask-cot-d", "",

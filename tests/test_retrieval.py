@@ -11,7 +11,7 @@ from relanno.corpus import DocumentChunk, Query
 from relanno.config import Config
 from relanno.gateway import LLMGateway
 from relanno.metrics import f1_threshold_sweep
-from relanno.mockserver import MockLLMServer, hash_embedding
+from mockserver import MockLLMServer, hash_embedding
 from relanno.retrieval import (
     Ranking,
     cosine_similarity,
