@@ -38,7 +38,6 @@ from .prompting import (
     PromptVariant,
     parse_definition_response,
     render_definition_prompt,
-    render_improved_definition_prompt,
 )
 from .retrieval import load_rankings, rank_documents, save_rankings
 from .sampler import (
@@ -201,14 +200,9 @@ def define(config, queries_path, out_path, examples_path):
         examples_by_query.setdefault(row.query_id, []).append(row.example)
     gateway = LLMGateway(config)
     for query in queries:
-        gold_examples = examples_by_query.get(query.id)
-        if gold_examples:
-            prompt = render_improved_definition_prompt(query.text, gold_examples)
-            provenance = "improved"
-        else:
-            prompt = render_definition_prompt(query.text)
-            provenance = "generated"
-        response = gateway.chat_complete(prompt)
+        gold_examples = examples_by_query.get(query.id, [])
+        provenance = "improved" if gold_examples else "generated"
+        response = gateway.chat_complete(render_definition_prompt(query.text, gold_examples))
         try:
             query.definition = parse_definition_response(response.text, provenance)
         except ValueError as exc:
@@ -257,8 +251,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
 @click.option("--variant")
-@click.pass_obj
-def distill_cmd(config, annotations_path, queries_path, documents_path,
+def distill_cmd(annotations_path, queries_path, documents_path,
                 split_path, out_path, manifest_path, variant):
     """Export teacher annotations as chat-format training records."""
     annotations = read_rows(annotations_path, Annotation)
@@ -266,8 +259,7 @@ def distill_cmd(config, annotations_path, queries_path, documents_path,
     chunks = {c.id: c for c in read_rows(documents_path, DocumentChunk)}
     split = read_json(split_path, Split)
     manifest = distill_mod.export_training_data(
-        annotations, queries, chunks, split, PromptVariant.from_label(variant), out_path,
-        teacher_model=config.chat_model)
+        annotations, queries, chunks, split, PromptVariant.from_label(variant), out_path)
     write_json(manifest_path, to_row(manifest))
     click.echo(json.dumps({"records": manifest.count, "skipped": manifest.skipped,
                            "out": out_path}))

@@ -23,15 +23,6 @@ class RelevanceDefinition:
     examples: list[str] = field(default_factory=list)
     provenance: str = "generated"  # generated | improved | human
 
-    def as_text(self) -> str:
-        """Render meaning + numbered examples as one definition block."""
-        lines = ["Meaning of the question: " + self.meaning]
-        if self.examples:
-            lines.append("Examples of information that the question is looking for:")
-            for i, ex in enumerate(self.examples, start=1):
-                lines.append(f"{i}. {ex}")
-        return "\n".join(lines)
-
 
 @dataclass
 class DefinitionExample:

@@ -13,6 +13,8 @@ from typing import Optional
 from .annotator import Annotation
 from .corpus import DocumentChunk, Query, Split, write_rows
 from .prompting import (
+    DEFINITION_PARTS,
+    GUESS_LABEL,
     POINTWISE_PARTS,
     PromptVariant,
     format_pointwise_completion,
@@ -42,20 +44,22 @@ class ExportManifest:
     variant: str
     teacher_model: str
     template_hashes: dict[str, str]
-    yes_fraction: float = 0.0
-    balance: Optional[BalanceReport] = None  # None for an empty export
+    yes_fraction: float
+    balance: BalanceReport
 
 
 def _template_hashes() -> dict[str, str]:
-    """Digests of every template file, plus of the pointwise parts kept in code."""
+    """Digests of every template file, plus of the template parts kept in code."""
     hashes = {}
     for entry in sorted(resources.files("relanno.templates").iterdir(),
                         key=lambda e: e.name):
         if entry.name.endswith(".txt"):
             digest = hashlib.sha256(entry.read_bytes()).hexdigest()
             hashes[entry.name] = digest
-    parts = json.dumps(POINTWISE_PARTS, sort_keys=True, ensure_ascii=False)
-    hashes["pointwise_parts"] = hashlib.sha256(parts.encode("utf-8")).hexdigest()
+    for name, table in {"definition_parts": DEFINITION_PARTS,
+                        "pointwise_parts": POINTWISE_PARTS}.items():
+        parts = json.dumps(table, sort_keys=True, ensure_ascii=False)
+        hashes[name] = hashlib.sha256(parts.encode("utf-8")).hexdigest()
     return hashes
 
 
@@ -101,10 +105,12 @@ def export_training_data(
     split: Split,
     variant: PromptVariant,
     out_path: str | Path,
-    teacher_model: str = "",
 ) -> ExportManifest:
     """Write train.jsonl and audit its Yes/No balance; hard-fails on any
-    test-split query or report."""
+    test-split query or report, and on annotations from more than one model."""
+    models = sorted({ann.model for ann in annotations})
+    if len(models) > 1:
+        raise ValueError(f"annotations name more than one teacher model: {', '.join(models)}")
     records = []
     skipped = 0
     for ann in annotations:
@@ -127,14 +133,12 @@ def export_training_data(
         records.append(record)
 
     write_rows(out_path, records)
-    balance = audit_balance(records, sorted(split.train_queries)) if records else None
-    yes = balance.yes_count if balance else 0
+    balance = audit_balance(records, sorted(split.train_queries))
     return ExportManifest(
-        count=len(records), yes_count=yes, no_count=len(records) - yes,
-        skipped=skipped, variant=variant.label(),
-        teacher_model=teacher_model or (annotations[0].model if annotations else ""),
+        count=len(records), yes_count=balance.yes_count, no_count=balance.no_count,
+        skipped=skipped, variant=variant.label(), teacher_model=models[0] if models else "",
         template_hashes=_template_hashes(),
-        yes_fraction=balance.yes_fraction if balance else 0.0, balance=balance,
+        yes_fraction=balance.yes_fraction, balance=balance,
     )
 
 
@@ -150,19 +154,17 @@ class BalanceReport:
 
 def audit_balance(records: list[TrainingRecord],
                   expected_queries: list[str]) -> BalanceReport:
-    """Yes/No balance of an export; flags a Yes fraction outside [0.25, 0.75]
-    and lists the expected queries that have no record."""
-    if not records:
-        raise ValueError("audit_balance needs at least one record")
+    """Yes/No balance of an export (Yes fraction 0 when empty); flags a Yes
+    fraction outside [0.25, 0.75] and lists the expected queries with no record."""
     per_query: dict[str, dict[str, int]] = {}
     yes = 0
     for record in records:
-        guess_yes = "[Guess]: Yes" in record.assistant
+        guess_yes = f"{GUESS_LABEL} Yes" in record.assistant
         yes += guess_yes
         qid = record.meta.get("query_id", "?")
         bucket = per_query.setdefault(qid, {"yes": 0, "no": 0})
         bucket["yes" if guess_yes else "no"] += 1
-    fraction = yes / len(records)
+    fraction = yes / len(records) if records else 0.0
     empty = sorted(set(expected_queries) - set(per_query))
     return BalanceReport(
         yes_count=yes, no_count=len(records) - yes, yes_fraction=fraction,

@@ -1,8 +1,9 @@
 """Prompt template rendering and structured response parsing.
 
 Templates live as text assets under relanno/templates so they can be
-versioned and iterated on without code changes. The one pointwise template
-takes the parts that vary by variant from POINTWISE_PARTS.
+versioned and iterated on without code changes. One template per prompt kind
+takes the parts that vary from DEFINITION_PARTS or POINTWISE_PARTS. No other
+module writes or reads the labels and anchors of prompt and answer text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Optional, Sequence
 
 from .corpus import RelevanceDefinition
 
@@ -23,6 +24,17 @@ class ParseError(ValueError):
         super().__init__(message)
         self.raw_text = raw_text
 
+
+# The parts of templates/definition.txt that vary, keyed by whether gold
+# examples were given; the examples go between examples_open and examples_close.
+_EXAMPLES = "<list of question-relevant example information>"
+DEFINITION_PARTS: dict[bool, dict[str, str]] = {
+    False: {"article": "the ", "follow": "follow", "examples_open": "", "examples_close": ""},
+    True: {"article": "", "follow": "following", "examples_open": (
+        f"Additionally, here is a {_EXAMPLES} that an expert human labler annotated. "
+        f"Please keep these examples in mind when answering:\n--- [BEGIN {_EXAMPLES}]\n"),
+        "examples_close": f"\n--- [END {_EXAMPLES}]\n\n"},
+}
 
 # The parts of templates/pointwise.txt that vary, keyed by PromptVariant field
 # and then by that field's value. Each variant fills every slot exactly once.
@@ -121,20 +133,15 @@ def load_template(name: str) -> str:
     return _TEMPLATES[name]
 
 
-def render_definition_prompt(question: str) -> str:
+def render_definition_prompt(question: str, gold_examples: Sequence[str] = ()) -> str:
+    """The definition prompt; with gold examples, the prompt that improves the
+    definition with them, in the order given."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    return load_template("definition").format(question=question)
-
-
-def render_improved_definition_prompt(question: str, gold_examples: list[str]) -> str:
-    if not question.strip():
-        raise ValueError("question must be non-empty")
-    if not gold_examples:
-        raise ValueError("improved definition prompt needs at least one gold example")
-    examples = "\n".join(gold_examples)
-    return load_template("definition_improved").format(
-        question=question, examples=examples)
+    # One format call: braces inside the inputs are never formatted again.
+    return load_template("definition").format(
+        question=question, examples="\n".join(gold_examples),
+        **DEFINITION_PARTS[bool(gold_examples)])
 
 
 def render_pointwise_prompt(
@@ -148,7 +155,7 @@ def render_pointwise_prompt(
     slots = {}
     for field_name, options in POINTWISE_PARTS.items():
         slots.update(options[getattr(variant, field_name)])
-    background = (f'<background_information>: "{definition.as_text()}"\n'
+    background = (f'<background_information>: "{_definition_text(definition)}"\n'
                   if variant.with_definition else "")
     # One format call: braces inside the inputs are never formatted again.
     return load_template("pointwise").format(
@@ -159,6 +166,16 @@ def render_pointwise_prompt(
 
 MEANING_ANCHOR = "Meaning of the question:"
 EXAMPLES_ANCHOR = "Examples of information that the question is looking for:"
+
+
+def _definition_text(definition: RelevanceDefinition) -> str:
+    """Meaning and numbered examples as one block, under the anchors that
+    parse_definition_response reads."""
+    lines = [f"{MEANING_ANCHOR} {definition.meaning}"]
+    if definition.examples:
+        lines.append(EXAMPLES_ANCHOR)
+        lines.extend(f"{i}. {ex}" for i, ex in enumerate(definition.examples, start=1))
+    return "\n".join(lines)
 
 
 def parse_definition_response(text: str,

@@ -40,6 +40,7 @@ class _State:
         self.hits: dict[int, int] = {}
         self.lock = threading.Lock()
         self.request_count = 0
+        self.chat_prompts: list[str] = []
 
 
 def _load_rules(fixtures_dir: Optional[str | Path]) -> list[dict]:
@@ -84,6 +85,8 @@ class _Handler(BaseHTTPRequestHandler):
         for message in body.get("messages", []):
             if message.get("role") == "user":
                 user = message.get("content", "")
+        with self.state.lock:
+            self.state.chat_prompts.append(user)
         rule = None
         rule_index = -1
         for i, candidate in enumerate(self.state.rules):
@@ -159,9 +162,17 @@ class MockLLMServer:
     def request_count(self) -> int:
         return self._state.request_count
 
+    @property
+    def chat_prompts(self) -> list[str]:
+        """The user message of each chat request since the last reset, in
+        arrival order."""
+        with self._state.lock:
+            return list(self._state.chat_prompts)
+
     def reset_counters(self) -> None:
         with self._state.lock:
             self._state.request_count = 0
+            self._state.chat_prompts.clear()
             self._state.hits.clear()
 
     def start(self) -> "MockLLMServer":

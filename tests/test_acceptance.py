@@ -301,7 +301,7 @@ GOLDEN_SHA256 = {
     "report.json": "697b8439f5a770144fd62cae71589936fa6b689c9ab413ac518375fd85dd35d9",
     "disagreements.jsonl": "632ff3d6345b2dcc173d845005c8b8fcfcdeb2d44a94b366fe10e7762a09bd12",
     "train.jsonl": "0aff7e1dd00915d05daddedda56ee1e0d31505a91be72b67ff36e76872b5648d",
-    "manifest.json": "8463376a0fd5bcd0cb2f81da479ede9b919eb7a52a22abe2682af7021f6a17e9",
+    "manifest.json": "9374ea86fc7917e2e9c4b20b685e5b178c9a233fc7e4765aa97aaf360aa40a1b",
 }
 
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import mockserver
 from relanno import corpus as corpus_mod
 from relanno import lazy_import
+from relanno.annotator import Annotation
 from relanno.cli import JsonLogFormatter, main
 from relanno.retrieval import Ranking, save_rankings
 
@@ -391,30 +392,43 @@ class TestDistillCommand:
         split_path.write_text(json.dumps(split), encoding="utf-8")
         return annotations, split_path
 
+    def distill(self, workspace, annotations, split_path, expect_exit=0):
+        return run_cli(workspace, "distill", "--annotations", str(annotations),
+                       "--queries", str(workspace / "queries.jsonl"),
+                       "--documents", str(workspace / "documents.jsonl"),
+                       "--split", str(split_path), "--out", str(workspace / "train.jsonl"),
+                       "--manifest", str(workspace / "manifest.json"),
+                       expect_exit=expect_exit)
+
     def test_export_with_manifest(self, workspace):
         annotations, split_path = self.setup_corpus(workspace, test_queries=[])
-        out = workspace / "train.jsonl"
-        manifest = workspace / "manifest.json"
-        result = run_cli(workspace, "distill", "--annotations", str(annotations),
-                         "--queries", str(workspace / "queries.jsonl"),
-                         "--documents", str(workspace / "documents.jsonl"),
-                         "--split", str(split_path), "--out", str(out),
-                         "--manifest", str(manifest))
+        result = self.distill(workspace, annotations, split_path)
         assert json.loads(result.output)["records"] == 8
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
         assert payload["count"] == 8
         assert "balance" in payload
+
+    def test_manifest_names_the_annotations_model(self, workspace, monkeypatch):
+        annotations, split_path = self.setup_corpus(workspace, test_queries=[])
+        monkeypatch.setenv("RELANNO_CHAT_MODEL", "other-model")
+        self.distill(workspace, annotations, split_path)
+        [model] = {a.model for a in corpus_mod.read_rows(annotations, Annotation)}
+        payload = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+        assert payload["teacher_model"] == model != "other-model"
+
+    def test_annotations_from_two_models_exit_1(self, workspace):
+        annotations, split_path = self.setup_corpus(workspace, test_queries=[])
+        rows = corpus_mod.read_rows(annotations, Annotation)
+        rows[-1].model = "other-model"
+        corpus_mod.write_rows(annotations, rows)
+        result = self.distill(workspace, annotations, split_path, expect_exit=1)
+        assert_one_line_json_error(result, "more than one teacher model",
+                                   f"{rows[0].model}, other-model")
 
     def test_leakage_exits_nonzero(self, workspace):
         annotations, split_path = self.setup_corpus(workspace,
                                                     test_queries=["q2"])
-        result = run_cli(workspace, "distill", "--annotations", str(annotations),
-                         "--queries", str(workspace / "queries.jsonl"),
-                         "--documents", str(workspace / "documents.jsonl"),
-                         "--split", str(split_path),
-                         "--out", str(workspace / "train.jsonl"),
-                         "--manifest", str(workspace / "manifest.json"),
-                         expect_exit=1)
+        result = self.distill(workspace, annotations, split_path, expect_exit=1)
         assert "q2" in result.output
 
 
@@ -521,6 +535,31 @@ def test_define_generates_definitions(workspace, fixture_queries):
             "--out", str(out))
     defined = corpus_mod.read_rows(out, corpus_mod.Query)
     assert all(q.definition is not None for q in defined)
+
+
+def test_define_with_examples_improves_the_queries_that_have_them(
+        workspace, mock_server, fixture_queries):
+    plain = [corpus_mod.Query(id=q.id, text=q.text) for q in fixture_queries]
+    corpus_mod.write_rows(workspace / "plain.jsonl", plain)
+    # Rows out of alphabetical order: the prompt keeps the file's order.
+    examples = write_lines(
+        workspace / "examples.jsonl",
+        json.dumps({"query_id": "q1", "example": "ZETA-ROW Scope 3 totals"}),
+        json.dumps({"query_id": "q1", "example": "ALPHA-ROW upstream categories"}))
+    out = workspace / "defined.jsonl"
+    args = ["define", "--queries", str(workspace / "plain.jsonl"), "--out", str(out),
+            "--examples", examples]
+    run_cli(workspace, *args)
+    defined = {q.id: q.definition.provenance
+               for q in corpus_mod.read_rows(out, corpus_mod.Query)}
+    assert defined == {"q1": "improved", "q2": "generated"}
+    improved, generated = mock_server.chat_prompts
+    assert improved.index("ZETA-ROW") < improved.index("ALPHA-ROW")
+    assert "[BEGIN" not in generated and "ROW" not in generated
+
+    mock_server.reset_counters()
+    run_cli(workspace, *args)
+    assert mock_server.request_count == 0
 
 
 def write_lines(path, *lines):

@@ -121,7 +121,8 @@ class TestExport:
         assert manifest.yes_fraction == pytest.approx(0.5)
         assert manifest.teacher_model == "teacher"
         assert manifest.template_hashes  # prompts pinned for reproducibility
-        assert set(manifest.template_hashes) >= {"pointwise.txt", "pointwise_parts"}
+        assert set(manifest.template_hashes) == {
+            "definition.txt", "definition_parts", "pointwise.txt", "pointwise_parts"}
 
     def test_manifest_balance_counts_the_written_records(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -134,13 +135,14 @@ class TestExport:
         assert to_row(manifest)["balance"] == to_row(manifest.balance)
         assert (manifest.yes_count, manifest.no_count) == (1, 1)
 
-    def test_empty_export_has_no_balance(self, corpus, tmp_path):
+    def test_empty_export_lists_every_train_query(self, corpus, tmp_path):
         queries, chunks = corpus
         manifest = export_training_data([annotation("q1", "d1")], queries, chunks,
                                         make_split(), COT_VARIANT,
                                         tmp_path / "t.jsonl")
-        assert manifest.count == 0
-        assert "balance" not in to_row(manifest)
+        assert (manifest.count, manifest.skipped) == (0, 1)
+        assert manifest.balance.empty_queries == ["q1"]
+        assert to_row(manifest)["balance"] == to_row(manifest.balance)
 
     def test_test_query_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -212,6 +214,8 @@ class TestAuditBalance:
         report = audit_balance(records, expected_queries=["q1", "q9"])
         assert report.empty_queries == ["q9"]
 
-    def test_empty_export_rejected(self):
-        with pytest.raises(ValueError):
-            audit_balance([], ["q1"])
+    def test_empty_export_flagged(self):
+        report = audit_balance([], ["q1"])
+        assert (report.yes_count, report.no_count, report.yes_fraction) == (0, 0, 0.0)
+        assert report.flagged
+        assert report.empty_queries == ["q1"]

@@ -15,7 +15,6 @@ from relanno.prompting import (
     parse_definition_response,
     parse_pointwise_response,
     render_definition_prompt,
-    render_improved_definition_prompt,
     render_pointwise_prompt,
 )
 
@@ -44,16 +43,52 @@ class TestDefinitionPrompts:
             render_definition_prompt("  ")
 
     def test_improved_examples_between_markers(self):
-        prompt = render_improved_definition_prompt(
+        prompt = render_definition_prompt(
             self.QUESTION, ["first example", "second example"])
         begin = prompt.index("[BEGIN")
         end = prompt.index("[END")
         assert begin < prompt.index("first example") < end
         assert prompt.index("first example") < prompt.index("second example")
 
-    def test_improved_requires_examples(self):
-        with pytest.raises(ValueError):
-            render_improved_definition_prompt(self.QUESTION, [])
+    def test_no_examples_renders_the_generated_prompt(self):
+        prompt = render_definition_prompt(self.QUESTION)
+        assert render_definition_prompt(self.QUESTION, []) == prompt
+        assert "[BEGIN" not in prompt
+
+
+# (question, gold examples) with braces (including the template's own field
+# names), non-ASCII text and a multi-line example, and the SHA-256 of the
+# prompt rendered without and with the examples. The digests were taken from
+# the two definition templates that the single one replaced; prompts are
+# hashed into cache keys, so they must never change.
+GOLDEN_DEFINITION_CASES = {
+    "plain": (
+        "What is the firm's Scope 3 emission?",
+        ["Total Scope 3 figures.", "Upstream purchased goods."],
+        "60e27cdef4c53176ba4da95fb470edccc306f9148ab18b3448ca33e283b8c5e8",
+        "b7f4f6d44b8113875a5ac3a15ea1f5c2d3f7da92300d4205e4f63c87e229fc1a"),
+    "braces": (
+        "Does the {question} plan cover {x} and }{ too?",
+        ["A {x} pathway", "{examples} with {0} and }}{{"],
+        "9ac7d6e3f1fe1f2f9b9f086dad8ed67f358ed1c4052f89b25f8147f24dda5cd7",
+        "8e97f46ad56cc8435a1cf30eb604c5f16ef6adeab0beaa0da47c9dfd87f4a4f4"),
+    "non_ascii": (
+        "Quelle est l'empreinte CO₂ — scope 3 « amont » ?",
+        ["Émissions en tCO₂e\nsur deux lignes", "排放目标 2030"],
+        "5bc58701754c26dfdc65632fb2ef45a2b11f3df5de018a9d38768a1e1d5fb9a0",
+        "24b15ad05834ca54bb8dbfb65c096091cb4f84b6ca229d93e8c5fb81ce395827"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DEFINITION_CASES))
+def test_golden_definition_prompts(case):
+    question, examples, generated, improved = GOLDEN_DEFINITION_CASES[case]
+
+    def digest(prompt):
+        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+    assert digest(render_definition_prompt(question)) == generated
+    assert digest(render_definition_prompt(question, examples)) == improved
 
 
 class TestPointwisePrompt:
