@@ -6,12 +6,11 @@ from __future__ import annotations
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .corpus import DocumentChunk, Query, QueryDocPair
-from .gateway import CapabilityError, ChatResponse, LLMGateway
+from .gateway import CapabilityError, ChatResponse, LLMGateway, ordered_map
 from .prompting import (
     GUESS_LABEL,
     ParseError,
@@ -114,12 +113,6 @@ def annotate_pair(
     return annotation
 
 
-@dataclass
-class CorpusAnnotationResult:
-    annotations: list[Annotation]
-    errors: list[AnnotationError] = field(default_factory=list)
-
-
 def annotate_corpus(
     pairs: list[QueryDocPair],
     queries: dict[str, Query],
@@ -127,42 +120,31 @@ def annotate_corpus(
     variant: PromptVariant,
     gateway: LLMGateway,
     calibration: str = "both",
-    parallelism: int = 1,
-) -> CorpusAnnotationResult:
-    """Annotate all pairs; output order equals input order for any parallelism.
+) -> Iterator[Annotation | AnnotationError]:
+    """The annotation of each pair, or its error-ledger entry, in input order,
+    with `gateway.config.parallelism` requests in flight.
 
-    Per-pair parse and extraction failures go to the error ledger; the run
-    only aborts on configuration problems (unknown ids, bad settings).
+    Per-pair parse and extraction failures are ledger entries; any other
+    error ends the iteration after the pairs before it. Unknown ids fail here,
+    before any request.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
     for pair in pairs:
         if pair.query_id not in queries:
             raise KeyError(f"pair references unknown query id: {pair.query_id}")
         if pair.doc_id not in chunks:
             raise KeyError(f"pair references unknown doc id: {pair.doc_id}")
 
-    def work(pair: QueryDocPair):
+    def work(pair: QueryDocPair) -> Annotation | AnnotationError:
         try:
             return annotate_pair(
                 pair, queries[pair.query_id], chunks[pair.doc_id],
                 variant, gateway, calibration=calibration)
         except (ParseError, ExtractionError) as exc:
-            raw = getattr(exc, "raw_text", "")
-            return AnnotationError(pair.query_id, pair.doc_id, str(exc), raw)
+            log.warning("annotation failed for (%s,%s): %s", pair.query_id, pair.doc_id, exc)
+            return AnnotationError(pair.query_id, pair.doc_id, str(exc),
+                                   getattr(exc, "raw_text", ""))
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        outcomes = list(pool.map(work, pairs))
-
-    result = CorpusAnnotationResult(annotations=[])
-    for outcome in outcomes:
-        if isinstance(outcome, AnnotationError):
-            result.errors.append(outcome)
-            log.warning("annotation failed for (%s,%s): %s",
-                        outcome.query_id, outcome.doc_id, outcome.error)
-        else:
-            result.annotations.append(outcome)
-    return result
+    return ordered_map(work, pairs, gateway.config.parallelism)
 
 
 def relevant_info_proxy(annotations: list[Annotation]) -> list[tuple[str, float]]:

@@ -3,22 +3,26 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import sqlite3
 import sys
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 import click
 
 from . import corpus as corpus_mod
 from . import distill as distill_mod
-from .annotator import Annotation, annotate_corpus, primary_confidence, relevant_info_proxy
+from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_confidence,
+                        relevant_info_proxy)
 from .config import CALIBRATIONS, KEYS, load_config
-from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair, Split,
-                     read_json, read_rows, to_row, write_json, write_rows)
+from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
+                     RelevanceDefinition, RowWriter, Split, read_json, read_rows, to_row,
+                     write_json, write_rows)
 from .distill import LeakageError
-from .gateway import CapabilityError, LLMGateway, TransportError
+from .gateway import CapabilityError, LLMGateway, TransportError, ordered_map
 from .metrics import (
     CalibrationInput,
     aggregate_report,
@@ -186,27 +190,39 @@ def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
     click.echo(json.dumps({"pairs": len(pairs), "out": out_path}))
 
 
+_parallelism_option = click.option(
+    "--parallelism", type=int, help="Chat requests in flight at once.")
+
+
 @main.command()
 @click.option("--queries", "queries_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--examples", "examples_path", type=click.Path(exists=True), default=None,
               help="JSONL of {query_id, example}; triggers improved definitions.")
+@_parallelism_option
 @click.pass_obj
-def define(config, queries_path, out_path, examples_path):
+def define(config, queries_path, out_path, examples_path, parallelism):
     """Draft (or improve) a relevance definition for each query."""
     queries = read_rows(queries_path, Query)
     examples_by_query: dict[str, list[str]] = {}
     for row in read_rows(examples_path, DefinitionExample) if examples_path else []:
         examples_by_query.setdefault(row.query_id, []).append(row.example)
-    gateway = LLMGateway(config)
-    for query in queries:
-        gold_examples = examples_by_query.get(query.id, [])
-        provenance = "improved" if gold_examples else "generated"
-        response = gateway.chat_complete(render_definition_prompt(query.text, gold_examples))
+    unknown = sorted(examples_by_query.keys() - {q.id for q in queries})
+    if unknown:
+        raise ValueError(f"{examples_path}: examples for unknown query ids: {', '.join(unknown)}")
+    gateway = LLMGateway(dataclasses.replace(config, parallelism=parallelism))
+
+    def draft(query: Query) -> RelevanceDefinition:
+        examples = examples_by_query.get(query.id, [])
+        response = gateway.chat_complete(render_definition_prompt(query.text, examples))
         try:
-            query.definition = parse_definition_response(response.text, provenance)
+            return parse_definition_response(response.text,
+                                             "improved" if examples else "generated")
         except ValueError as exc:
             raise ValueError(f"query {query.id}: {exc}") from None
+
+    for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
+        query.definition = definition
     write_rows(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), "out": out_path}))
 
@@ -219,25 +235,32 @@ def define(config, queries_path, out_path, examples_path):
 @click.option("--errors", "errors_path", type=click.Path(), default=None)
 @click.option("--variant", help="Prompt variant label, e.g. point-ask-d.")
 @click.option("--calibration", type=click.Choice(CALIBRATIONS))
-@click.option("--parallelism", type=int, default=1)
+@_parallelism_option
 @click.pass_obj
 def annotate(config, pairs_path, queries_path, documents_path, out_path,
              errors_path, variant, calibration, parallelism):
-    """Annotate pairs pointwise with calibrated relevance scores."""
+    """Annotate pairs pointwise with calibrated relevance scores, writing each
+    row as soon as the rows before it are written."""
     queries = {q.id: q for q in read_rows(queries_path, Query)}
     chunks = {c.id: c for c in read_rows(documents_path, DocumentChunk)}
     pairs = read_rows(pairs_path, QueryDocPair)
     variant = PromptVariant.from_label(variant)
-    gateway = LLMGateway(config)
-    result = annotate_corpus(
-        pairs, queries, chunks, variant, gateway,
-        calibration=calibration, parallelism=parallelism)
-    write_rows(out_path, result.annotations)
-    if errors_path:
-        write_rows(errors_path, result.errors)
+    gateway = LLMGateway(dataclasses.replace(config, parallelism=parallelism))
+    written = {"annotations": 0, "errors": 0}
+    # closing: an error while writing also stops the requests not yet sent.
+    with closing(annotate_corpus(pairs, queries, chunks, variant, gateway, calibration)) \
+            as outcomes, RowWriter(out_path) as annotations, \
+            (RowWriter(errors_path) if errors_path else nullcontext()) as ledger:
+        for outcome in outcomes:
+            if isinstance(outcome, AnnotationError):
+                written["errors"] += 1
+                if ledger is not None:
+                    ledger.write(outcome)
+            else:
+                written["annotations"] += 1
+                annotations.write(outcome)
     click.echo(json.dumps({
-        "annotations": len(result.annotations), "errors": len(result.errors),
-        "network_calls": gateway.network_calls, "retries": gateway.retry_count,
+        **written, "network_calls": gateway.network_calls, "retries": gateway.retry_count,
         "out": out_path,
     }))
 

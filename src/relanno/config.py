@@ -23,6 +23,7 @@ class Config:
     max_attempts: int = 4
     backoff_base: float = 0.5
     embed_batch_size: int = 2048  # OpenAI's endpoint takes at most 2048
+    parallelism: int = 8  # chat requests in flight at once
     variant: str = "point-ask-d"
     calibration: str = "both"
     seed: int = 40
@@ -48,7 +49,10 @@ def _convert(key: str, raw: str, source: str):
         elif key == "calibration" and raw not in CALIBRATIONS:
             raise ValueError(f"must be one of {', '.join(CALIBRATIONS)}, got {raw!r}")
         elif isinstance(KEYS[key], (int, float)):
-            return type(KEYS[key])(raw)
+            value = type(KEYS[key])(raw)
+            if key == "parallelism" and value < 1:
+                raise ValueError(f"must be at least 1, got {value}")
+            return value
     except ValueError as exc:
         raise ValueError(f"{source}: {key}: {exc}") from None
     return raw

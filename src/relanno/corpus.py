@@ -357,10 +357,14 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return rows
 
 
+def _jsonl_line(row: dict) -> str:
+    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            f.write(_jsonl_line(row))
 
 
 def _line_number(path: str | Path, index: int) -> int:
@@ -384,6 +388,25 @@ def read_rows(path: str | Path, cls: type[T]) -> list[T]:
 
 def write_rows(path: str | Path, objs: Iterable[object]) -> None:
     write_jsonl(path, (to_row(obj) for obj in objs))
+
+
+class RowWriter:
+    """A new JSONL file of dataclass rows, written one row at a time as
+    `write_rows` writes them. Each row is flushed as it is written, so a run
+    that stops leaves whole rows only."""
+
+    def __init__(self, path: str | Path):
+        self._file = open(path, "w", encoding="utf-8")
+
+    def write(self, obj: object) -> None:
+        self._file.write(_jsonl_line(to_row(obj)))
+        self._file.flush()
+
+    def __enter__(self) -> RowWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
 
 
 def read_json(path: str | Path, cls: type[T]) -> T:

@@ -2,22 +2,28 @@
 
 Captures per-token log probabilities, retries transient failures with
 exponential backoff, and caches raw endpoint responses in one SQLite file so
-corpus-scale runs are cheap to resume. Callers bound concurrency: the
-gateway is thread-safe and adds no limit of its own.
+corpus-scale runs are cheap to resume. The gateway is thread-safe; its
+connection pool holds `config.parallelism` connections, the number of
+threads `ordered_map` runs for the commands that call the chat endpoint.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
+import re
 import sqlite3
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import lazy_import
 from .config import Config
@@ -29,6 +35,12 @@ log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 TIMEOUT_S = 60.0
+# Items queued per thread ahead of the one `ordered_map` yields next: enough
+# that the other threads keep working while one item waits out its backoff.
+LOOKAHEAD_PER_THREAD = 64
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class TransportError(RuntimeError):
@@ -52,6 +64,63 @@ def cache_key(kind: str, model: str, payload: object) -> str:
     blob = json.dumps({"kind": kind, "model": model, "payload": payload},
                       sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> Iterator[R]:
+    """fn(item) for each item, run on at most `parallelism` threads and yielded
+    in input order: the results and the error that a sequential loop would give.
+
+    Up to LOOKAHEAD_PER_THREAD * parallelism items are queued ahead of the one
+    yielded next, so one slow item does not idle the other threads, while
+    memory stays bounded however many items there are. When fn raises for an
+    item, no later item starts; the earlier ones still run and are yielded,
+    then the error of the first item that failed is raised. An Event would
+    also stop an earlier item that a thread has taken from the queue but not
+    started, so the earliest failed index is kept instead. Closing the
+    iterator early starts no further call either.
+    """
+    stop_after = math.inf  # index of the earliest item that failed
+    lock = threading.Lock()
+
+    def stop(index: float) -> None:
+        nonlocal stop_after
+        with lock:
+            stop_after = min(stop_after, index)
+
+    def call(index: int, item: T):
+        if index > stop_after:
+            return None  # never yielded: the iterator stops at the failure
+        try:
+            return fn(item)
+        except BaseException:
+            stop(index)
+            raise
+
+    numbered = enumerate(items)
+    pending = collections.deque()
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+
+    def submit(count: int) -> None:
+        for index, item in itertools.islice(numbered, count):
+            pending.append(pool.submit(call, index, item))
+
+    try:
+        submit(LOOKAHEAD_PER_THREAD * parallelism)
+        while pending:
+            result = pending.popleft().result()
+            submit(1)
+            yield result
+    finally:
+        stop(-1)
+        pool.shutdown(cancel_futures=True)
+
+
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """The seconds of a `Retry-After` header in delta-seconds form (RFC 9110
+    §10.2.3); None when it is missing or not that form, an HTTP date included."""
+    if value is None or not re.fullmatch(r"[0-9]+", value.strip()):
+        return None
+    return float(value.strip())
 
 
 def _check_dimensions(dims: set[int]) -> None:
@@ -127,11 +196,18 @@ class LLMGateway:
     def __init__(self, config: Config):
         if config.embed_batch_size < 1:
             raise ValueError("embed_batch_size must be at least 1")
+        if config.parallelism < 1:
+            raise ValueError(f"parallelism must be at least 1, got {config.parallelism}")
         self.config = config
         self.cache = ResponseStore(config.cache_dir) if config.cache_dir else None
         # Also loads `requests`, here on the thread that builds the gateway and
         # before any worker pool uses it (see `lazy_import`).
         self._session = requests.Session()
+        # One kept-alive connection per thread: the default pool keeps 10 and
+        # drops and reopens connections above that.
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)
+        for prefix in ("http://", "https://"):
+            self._session.mount(prefix, adapter)
         self.retry_count = 0
         self.network_calls = 0
         self.embedded_texts = 0
@@ -149,12 +225,14 @@ class LLMGateway:
     def _post(self, path: str, body: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
         last_error: Optional[str] = None
+        longest_delay = self.config.backoff_base * 2 ** max(self.config.max_attempts - 2, 0)
+        delay = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
-                delay = self.config.backoff_base * (2 ** (attempt - 1))
                 time.sleep(delay)
                 with self._counter_lock:
                     self.retry_count += 1
+            delay = self.config.backoff_base * 2 ** attempt  # before the next attempt
             try:
                 with self._counter_lock:
                     self.network_calls += 1
@@ -171,6 +249,9 @@ class LLMGateway:
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"endpoint error at {url}: {last_error}")
+            asked = _retry_after(resp.headers.get("Retry-After"))
+            if asked is not None:
+                delay = min(asked, longest_delay)
             log.warning("retryable status from %s: %s", url, resp.status_code)
         raise TransportError(f"retries exhausted for {url}: {last_error}")
 

@@ -3,6 +3,12 @@
 Chat responses come from canned rules in a fixtures directory; embeddings are
 a deterministic bag-of-words hash, so any pipeline run against this server is
 bit-reproducible. Intended for tests and offline dry runs.
+
+A rule answers every chat request whose user message contains its `match`
+with its `text` (and `logprobs`). Optional fields: `status_sequence`, the
+status of its 1st, 2nd, ... request (the last one repeats); `headers`, sent
+with each answer whose status is not 200; `delay_ms`, waited before each
+answer of status 200.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import hashlib
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
@@ -60,11 +67,13 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output quiet
         pass
 
-    def _send(self, status: int, body: dict) -> None:
+    def _send(self, status: int, body: dict, headers: Optional[dict] = None) -> None:
         payload = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -102,8 +111,11 @@ class _Handler(BaseHTTPRequestHandler):
             sequence = rule["status_sequence"]
             status = sequence[min(hit, len(sequence) - 1)]
         if status != 200:
-            self._send(status, {"error": {"message": f"injected status {status}"}})
+            self._send(status, {"error": {"message": f"injected status {status}"}},
+                       rule.get("headers"))
             return
+        if rule is not None and "delay_ms" in rule:
+            time.sleep(rule["delay_ms"] / 1000)
 
         text = rule["text"] if rule is not None else DEFAULT_CHAT_TEXT
         logprobs = (rule or {}).get("logprobs") or tokenize_with_logprobs(text)

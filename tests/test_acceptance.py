@@ -338,7 +338,7 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     invoke("sample", "--rankings", work / "rankings.jsonl",
            "--out", work / "pairs.jsonl", "--k", "2", "--per-side", "2", "--seed", "11")
     invoke("define", "--queries", ingested / "queries.jsonl",
-           "--out", work / "defined.jsonl")
+           "--out", work / "defined.jsonl", "--parallelism", parallelism)
     invoke("annotate", "--pairs", work / "pairs.jsonl",
            "--queries", work / "defined.jsonl",
            "--documents", ingested / "documents.jsonl",

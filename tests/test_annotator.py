@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from relanno.annotator import (
     Annotation,
-    CorpusAnnotationResult,
+    AnnotationError,
     ExtractionError,
     annotate_corpus,
     annotate_pair,
@@ -13,7 +14,7 @@ from relanno.annotator import (
     relevant_info_proxy,
 )
 from relanno.corpus import DocumentChunk, QueryDocPair, from_row, to_row
-from relanno.gateway import CapabilityError, ChatResponse
+from relanno.gateway import CapabilityError, ChatResponse, LLMGateway
 from relanno.prompting import PromptVariant
 
 VARIANT = PromptVariant()
@@ -103,31 +104,42 @@ def all_pairs(queries, chunks):
     return [QueryDocPair(q.id, c.id) for q in queries for c in chunks]
 
 
+def with_parallelism(gateway, parallelism):
+    return LLMGateway(dataclasses.replace(gateway.config, parallelism=parallelism))
+
+
+def annotate_all(pairs, queries, chunks, gateway, calibration="both"):
+    """annotate_corpus's outcomes, read to the end: (annotations, errors)."""
+    outcomes = list(annotate_corpus(pairs, queries, chunks, VARIANT, gateway, calibration))
+    return ([o for o in outcomes if isinstance(o, Annotation)],
+            [o for o in outcomes if isinstance(o, AnnotationError)])
+
+
 class TestAnnotateCorpus:
     def test_output_order_matches_input(self, gateway, fixture_queries,
                                         fixture_chunks):
         pairs = all_pairs(fixture_queries, fixture_chunks)
         queries = {q.id: q for q in fixture_queries}
         chunks = {c.id: c for c in fixture_chunks}
-        serial = annotate_corpus(pairs, queries, chunks, VARIANT, gateway,
-                                 calibration="ask", parallelism=1)
-        parallel = annotate_corpus(pairs, queries, chunks, VARIANT, gateway,
-                                   calibration="ask", parallelism=8)
-        assert serial.annotations == parallel.annotations
-        assert [(a.query_id, a.doc_id) for a in serial.annotations] == \
+        serial, _ = annotate_all(pairs, queries, chunks, with_parallelism(gateway, 1),
+                                 calibration="ask")
+        parallel, _ = annotate_all(pairs, queries, chunks, with_parallelism(gateway, 8),
+                                   calibration="ask")
+        assert serial == parallel
+        assert [(a.query_id, a.doc_id) for a in serial] == \
             [(p.query_id, p.doc_id) for p in pairs]
 
     def test_malformed_response_goes_to_error_ledger(self, gateway,
                                                      fixture_queries):
         bad = DocumentChunk(id="bad", report_id="r9",
                             text="MALFORMEDDOC nothing structured here")
-        result = annotate_corpus(
+        annotations, errors = annotate_all(
             [QueryDocPair("q1", "bad"), QueryDocPair("q1", "bad")],
-            {"q1": fixture_queries[0]}, {"bad": bad}, VARIANT, gateway,
-            calibration="ask", parallelism=2)
-        assert result.annotations == []
-        assert len(result.errors) == 2
-        assert result.errors[0].raw_text == "I cannot decide about this passage."
+            {"q1": fixture_queries[0]}, {"bad": bad}, with_parallelism(gateway, 2),
+            calibration="ask")
+        assert annotations == []
+        assert len(errors) == 2
+        assert errors[0].raw_text == "I cannot decide about this passage."
 
     def test_unknown_ids_abort_before_any_call(self, gateway, mock_server,
                                                fixture_queries, fixture_chunks):
@@ -142,26 +154,24 @@ class TestAnnotateCorpus:
         pairs = all_pairs(fixture_queries, fixture_chunks)
         queries = {q.id: q for q in fixture_queries}
         chunks = {c.id: c for c in fixture_chunks}
-        first = annotate_corpus(pairs, queries, chunks, VARIANT, gateway,
-                                calibration="ask")
+        first, _ = annotate_all(pairs, queries, chunks, gateway, calibration="ask")
         calls_after_first = mock_server.request_count
-        second = annotate_corpus(pairs, queries, chunks, VARIANT, gateway,
-                                 calibration="ask")
+        second, _ = annotate_all(pairs, queries, chunks, gateway, calibration="ask")
         assert mock_server.request_count == calls_after_first
-        assert first.annotations == second.annotations
+        assert first == second
 
     def test_transient_errors_retried(self, gateway, fixture_queries):
         chunk = DocumentChunk(id="retry", report_id="r9",
                               text="RETRYDOC flaky passage")
-        result = annotate_corpus([QueryDocPair("q1", "retry")],
-                                 {"q1": fixture_queries[0]}, {"retry": chunk},
-                                 VARIANT, gateway, calibration="ask")
-        assert result.annotations[0].confidence_ask == pytest.approx(0.6)
+        annotations, _ = annotate_all([QueryDocPair("q1", "retry")],
+                                      {"q1": fixture_queries[0]}, {"retry": chunk},
+                                      gateway, calibration="ask")
+        assert annotations[0].confidence_ask == pytest.approx(0.6)
         assert gateway.retry_count >= 1
 
-    def test_bad_parallelism(self, gateway, fixture_queries, fixture_chunks):
-        with pytest.raises(ValueError):
-            annotate_corpus([], {}, {}, VARIANT, gateway, parallelism=0)
+    def test_bad_parallelism(self, gateway):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            with_parallelism(gateway, 0)
 
 
 class TestRelevantInfoProxy:

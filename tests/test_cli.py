@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
+from conftest import CHAT_RULES
 from relanno import corpus as corpus_mod
 from relanno import lazy_import
 from relanno.annotator import Annotation
@@ -553,13 +554,82 @@ def test_define_with_examples_improves_the_queries_that_have_them(
     defined = {q.id: q.definition.provenance
                for q in corpus_mod.read_rows(out, corpus_mod.Query)}
     assert defined == {"q1": "improved", "q2": "generated"}
-    improved, generated = mock_server.chat_prompts
+    # Requests overlap, so they arrive in any order: match each to its query.
+    improved, generated = sorted(mock_server.chat_prompts,
+                                 key=lambda prompt: plain[0].text not in prompt)
+    assert plain[0].text in improved and plain[1].text in generated
     assert improved.index("ZETA-ROW") < improved.index("ALPHA-ROW")
     assert "[BEGIN" not in generated and "ROW" not in generated
 
     mock_server.reset_counters()
     run_cli(workspace, *args)
     assert mock_server.request_count == 0
+
+
+# A 400 at one item stops the run: only requests already in flight may follow.
+DEFINITION_TEXT = next(r["text"] for r in CHAT_RULES if r["match"].startswith("An analyst"))
+
+
+def fatal_error_run(tmp_path, parallelism, *args):
+    """(result, requests sent) of one command against a mock that answers 400
+    for FATAL, malformed text for MALFORMEDDOC and everything else after 50 ms."""
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "rules.json").write_text(json.dumps([
+        {"match": "FATAL", "text": "", "status_sequence": [400]},
+        {"match": "MALFORMEDDOC", "text": "I cannot decide about this passage."},
+        {"match": "An analyst posts", "text": DEFINITION_TEXT, "delay_ms": 50},
+        {"match": "", "text": "[Guess]: Yes\n[Confidence]: 0.7", "delay_ms": 50},
+    ]), encoding="utf-8")
+    config = tmp_path / "relanno.conf"
+    config.write_text("cache_dir=\n", encoding="utf-8")
+    with mockserver.MockLLMServer(fixtures_dir=tmp_path / "rules") as server:
+        result = CliRunner().invoke(main, [
+            "--config", str(config), *args, "--parallelism", str(parallelism)],
+            env={"RELANNO_BASE_URL": server.base_url})
+        return result, server.request_count
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_annotate_fatal_error_leaves_the_pairs_before_it(tmp_path, fixture_queries,
+                                                         parallelism):
+    fatal = 12
+    texts = {i: f"PAIRDOC passage {i}" for i in range(40)}
+    texts[3], texts[fatal] = "MALFORMEDDOC passage", "FATAL passage"
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+        corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1", text=text)
+        for i, text in texts.items()])
+    pairs = [{"query_id": "q1", "doc_id": f"d{i}"} for i in texts]
+    corpus_mod.write_jsonl(tmp_path / "pairs.jsonl", pairs)
+    result, requests = fatal_error_run(
+        tmp_path, parallelism, "annotate", "--pairs", str(tmp_path / "pairs.jsonl"),
+        "--queries", str(tmp_path / "queries.jsonl"),
+        "--documents", str(tmp_path / "documents.jsonl"),
+        "--out", str(tmp_path / "annotations.jsonl"),
+        "--errors", str(tmp_path / "errors.jsonl"), "--calibration", "ask")
+    assert result.exit_code == 1, result.output
+    assert "HTTP 400" in json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    written = {name: [f"{r['query_id']},{r['doc_id']}" for r in
+                      corpus_mod.read_jsonl(tmp_path / f"{name}.jsonl")]
+               for name in ("annotations", "errors")}
+    expected = [f"q1,d{i}" for i in range(fatal)]
+    assert written == {"annotations": [p for p in expected if p != "q1,d3"],
+                       "errors": ["q1,d3"]}
+    assert requests <= fatal + parallelism
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_define_fatal_error_sends_no_later_query(tmp_path, parallelism):
+    fatal = 7
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+        corpus_mod.Query(id=f"q{i}", text="FATAL?" if i == fatal else f"Question {i}?")
+        for i in range(30)])
+    result, requests = fatal_error_run(
+        tmp_path, parallelism, "define", "--queries", str(tmp_path / "queries.jsonl"),
+        "--out", str(tmp_path / "defined.jsonl"))
+    assert_one_line_json_error(result, "HTTP 400")
+    assert requests <= fatal + parallelism
+    assert not (tmp_path / "defined.jsonl").exists()
 
 
 def write_lines(path, *lines):
@@ -600,6 +670,14 @@ def range_case(workspace, name):
         return ["ingest", "--queries", str(workspace / "queries.jsonl"),
                 "--documents", str(workspace / "documents.jsonl"),
                 "--out-dir", str(workspace / "c"), "--min-tokens", "0"]
+    if name == "define --parallelism 0":
+        return ["define", "--queries", str(workspace / "queries.jsonl"),
+                "--out", str(workspace / "d.jsonl"), "--parallelism", "0"]
+    if name == "annotate --parallelism -3":
+        return ["annotate", "--pairs", str(write_all_pairs(workspace)),
+                "--queries", str(workspace / "queries.jsonl"),
+                "--documents", str(workspace / "documents.jsonl"),
+                "--out", str(workspace / "a.jsonl"), "--parallelism", "-3"]
     annotations, _ = annotate_all(workspace)
     if name == "audit --per-bin -1":
         return ["audit", "--annotations", str(annotations),
@@ -615,6 +693,8 @@ def range_case(workspace, name):
     ("ingest --min-tokens 0", "min_tokens must be positive"),
     ("audit --per-bin -1", "per_bin must be at least 1"),
     ("evaluate --ece-bins 0", "bins must be at least 1"),
+    ("define --parallelism 0", "parallelism must be at least 1, got 0"),
+    ("annotate --parallelism -3", "parallelism must be at least 1, got -3"),
 ])
 def test_out_of_range_flag_is_one_json_error(workspace, name, fragment):
     result = run_cli(workspace, *range_case(workspace, name), expect_exit=1)
@@ -700,6 +780,14 @@ def bad_input_case(workspace, name):
         bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q7", "text": "MALFORMEDDOC?"}))
         return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
             "query q7: no meaning anchor in definition response"]
+    if name == "examples for unknown queries":
+        examples = write_lines(w / "examples.jsonl",
+                               json.dumps({"query_id": "q9", "example": "x"}),
+                               json.dumps({"query_id": "q1", "example": "y"}),
+                               json.dumps({"query_id": "q7", "example": "z"}))
+        return ["define", "--queries", queries, "--out", str(w / "d.jsonl"),
+                "--examples", examples], [
+            "examples.jsonl", "examples for unknown query ids: q7, q9"]
     if name == "rankings over different doc ids":
         save_rankings(w / "a.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         save_rankings(w / "b.jsonl", [Ranking("q1", [("d1", 0.9), ("d3", 0.1)])])
@@ -715,7 +803,7 @@ def bad_input_case(workspace, name):
     "nested definition field", "uncertain as a string", "gold row without binary",
     "confidence out of range", "out path in a missing directory",
     "cache file that is not a database", "definition answer without meaning",
-    "rankings over different doc ids",
+    "rankings over different doc ids", "examples for unknown queries",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -134,7 +134,8 @@ def file_contents(draw, name):
 SAFE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
                     max_size=6)
 KEYS = ["seed", "k", "per_side", "per_bin", "ece_bins", "min_tokens", "query_test_fraction",
-        "report_test_fraction", "calibration", "variant", "embed_batch_size", "chat_model"]
+        "report_test_fraction", "calibration", "variant", "embed_batch_size", "chat_model",
+        "parallelism"]
 GOOD_LINE = st.one_of(
     st.builds("{}={}".format, st.sampled_from(["seed", "k", "per_side", "per_bin",
                                                "ece_bins", "min_tokens"]),
@@ -142,6 +143,7 @@ GOOD_LINE = st.one_of(
     st.builds("{}={}".format, st.sampled_from(["query_test_fraction",
                                                "report_test_fraction"]),
               st.floats(0.05, 0.95)),
+    st.builds("parallelism={}".format, st.integers(1, 8)),
     st.builds("calibration={}".format, st.sampled_from(["ask", "tok", "both"])),
     st.builds("variant={}".format, st.sampled_from(["point-ask", "point-cot-prob-d"])))
 BAD_LINE = st.one_of(

@@ -31,6 +31,7 @@ class TestPrecedence:
         config = load_config()
         assert config == Config()
         assert (config.k, config.backoff_base, config.cache_dir) == (5, 0.5, None)
+        assert config.parallelism == 8
 
     def test_file_over_default(self, tmp_path):
         config = load_config(write_config(tmp_path, "k=3\nbackoff_base=0.25\n"))
@@ -81,6 +82,8 @@ def test_api_key_env_var_is_not_a_config_key(tmp_path, monkeypatch):
     ("backoff_base=fast\n", ["relanno.conf:1", "backoff_base: could not convert", "'fast'"]),
     ("calibration=logits\n", ["relanno.conf:1", "calibration: must be one of ask, tok, both"]),
     ("variant=point-foo\n", ["relanno.conf:1", "variant: unknown variant label: 'point-foo'"]),
+    ("parallelism=0\n", ["relanno.conf:1", "parallelism: must be at least 1, got 0"]),
+    ("parallelism=many\n", ["relanno.conf:1", "parallelism: invalid literal for int()"]),
 ])
 def test_bad_config_file_is_one_json_error(tmp_path, text, fragments):
     config = write_config(tmp_path, text)
@@ -99,6 +102,7 @@ def test_bad_config_file_is_one_json_error(tmp_path, text, fragments):
     ("RELANNO_SEED", "x", "RELANNO_SEED: seed: invalid literal for int()"),
     ("RELANNO_QUERY_TEST_FRACTION", "half", "query_test_fraction: could not convert"),
     ("RELANNO_CALIBRATION", "ASK", "calibration: must be one of"),
+    ("RELANNO_PARALLELISM", "-1", "RELANNO_PARALLELISM: parallelism: must be at least 1"),
 ])
 def test_bad_env_value_is_one_json_error(tmp_path, monkeypatch, name, value, fragment):
     monkeypatch.setenv(name, value)

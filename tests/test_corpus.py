@@ -7,6 +7,7 @@ from relanno.corpus import (
     GoldLabel,
     Query,
     RowError,
+    RowWriter,
     Split,
     SplitError,
     from_row,
@@ -136,6 +137,16 @@ def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
     write_rows(dpath, fixture_chunks)
     assert read_rows(qpath, Query) == fixture_queries
     assert read_rows(dpath, DocumentChunk) == fixture_chunks
+
+
+def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
+    streamed, batch = tmp_path / "streamed.jsonl", tmp_path / "batch.jsonl"
+    with RowWriter(streamed) as writer:
+        for n, query in enumerate(fixture_queries, start=1):
+            writer.write(query)
+            assert read_rows(streamed, Query) == fixture_queries[:n]  # before close
+    write_rows(batch, fixture_queries)
+    assert streamed.read_bytes() == batch.read_bytes()
 
 
 def test_token_count_defaults_to_whitespace():

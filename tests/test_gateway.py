@@ -4,12 +4,15 @@ import struct
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relanno import gateway as gateway_mod
 from relanno.gateway import (
+    LOOKAHEAD_PER_THREAD,
     CapabilityError,
     LLMGateway,
     ResponseStore,
@@ -17,6 +20,7 @@ from relanno.gateway import (
     _vector_bytes,
     _vector_from_bytes,
     cache_key,
+    ordered_map,
 )
 from relanno.config import Config
 from mockserver import MockLLMServer, hash_embedding
@@ -302,3 +306,131 @@ def test_corrupt_one_file_per_answer_cache_names_the_file(tmp_path):
         ResponseStore(tmp_path)
     (tmp_path / "bad.json").unlink()
     ResponseStore(tmp_path).put("k", b"v")  # the failed import left no table behind
+
+
+class TestOrderedMap:
+    def test_results_in_input_order_at_any_parallelism(self):
+        def slow_head(i):
+            time.sleep(0.02 if i % 5 == 0 else 0.001)
+            return i * i
+
+        for parallelism in (1, 3, 8):
+            assert list(ordered_map(slow_head, range(40), parallelism)) == \
+                [i * i for i in range(40)]
+
+    def test_failure_yields_the_items_before_it_and_starts_none_after(self):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 10:
+                raise RuntimeError("item 10")
+            time.sleep(0.05)
+            return i
+
+        results = []
+        with pytest.raises(RuntimeError, match="item 10"):
+            for result in ordered_map(fn, range(100), 4):
+                results.append(result)
+        assert results == list(range(10))
+        assert max(started) < 10 + 4  # only calls already running when 10 failed
+
+    def test_the_earliest_failed_item_is_the_error_raised(self):
+        def fn(i):
+            if i == 3:
+                time.sleep(0.2)  # fails after item 5 has failed
+                raise RuntimeError("item 3")
+            if i == 5:
+                raise RuntimeError("item 5")
+            return i
+
+        with pytest.raises(RuntimeError, match="item 3"):
+            list(ordered_map(fn, range(8), 8))
+
+    def test_closing_early_starts_no_further_call(self):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            time.sleep(0.02)
+            return i
+
+        results = ordered_map(fn, range(1000), 2)
+        assert next(results) == 0
+        results.close()
+        count = len(started)
+        time.sleep(0.1)
+        assert len(started) == count <= 2 + 2
+
+    def test_a_slow_item_does_not_idle_the_other_threads(self):
+        # Were the items queued ahead capped at `parallelism`, the second
+        # thread would wait for item 0 after finishing item 1.
+        finished = []
+
+        def fn(i):
+            time.sleep(0.5 if i == 0 else 0.005)
+            finished.append(i)
+
+        list(ordered_map(fn, range(20), 2))
+        assert finished[-1] == 0
+
+    def test_input_is_read_a_bounded_way_ahead(self):
+        read = []
+
+        def items():
+            for i in range(10_000):
+                read.append(i)
+                yield i
+
+        results = ordered_map(lambda i: i, items(), 2)
+        assert next(results) == 0
+        assert len(read) <= LOOKAHEAD_PER_THREAD * 2 + 1
+        results.close()
+
+    def test_prefix_before_the_first_failure_under_thread_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for fail_at in (0, 1, 7, 63, 199):
+                results = []
+
+                def fn(i):
+                    if i == fail_at:
+                        raise ValueError(i)
+                    return i
+
+                with pytest.raises(ValueError) as caught:
+                    for result in ordered_map(fn, range(200), 16):
+                        results.append(result)
+                assert (results, caught.value.args) == (list(range(fail_at)), (fail_at,))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_connection_pool_holds_one_connection_per_thread():
+    base_url = "http://127.0.0.1:9"
+    adapter = LLMGateway(Config(base_url=base_url, parallelism=16))._session.get_adapter(
+        base_url)
+    assert adapter._pool_maxsize == 16
+    assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+
+
+@pytest.mark.parametrize("header,expected", [
+    ({"Retry-After": "1"}, 1.0),
+    ({"Retry-After": "0"}, 0.0),
+    ({"Retry-After": "30"}, 2.0),  # capped at the schedule's largest delay
+    ({}, 0.5),  # the schedule's first delay
+    ({"Retry-After": "1.5"}, 0.5),
+    ({"Retry-After": "soon"}, 0.5),
+    ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.5),
+])
+def test_retry_after_delta_seconds_is_honoured(tmp_path, monkeypatch, header, expected):
+    (tmp_path / "rules.json").write_text(json.dumps([
+        {"match": "BUSY", "text": "ok", "status_sequence": [503, 200], "headers": header}]))
+    sleeps = []
+    monkeypatch.setattr(gateway_mod.time, "sleep", sleeps.append)
+    with MockLLMServer(fixtures_dir=tmp_path) as server:
+        gateway = LLMGateway(Config(base_url=server.base_url, max_attempts=4,
+                                    backoff_base=0.5))
+        assert gateway.chat_complete("BUSY").text == "ok"
+    assert sleeps == [expected]
