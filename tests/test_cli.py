@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -630,6 +631,57 @@ def test_define_fatal_error_sends_no_later_query(tmp_path, parallelism):
     assert_one_line_json_error(result, "HTTP 400")
     assert requests <= fatal + parallelism
     assert not (tmp_path / "defined.jsonl").exists()
+
+
+def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fixture_queries):
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "rules.json").write_text(json.dumps([
+        {"match": "", "text": "[Guess]: Yes\n[Confidence]: 0.7", "delay_ms": 30}]),
+        encoding="utf-8")
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+        corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1", text=f"passage {i}")
+        for i in range(100)])
+    pairs = [f"q1,d{i}" for i in range(100)]
+    corpus_mod.write_jsonl(tmp_path / "pairs.jsonl", (
+        dict(zip(("query_id", "doc_id"), p.split(","))) for p in pairs))
+
+    def command(name):
+        (tmp_path / f"{name}.conf").write_text(f"cache_dir={tmp_path / name}\n")
+        return [sys.executable, "-c", "from relanno.cli import main; main()",
+                "--config", str(tmp_path / f"{name}.conf"), "annotate",
+                "--pairs", str(tmp_path / "pairs.jsonl"),
+                "--queries", str(tmp_path / "queries.jsonl"),
+                "--documents", str(tmp_path / "documents.jsonl"),
+                "--out", str(tmp_path / f"{name}.jsonl"), "--calibration", "ask",
+                "--parallelism", "2"]
+
+    def keys(name):
+        return [f"{r['query_id']},{r['doc_id']}"
+                for r in corpus_mod.read_jsonl(tmp_path / f"{name}.jsonl")]
+
+    with mockserver.MockLLMServer(fixtures_dir=tmp_path / "rules") as server:
+        env = dict(os.environ, RELANNO_BASE_URL=server.base_url,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(command("killed"), env=env, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30
+            while len(corpus_mod.read_jsonl(tmp_path / "killed.jsonl")
+                       if (tmp_path / "killed.jsonl").exists() else []) < 10:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        written = keys("killed")
+        assert (tmp_path / "killed.jsonl").read_text().endswith("\n")
+        assert 10 <= len(written) < 100 and written == pairs[:len(written)]
+        server.reset_counters()
+        subprocess.run(command("killed"), env=env, check=True, capture_output=True)
+        assert server.request_count <= 100 - len(written)  # written pairs come from the cache
+        subprocess.run(command("clean"), env=env, check=True, capture_output=True)
+    assert keys("killed") == pairs
+    assert (tmp_path / "killed.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
 
 
 def write_lines(path, *lines):
