@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .corpus import DocumentChunk, Query, QueryDocPair
-from .gateway import CapabilityError, ChatResponse, LLMGateway, ordered_map
+from .gateway import CapabilityError, ChatResponse, LLMGateway, TransportError, ordered_map
 from .prompting import (
     GUESS_LABEL,
     ParseError,
@@ -125,8 +125,8 @@ def annotate_corpus(
     with `gateway.config.parallelism` requests in flight.
 
     Per-pair parse and extraction failures are ledger entries; any other
-    error ends the iteration after the pairs before it. Unknown ids fail here,
-    before any request.
+    error ends the iteration after the pairs before it, and an endpoint error
+    names its pair. Unknown ids fail here, before any request.
     """
     for pair in pairs:
         if pair.query_id not in queries:
@@ -143,6 +143,8 @@ def annotate_corpus(
             log.warning("annotation failed for (%s,%s): %s", pair.query_id, pair.doc_id, exc)
             return AnnotationError(pair.query_id, pair.doc_id, str(exc),
                                    getattr(exc, "raw_text", ""))
+        except (TransportError, CapabilityError) as exc:
+            raise type(exc)(f"pair ({pair.query_id},{pair.doc_id}): {exc}") from None
 
     return ordered_map(work, pairs, gateway.config.parallelism)
 

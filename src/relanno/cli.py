@@ -166,7 +166,7 @@ def rank(config, queries_path, documents_path, out_path):
     click.echo(json.dumps({
         "rankings": len(rankings), "embedded_texts": gateway.embedded_texts,
         "network_calls": gateway.network_calls, "retries": gateway.retry_count,
-        "out": out_path,
+        "backoff_s": round(gateway.backoff_s, 3), "out": out_path,
     }))
 
 
@@ -214,12 +214,12 @@ def define(config, queries_path, out_path, examples_path, parallelism):
 
     def draft(query: Query) -> RelevanceDefinition:
         examples = examples_by_query.get(query.id, [])
-        response = gateway.chat_complete(render_definition_prompt(query.text, examples))
         try:
+            response = gateway.chat_complete(render_definition_prompt(query.text, examples))
             return parse_definition_response(response.text,
                                              "improved" if examples else "generated")
-        except ValueError as exc:
-            raise ValueError(f"query {query.id}: {exc}") from None
+        except (ValueError, TransportError) as exc:
+            raise type(exc)(f"query {query.id}: {exc}") from None
 
     for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
         query.definition = definition
@@ -261,7 +261,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
                 annotations.write(outcome)
     click.echo(json.dumps({
         **written, "network_calls": gateway.network_calls, "retries": gateway.retry_count,
-        "out": out_path,
+        "backoff_s": round(gateway.backoff_s, 3), "out": out_path,
     }))
 
 

@@ -3,8 +3,9 @@
 Captures per-token log probabilities, retries transient failures with
 exponential backoff, and caches raw endpoint responses in one SQLite file so
 corpus-scale runs are cheap to resume. The gateway is thread-safe; its
-connection pool holds `config.parallelism` connections, the number of
-threads `ordered_map` runs for the commands that call the chat endpoint.
+connection pool holds `config.parallelism` connections, one for each request
+that `ordered_map` lets be in flight for the commands that call the chat
+endpoint. A call waiting out a backoff inside `ordered_map` holds no slot.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 TIMEOUT_S = 60.0
-# Items queued per thread ahead of the one `ordered_map` yields next: enough
-# that the other threads keep working while one item waits out its backoff.
+# Items queued per slot ahead of the one `ordered_map` yields next: enough
+# that the other slots keep working while one item waits out its backoff.
 LOOKAHEAD_PER_THREAD = 64
 
 T = TypeVar("T")
@@ -66,39 +67,105 @@ def cache_key(kind: str, model: str, payload: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> Iterator[R]:
-    """fn(item) for each item, run on at most `parallelism` threads and yielded
-    in input order: the results and the error that a sequential loop would give.
+class _Slots:
+    """`count` slots, each one that comes free given to the earliest index
+    waiting for one, and the index of the earliest item that failed."""
 
-    Up to LOOKAHEAD_PER_THREAD * parallelism items are queued ahead of the one
-    yielded next, so one slow item does not idle the other threads, while
-    memory stays bounded however many items there are. When fn raises for an
-    item, no later item starts; the earlier ones still run and are yielded,
-    then the error of the first item that failed is raised. An Event would
-    also stop an earlier item that a thread has taken from the queue but not
-    started, so the earliest failed index is kept instead. Closing the
-    iterator early starts no further call either.
+    def __init__(self, count: int):
+        self._cond = threading.Condition()
+        self._free = count
+        self._waiting: set[int] = set()
+        self.stop_after = math.inf
+
+    def stop(self, index: float) -> None:
+        with self._cond:
+            self.stop_after = min(self.stop_after, index)
+
+    def take(self, index: int) -> None:
+        with self._cond:
+            self._waiting.add(index)
+            self._cond.wait_for(lambda: self._free and index == min(self._waiting))
+            self._waiting.remove(index)
+            self._free -= 1
+            self._cond.notify_all()  # a slot may still be free for the next index
+
+    def give(self) -> None:
+        with self._cond:
+            self._free += 1
+            self._cond.notify_all()
+
+
+class _Stopped(BaseException):
+    """An item came back from its backoff after an earlier item failed."""
+
+
+# `held`: the slots and item index of the `ordered_map` call this thread is
+# running, or None.
+_turn = threading.local()
+
+
+def _wait_out(delay: float) -> None:
+    """Sleep `delay` seconds; inside `ordered_map`, without holding a slot.
+
+    The slot goes to the earliest waiting item and one is taken back before
+    the retry; when an earlier item has failed meanwhile, the retry is not
+    sent and `ordered_map` drops this item.
     """
-    stop_after = math.inf  # index of the earliest item that failed
-    lock = threading.Lock()
+    held = getattr(_turn, "held", None)
+    if held is None:
+        time.sleep(delay)
+        return
+    slots, index = held
+    slots.give()
+    try:
+        time.sleep(delay)
+    finally:
+        slots.take(index)
+    if index > slots.stop_after:
+        raise _Stopped
 
-    def stop(index: float) -> None:
-        nonlocal stop_after
-        with lock:
-            stop_after = min(stop_after, index)
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> Iterator[R]:
+    """fn(item) for each item, at most `parallelism` calls at once, yielded in
+    input order: the results and the error that a sequential loop would give.
+
+    A call runs only while it holds one of `parallelism` slots. It gives its
+    slot up while it waits out a backoff in the gateway, and 2 * parallelism
+    threads run, so the next item uses the slot meanwhile. A slot that comes
+    free goes to the earliest item waiting for one, so no later item
+    overtakes an earlier one that waits. Up to LOOKAHEAD_PER_THREAD *
+    parallelism items are queued ahead of the one yielded next, so one slow
+    item does not idle the other slots, while memory stays bounded however
+    many items there are.
+
+    When fn raises for an item, no later item starts or sends a retry: each
+    looks for a failure once it holds a slot. The earlier items still run and
+    are yielded, then the error of the first item that failed is raised. An
+    Event would also stop an earlier item that was still waiting for a slot,
+    so the earliest failed index is kept instead. Closing the iterator early
+    starts no further call either.
+    """
+    slots = _Slots(parallelism)
 
     def call(index: int, item: T):
-        if index > stop_after:
-            return None  # never yielded: the iterator stops at the failure
+        slots.take(index)
         try:
+            if index > slots.stop_after:
+                return None  # never yielded: the iterator stops at the failure
+            _turn.held = (slots, index)
             return fn(item)
+        except _Stopped:
+            return None
         except BaseException:
-            stop(index)
+            slots.stop(index)  # before the slot is given to a later item
             raise
+        finally:
+            _turn.held = None
+            slots.give()
 
     numbered = enumerate(items)
     pending = collections.deque()
-    pool = ThreadPoolExecutor(max_workers=parallelism)
+    pool = ThreadPoolExecutor(max_workers=2 * parallelism)
 
     def submit(count: int) -> None:
         for index, item in itertools.islice(numbered, count):
@@ -111,7 +178,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> I
             submit(1)
             yield result
     finally:
-        stop(-1)
+        slots.stop(-1)
         pool.shutdown(cancel_futures=True)
 
 
@@ -203,12 +270,13 @@ class LLMGateway:
         # Also loads `requests`, here on the thread that builds the gateway and
         # before any worker pool uses it (see `lazy_import`).
         self._session = requests.Session()
-        # One kept-alive connection per thread: the default pool keeps 10 and
-        # drops and reopens connections above that.
+        # One kept-alive connection per request in flight: the default pool
+        # keeps 10 and drops and reopens connections above that.
         adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)
         for prefix in ("http://", "https://"):
             self._session.mount(prefix, adapter)
         self.retry_count = 0
+        self.backoff_s = 0.0  # seconds waited before retries, over all threads
         self.network_calls = 0
         self.embedded_texts = 0
         self._counter_lock = threading.Lock()
@@ -229,9 +297,10 @@ class LLMGateway:
         delay = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
-                time.sleep(delay)
+                _wait_out(delay)
                 with self._counter_lock:
                     self.retry_count += 1
+                    self.backoff_s += delay
             delay = self.config.backoff_base * 2 ** attempt  # before the next attempt
             try:
                 with self._counter_lock:

@@ -47,6 +47,8 @@ class _State:
         self.hits: dict[int, int] = {}
         self.lock = threading.Lock()
         self.request_count = 0
+        self.in_flight = 0
+        self.peak_in_flight = 0
         self.chat_prompts: list[str] = []
 
 
@@ -80,14 +82,21 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        with self.state.lock:
-            self.state.request_count += 1
-        if self.path.endswith("/chat/completions"):
-            self._chat(body)
-        elif self.path.endswith("/embeddings"):
-            self._embeddings(body)
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
+        state = self.state
+        with state.lock:
+            state.request_count += 1
+            state.in_flight += 1
+            state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
+        try:
+            if self.path.endswith("/chat/completions"):
+                self._chat(body)
+            elif self.path.endswith("/embeddings"):
+                self._embeddings(body)
+            else:
+                self._send(404, {"error": f"unknown path {self.path}"})
+        finally:
+            with state.lock:
+                state.in_flight -= 1
 
     def _chat(self, body: dict) -> None:
         user = ""
@@ -175,6 +184,11 @@ class MockLLMServer:
         return self._state.request_count
 
     @property
+    def peak_in_flight(self) -> int:
+        """The most requests handled at once since the last reset."""
+        return self._state.peak_in_flight
+
+    @property
     def chat_prompts(self) -> list[str]:
         """The user message of each chat request since the last reset, in
         arrival order."""
@@ -184,6 +198,7 @@ class MockLLMServer:
     def reset_counters(self) -> None:
         with self._state.lock:
             self._state.request_count = 0
+            self._state.peak_in_flight = self._state.in_flight
             self._state.chat_prompts.clear()
             self._state.hits.clear()
 

@@ -33,6 +33,7 @@ from relanno.prompting import (
     format_pointwise_completion,
     parse_pointwise_response,
 )
+from mockserver import MockLLMServer
 
 # --- brute-force oracles (independent re-derivations, kept deliberately dumb)
 
@@ -385,3 +386,45 @@ def test_end_to_end_determinism(tmp_path, mock_server, fixture_queries,
     assert set(report) == {"unc", "bin", "cal", "info", "avg", "raw"}
     assert elapsed < 30.0
     print(f"PASS end-to-end goldens in {elapsed:.2f}s")
+
+
+def test_annotate_with_retries_is_byte_identical_at_parallelism_1_and_8(tmp_path,
+                                                                        fixture_queries):
+    """Three one-shot 429s among 20 pairs, some answered late: the same
+    annotations.jsonl bytes whether one or eight requests are in flight."""
+    throttled = {2, 9, 15}
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    (rules / "rules.json").write_text(json.dumps([
+        {"match": f"DOC{i:02d}X",
+         "text": f"[Guess]: {'Yes' if i % 2 else 'No'}\n[Confidence]: 0.{50 + 2 * i}",
+         **({"status_sequence": [429, 200]} if i in throttled else {}),
+         **({"delay_ms": 20} if i % 3 == 0 else {})}
+        for i in range(20)]), encoding="utf-8")
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+        DocumentChunk(id=f"d{i}", report_id="r1", text=f"DOC{i:02d}X passage")
+        for i in range(20)])
+    corpus_mod.write_jsonl(tmp_path / "pairs.jsonl", (
+        {"query_id": "q1", "doc_id": f"d{i}"} for i in range(20)))
+    (tmp_path / "relanno.conf").write_text("cache_dir=\nbackoff_base=0.05\n",
+                                           encoding="utf-8")
+    outputs = {}
+    with MockLLMServer(fixtures_dir=rules) as server:
+        for parallelism in (1, 8):
+            server.reset_counters()  # each run meets the same three 429s
+            out = tmp_path / f"annotations_{parallelism}.jsonl"
+            result = CliRunner().invoke(main, [
+                "--config", str(tmp_path / "relanno.conf"), "annotate",
+                "--pairs", str(tmp_path / "pairs.jsonl"),
+                "--queries", str(tmp_path / "queries.jsonl"),
+                "--documents", str(tmp_path / "documents.jsonl"),
+                "--out", str(out), "--calibration", "both",
+                "--parallelism", str(parallelism)],
+                env={"RELANNO_BASE_URL": server.base_url})
+            assert result.exit_code == 0, result.output
+            summary = json.loads(result.stdout)
+            assert (summary["annotations"], summary["retries"], summary["backoff_s"]) == \
+                (20, 3, 0.15)
+            outputs[parallelism] = out.read_bytes()
+    assert outputs[1] == outputs[8]

@@ -225,6 +225,16 @@ def test_rank_writes_one_ranking_per_query(workspace):
     assert (second["embedded_texts"], second["network_calls"]) == (0, 0)
 
 
+def test_rank_and_annotate_summaries_put_backoff_seconds_after_retries(workspace):
+    ranked = json.loads(rank_fixtures(workspace).output)
+    assert list(ranked) == ["rankings", "embedded_texts", "network_calls", "retries",
+                            "backoff_s", "out"]
+    assert ranked["backoff_s"] == 0.0
+    _, annotated = annotate_all(workspace)
+    assert list(annotated) == ["annotations", "errors", "network_calls", "retries",
+                               "backoff_s", "out"]
+
+
 def assert_one_line_json_error(result, *fragments):
     """Exit 1 and exactly one line on stderr: a JSON error holding each fragment."""
     assert result.exit_code == 1, result.output
@@ -631,6 +641,32 @@ def test_define_fatal_error_sends_no_later_query(tmp_path, parallelism):
     assert_one_line_json_error(result, "HTTP 400")
     assert requests <= fatal + parallelism
     assert not (tmp_path / "defined.jsonl").exists()
+
+
+def test_define_transport_error_names_the_query(tmp_path):
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+        corpus_mod.Query(id=f"q{i}", text="FATAL?" if i == 7 else f"Question {i}?")
+        for i in range(10)])
+    result, _ = fatal_error_run(
+        tmp_path, 4, "define", "--queries", str(tmp_path / "queries.jsonl"),
+        "--out", str(tmp_path / "defined.jsonl"))
+    assert_one_line_json_error(result, "query q7: endpoint error at ", "HTTP 400")
+
+
+def test_annotate_transport_error_names_the_pair(tmp_path, fixture_queries):
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+        corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1",
+                                 text="FATAL passage" if i == 12 else f"passage {i}")
+        for i in range(20)])
+    corpus_mod.write_jsonl(tmp_path / "pairs.jsonl",
+                           ({"query_id": "q1", "doc_id": f"d{i}"} for i in range(20)))
+    result, _ = fatal_error_run(
+        tmp_path, 4, "annotate", "--pairs", str(tmp_path / "pairs.jsonl"),
+        "--queries", str(tmp_path / "queries.jsonl"),
+        "--documents", str(tmp_path / "documents.jsonl"),
+        "--out", str(tmp_path / "annotations.jsonl"), "--calibration", "ask")
+    assert_one_line_json_error(result, "pair (q1,d12): endpoint error at ", "HTTP 400")
 
 
 def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fixture_queries):

@@ -406,6 +406,84 @@ class TestOrderedMap:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_backoff_gives_its_slot_to_the_earliest_waiting_item(self, monkeypatch):
+        grants = []  # (index, indices waiting at that moment, back from a backoff)
+
+        class RecordingSlots(gateway_mod._Slots):
+            def take(self, index):
+                with self._cond:  # reentrant: held from the grant to the record
+                    super().take(index)
+                    grants.append((index, set(self._waiting),
+                                   any(g[0] == index for g in grants)))
+
+        monkeypatch.setattr(gateway_mod, "_Slots", RecordingSlots)
+        finished = []
+
+        def fn(i):
+            if i == 0:
+                gateway_mod._wait_out(0.3)
+            else:
+                time.sleep(0.001)  # lets a woken waiter and a new arrival race
+            finished.append(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert list(ordered_map(fn, range(30), 2)) == list(range(30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert finished[0] != 0  # later items ran while item 0 waited
+        assert [g[0] for g in grants if g[2]] == [0]
+        for index, waiting, returning in grants:
+            assert returning or all(index < w for w in waiting), (index, waiting)
+
+    def test_no_retry_is_sent_after_an_earlier_item_failed(self):
+        resumed = []
+
+        def fn(i):
+            if i == 2:
+                time.sleep(0.05)  # fails while item 5 waits out its backoff
+                raise RuntimeError("item 2")
+            if i == 5:
+                gateway_mod._wait_out(0.2)
+                resumed.append(i)
+            return i
+
+        with pytest.raises(RuntimeError, match="item 2"):
+            list(ordered_map(fn, range(8), 8))
+        assert resumed == []
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_429_backoff_holds_no_slot(tmp_path, parallelism):
+    """While one pair waits out its backoff, the others use its slot, and no
+    more than `parallelism` requests are ever in flight."""
+    others = 5
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"match": "PAIR0;", "text": "answer 0", "status_sequence": [429, 200]}]
+        + [{"match": f"PAIR{i};", "text": f"answer {i}", "delay_ms": 30}
+           for i in range(1, others + 1)]))
+    finished = []
+    with MockLLMServer(fixtures_dir=tmp_path) as server:
+        gateway = LLMGateway(Config(base_url=server.base_url, backoff_base=0.3,
+                                    parallelism=parallelism))
+
+        def ask(i):
+            text = gateway.chat_complete(f"PAIR{i}; passage").text
+            finished.append(i)
+            return text
+
+        wide = list(ordered_map(ask, range(others + 1), parallelism))
+        peak = server.peak_in_flight
+        server.reset_counters()
+        serial = [gateway.chat_complete(f"PAIR{i}; passage").text
+                  for i in range(others + 1)]
+    assert peak <= parallelism
+    assert finished[-1] == 0 and sorted(finished) == list(range(others + 1))
+    assert wide == serial == [f"answer {i}" for i in range(others + 1)]
+    assert (gateway.retry_count, gateway.backoff_s) == (2, 0.6)
+
 
 def test_connection_pool_holds_one_connection_per_thread():
     base_url = "http://127.0.0.1:9"
