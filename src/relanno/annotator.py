@@ -55,13 +55,19 @@ def derive_relevance_score(guess: str, confidence: float) -> float:
 
 
 def primary_confidence(annotation: Annotation) -> float:
-    """Tok is the primary calibration source whenever logprobs are available."""
+    """P(the guess is right). Tok is the primary calibration source whenever
+    logprobs are available; a `prob` variant's Ask answer is P(helpful)."""
+    row = f"annotation ({annotation.query_id},{annotation.doc_id})"
     if annotation.confidence_tok is not None:
         return annotation.confidence_tok
-    if annotation.confidence_ask is not None:
-        return annotation.confidence_ask
-    raise ValueError(f"annotation ({annotation.query_id},{annotation.doc_id}) has "
-                     "neither confidence_ask nor confidence_tok")
+    if annotation.confidence_ask is None:
+        raise ValueError(f"{row} has neither confidence_ask nor confidence_tok")
+    try:
+        if PromptVariant.from_label(annotation.variant).confidence_phrasing == "ask_probability":
+            return derive_relevance_score(annotation.guess, annotation.confidence_ask)
+    except ValueError as exc:
+        raise ValueError(f"{row}: {exc}") from None
+    return annotation.confidence_ask
 
 
 def extract_tok_confidence(response: ChatResponse) -> float:
@@ -108,8 +114,13 @@ def annotate_pair(
         confidence_tok=extract_tok_confidence(response) if want_tok else None,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )
-    annotation.relevance_score = derive_relevance_score(
-        parsed.guess, primary_confidence(annotation))
+    # P(helpful). A `prob` variant's Ask answer is that number as given:
+    # deriving it back from primary_confidence would round it as 1 - (1 - p).
+    if annotation.confidence_tok is None and variant.confidence_phrasing == "ask_probability":
+        annotation.relevance_score = parsed.confidence
+    else:
+        annotation.relevance_score = derive_relevance_score(
+            parsed.guess, primary_confidence(annotation))
     return annotation
 
 

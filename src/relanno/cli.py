@@ -67,14 +67,9 @@ class JsonLogFormatter(logging.Formatter):
                            "msg": record.getMessage()})
 
 
-def _fail(message: str) -> None:
-    click.echo(json.dumps({"error": message}), err=True)
-    sys.exit(1)
-
-
 class _ErrorBoundary(click.Group):
     """Ends a command that fails on bad input, config, files or endpoint
-    answers with `_fail`'s one JSON line and exit 1. Click usage errors keep
+    answers with one JSON line on stderr and exit 1. Click usage errors keep
     exit 2."""
 
     def invoke(self, ctx: click.Context):
@@ -82,7 +77,8 @@ class _ErrorBoundary(click.Group):
             return super().invoke(ctx)
         except (ValueError, KeyError, OSError, sqlite3.Error, TransportError,
                 CapabilityError, LeakageError) as exc:
-            _fail(str(exc))
+            click.echo(json.dumps({"error": str(exc)}), err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_ErrorBoundary)
@@ -127,7 +123,7 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
     if not report.ok:
         for finding in report.findings:
             log.error("%s", finding)
-        _fail(f"corpus validation failed with {len(report.findings)} finding(s)")
+        raise ValueError(f"corpus validation failed with {len(report.findings)} finding(s)")
 
     merged = corpus_mod.merge_short_chunks(chunks, min_tokens)
     for warning in merged.warnings:
@@ -295,7 +291,7 @@ def _with_gold(annotations: list[Annotation],
     scored = [(a, gold_by_key[(a.query_id, a.doc_id)]) for a in annotations
               if (a.query_id, a.doc_id) in gold_by_key]
     if not scored:
-        _fail("no annotation overlaps the gold labels")
+        raise ValueError("no annotation overlaps the gold labels")
     return scored
 
 
@@ -432,7 +428,7 @@ def benchmark(rankings_a, rankings_b):
     b = {r.query_id: r for r in load_rankings(rankings_b)}
     shared = sorted(set(a) & set(b))
     if not shared:
-        _fail("rankings files share no query ids")
+        raise ValueError("rankings files share no query ids")
     taus = {}
     for query_id in shared:
         try:

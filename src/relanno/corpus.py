@@ -197,8 +197,6 @@ def validate_corpus(
         dids.add(c.id)
         if not c.text.strip():
             report.findings.append(f"empty document text: {key}")
-        if c.token_count < 0:
-            report.findings.append(f"negative token count: {key}")
     for g in gold or []:
         if g.query_id not in qids:
             report.findings.append(f"gold references unknown query id: {g.query_id}")

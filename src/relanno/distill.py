@@ -78,11 +78,12 @@ def build_training_record(
         question=query.text, chunk_text=chunk.text,
         variant=variant, definition=query.definition)
     # Completion confidence targets what the student should verbalize: the
-    # teacher's Ask answer when present. Without one, the score derived from
-    # Tok is P(helpful), which is what a prob prompt asks for; an ask prompt
-    # asks for the confidence in the guess.
+    # teacher's Ask answer when its prompt asked the same thing. Otherwise the
+    # relevance score is P(helpful), which is what a prob prompt asks for; an
+    # ask prompt asks for the confidence in the guess.
     confidence = annotation.confidence_ask
-    if confidence is None:
+    if confidence is None or (PromptVariant.from_label(annotation.variant).confidence_phrasing
+                              != variant.confidence_phrasing):
         confidence = annotation.relevance_score
         if variant.confidence_phrasing == "ask_confidence" and annotation.guess == "No":
             confidence = 1.0 - confidence

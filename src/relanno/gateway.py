@@ -208,28 +208,19 @@ class ResponseStore:
     file, `<root>/responses.sqlite3`, in WAL mode. Values are bytes; each
     `put` is its own committed transaction, so a killed run keeps every answer
     it stored.
-
-    A new store imports the `<key>.json` files that earlier versions wrote one
-    per answer into `root`, once, and leaves them in place.
     """
 
     def __init__(self, root: str | Path):
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        # Autocommit: every statement outside an explicit BEGIN commits alone.
+        # Autocommit: every statement commits alone.
         self._db = sqlite3.connect(root / "responses.sqlite3", isolation_level=None,
                                    check_same_thread=False)
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
-        with self._db:  # the table and the import commit together or not at all
-            self._db.execute("BEGIN IMMEDIATE")
-            if not self._db.execute("SELECT 1 FROM sqlite_master WHERE name = 'responses'"
-                                    ).fetchone():
-                self._db.execute(
-                    "CREATE TABLE responses (key TEXT PRIMARY KEY, value BLOB NOT NULL)")
-                self._db.executemany("INSERT OR IGNORE INTO responses VALUES (?, ?)",
-                                     _json_files(root))
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY, value BLOB NOT NULL)")
 
     def get(self, key: str) -> Optional[bytes]:
         with self._lock:
@@ -240,21 +231,6 @@ class ResponseStore:
     def put(self, key: str, value: bytes) -> None:
         with self._lock:
             self._db.execute("INSERT OR IGNORE INTO responses VALUES (?, ?)", (key, value))
-
-
-def _json_files(root: Path) -> Iterator[tuple[str, bytes]]:
-    """(key, value) rows from one-file-per-answer caches: an `{"embedding": [...]}`
-    file becomes its vector's bytes, any other file its JSON bytes."""
-    for path in sorted(root.glob("*.json")):
-        blob = path.read_bytes()
-        try:
-            value = json.loads(blob)
-        except ValueError as exc:
-            raise ValueError(f"cannot import cache file {path}: {exc}") from None
-        if (isinstance(value, dict) and value.keys() == {"embedding"}
-                and isinstance(value["embedding"], list)):
-            blob = _vector_bytes(value["embedding"])
-        yield path.stem, blob
 
 
 class LLMGateway:

@@ -1,8 +1,13 @@
 import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_definition, yes_no_logprob_tokens
+from mockserver import MockLLMServer
 from relanno.annotator import (
     Annotation,
     AnnotationError,
@@ -11,11 +16,13 @@ from relanno.annotator import (
     annotate_pair,
     derive_relevance_score,
     extract_tok_confidence,
+    primary_confidence,
     relevant_info_proxy,
 )
-from relanno.corpus import DocumentChunk, QueryDocPair, from_row, to_row
+from relanno.config import Config
+from relanno.corpus import DocumentChunk, Query, QueryDocPair, from_row, to_row
 from relanno.gateway import CapabilityError, ChatResponse, LLMGateway
-from relanno.prompting import PromptVariant
+from relanno.prompting import VARIANTS, PromptVariant, format_pointwise_completion
 
 VARIANT = PromptVariant()
 
@@ -98,6 +105,96 @@ class TestAnnotatePair:
         ann = annotate_pair(QueryDocPair("q1", "d1"), fixture_queries[0],
                             fixture_chunks[0], VARIANT, gateway, calibration="ask")
         assert ann.variant == "point-ask-d"
+
+
+def stated(guess, value, reading):
+    """(P(helpful), P(the guess is right)) that an answer `guess` with number
+    `value` states, where `value` reads as one or the other."""
+    other = value if guess == "Yes" else 1.0 - value
+    return (value, other) if reading == "helpful" else (other, value)
+
+
+def expected_scores(label, guess, calibration, ask, tok):
+    """Tok is P(the realized token), so P(guess right); Ask is the confidence in
+    the guess for an `ask` variant and P(helpful) for a `prob` variant."""
+    if calibration != "ask":
+        return stated(guess, tok, "right")
+    prob = VARIANTS[label].confidence_phrasing == "ask_probability"
+    return stated(guess, ask, "helpful" if prob else "right")
+
+
+def completion(label, guess, ask):
+    variant = VARIANTS[label]
+    return format_pointwise_completion(
+        guess, ask, "cites the figure" if variant.cot else None, variant=variant)
+
+
+ASK = 0.1
+TOK = math.exp(math.log(0.7))  # what the gateway reads back from log(0.7)
+
+
+def probe_text(label, guess):
+    return f"PROBE {label} {guess} END"
+
+
+@pytest.fixture(scope="module")
+def variant_server(tmp_path_factory):
+    """Answers each probe chunk in its variant's labels, Ask ASK and Tok TOK."""
+    rules = tmp_path_factory.mktemp("variant_rules")
+    (rules / "rules.json").write_text(json.dumps([
+        {"match": probe_text(label, guess), "text": completion(label, guess, ASK),
+         "logprobs": yes_no_logprob_tokens(completion(label, guess, ASK), math.log(0.7))}
+        for label in VARIANTS for guess in ("Yes", "No")]), encoding="utf-8")
+    with MockLLMServer(fixtures_dir=rules) as server:
+        yield server
+
+
+@pytest.mark.parametrize("guess", ["Yes", "No"])
+@pytest.mark.parametrize("calibration", ["ask", "tok", "both"])
+@pytest.mark.parametrize("label", list(VARIANTS))
+def test_scores_mean_what_the_variant_asks(variant_server, fixture_queries, label,
+                                           calibration, guess):
+    gateway = LLMGateway(Config(base_url=variant_server.base_url, cache_dir=None))
+    chunk = DocumentChunk(id="p", report_id="r1", text=probe_text(label, guess))
+    ann = annotate_pair(QueryDocPair("q1", "p"), fixture_queries[0], chunk,
+                        VARIANTS[label], gateway, calibration=calibration)
+    assert ann.guess == guess
+    assert (ann.relevance_score, primary_confidence(ann)) == \
+        expected_scores(label, guess, calibration, ASK, TOK)
+    assert primary_confidence(from_row(Annotation, to_row(ann))) == primary_confidence(ann)
+
+
+class OneAnswer:
+    """Stands in for the gateway: answers every prompt with one completion."""
+
+    def __init__(self, text, tok):
+        self.text = text
+        self.tokens = [tuple(t) for t in yes_no_logprob_tokens(text, math.log(tok))]
+
+    def chat_complete(self, prompt, want_logprobs=False):
+        return ChatResponse(self.text, self.tokens if want_logprobs else [], "stub")
+
+
+@given(label=st.sampled_from(list(VARIANTS)), guess=st.sampled_from(["Yes", "No"]),
+       calibration=st.sampled_from(["ask", "tok", "both"]),
+       ask=st.floats(min_value=0, max_value=1),
+       tok=st.floats(min_value=0, max_value=1, exclude_min=True))
+@settings(max_examples=300)
+def test_scores_mean_what_the_variant_asks_at_any_confidence(label, guess, calibration,
+                                                             ask, tok):
+    query = Query("q1", "What is the firm's Scope 3 emission?", make_definition())
+    chunk = DocumentChunk(id="p", report_id="r1", text="any passage")
+    ann = annotate_pair(QueryDocPair("q1", "p"), query, chunk,
+                        VARIANTS[label], OneAnswer(completion(label, guess, ask), tok),
+                        calibration=calibration)
+    assert (ann.relevance_score, primary_confidence(ann)) == \
+        expected_scores(label, guess, calibration, ask, math.exp(math.log(tok)))
+
+
+def test_ask_only_row_of_an_unknown_variant_is_rejected():
+    ann = Annotation("q1", "d1", "No", 0.3, confidence_ask=0.7, variant="point-foo")
+    with pytest.raises(ValueError, match=r"\(q1,d1\): unknown variant label: 'point-foo'"):
+        primary_confidence(ann)
 
 
 def all_pairs(queries, chunks):

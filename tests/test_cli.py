@@ -3,9 +3,12 @@ import io
 import json
 import logging
 import os
+import re
+import sqlite3
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -340,6 +343,45 @@ class TestAnnotate:
                          "--out", str(workspace / "out.jsonl"),
                          expect_exit=1)
         assert "ghost" in result.output
+
+
+def test_prob_variant_ask_answer_is_p_helpful(workspace):
+    """point-prob-d asks for P(helpful), so GOVDOC's "No" at 0.95 on (q1,d3) is a
+    relevance score of 0.95 and a 0.05 confidence that the guess is right."""
+    corpus_mod.write_jsonl(workspace / "pairs.jsonl", [{"query_id": "q1", "doc_id": "d3"}])
+    out = workspace / "annotations.jsonl"
+    run_cli(workspace, "annotate", "--pairs", str(workspace / "pairs.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--documents", str(workspace / "documents.jsonl"),
+            "--out", str(out), "--variant", "point-prob-d", "--calibration", "ask")
+    [row] = corpus_mod.read_jsonl(out)
+    assert (row["guess"], row["confidence_ask"], row["relevance_score"]) == ("No", 0.95, 0.95)
+    # Against an original "relevant" label the No is a disagreement, binned by
+    # the confidence that it is right.
+    original = write_lines(workspace / "original.jsonl", json.dumps(
+        {"query_id": "q1", "doc_id": "d3", "grade": 1.0, "binary": "relevant"}))
+    run_cli(workspace, "audit", "--annotations", str(out), "--original", original,
+            "--out", str(workspace / "d.jsonl"), "--per-bin", "1")
+    [disagreement] = corpus_mod.read_jsonl(workspace / "d.jsonl")
+    assert disagreement["confidence"] == pytest.approx(0.05)
+    assert disagreement["bin"] == "lt90"
+
+
+def test_files_beside_the_cache_are_neither_read_nor_changed(workspace):
+    cache = workspace / "cache"
+    cache.mkdir()
+    files = {"report.json": b'{"avg": 80.0}\n',
+             "split.json": b'{"train_queries": ["q1"], "test_queries": []}\n',
+             "x.json": b'{"embedding": [0.1, '}
+    for name, blob in files.items():
+        (cache / name).write_bytes(blob)
+    rank_fixtures(workspace)
+    annotate_all(workspace)
+    with closing(sqlite3.connect(cache / "responses.sqlite3")) as db:
+        keys = [key for (key,) in db.execute("SELECT key FROM responses")]
+    assert len(keys) == 6 + 8  # the texts rank embedded and the pairs annotated
+    assert all(re.fullmatch("[0-9a-f]{64}", key) for key in keys)
+    assert {name: (cache / name).read_bytes() for name in files} == files
 
 
 class TestEvaluate:
@@ -876,6 +918,12 @@ def bad_input_case(workspace, name):
         return ["define", "--queries", queries, "--out", str(w / "d.jsonl"),
                 "--examples", examples], [
             "examples.jsonl", "examples for unknown query ids: q7, q9"]
+    if name == "ask-only row of an unknown variant":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
+             "confidence_ask": 0.9, "variant": "point-foo"}))
+        return ["evaluate", "--annotations", bad, "--gold", gold,
+                "--out", str(w / "r.json")], ["(q1,d1)", "unknown variant label: 'point-foo'"]
     if name == "rankings over different doc ids":
         save_rankings(w / "a.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         save_rankings(w / "b.jsonl", [Ranking("q1", [("d1", 0.9), ("d3", 0.1)])])
@@ -892,6 +940,7 @@ def bad_input_case(workspace, name):
     "confidence out of range", "out path in a missing directory",
     "cache file that is not a database", "definition answer without meaning",
     "rankings over different doc ids", "examples for unknown queries",
+    "ask-only row of an unknown variant",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -106,6 +106,28 @@ class TestBuildTrainingRecord:
         assert (parsed.guess, parsed.confidence) == (guess, pytest.approx(exported))
 
 
+    # Ask-only annotations: the Ask answer goes out as it is only when its prompt
+    # asked what the export's prompt asks; otherwise the relevance score, which is
+    # P(helpful), is written as asked. "No" at 0.75 from point-ask-d is P(helpful)
+    # 0.25; "No" at P(helpful) 0.25 from point-prob-d is 0.75 confidence in the No.
+    @pytest.mark.parametrize("teacher, ask, exported_as, exported", [
+        ("point-ask-d", 0.75, "point-prob-d", "[Probability Helpful]: 0.25"),
+        ("point-ask-d", 0.75, "point-cot-ask", "[Confidence]: 0.75"),
+        ("point-prob-d", 0.25, "point-ask-d", "[Confidence]: 0.75"),
+        ("point-prob-d", 0.25, "point-cot-prob", "[Probability Helpful]: 0.25"),
+    ])
+    def test_ask_only_export_writes_what_the_prompt_asks_for(self, corpus, tmp_path, teacher,
+                                                            ask, exported_as, exported):
+        queries, chunks = corpus
+        score = ask if teacher.startswith("point-prob") else 1.0 - ask
+        ann = Annotation("q1", "d1", "No", score, confidence_ask=ask, reason="cites the figure",
+                         model="teacher", variant=teacher)
+        out = tmp_path / "train.jsonl"
+        export_training_data([ann], queries, chunks, make_split(),
+                             PromptVariant.from_label(exported_as), out)
+        [record] = read_jsonl(out)
+        assert record["assistant"].endswith(f"[Guess]: No\n{exported}")
+
 class TestExport:
     def test_round_trip_and_manifest(self, corpus, tmp_path):
         queries, chunks = corpus

@@ -256,58 +256,6 @@ class TestResponseStore:
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".json"] == []
 
 
-def write_one_file_per_answer_cache(root, mock_server, calls):
-    """Fill root as the one-JSON-file-per-answer cache did: `<key>.json` holding
-    the raw chat answer, or `{"embedding": [...]}` per embedded text."""
-    gateway = LLMGateway(Config(base_url=mock_server.base_url, backoff_base=0.01))
-    post = gateway._post
-
-    def record(path, body):
-        raw = post(path, body)
-        if path == "/embeddings":
-            for text, item in zip(body["input"], raw["data"]):
-                files[cache_key("embedding", body["model"], text)] = {
-                    "embedding": item["embedding"]}
-        else:
-            files[cache_key("chat", body["model"], body)] = raw
-        return raw
-
-    files = {}
-    gateway._post = record
-    answers = calls(gateway)
-    root.mkdir()
-    for key, value in files.items():
-        with open(root / f"{key}.json", "w", encoding="utf-8") as f:
-            json.dump(value, f, ensure_ascii=False)
-    return answers
-
-
-def test_one_file_per_answer_cache_is_imported_once(mock_server, tmp_path):
-    def calls(gateway):
-        chat = gateway.chat_complete("Judge: WATERDOC é", want_logprobs=True)
-        return chat.text, chat.tokens, gateway.embed(["water usage", "émissions"])
-
-    root = tmp_path / "cache"
-    expected = write_one_file_per_answer_cache(root, mock_server, calls)
-    old_files = sorted(p.name for p in root.iterdir())
-    mock_server.reset_counters()
-    gateway = LLMGateway(Config(base_url=mock_server.base_url, cache_dir=str(root)))
-    assert calls(gateway) == expected
-    assert mock_server.request_count == 0
-    assert sorted(p.name for p in root.glob("*.json")) == old_files  # left in place
-    # Import happens when the file is created, never again.
-    (root / "late.json").write_text(json.dumps({"embedding": [1.0]}), encoding="utf-8")
-    assert ResponseStore(root).get("late") is None
-
-
-def test_corrupt_one_file_per_answer_cache_names_the_file(tmp_path):
-    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.json"):
-        ResponseStore(tmp_path)
-    (tmp_path / "bad.json").unlink()
-    ResponseStore(tmp_path).put("k", b"v")  # the failed import left no table behind
-
-
 class TestOrderedMap:
     def test_results_in_input_order_at_any_parallelism(self):
         def slow_head(i):
