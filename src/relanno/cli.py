@@ -23,21 +23,7 @@ from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDo
                      write_json, write_rows)
 from .distill import LeakageError
 from .gateway import CapabilityError, LLMGateway, TransportError, ordered_map
-from .metrics import (
-    CalibrationInput,
-    aggregate_report,
-    auroc,
-    average_precision,
-    binarize_gold,
-    brier,
-    ece,
-    f1_binary,
-    f1_threshold_sweep,
-    gain_mapping,
-    kendall_tau,
-    mean_average_precision,
-    ndcg,
-)
+from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
     PromptVariant,
     parse_definition_response,
@@ -52,11 +38,6 @@ from .sampler import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _gold_relevant(gold: GoldLabel) -> bool:
-    """The binary label when there is one (partial counts), else grade > 0."""
-    return binarize_gold(gold.binary) if gold.binary is not None else gold.grade > 0
 
 
 class JsonLogFormatter(logging.Formatter):
@@ -284,31 +265,6 @@ def distill_cmd(annotations_path, queries_path, documents_path,
                            "out": out_path}))
 
 
-def _with_gold(annotations: list[Annotation],
-               gold: list[GoldLabel]) -> list[tuple[Annotation, GoldLabel]]:
-    """Each annotation that has a gold label, with that label; fails on none."""
-    gold_by_key = {(g.query_id, g.doc_id): g for g in gold}
-    scored = [(a, gold_by_key[(a.query_id, a.doc_id)]) for a in annotations
-              if (a.query_id, a.doc_id) in gold_by_key]
-    if not scored:
-        raise ValueError("no annotation overlaps the gold labels")
-    return scored
-
-
-def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> dict:
-    """Per query, the predicted scores and gold gains of the annotated pairs."""
-    mapping = gain_mapping(scheme)
-    run: dict = {}
-    for ann, g in scored:
-        predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
-        predicted[ann.doc_id] = ann.relevance_score
-        try:
-            gold_gains[ann.doc_id] = mapping(g)
-        except ValueError as exc:
-            raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
-    return run
-
-
 @main.command()
 @click.option("--annotations", "annotations_path", required=True,
               type=click.Path(exists=True))
@@ -324,36 +280,16 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> dict:
 def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins, cutoff_k):
     """Score annotations on the four dimensions and write report.json."""
     annotations = read_rows(annotations_path, Annotation)
-    gold = read_rows(gold_path, GoldLabel)
-    scored = _with_gold(annotations, gold)
-    confidences = [primary_confidence(a) for a, _ in scored]
-    for (a, _), c in zip(scored, confidences):
-        if not 0.0 <= c <= 1.0:  # NaN fails too
-            raise ValueError(f"annotation ({a.query_id},{a.doc_id}): "
-                             f"confidence out of [0,1]: {c}")
-    predicted_rel = [a.guess == "Yes" for a, _ in scored]
-    gold_rel = [_gold_relevant(g) for _, g in scored]
-    calibration = CalibrationInput(
-        confidences=confidences, correct=[p == g for p, g in zip(predicted_rel, gold_rel)])
-    run = _build_run(scored, scheme)
-    sub = {
-        "ece": ece(calibration, bins=ece_bins),
-        "brier": brier(calibration),
-        "auroc": auroc(calibration),
-        "f1": f1_binary(predicted_rel, gold_rel),
-        "ndcg": ndcg(run, k=cutoff_k),
-        "map": mean_average_precision(run, k=cutoff_k),
-        "ap": average_precision([1.0 - c for c in confidences], [g.uncertain for _, g in scored]),
-    }
-    report = aggregate_report(sub)
-    write_json(out_path, report.rounded())
+    report = score_annotations(annotations, read_rows(gold_path, GoldLabel), scheme,
+                               ece_bins, cutoff_k).rounded()
+    write_json(out_path, report)
     if proxy_out:
         with open(proxy_out, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["query_id", "mean_relevance_score"])
             for query_id, mean in relevant_info_proxy(annotations):
                 writer.writerow([query_id, f"{mean:.6f}"])
-    click.echo(json.dumps(report.rounded()))
+    click.echo(json.dumps(report))
 
 
 @main.command()
@@ -373,7 +309,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
     """Stratify model-vs-original disagreements; optionally score an audit."""
     annotations = read_rows(annotations_path, Annotation)
     original = {
-        (g.query_id, g.doc_id): "relevant" if _gold_relevant(g) else "irrelevant"
+        (g.query_id, g.doc_id): "relevant" if gold_relevant(g) else "irrelevant"
         for g in read_rows(original_path, GoldLabel)
     }
     sampled, warnings = stratify_disagreements(annotations, original,
@@ -405,11 +341,10 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
 @click.option("--steps", type=int, default=21, help="Grid points between 0 and 1.")
 def sweep(annotations_path, gold_path, out_path, steps):
     """F1 as a function of the relevance-score retrieval threshold."""
-    scored = _with_gold(read_rows(annotations_path, Annotation), read_rows(gold_path, GoldLabel))
-    scores = [a.relevance_score for a, _ in scored]
-    relevant = [_gold_relevant(g) for _, g in scored]
+    scored = with_gold(read_rows(annotations_path, Annotation), read_rows(gold_path, GoldLabel))
     grid = [i / (steps - 1) for i in range(steps)] if steps > 1 else [0.0]
-    points = f1_threshold_sweep(scores, relevant, grid)
+    points = f1_threshold_sweep([a.relevance_score for a, _ in scored],
+                                [gold_relevant(g) for _, g in scored], grid)
     with open(out_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["theta", "f1", "precision", "recall"])

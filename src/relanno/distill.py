@@ -38,13 +38,10 @@ class TrainingRecord:
 @dataclass
 class ExportManifest:
     count: int
-    yes_count: int
-    no_count: int
     skipped: int
     variant: str
     teacher_model: str
     template_hashes: dict[str, str]
-    yes_fraction: float
     balance: BalanceReport
 
 
@@ -134,12 +131,10 @@ def export_training_data(
         records.append(record)
 
     write_rows(out_path, records)
-    balance = audit_balance(records, sorted(split.train_queries))
     return ExportManifest(
-        count=len(records), yes_count=balance.yes_count, no_count=balance.no_count,
-        skipped=skipped, variant=variant.label(), teacher_model=models[0] if models else "",
-        template_hashes=_template_hashes(),
-        yes_fraction=balance.yes_fraction, balance=balance,
+        count=len(records), skipped=skipped, variant=variant.label(),
+        teacher_model=models[0] if models else "", template_hashes=_template_hashes(),
+        balance=audit_balance(records, sorted(split.train_queries)),
     )
 
 

@@ -1,14 +1,16 @@
 """Evaluation mathematics: calibration, ranking, classification, uncertainty,
-gain mappings, dimension aggregation, and the F1-threshold sweep."""
+gain mappings, dimension aggregation and the F1-threshold sweep, and
+`score_annotations`, which scores annotations against gold labels."""
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import lazy_import
+from .annotator import Annotation, primary_confidence
 from .corpus import GoldLabel
 
 np = lazy_import("numpy")
@@ -102,6 +104,22 @@ def f1_binary(predicted_relevant: Sequence[bool], gold_relevant: Sequence[bool])
 def binarize_gold(binary_label: Optional[str]) -> bool:
     """Map a three-way gold label to the binary relevant class; partial counts."""
     return binary_label in ("relevant", "partial")
+
+
+def gold_relevant(gold: GoldLabel) -> bool:
+    """The binary label when there is one (partial counts), else grade > 0."""
+    return binarize_gold(gold.binary) if gold.binary is not None else gold.grade > 0
+
+
+def with_gold(annotations: list[Annotation],
+              gold: list[GoldLabel]) -> list[tuple[Annotation, GoldLabel]]:
+    """Each annotation that has a gold label, with that label; fails on none."""
+    gold_by_key = {(g.query_id, g.doc_id): g for g in gold}
+    scored = [(a, gold_by_key[(a.query_id, a.doc_id)]) for a in annotations
+              if (a.query_id, a.doc_id) in gold_by_key]
+    if not scored:
+        raise ValueError("no annotation overlaps the gold labels")
+    return scored
 
 
 RunAndGold = dict[str, tuple[dict[str, float], dict[str, float]]]
@@ -221,41 +239,95 @@ def kendall_tau(rank_a: list, rank_b: list) -> float:
 
 @dataclass
 class MetricReport:
-    unc: float
-    bin: float
-    cal: float
-    info: float
-    avg: float
-    raw: dict[str, float]
+    """Dimension scores on a 0-100 scale and the raw sub-metrics. A sub-metric
+    that is undefined on the scored rows is None, with its reason in
+    `undefined`; a dimension built from it, and the average, are None too."""
+    unc: Optional[float]
+    bin: Optional[float]
+    cal: Optional[float]
+    info: Optional[float]
+    avg: Optional[float]
+    raw: dict[str, Optional[float]]
+    undefined: dict[str, str] = field(default_factory=dict)
 
     def rounded(self) -> dict:
-        out = {k: round(v, 2) for k, v in
+        out = {k: None if v is None else round(v, 2) for k, v in
                (("unc", self.unc), ("bin", self.bin), ("cal", self.cal),
                 ("info", self.info), ("avg", self.avg))}
         out["raw"] = dict(self.raw)
+        if self.undefined:
+            out["undefined"] = dict(self.undefined)
         return out
 
 
-REQUIRED_SUB_METRICS = ("ece", "brier", "auroc", "ndcg", "map", "f1", "ap")
-
-
-def aggregate_report(sub_metrics: dict[str, float]) -> MetricReport:
+def aggregate_report(*, ece: Optional[float], brier: Optional[float],
+                     auroc: Optional[float], f1: Optional[float], ndcg: Optional[float],
+                     map: Optional[float], ap: Optional[float]) -> MetricReport:
     """Four-dimension score table on a 0-100 scale.
 
     Calibration averages AUROC with 1-ECE and 1-Brier so that higher is
     uniformly better; the overall average weighs the four dimensions equally.
     """
-    missing = [name for name in REQUIRED_SUB_METRICS if name not in sub_metrics]
-    if missing:
-        raise ValueError(f"missing sub-metrics: {', '.join(missing)}")
-    cal = 100.0 * (sub_metrics["auroc"] + (1 - sub_metrics["ece"])
-                   + (1 - sub_metrics["brier"])) / 3.0
-    info = 100.0 * (sub_metrics["ndcg"] + sub_metrics["map"]) / 2.0
-    unc = 100.0 * sub_metrics["ap"]
-    binary = 100.0 * sub_metrics["f1"]
-    avg = (unc + binary + cal + info) / 4.0
+    cal = (None if None in (auroc, ece, brier)
+           else 100.0 * (auroc + (1 - ece) + (1 - brier)) / 3.0)
+    info = None if None in (ndcg, map) else 100.0 * (ndcg + map) / 2.0
+    unc = None if ap is None else 100.0 * ap
+    binary = None if f1 is None else 100.0 * f1
+    avg = (None if None in (unc, binary, cal, info)
+           else (unc + binary + cal + info) / 4.0)
     return MetricReport(unc=unc, bin=binary, cal=cal, info=info, avg=avg,
-                        raw=dict(sub_metrics))
+                        raw={"ece": ece, "brier": brier, "auroc": auroc, "f1": f1,
+                             "ndcg": ndcg, "map": map, "ap": ap})
+
+
+def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAndGold:
+    """Per query, the predicted scores and gold gains of the annotated pairs."""
+    mapping = gain_mapping(scheme)
+    run: RunAndGold = {}
+    for ann, g in scored:
+        predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
+        predicted[ann.doc_id] = ann.relevance_score
+        try:
+            gold_gains[ann.doc_id] = mapping(g)
+        except ValueError as exc:
+            raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
+    return run
+
+
+def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
+                      ece_bins: int, k: Optional[int]) -> MetricReport:
+    """The four-dimension report of the annotations that have a gold label;
+    fails on none, and on a confidence outside [0,1]."""
+    scored = with_gold(annotations, gold)
+    confidences = [primary_confidence(a) for a, _ in scored]
+    for (a, _), c in zip(scored, confidences):
+        if not 0.0 <= c <= 1.0:  # NaN fails too
+            raise ValueError(f"annotation ({a.query_id},{a.doc_id}): "
+                             f"confidence out of [0,1]: {c}")
+    predicted_rel = [a.guess == "Yes" for a, _ in scored]
+    gold_rel = [gold_relevant(g) for _, g in scored]
+    calibration = CalibrationInput(
+        confidences=confidences, correct=[p == g for p, g in zip(predicted_rel, gold_rel)])
+    run = _build_run(scored, scheme)
+    sub_metrics = {
+        "ece": lambda: ece(calibration, bins=ece_bins),
+        "brier": lambda: brier(calibration),
+        "auroc": lambda: auroc(calibration),
+        "f1": lambda: f1_binary(predicted_rel, gold_rel),
+        "ndcg": lambda: ndcg(run, k=k),
+        "map": lambda: mean_average_precision(run, k=k),
+        "ap": lambda: average_precision([1.0 - c for c in confidences],
+                                        [g.uncertain for _, g in scored]),
+    }
+    values, undefined = {}, {}
+    for name, compute in sub_metrics.items():
+        try:
+            values[name] = compute()
+        except UndefinedMetricError as exc:
+            values[name], undefined[name] = None, str(exc)
+    report = aggregate_report(**values)
+    report.undefined = undefined
+    return report
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -119,7 +119,6 @@ class ParsedPointwise:
     guess: str  # "Yes" | "No"
     confidence: float
     reason: Optional[str] = None
-    warnings: list[str] = field(default_factory=list)
 
 
 _TEMPLATES: dict[str, str] = {}
@@ -257,10 +256,8 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
         raise ParseError(f"unparseable confidence: {conf_raw.strip()!r}", raw_text=text)
     confidence = float(match.group(0))
 
-    warnings: list[str] = []
     if not 0.0 <= confidence <= 1.0:
         clamped = min(max(confidence, 0.0), 1.0)
-        warnings.append(f"confidence {confidence} clamped to {clamped}")
         log.warning("confidence %s out of range, clamped to %s", confidence, clamped)
         confidence = clamped
 
@@ -269,8 +266,7 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
         reason_raw = _last_field(text, REASON_LABEL)
         if reason_raw is not None:
             reason = reason_raw.strip()
-    return ParsedPointwise(guess=guess, confidence=confidence,
-                           reason=reason, warnings=warnings)
+    return ParsedPointwise(guess=guess, confidence=confidence, reason=reason)
 
 
 def format_pointwise_completion(guess: str, confidence: float,

@@ -170,9 +170,9 @@ class TestReferenceArithmetic:
     def test_consistent_reference_rows(self):
         # two published rows whose averages agree with the mean of the four
         # dimension scores
-        report = aggregate_report(dimension_sub_metrics(41.60, 82.11, 91.35, 89.19))
+        report = aggregate_report(**dimension_sub_metrics(41.60, 82.11, 91.35, 89.19))
         assert report.avg == pytest.approx(76.06, abs=0.005)
-        report = aggregate_report(dimension_sub_metrics(29.71, 45.27, 85.46, 74.16))
+        report = aggregate_report(**dimension_sub_metrics(29.71, 45.27, 85.46, 74.16))
         assert report.avg == pytest.approx(58.65, abs=0.005)
         print("PASS reference rows 76.06 and 58.65")
 
@@ -185,7 +185,7 @@ class TestReferenceArithmetic:
         # reproducible from its own row. This check states the criterion as
         # published and is expected to fail; see the sibling test for rows
         # where the same arithmetic does reproduce the published average.
-        report = aggregate_report(dimension_sub_metrics(54.01, 86.32, 91.10, 88.48))
+        report = aggregate_report(**dimension_sub_metrics(54.01, 86.32, 91.10, 88.48))
         assert report.avg == pytest.approx(80.00, abs=0.005)
 
     def test_gain_mappings(self):
@@ -302,7 +302,7 @@ GOLDEN_SHA256 = {
     "report.json": "697b8439f5a770144fd62cae71589936fa6b689c9ab413ac518375fd85dd35d9",
     "disagreements.jsonl": "632ff3d6345b2dcc173d845005c8b8fcfcdeb2d44a94b366fe10e7762a09bd12",
     "train.jsonl": "0aff7e1dd00915d05daddedda56ee1e0d31505a91be72b67ff36e76872b5648d",
-    "manifest.json": "9374ea86fc7917e2e9c4b20b685e5b178c9a233fc7e4765aa97aaf360aa40a1b",
+    "manifest.json": "2772c2ff6cc2c2e48272c0f672e1fd322733000bede686324694dac1e470cf1d",
 }
 
 

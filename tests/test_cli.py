@@ -435,6 +435,40 @@ class TestEvaluate:
                 "--gold", str(workspace / "gold.jsonl"),
                 "--out", str(workspace / "report.json"), expect_exit=1)
 
+    def evaluate(self, workspace, annotations, gold):
+        out = workspace / "report.json"
+        result = run_cli(workspace, "evaluate", "--annotations", str(annotations),
+                         "--gold", str(gold), "--out", str(out))
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert json.loads(result.stdout) == report
+        return report
+
+    def test_all_correct_leaves_auroc_and_calibration_null(self, workspace):
+        annotations = workspace / "two.jsonl"
+        corpus_mod.write_jsonl(annotations, [
+            {"query_id": "q1", "doc_id": "d1", "guess": "Yes",
+             "relevance_score": 0.9, "confidence_ask": 0.9},
+            {"query_id": "q1", "doc_id": "d4", "guess": "Yes",
+             "relevance_score": 0.6, "confidence_ask": 0.6}])
+        report = self.evaluate(workspace, annotations, workspace / "gold.jsonl")
+        assert report["undefined"] == {"auroc": "auroc needs both correct and incorrect items"}
+        assert (report["raw"]["auroc"], report["cal"], report["avg"]) == (None, None, None)
+        assert report["raw"]["f1"] == 1.0
+        for dimension in ("unc", "bin", "info"):
+            assert 0.0 <= report[dimension] <= 100.0
+
+    def test_no_uncertain_gold_row_leaves_uncertainty_null(self, workspace):
+        annotations, _ = annotate_all(workspace)
+        gold = workspace / "certain.jsonl"
+        corpus_mod.write_jsonl(gold, (
+            {**row, "uncertain": False} for row in
+            corpus_mod.read_jsonl(workspace / "gold.jsonl")))
+        report = self.evaluate(workspace, annotations, gold)
+        assert report["undefined"] == {"ap": "average precision needs at least one positive"}
+        assert (report["raw"]["ap"], report["unc"], report["avg"]) == (None, None, None)
+        for dimension in ("bin", "cal", "info"):
+            assert 0.0 <= report[dimension] <= 100.0
+
 
 class TestDistillCommand:
     def setup_corpus(self, workspace, test_queries):

@@ -139,8 +139,8 @@ class TestExport:
         records = read_jsonl(out)
         assert len(records) == 2
         assert manifest.count == 2
-        assert manifest.yes_count == 1
-        assert manifest.yes_fraction == pytest.approx(0.5)
+        assert manifest.balance.yes_count == 1
+        assert manifest.balance.yes_fraction == pytest.approx(0.5)
         assert manifest.teacher_model == "teacher"
         assert manifest.template_hashes  # prompts pinned for reproducibility
         assert set(manifest.template_hashes) == {
@@ -155,7 +155,7 @@ class TestExport:
         written = [TrainingRecord(**row) for row in read_jsonl(out)]
         assert manifest.balance == audit_balance(written, ["q1"])
         assert to_row(manifest)["balance"] == to_row(manifest.balance)
-        assert (manifest.yes_count, manifest.no_count) == (1, 1)
+        assert (manifest.balance.yes_count, manifest.balance.no_count) == (1, 1)
 
     def test_empty_export_lists_every_train_query(self, corpus, tmp_path):
         queries, chunks = corpus

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relanno.annotator import Annotation, derive_relevance_score
 from relanno.corpus import GoldLabel
 from relanno.metrics import (
     CalibrationInput,
@@ -21,6 +22,7 @@ from relanno.metrics import (
     kendall_tau,
     mean_average_precision,
     ndcg,
+    score_annotations,
 )
 
 # --- independent brute-force oracles ---------------------------------------
@@ -304,21 +306,55 @@ class TestAggregateReport:
             "f1": 0.85, "ap": 0.4}
 
     def test_cal_dimension(self):
-        assert aggregate_report(self.BASE).cal == pytest.approx(90.0)
+        assert aggregate_report(**self.BASE).cal == pytest.approx(90.0)
 
     def test_info_dimension(self):
-        assert aggregate_report(self.BASE).info == pytest.approx(70.0)
+        assert aggregate_report(**self.BASE).info == pytest.approx(70.0)
 
     def test_missing_sub_metric_named(self):
         incomplete = dict(self.BASE)
         del incomplete["ndcg"]
-        with pytest.raises(ValueError, match="ndcg"):
-            aggregate_report(incomplete)
+        with pytest.raises(TypeError, match="ndcg"):
+            aggregate_report(**incomplete)
 
     def test_avg_is_mean_of_dimensions(self):
-        report = aggregate_report(self.BASE)
+        report = aggregate_report(**self.BASE)
         assert report.avg == pytest.approx(
             (report.unc + report.bin + report.cal + report.info) / 4)
+
+
+GRADES = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
+DIMENSIONS = {"cal": ("auroc", "ece", "brier"), "info": ("ndcg", "map"),
+              "unc": ("ap",), "bin": ("f1",)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["q1", "q2"]), st.sampled_from(["Yes", "No"]),
+                       st.floats(min_value=0, max_value=1),
+                       st.sampled_from(sorted(GRADES)), st.booleans()),
+             min_size=1, max_size=8),
+    st.sampled_from(["three_way", "graded_1_3", "binary"]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+def test_score_annotations_reports_what_is_defined(rows, scheme, k):
+    """Any small gold set that overlaps the annotations gives a report: an
+    undefined sub-metric is None with a reason, and so is every dimension
+    and the average built from it."""
+    annotations, gold = [], []
+    for i, (query_id, guess, confidence, label, uncertain) in enumerate(rows):
+        annotations.append(Annotation(query_id, f"d{i}", guess,
+                                      derive_relevance_score(guess, confidence),
+                                      confidence_ask=confidence))
+        gold.append(GoldLabel(query_id, f"d{i}", grade=GRADES[label], binary=label,
+                              uncertain=uncertain))
+    report = score_annotations(annotations, gold, scheme, ece_bins=10, k=k)
+    assert set(report.undefined) == {name for name, v in report.raw.items() if v is None}
+    for dimension, sub_metrics in DIMENSIONS.items():
+        value = getattr(report, dimension)
+        assert (value is None) == any(report.raw[name] is None for name in sub_metrics)
+        assert value is None or 0.0 <= value <= 100.0
+    assert (report.avg is None) == any(getattr(report, d) is None for d in DIMENSIONS)
 
 
 class TestThresholdSweep:

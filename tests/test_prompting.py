@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -165,11 +166,13 @@ class TestParsePointwise:
             "[Guess]: Yes\n[Probability Helpful]: 0.8", POINT_PROB_D)
         assert parsed.confidence == 0.8
 
-    def test_out_of_range_clamped_with_warning(self):
-        parsed = parse_pointwise_response("[Guess]: Yes\n[Confidence]: 1.4",
-                                          POINT_ASK_D)
+    def test_out_of_range_clamped_with_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="relanno.prompting"):
+            parsed = parse_pointwise_response("[Guess]: Yes\n[Confidence]: 1.4",
+                                              POINT_ASK_D)
         assert parsed.confidence == 1.0
-        assert parsed.warnings
+        assert [r.getMessage() for r in caplog.records] == [
+            "confidence 1.4 out of range, clamped to 1.0"]
 
     @given(
         st.sampled_from(["Yes", "No"]),
