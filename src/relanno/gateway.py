@@ -195,12 +195,41 @@ def _check_dimensions(dims: set[int]) -> None:
         raise TransportError(f"inconsistent embedding dimensions: {sorted(dims)}")
 
 
-def _vector_bytes(vector: list[float]) -> bytes:
-    return np.asarray(vector, dtype="<f8").tobytes()
+def _is_number_list(row: object) -> bool:
+    try:
+        array = np.asarray(row)
+    except ValueError:  # lists nested to unequal depths or lengths
+        return False
+    return array.ndim == 1 and np.issubdtype(array.dtype, np.number)
 
 
-def _vector_from_bytes(blob: bytes) -> list[float]:
-    return np.frombuffer(blob, dtype="<f8").tolist()
+def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
+    """The `(count, d)` little-endian float64 array of one embedding answer,
+    rows in input order. Raises TransportError, naming the input, when the
+    answer is not `count` lists of finite numbers of one dimension, so that
+    nothing of a malformed batch is cached. Adds the dimension to `dims`.
+    """
+    data = sorted(raw["data"], key=lambda d: d["index"])
+    if len(data) != count:
+        raise TransportError(
+            f"embedding endpoint returned {len(data)} vectors for {count} inputs")
+    rows = [item["embedding"] for item in data]
+    dims |= {len(row) for row in rows if isinstance(row, list)}
+    _check_dimensions(dims)
+    try:
+        vectors = np.array(rows)
+        numeric = vectors.ndim == 2 and np.issubdtype(vectors.dtype, np.number)
+    except ValueError:  # lists nested to unequal depths or lengths
+        numeric = False
+    if not numeric:
+        index = next(i for i, row in enumerate(rows) if not _is_number_list(row))
+        raise TransportError(f"embedding endpoint answered input {index} of {count} "
+                             "with something other than a list of numbers")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise TransportError(f"embedding endpoint answered input {int(np.argmin(finite))} "
+                             f"of {count} with a value that is not finite")
+    return vectors.astype("<f8", copy=False)
 
 
 class ResponseStore:
@@ -290,7 +319,12 @@ class LLMGateway:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if resp.status_code == 200:
-                return resp.json()
+                # JSON is UTF-8 (RFC 8259 §8.1). The bytes are dropped before
+                # the text is parsed: at corpus scale an embedding answer's
+                # bytes, text and parsed floats each take tens of MB.
+                text = resp.content.decode("utf-8")
+                del resp
+                return json.loads(text)
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"endpoint error at {url}: {last_error}")
@@ -343,43 +377,52 @@ class LLMGateway:
 
     # --- embeddings --------------------------------------------------------
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        """Vectors for texts in input order.
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """Vectors for texts, one row per text in input order, as one
+        `(len(texts), d)` float64 array.
 
         Each distinct text missing from the cache is sent once, in requests of
         at most `embed_batch_size` inputs. Every vector, cached or fresh, must
-        have the same dimension; a batch that breaks this is not cached.
+        have the same dimension; a batch that breaks this, or that holds
+        anything but finite numbers, is not cached.
         """
         if not texts:
             raise ValueError("embed needs a nonempty list of texts")
         if any(not t.strip() for t in texts):
             raise ValueError("embed texts must be non-empty")
         model = self.config.embedding_model
-        found: dict[str, list[float]] = {}
+        positions: dict[str, list[int]] = {}
+        for i, text in enumerate(texts):
+            positions.setdefault(text, []).append(i)
+        vectors: Optional[np.ndarray] = None  # allocated once the dimension is known
+        dims: set[int] = set()
+
+        def fill(text: str, row: np.ndarray) -> None:
+            nonlocal vectors
+            if vectors is None:
+                vectors = np.empty((len(texts), row.size), dtype="<f8")
+            vectors[positions[text]] = row
+
         missing: list[str] = []
-        for text in dict.fromkeys(texts):
+        for text in positions:
             hit = self.cache.get(cache_key("embedding", model, text)) if self.cache else None
-            if hit is not None:
-                found[text] = _vector_from_bytes(hit)
-            else:
+            if hit is None:
                 missing.append(text)
-        dims = {len(v) for v in found.values()}
-        _check_dimensions(dims)
+                continue
+            row = np.frombuffer(hit, dtype="<f8")
+            dims.add(row.size)
+            _check_dimensions(dims)
+            fill(text, row)
         batch_size = self.config.embed_batch_size
         for start in range(0, len(missing), batch_size):
             batch = missing[start:start + batch_size]
-            raw = self._post("/embeddings", {"model": model, "input": batch})
-            data = sorted(raw["data"], key=lambda d: d["index"])
-            if len(data) != len(batch):
-                raise TransportError(
-                    f"embedding endpoint returned {len(data)} vectors for {len(batch)} inputs")
-            vectors = [[float(x) for x in item["embedding"]] for item in data]
-            dims |= {len(v) for v in vectors}
-            _check_dimensions(dims)
-            for text, vec in zip(batch, vectors):
-                found[text] = vec
+            # The parsed answer is dropped here, before the next batch is sent.
+            fresh = _batch_vectors(self._post("/embeddings", {"model": model, "input": batch}),
+                                   len(batch), dims)
+            for text, row in zip(batch, fresh):
+                fill(text, row)
                 if self.cache:
-                    self.cache.put(cache_key("embedding", model, text), _vector_bytes(vec))
+                    self.cache.put(cache_key("embedding", model, text), row.tobytes())
             with self._counter_lock:
                 self.embedded_texts += len(batch)
-        return [found[t] for t in texts]
+        return vectors

@@ -268,6 +268,49 @@ class TestRankFailures:
         assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
                                    "inconsistent embedding dimensions")
 
+    @pytest.mark.parametrize("value, problem", [
+        (None, "other than a list of numbers"), ("x", "other than a list of numbers"),
+        (float("nan"), "not finite")])
+    def test_malformed_vector(self, workspace, monkeypatch, value, problem):
+        monkeypatch.setattr(mockserver, "hash_embedding", lambda text: (
+            [1.0, value] if "GOVDOC" in text else [1.0, 2.0]))
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   "input 4 of 6", problem)
+        assert not (workspace / "rankings.jsonl").exists()
+
+
+def test_rank_stopped_by_a_failing_batch_resumes_from_the_cache(
+        tmp_path, fixture_queries, monkeypatch):
+    texts = {f"d{i:02}": f"passage {i} about topic{i % 3}" for i in range(10)}
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+        corpus_mod.DocumentChunk(id=doc_id, report_id="r1", text=text)
+        for doc_id, text in texts.items()])
+    # 2 queries + 10 chunks in batches of 3: n = 4 requests. The chunk texts
+    # follow the queries in doc_id order, so d04 opens batch k + 1 = 3.
+    served = mockserver.hash_embedding
+    monkeypatch.setattr(mockserver, "hash_embedding", lambda text: (
+        [None] * mockserver.EMBEDDING_DIM if text == texts["d04"] else served(text)))
+
+    def rank(server, name, expect_exit=0):
+        (tmp_path / "relanno.conf").write_text(
+            f"base_url={server.base_url}\ncache_dir={tmp_path / name}\n"
+            "embed_batch_size=3\n", encoding="utf-8")
+        return run_cli(tmp_path, "rank", "--queries", str(tmp_path / "queries.jsonl"),
+                       "--documents", str(tmp_path / "documents.jsonl"),
+                       "--out", str(tmp_path / f"{name}.jsonl"), expect_exit=expect_exit)
+
+    with mockserver.MockLLMServer(max_embed_inputs=3) as server:
+        assert_one_line_json_error(rank(server, "stopped", expect_exit=1), "input 0 of 3")
+        assert server.request_count == 3
+        monkeypatch.undo()
+        server.reset_counters()
+        resumed = json.loads(rank(server, "stopped").output)
+        assert server.request_count == 4 - 2
+        assert (resumed["embedded_texts"], resumed["network_calls"]) == (6, 2)
+        rank(server, "clean")
+    assert (tmp_path / "stopped.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+
 
 def test_log_line_with_quotes_is_json():
     stream = io.StringIO()

@@ -5,7 +5,9 @@ import sys
 import tempfile
 import threading
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,13 +19,12 @@ from relanno.gateway import (
     LLMGateway,
     ResponseStore,
     TransportError,
-    _vector_bytes,
-    _vector_from_bytes,
     cache_key,
     ordered_map,
 )
 from relanno.config import Config
-from mockserver import MockLLMServer, hash_embedding
+import mockserver
+from mockserver import EMBEDDING_DIM, MockLLMServer, hash_embedding
 
 
 def test_fixture_round_trip(uncached_gateway):
@@ -120,6 +121,14 @@ def test_cache_keys_golden(mock_server, tmp_path):
     assert keys == [GOLDEN_CHAT_KEY, GOLDEN_EMBEDDING_KEY]
 
 
+def assert_vectors(vectors, expected):
+    """`vectors` is one (n, d) float64 array equal to the rows of `expected`."""
+    assert isinstance(vectors, np.ndarray)
+    assert vectors.dtype == np.float64
+    assert vectors.shape == (len(expected), EMBEDDING_DIM)
+    assert np.array_equal(vectors, np.array(expected))
+
+
 class TestEmbed:
     def test_shapes_aligned(self, uncached_gateway):
         vectors = uncached_gateway.embed(["a", "b"])
@@ -127,8 +136,10 @@ class TestEmbed:
         assert len(vectors[0]) == len(vectors[1]) > 0
 
     def test_repeated_text_identical(self, uncached_gateway):
-        vectors = uncached_gateway.embed(["water usage", "other", "water usage"])
-        assert vectors[0] == vectors[2]
+        texts = ["water usage", "other", "water usage"]
+        vectors = uncached_gateway.embed(texts)
+        assert_vectors(vectors, [hash_embedding(t) for t in texts])
+        assert np.array_equal(vectors[0], vectors[2])
 
     def test_empty_list_rejected(self, uncached_gateway):
         with pytest.raises(ValueError):
@@ -137,7 +148,9 @@ class TestEmbed:
     def test_cached_per_text(self, gateway, mock_server):
         first = gateway.embed(["alpha beta"])
         calls = mock_server.request_count
-        assert gateway.embed(["alpha beta"]) == first
+        again = gateway.embed(["alpha beta"])
+        assert_vectors(again, [hash_embedding("alpha beta")])
+        assert np.array_equal(again, first)
         assert mock_server.request_count == calls
 
     def test_batches_keep_input_order(self):
@@ -146,7 +159,7 @@ class TestEmbed:
             gateway = LLMGateway(Config(base_url=server.base_url, embed_batch_size=3))
             vectors = gateway.embed(texts)
             assert server.request_count == 4
-        assert vectors == [hash_embedding(t) for t in texts]
+        assert_vectors(vectors, [hash_embedding(t) for t in texts])
         assert gateway.embedded_texts == 10
 
     def test_batch_above_endpoint_cap_rejected(self):
@@ -158,6 +171,31 @@ class TestEmbed:
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ValueError):
             LLMGateway(Config(base_url="http://127.0.0.1:1", embed_batch_size=0))
+
+    @pytest.mark.parametrize("value, problem", [
+        (None, "other than a list of numbers"),
+        ("0.5", "other than a list of numbers"),
+        (float("nan"), "not finite"),
+        (float("inf"), "not finite"),
+        ([0.5], "other than a list of numbers"),
+    ])
+    def test_malformed_answer_names_the_input_and_caches_nothing(
+            self, gateway, monkeypatch, value, problem):
+        texts = ["alpha", "beta BADVALUE", "gamma"]
+
+        def served(text):
+            vector = hash_embedding(text)
+            if "BADVALUE" in text:
+                vector[5] = value
+            return vector
+
+        monkeypatch.setattr(mockserver, "hash_embedding", served)
+        keys = []
+        put = gateway.cache.put
+        gateway.cache.put = lambda key, value: keys.append(key) or put(key, value)
+        with pytest.raises(TransportError, match=f"input 1 of 3 with .*{problem}"):
+            gateway.embed(texts)
+        assert keys == []
 
 
 class TestCacheKey:
@@ -189,14 +227,21 @@ def _bits(vector):
 
 class TestResponseStore:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
     @example([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
-              1.7976931348623157e308, -1e300, float("inf")])
-    def test_vectors_round_trip_bit_exact(self, vector):
-        with tempfile.TemporaryDirectory() as tmp:
-            store = ResponseStore(tmp)
-            store.put("k", _vector_bytes(vector))
-            assert _bits(_vector_from_bytes(store.get("k"))) == _bits(vector)
+              1.7976931348623157e308, -1e300, 1e300])
+    def test_embed_caches_and_serves_vectors_bit_exact(self, mock_server, vector):
+        served = {"served text": vector, "other": [1.0] * len(vector)}
+        mock_server.reset_counters()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(mockserver, "hash_embedding", served.__getitem__):
+            config = Config(base_url=mock_server.base_url, cache_dir=tmp)
+            fresh = LLMGateway(config).embed(["served text", "other"])
+            key = cache_key("embedding", config.embedding_model, "served text")
+            assert ResponseStore(tmp).get(key) == _bits(vector)
+            hit = LLMGateway(config).embed(["other", "served text"])
+            assert mock_server.request_count == 1
+        assert fresh[0].tobytes() == hit[1].tobytes() == _bits(vector)
 
     def test_write_once(self, tmp_path):
         store = ResponseStore(tmp_path)
@@ -251,7 +296,9 @@ class TestResponseStore:
         second = LLMGateway(config)
         again = second.chat_complete(prompt, want_logprobs=True)
         assert (again.text, again.tokens, again.cached) == (chat.text, chat.tokens, True)
-        assert second.embed(["beta", "alpha"]) == vectors[::-1]
+        reordered = second.embed(["beta", "alpha"])
+        assert_vectors(reordered, [hash_embedding("beta"), hash_embedding("alpha")])
+        assert np.array_equal(reordered, vectors[::-1])
         assert mock_server.request_count == 0
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".json"] == []
 
