@@ -319,12 +319,7 @@ class LLMGateway:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if resp.status_code == 200:
-                # JSON is UTF-8 (RFC 8259 §8.1). The bytes are dropped before
-                # the text is parsed: at corpus scale an embedding answer's
-                # bytes, text and parsed floats each take tens of MB.
-                text = resp.content.decode("utf-8")
-                del resp
-                return json.loads(text)
+                return resp.json()
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"endpoint error at {url}: {last_error}")

@@ -25,16 +25,6 @@ class Ranking:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def _row_norms(x: np.ndarray, block: int = 1024) -> np.ndarray:
-    """`np.linalg.norm(x, axis=1)` bit for bit, `block` rows at a time, so its
-    temporaries hold one block, not a copy of `x`. Each row is summed alone,
-    so blocking changes no value."""
-    norms = np.empty(len(x))
-    for start in range(0, len(x), block):
-        norms[start:start + block] = np.linalg.norm(x[start:start + block], axis=1)
-    return norms
-
-
 def cosine_similarity(a: ArrayLike, b: ArrayLike) -> np.ndarray:
     """Cosine of each row of `a` (n x k) against each row of `b` (m x k), as n x m.
 
@@ -48,8 +38,8 @@ def cosine_similarity(a: ArrayLike, b: ArrayLike) -> np.ndarray:
         raise ValueError("cosine similarity needs two matrices of row vectors")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    norm_a = _row_norms(a)
-    norm_b = _row_norms(b)
+    norm_a = np.linalg.norm(a, axis=1)
+    norm_b = np.linalg.norm(b, axis=1)
     if not (norm_a.all() and norm_b.all()):
         raise ValueError("cosine similarity undefined for zero vector")
     return (a @ b.T) / np.outer(norm_a, norm_b)
@@ -70,7 +60,6 @@ def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
     chunks = sorted(chunks, key=lambda c: c.id)
     vectors = gateway.embed([q.text for q in queries] + [c.text for c in chunks])
     scores = cosine_similarity(vectors[:len(queries)], vectors[len(queries):])
-    del vectors  # before the rankings' Python objects are built
     # Columns are in doc_id order, so a stable sort keeps the doc_id tie-break.
     order = np.argsort(-scores, axis=1, kind="stable")
     ranked_scores = np.take_along_axis(scores, order, axis=1)

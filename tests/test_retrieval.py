@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from relanno.corpus import DocumentChunk, Query
 from relanno.config import Config
@@ -15,7 +14,6 @@ from relanno.metrics import f1_threshold_sweep
 from mockserver import MockLLMServer, hash_embedding
 from relanno.retrieval import (
     Ranking,
-    _row_norms,
     cosine_similarity,
     load_rankings,
     rank_documents,
@@ -45,13 +43,6 @@ class TestCosineSimilarity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine_similarity([(1, 0)], [(1, 0, 0)])
-
-    @settings(max_examples=50, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 40)),
-                  elements=st.floats(-1e150, 1e150)))
-    def test_blocked_row_norms_are_the_norms_bit_for_bit(self, matrix):
-        rows = matrix[1:]  # a view, as rank_documents passes
-        assert _row_norms(rows, block=5).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
 class TestRankDocuments:
