@@ -61,6 +61,23 @@ def oracle_ndcg_single(predicted, gold, k=None):
     return dcg(gains) / dcg(ideal)
 
 
+def oracle_map(run, k=None):
+    """Mean over the queries with a positive gain of AP@k: precision@r at each
+    rank r <= k that holds a positive, over min(positives, k); ties by doc_id."""
+    values = []
+    for predicted, gold in run.values():
+        relevant = {d for d, g in gold.items() if g > 0}
+        if not relevant:
+            continue
+        order = sorted(predicted, key=lambda d: (-predicted[d], d))
+        cutoff = len(order) if k is None else k
+        precisions = [len(relevant & set(order[:r])) / r
+                      for r in range(1, len(order) + 1)
+                      if r <= cutoff and order[r - 1] in relevant]
+        values.append(sum(precisions) / min(len(relevant), cutoff))
+    return sum(values) / len(values)
+
+
 def oracle_kendall_tau(rank_a, rank_b):
     pos_a = {d: i for i, d in enumerate(rank_a)}
     pos_b = {d: i for i, d in enumerate(rank_b)}
@@ -411,6 +428,37 @@ class TestRandomOracles:
             k = rng.choice([None, 1, 3, 5])
             assert ndcg(single_query_run(predicted, gold), k=k) == pytest.approx(
                 oracle_ndcg_single(predicted, gold, k), abs=1e-9)
+
+    def test_map_matches_bruteforce(self):
+        """Several queries, tied scores (rounded to 0.1) and docs inserted out
+        of doc_id order, so the doc_id tie-break is exercised; one query in
+        each run has no positive gain and is skipped."""
+        rng = random.Random(6)
+        for _ in range(300):
+            run = {}
+            for q in range(rng.randint(1, 4)):
+                doc_ids = [f"d{i}" for i in range(rng.randint(1, 8))]
+                rng.shuffle(doc_ids)
+                run[f"q{q}"] = ({d: round(rng.random(), 1) for d in doc_ids},
+                                {d: rng.choice([0.0, 0.5, 1.0]) for d in doc_ids})
+            run["none"] = ({"d0": 0.3, "d1": 0.9}, {"d0": 0.0, "d1": 0.0})
+            k = rng.choice([None, 1, 3, 5])
+            if not any(g > 0 for _, gold in run.values() for g in gold.values()):
+                with pytest.raises(UndefinedMetricError):
+                    mean_average_precision(run, k=k)
+                continue
+            assert mean_average_precision(run, k=k) == pytest.approx(
+                oracle_map(run, k), abs=1e-9)
+
+    def test_sweep_f1_is_f1_binary_at_each_threshold(self):
+        rng = random.Random(9)
+        grid = [i / 10 for i in range(11)]
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            scores = [round(rng.random(), 1) for _ in range(n)]
+            gold = [rng.random() < 0.5 for _ in range(n)]
+            for point in f1_threshold_sweep(scores, gold, grid):
+                assert point.f1 == f1_binary([s >= point.theta for s in scores], gold)
 
     def test_auroc_matches_bruteforce_large_with_ties(self):
         rng = random.Random(7)
