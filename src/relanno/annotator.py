@@ -141,9 +141,9 @@ def annotate_corpus(
     """
     for pair in pairs:
         if pair.query_id not in queries:
-            raise KeyError(f"pair references unknown query id: {pair.query_id}")
+            raise ValueError(f"pair references unknown query id: {pair.query_id}")
         if pair.doc_id not in chunks:
-            raise KeyError(f"pair references unknown doc id: {pair.doc_id}")
+            raise ValueError(f"pair references unknown doc id: {pair.doc_id}")
 
     def work(pair: QueryDocPair) -> Annotation | AnnotationError:
         try:

@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .annotator import Annotation
+from .annotator import Annotation, derive_relevance_score
 from .corpus import DocumentChunk, Query, Split, write_rows
 from .prompting import (
     DEFINITION_PARTS,
@@ -77,13 +77,13 @@ def build_training_record(
     # Completion confidence targets what the student should verbalize: the
     # teacher's Ask answer when its prompt asked the same thing. Otherwise the
     # relevance score is P(helpful), which is what a prob prompt asks for; an
-    # ask prompt asks for the confidence in the guess.
+    # ask prompt asks for the confidence in the guess, the same flip back.
     confidence = annotation.confidence_ask
     if confidence is None or (PromptVariant.from_label(annotation.variant).confidence_phrasing
                               != variant.confidence_phrasing):
         confidence = annotation.relevance_score
-        if variant.confidence_phrasing == "ask_confidence" and annotation.guess == "No":
-            confidence = 1.0 - confidence
+        if variant.confidence_phrasing == "ask_confidence":
+            confidence = derive_relevance_score(annotation.guess, confidence)
     completion = format_pointwise_completion(
         guess=annotation.guess, confidence=confidence,
         reason=annotation.reason if variant.cot else None, variant=variant)
@@ -117,13 +117,13 @@ def export_training_data(
                 f"annotation for test-split query {ann.query_id} in training export")
         chunk = chunks.get(ann.doc_id)
         if chunk is None:
-            raise KeyError(f"annotation references unknown doc id: {ann.doc_id}")
+            raise ValueError(f"annotation references unknown doc id: {ann.doc_id}")
         if chunk.report_id in split.test_reports:
             raise LeakageError(
                 f"annotation for doc {ann.doc_id} from test-split report "
                 f"{chunk.report_id} in training export")
         if ann.query_id not in queries:
-            raise KeyError(f"annotation references unknown query id: {ann.query_id}")
+            raise ValueError(f"annotation references unknown query id: {ann.query_id}")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)
         if record is None:
             skipped += 1

@@ -209,11 +209,14 @@ def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
     answer is not `count` lists of finite numbers of one dimension, so that
     nothing of a malformed batch is cached. Adds the dimension to `dims`.
     """
-    data = sorted(raw["data"], key=lambda d: d["index"])
+    try:
+        data = sorted(raw["data"], key=lambda d: d["index"])
+        rows = [item["embedding"] for item in data]
+    except KeyError as exc:
+        raise TransportError(f"embedding endpoint answer lacks the field {exc.args[0]}") from None
     if len(data) != count:
         raise TransportError(
             f"embedding endpoint returned {len(data)} vectors for {count} inputs")
-    rows = [item["embedding"] for item in data]
     dims |= {len(row) for row in rows if isinstance(row, list)}
     _check_dimensions(dims)
     try:
@@ -351,14 +354,22 @@ class LLMGateway:
         if cached is not None:
             return self._parse_chat(json.loads(cached), model, want_logprobs, cached=True)
         raw = self._post("/chat/completions", body)
+        # Parsed before it is cached, so an answer that fails is asked again.
+        response = self._parse_chat(raw, model, want_logprobs, cached=False)
         if self.cache:
             self.cache.put(key, json.dumps(raw, ensure_ascii=False).encode("utf-8"))
-        return self._parse_chat(raw, model, want_logprobs, cached=False)
+        return response
 
     @staticmethod
     def _parse_chat(raw: dict, model: str, want_logprobs: bool, cached: bool) -> ChatResponse:
-        choice = raw["choices"][0]
-        text = choice["message"]["content"]
+        try:
+            choice = raw["choices"][0]
+            text = choice["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            text = None
+        if not isinstance(text, str):
+            raise TransportError("chat endpoint answer lacks the field "
+                                 "choices[0].message.content")
         tokens: list[tuple[str, float]] = []
         if want_logprobs:
             logprobs = (choice.get("logprobs") or {}).get("content")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import lazy_import
@@ -70,45 +70,48 @@ def auroc(data: CalibrationInput) -> float:
     return float(u / (len(pos) * len(neg)))
 
 
-def average_precision(scores: Sequence[float], positives: Sequence[bool]) -> float:
-    """AP over the score-descending order, stable tie-break by input index."""
+def average_precision(scores: Sequence[float], positives: Sequence[bool],
+                      k: Optional[int] = None) -> float:
+    """AP@k over the score-descending order, stable tie-break by input index:
+    the precision at each positive's rank within the top k (all items when k
+    is None), summed and divided by min(positives, k)."""
     if len(scores) != len(positives):
         raise ValueError("scores and positives must be aligned")
     n_pos = sum(positives)
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
     hits = 0
     total = 0.0
     for rank, i in enumerate(order, start=1):
         if positives[i]:
             hits += 1
             total += hits / rank
-    return total / n_pos
+    return total / (n_pos if k is None else min(n_pos, k))
+
+
+def _f1_precision_recall(predicted: Sequence[bool],
+                         gold: Sequence[bool]) -> tuple[float, float, float]:
+    """F1, precision and recall with relevant as the positive class; all three
+    are 0 when no prediction is a true positive."""
+    tp = sum(1 for p, g in zip(predicted, gold) if p and g)
+    if tp == 0:
+        return 0.0, 0.0, 0.0
+    precision = tp / sum(predicted)
+    recall = tp / sum(gold)
+    return 2 * precision * recall / (precision + recall), precision, recall
 
 
 def f1_binary(predicted_relevant: Sequence[bool], gold_relevant: Sequence[bool]) -> float:
     """F1 with relevant as the positive class; defined as 0 when P+R = 0."""
     if len(predicted_relevant) != len(gold_relevant):
         raise ValueError("predictions and gold must be aligned")
-    tp = sum(1 for p, g in zip(predicted_relevant, gold_relevant) if p and g)
-    fp = sum(1 for p, g in zip(predicted_relevant, gold_relevant) if p and not g)
-    fn = sum(1 for p, g in zip(predicted_relevant, gold_relevant) if not p and g)
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def binarize_gold(binary_label: Optional[str]) -> bool:
-    """Map a three-way gold label to the binary relevant class; partial counts."""
-    return binary_label in ("relevant", "partial")
+    return _f1_precision_recall(predicted_relevant, gold_relevant)[0]
 
 
 def gold_relevant(gold: GoldLabel) -> bool:
     """The binary label when there is one (partial counts), else grade > 0."""
-    return binarize_gold(gold.binary) if gold.binary is not None else gold.grade > 0
+    return gold.binary in ("relevant", "partial") if gold.binary is not None else gold.grade > 0
 
 
 def with_gold(annotations: list[Annotation],
@@ -123,11 +126,24 @@ def with_gold(annotations: list[Annotation],
 
 
 RunAndGold = dict[str, tuple[dict[str, float], dict[str, float]]]
-"""query_id -> (predicted doc scores, gold gains in [0,1])."""
+"""query_id -> (predicted doc scores, gold gains in [0,1]); both dicts hold
+the same docs."""
 
 
-def _predicted_order(predicted: dict[str, float]) -> list[str]:
-    return sorted(predicted, key=lambda d: (-predicted[d], d))
+def _mean_over_queries(run: RunAndGold, metric: str,
+                       score: Callable[[dict[str, float], dict[str, float]], float]) -> float:
+    """The mean of score(predicted, gold) over the queries with a positive
+    gold gain; the others are skipped with a warning."""
+    values = []
+    for query_id, (predicted, gold) in run.items():
+        if not any(g > 0 for g in gold.values()):
+            log.warning("query %s has no positive gold gain; excluded from %s",
+                        query_id, metric)
+            continue
+        values.append(score(predicted, gold))
+    if not values:
+        raise UndefinedMetricError("no query with positive gold gains")
+    return float(np.mean(values))
 
 
 def _dcg(gains: list[float], k: Optional[int]) -> float:
@@ -137,44 +153,21 @@ def _dcg(gains: list[float], k: Optional[int]) -> float:
 
 def ndcg(run: RunAndGold, k: Optional[int] = None) -> float:
     """Macro-averaged nDCG@k; queries without any positive gain are skipped."""
-    values = []
-    for query_id, (predicted, gold) in run.items():
-        if not any(g > 0 for g in gold.values()):
-            log.warning("query %s has no positive gold gain; excluded from nDCG",
-                        query_id)
-            continue
-        order = _predicted_order(predicted)
+    def query_ndcg(predicted: dict[str, float], gold: dict[str, float]) -> float:
+        order = sorted(predicted, key=lambda d: (-predicted[d], d))
         gains = [gold.get(doc_id, 0.0) for doc_id in order]
-        ideal = sorted(gold.values(), reverse=True)
-        values.append(_dcg(gains, k) / _dcg(ideal, k))
-    if not values:
-        raise UndefinedMetricError("no query with positive gold gains")
-    return float(np.mean(values))
+        return _dcg(gains, k) / _dcg(sorted(gold.values(), reverse=True), k)
+    return _mean_over_queries(run, "nDCG", query_ndcg)
 
 
 def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
-    """Macro-averaged AP with gold binarized as gain > 0."""
-    values = []
-    for query_id, (predicted, gold) in run.items():
-        positives = {d for d, g in gold.items() if g > 0}
-        if not positives:
-            log.warning("query %s has no positive gold gain; excluded from MAP",
-                        query_id)
-            continue
-        order = _predicted_order(predicted)
-        if k is not None:
-            order = order[:k]
-        hits = 0
-        total = 0.0
-        for rank, doc_id in enumerate(order, start=1):
-            if doc_id in positives:
-                hits += 1
-                total += hits / rank
-        denom = len(positives) if k is None else min(len(positives), k)
-        values.append(total / denom)
-    if not values:
-        raise UndefinedMetricError("no query with positive gold gains")
-    return float(np.mean(values))
+    """Macro-averaged AP@k with gold binarized as gain > 0, ties broken by
+    doc_id; queries without any positive gain are skipped."""
+    def query_ap(predicted: dict[str, float], gold: dict[str, float]) -> float:
+        doc_ids = sorted(predicted)
+        return average_precision([predicted[d] for d in doc_ids],
+                                 [gold[d] > 0 for d in doc_ids], k)
+    return _mean_over_queries(run, "MAP", query_ap)
 
 
 def gain_mapping(label_scheme: str) -> Callable[[GoldLabel], float]:
@@ -248,7 +241,7 @@ class MetricReport:
     info: Optional[float]
     avg: Optional[float]
     raw: dict[str, Optional[float]]
-    undefined: dict[str, str] = field(default_factory=dict)
+    undefined: dict[str, str]
 
     def rounded(self) -> dict:
         out = {k: None if v is None else round(v, 2) for k, v in
@@ -262,8 +255,10 @@ class MetricReport:
 
 def aggregate_report(*, ece: Optional[float], brier: Optional[float],
                      auroc: Optional[float], f1: Optional[float], ndcg: Optional[float],
-                     map: Optional[float], ap: Optional[float]) -> MetricReport:
-    """Four-dimension score table on a 0-100 scale.
+                     map: Optional[float], ap: Optional[float],
+                     undefined: Optional[dict[str, str]] = None) -> MetricReport:
+    """Four-dimension score table on a 0-100 scale; `undefined` gives the
+    reason of each sub-metric passed as None.
 
     Calibration averages AUROC with 1-ECE and 1-Brier so that higher is
     uniformly better; the overall average weighs the four dimensions equally.
@@ -277,7 +272,8 @@ def aggregate_report(*, ece: Optional[float], brier: Optional[float],
            else (unc + binary + cal + info) / 4.0)
     return MetricReport(unc=unc, bin=binary, cal=cal, info=info, avg=avg,
                         raw={"ece": ece, "brier": brier, "auroc": auroc, "f1": f1,
-                             "ndcg": ndcg, "map": map, "ap": ap})
+                             "ndcg": ndcg, "map": map, "ap": ap},
+                        undefined=undefined or {})
 
 
 def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAndGold:
@@ -297,7 +293,9 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAn
 def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
                       ece_bins: int, k: Optional[int]) -> MetricReport:
     """The four-dimension report of the annotations that have a gold label;
-    fails on none, and on a confidence outside [0,1]."""
+    fails on none, on a confidence outside [0,1] and on a cutoff k below 1."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     scored = with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
     for (a, _), c in zip(scored, confidences):
@@ -325,9 +323,7 @@ def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], sche
             values[name] = compute()
         except UndefinedMetricError as exc:
             values[name], undefined[name] = None, str(exc)
-    report = aggregate_report(**values)
-    report.undefined = undefined
-    return report
+    return aggregate_report(**values, undefined=undefined)
 
 
 @dataclass
@@ -348,15 +344,6 @@ def f1_threshold_sweep(
         raise ValueError("scores and gold must be aligned")
     if any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValueError("grid thetas must be in [0,1]")
-    points = []
-    n_gold = sum(gold_relevant)
-    for theta in grid:
-        predicted = [s >= theta for s in relevance_scores]
-        tp = sum(1 for p, g in zip(predicted, gold_relevant) if p and g)
-        n_pred = sum(predicted)
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        points.append(SweepPoint(
-            theta=theta, f1=f1_binary(predicted, gold_relevant),
-            precision=precision, recall=recall))
-    return points
+    return [SweepPoint(theta, *_f1_precision_recall([s >= theta for s in relevance_scores],
+                                                    gold_relevant))
+            for theta in grid]

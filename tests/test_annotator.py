@@ -241,7 +241,7 @@ class TestAnnotateCorpus:
     def test_unknown_ids_abort_before_any_call(self, gateway, mock_server,
                                                fixture_queries, fixture_chunks):
         pairs = [QueryDocPair("q1", "d1"), QueryDocPair("q1", "ghost")]
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown doc id: ghost"):
             annotate_corpus(pairs, {"q1": fixture_queries[0]},
                             {"d1": fixture_chunks[0]}, VARIANT, gateway)
         assert mock_server.request_count == 0

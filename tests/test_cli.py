@@ -239,11 +239,13 @@ def test_rank_and_annotate_summaries_put_backoff_seconds_after_retries(workspace
 
 
 def assert_one_line_json_error(result, *fragments):
-    """Exit 1 and exactly one line on stderr: a JSON error holding each fragment."""
+    """Exit 1 and exactly one line on stderr: a JSON error holding each
+    fragment, and not the quoted repr that `str()` gives a KeyError."""
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not an escaped traceback
     [line] = result.stderr.strip().splitlines()
     message = json.loads(line)["error"]
+    assert not message.startswith(("'", '"')), message
     for fragment in fragments:
         assert fragment in message, message
 
@@ -890,9 +892,10 @@ def range_case(workspace, name):
         return ["audit", "--annotations", str(annotations),
                 "--original", str(workspace / "gold.jsonl"),
                 "--out", str(workspace / "d.jsonl"), "--per-bin", "-1"]
+    flag, value = name.split()[1:]
     return ["evaluate", "--annotations", str(annotations),
             "--gold", str(workspace / "gold.jsonl"),
-            "--out", str(workspace / "r.json"), "--ece-bins", "0"]
+            "--out", str(workspace / "r.json"), flag, value]
 
 
 @pytest.mark.parametrize("name,fragment", [
@@ -900,6 +903,7 @@ def range_case(workspace, name):
     ("ingest --min-tokens 0", "min_tokens must be positive"),
     ("audit --per-bin -1", "per_bin must be at least 1"),
     ("evaluate --ece-bins 0", "bins must be at least 1"),
+    ("evaluate --k 0", "k must be at least 1, got 0"),
     ("define --parallelism 0", "parallelism must be at least 1, got 0"),
     ("annotate --parallelism -3", "parallelism must be at least 1, got -3"),
 ])
@@ -1001,6 +1005,25 @@ def bad_input_case(workspace, name):
              "confidence_ask": 0.9, "variant": "point-foo"}))
         return ["evaluate", "--annotations", bad, "--gold", gold,
                 "--out", str(w / "r.json")], ["(q1,d1)", "unknown variant label: 'point-foo'"]
+    if name == "pair with an unknown query id":
+        pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q9", "doc_id": "d1"}))
+        return ["annotate", "--pairs", pairs, "--queries", queries, "--documents", documents,
+                "--out", str(w / "a.jsonl")], ["pair references unknown query id: q9"]
+    unknown = {"annotation with an unknown query id": ("q9", "d1", "query id: q9"),
+               "annotation with an unknown doc id": ("q1", "d99", "doc id: d99")}
+    if name in unknown:
+        query_id, doc_id, fragment = unknown[name]
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": query_id, "doc_id": doc_id, "guess": "Yes",
+             "relevance_score": 0.9, "confidence_ask": 0.9}))
+        split = w / "split.json"
+        split.write_text(json.dumps({"train_queries": ["q1", "q2"], "test_queries": [],
+                                     "train_reports": ["r1", "r2"], "test_reports": [],
+                                     "seed": 1}), encoding="utf-8")
+        return ["distill", "--annotations", bad, "--queries", queries,
+                "--documents", documents, "--split", str(split),
+                "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], [
+            f"annotation references unknown {fragment}"]
     if name == "rankings over different doc ids":
         save_rankings(w / "a.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         save_rankings(w / "b.jsonl", [Ranking("q1", [("d1", 0.9), ("d3", 0.1)])])
@@ -1017,7 +1040,8 @@ def bad_input_case(workspace, name):
     "confidence out of range", "out path in a missing directory",
     "cache file that is not a database", "definition answer without meaning",
     "rankings over different doc ids", "examples for unknown queries",
-    "ask-only row of an unknown variant",
+    "ask-only row of an unknown variant", "pair with an unknown query id",
+    "annotation with an unknown query id", "annotation with an unknown doc id",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

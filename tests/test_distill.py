@@ -203,7 +203,7 @@ class TestExport:
 
     def test_unknown_doc_rejected(self, corpus, tmp_path):
         queries, chunks = corpus
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown doc id: ghost"):
             export_training_data([annotation("q1", "ghost")], queries, chunks,
                                  make_split(), VARIANT, tmp_path / "t.jsonl")
 

@@ -80,6 +80,34 @@ def test_missing_logprobs_is_capability_error(uncached_gateway, monkeypatch):
         uncached_gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
 
 
+def _without_logprobs(raw):
+    for choice in raw["choices"]:
+        choice.pop("logprobs")
+    return raw
+
+
+def _without_content(raw):
+    del raw["choices"][0]["message"]["content"]
+    return raw
+
+
+@pytest.mark.parametrize("spoil, error, match", [
+    (_without_logprobs, CapabilityError, "token logprobs"),
+    (lambda raw: {}, TransportError, r"lacks the field choices\[0\]\.message\.content"),
+    (lambda raw: {"choices": []}, TransportError, "lacks the field choices"),
+    (_without_content, TransportError, "lacks the field choices"),
+], ids=["no logprobs", "empty object", "no choices", "no content"])
+def test_answer_that_fails_is_not_cached(gateway, monkeypatch, spoil, error, match):
+    """An answer that fails its parse is asked again once the endpoint is fixed."""
+    real_post = gateway._post
+    monkeypatch.setattr(gateway, "_post", lambda path, body: spoil(real_post(path, body)))
+    with pytest.raises(error, match=match):
+        gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
+    monkeypatch.setattr(gateway, "_post", real_post)
+    response = gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
+    assert response.cached is False and response.tokens
+
+
 def test_empty_prompt_rejected(uncached_gateway):
     with pytest.raises(ValueError):
         uncached_gateway.chat_complete("  ")
@@ -196,6 +224,23 @@ class TestEmbed:
         with pytest.raises(TransportError, match=f"input 1 of 3 with .*{problem}"):
             gateway.embed(texts)
         assert keys == []
+
+    @pytest.mark.parametrize("field", ["data", "index", "embedding"])
+    def test_answer_without_a_field_names_it(self, uncached_gateway, monkeypatch, field):
+        real_post = uncached_gateway._post
+
+        def spoiled(path, body):
+            raw = real_post(path, body)
+            if field == "data":
+                del raw["data"]
+            else:
+                del raw["data"][-1][field]
+            return raw
+
+        monkeypatch.setattr(uncached_gateway, "_post", spoiled)
+        with pytest.raises(TransportError, match=f"embedding endpoint answer lacks the "
+                                                 f"field {field}$"):
+            uncached_gateway.embed(["alpha", "beta"])
 
 
 class TestCacheKey:

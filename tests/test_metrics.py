@@ -13,12 +13,12 @@ from relanno.metrics import (
     aggregate_report,
     auroc,
     average_precision,
-    binarize_gold,
     brier,
     ece,
     f1_binary,
     f1_threshold_sweep,
     gain_mapping,
+    gold_relevant,
     kendall_tau,
     mean_average_precision,
     ndcg,
@@ -217,10 +217,11 @@ class TestF1Binary:
         assert f1_binary(predicted, gold) == pytest.approx(2 / 3)
 
     def test_partial_policy(self):
-        assert binarize_gold("partial") is True
-        assert binarize_gold("relevant") is True
-        assert binarize_gold(None) is False
-        assert binarize_gold("irrelevant") is False
+        assert gold_relevant(gold_label("partial")) is True
+        assert gold_relevant(gold_label("relevant")) is True
+        assert gold_relevant(gold_label("irrelevant", grade=1.0)) is False
+        assert gold_relevant(gold_label(None)) is False
+        assert gold_relevant(gold_label(None, grade=0.5)) is True
 
 
 # --- ranking metrics -------------------------------------------------------
