@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .corpus import DocumentChunk, Query, QueryDocPair
+from .corpus import DocumentChunk, Query, QueryDocPair, RowError
 from .gateway import CapabilityError, ChatResponse, LLMGateway, TransportError, ordered_map
 from .prompting import (
     GUESS_LABEL,
@@ -20,10 +20,6 @@ from .prompting import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class ExtractionError(ValueError):
-    pass
 
 
 @dataclass
@@ -37,6 +33,14 @@ class Annotation:
     reason: Optional[str] = None
     model: str = ""
     variant: str = "point-ask-d"
+
+    def __post_init__(self):
+        if self.guess not in ("Yes", "No"):
+            raise RowError(f"expected \"Yes\" or \"No\", got {self.guess!r}", "guess")
+        for name in ("relevance_score", "confidence_ask", "confidence_tok"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:  # NaN fails too
+                raise RowError(f"expected a number in [0,1], got {value}", name)
 
 
 @dataclass
@@ -72,12 +76,10 @@ def primary_confidence(annotation: Annotation) -> float:
 
 def extract_tok_confidence(response: ChatResponse) -> float:
     """Probability of the realized Yes/No token after the final guess label."""
-    if not response.tokens:
-        raise CapabilityError("response carries no token logprobs")
     text = "".join(surface for surface, _ in response.tokens)
     label_pos = text.rfind(GUESS_LABEL)
     if label_pos < 0:
-        raise ExtractionError("completion has no guess label")
+        raise ParseError("completion has no guess label")
     answer_start = label_pos + len(GUESS_LABEL)
     offset = 0
     for surface, logprob in response.tokens:
@@ -87,7 +89,7 @@ def extract_tok_confidence(response: ChatResponse) -> float:
             if stripped in ("yes", "no"):
                 return math.exp(logprob)
         offset = token_end
-    raise ExtractionError("no yes/no token found after guess label")
+    raise ParseError("no yes/no token found after guess label")
 
 
 def annotate_pair(
@@ -135,7 +137,7 @@ def annotate_corpus(
     """The annotation of each pair, or its error-ledger entry, in input order,
     with `gateway.config.parallelism` requests in flight.
 
-    Per-pair parse and extraction failures are ledger entries; any other
+    A pair whose answer does not parse is a ledger entry; any other
     error ends the iteration after the pairs before it, and an endpoint error
     names its pair. Unknown ids fail here, before any request.
     """
@@ -150,10 +152,9 @@ def annotate_corpus(
             return annotate_pair(
                 pair, queries[pair.query_id], chunks[pair.doc_id],
                 variant, gateway, calibration=calibration)
-        except (ParseError, ExtractionError) as exc:
+        except ParseError as exc:
             log.warning("annotation failed for (%s,%s): %s", pair.query_id, pair.doc_id, exc)
-            return AnnotationError(pair.query_id, pair.doc_id, str(exc),
-                                   getattr(exc, "raw_text", ""))
+            return AnnotationError(pair.query_id, pair.doc_id, str(exc), exc.raw_text)
         except (TransportError, CapabilityError) as exc:
             raise type(exc)(f"pair ({pair.query_id},{pair.doc_id}): {exc}") from None
 

@@ -21,7 +21,6 @@ from .config import CALIBRATIONS, KEYS, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
                      RelevanceDefinition, RowWriter, Split, read_json, read_rows, to_row,
                      write_json, write_rows)
-from .distill import LeakageError
 from .gateway import CapabilityError, LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
@@ -57,7 +56,7 @@ class _ErrorBoundary(click.Group):
         try:
             return super().invoke(ctx)
         except (ValueError, KeyError, OSError, sqlite3.Error, TransportError,
-                CapabilityError, LeakageError) as exc:
+                CapabilityError) as exc:
             click.echo(json.dumps({"error": str(exc)}), err=True)
             sys.exit(1)
 
@@ -100,11 +99,11 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
     chunks = read_rows(documents_path, DocumentChunk)
     gold = read_rows(gold_path, GoldLabel) if gold_path else []
 
-    report = corpus_mod.validate_corpus(queries, chunks, gold)
-    if not report.ok:
-        for finding in report.findings:
+    findings = corpus_mod.validate_corpus(queries, chunks, gold)
+    if findings:
+        for finding in findings:
             log.error("%s", finding)
-        raise ValueError(f"corpus validation failed with {len(report.findings)} finding(s)")
+        raise ValueError(f"corpus validation failed with {len(findings)} finding(s)")
 
     merged = corpus_mod.merge_short_chunks(chunks, min_tokens)
     for warning in merged.warnings:

@@ -84,10 +84,6 @@ class MergeResult:
     merged_into: dict[str, str] = field(default_factory=dict)
 
 
-class SplitError(ValueError):
-    pass
-
-
 def merge_short_chunks(
     chunks: list[DocumentChunk],
     min_tokens: int,
@@ -146,10 +142,10 @@ def split_train_test(
     queries = sorted(set(query_ids))
     reports = sorted(set(report_ids))
     if len(queries) < 2 or len(reports) < 2:
-        raise SplitError("split impossible: need at least 2 queries and 2 reports")
+        raise ValueError("split impossible: need at least 2 queries and 2 reports")
     for frac, name in ((query_test_fraction, "query"), (report_test_fraction, "report")):
         if not 0 < frac < 1:
-            raise SplitError(f"{name}_test_fraction must be in (0,1)")
+            raise ValueError(f"{name}_test_fraction must be in (0,1)")
 
     rng = random.Random(seed)
 
@@ -164,53 +160,40 @@ def split_train_test(
     return Split(train_q, test_q, train_r, test_r, seed)
 
 
-@dataclass
-class ValidationReport:
-    findings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
 def validate_corpus(
     queries: list[Query],
     chunks: list[DocumentChunk],
     gold: Optional[list[GoldLabel]] = None,
-) -> ValidationReport:
-    """Diagnostic pass over a corpus; collects findings, never raises."""
-    report = ValidationReport()
+) -> list[str]:
+    """Diagnostic pass over a corpus; returns its findings, never raises."""
+    findings: list[str] = []
     qids: set[str] = set()
     for q in queries:
         if q.id in qids:
-            report.findings.append(f"duplicate query id: {q.id}")
+            findings.append(f"duplicate query id: {q.id}")
         qids.add(q.id)
         if not q.text.strip():
-            report.findings.append(f"empty query text: {q.id}")
+            findings.append(f"empty query text: {q.id}")
         if q.definition is not None and not q.definition.meaning.strip():
-            report.findings.append(f"empty definition meaning for query: {q.id}")
+            findings.append(f"empty definition meaning for query: {q.id}")
     dids: set[str] = set()
     for c in chunks:
         key = f"{c.report_id}/{c.id}"
         if c.id in dids:
-            report.findings.append(f"duplicate document id: {key}")
+            findings.append(f"duplicate document id: {key}")
         dids.add(c.id)
         if not c.text.strip():
-            report.findings.append(f"empty document text: {key}")
+            findings.append(f"empty document text: {key}")
     for g in gold or []:
         if g.query_id not in qids:
-            report.findings.append(f"gold references unknown query id: {g.query_id}")
+            findings.append(f"gold references unknown query id: {g.query_id}")
         if g.doc_id not in dids:
-            report.findings.append(f"gold references unknown doc id: {g.doc_id}")
+            findings.append(f"gold references unknown doc id: {g.doc_id}")
         if not 0.0 <= g.grade <= 1.0:
-            report.findings.append(
-                f"gold grade out of range for ({g.query_id},{g.doc_id}): {g.grade}"
-            )
+            findings.append(f"gold grade out of range for ({g.query_id},{g.doc_id}): {g.grade}")
         if g.binary == "irrelevant" and g.grade != 0.0:
-            report.findings.append(
-                f"irrelevant gold with nonzero grade: ({g.query_id},{g.doc_id})"
-            )
-    return report
+            findings.append(f"irrelevant gold with nonzero grade: ({g.query_id},{g.doc_id})")
+    return findings
 
 
 # --- Row codec and JSON I/O -------------------------------------------------

@@ -24,7 +24,7 @@ from .prompting import (
 log = logging.getLogger(__name__)
 
 
-class LeakageError(RuntimeError):
+class LeakageError(ValueError):
     """A training record references a test-split query or report."""
 
 

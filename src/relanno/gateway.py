@@ -372,13 +372,25 @@ class LLMGateway:
                                  "choices[0].message.content")
         tokens: list[tuple[str, float]] = []
         if want_logprobs:
-            logprobs = (choice.get("logprobs") or {}).get("content")
-            if logprobs is None:
-                raise CapabilityError(
-                    "endpoint did not return token logprobs; "
-                    "Tok calibration needs a logprob-capable endpoint"
-                )
-            tokens = [(t["token"], float(t["logprob"])) for t in logprobs]
+            try:
+                entries = choice["logprobs"]["content"]
+            except (KeyError, TypeError):
+                entries = None
+            if not entries:
+                raise CapabilityError("endpoint did not return token logprobs; "
+                                      "Tok calibration needs a logprob-capable endpoint")
+            field = "chat endpoint answer's choices[0].logprobs.content"
+            if not isinstance(entries, list):
+                raise TransportError(f"{field} is not a list")
+            for i, entry in enumerate(entries):
+                entry = entry if isinstance(entry, dict) else {}
+                token, logprob = entry.get("token"), entry.get("logprob")
+                if not isinstance(token, str):
+                    raise TransportError(f"{field}[{i}].token is not a string: {token!r}")
+                # type(), not isinstance(): a bool is no logprob. NaN fails too.
+                if type(logprob) not in (int, float) or not logprob <= 0:
+                    raise TransportError(f"{field}[{i}].logprob is not a number <= 0: {logprob!r}")
+                tokens.append((token, float(logprob)))
         return ChatResponse(text=text, tokens=tokens, model=model, cached=cached)
 
     # --- embeddings --------------------------------------------------------

@@ -293,15 +293,11 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAn
 def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
                       ece_bins: int, k: Optional[int]) -> MetricReport:
     """The four-dimension report of the annotations that have a gold label;
-    fails on none, on a confidence outside [0,1] and on a cutoff k below 1."""
+    fails on none and on a cutoff k below 1."""
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     scored = with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
-    for (a, _), c in zip(scored, confidences):
-        if not 0.0 <= c <= 1.0:  # NaN fails too
-            raise ValueError(f"annotation ({a.query_id},{a.doc_id}): "
-                             f"confidence out of [0,1]: {c}")
     predicted_rel = [a.guess == "Yes" for a, _ in scored]
     gold_rel = [gold_relevant(g) for _, g in scored]
     calibration = CalibrationInput(

@@ -11,7 +11,6 @@ from mockserver import MockLLMServer
 from relanno.annotator import (
     Annotation,
     AnnotationError,
-    ExtractionError,
     annotate_corpus,
     annotate_pair,
     derive_relevance_score,
@@ -21,8 +20,8 @@ from relanno.annotator import (
 )
 from relanno.config import Config
 from relanno.corpus import DocumentChunk, Query, QueryDocPair, from_row, to_row
-from relanno.gateway import CapabilityError, ChatResponse, LLMGateway
-from relanno.prompting import VARIANTS, PromptVariant, format_pointwise_completion
+from relanno.gateway import ChatResponse, LLMGateway
+from relanno.prompting import VARIANTS, ParseError, PromptVariant, format_pointwise_completion
 
 VARIANT = PromptVariant()
 
@@ -60,17 +59,12 @@ class TestExtractTokConfidence:
                   ("\n[Guess]:", -0.01), (" Yes", math.log(0.7))]
         assert extract_tok_confidence(make_response(tokens)) == pytest.approx(0.7)
 
-    def test_no_tokens_is_capability_error(self):
-        with pytest.raises(CapabilityError):
-            extract_tok_confidence(ChatResponse(text="[Guess]: Yes", tokens=[],
-                                                model="m"))
-
     def test_missing_label(self):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ParseError):
             extract_tok_confidence(make_response([("hello", -0.1)]))
 
     def test_no_answer_token_after_label(self):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ParseError):
             extract_tok_confidence(make_response([("[Guess]:", -0.1),
                                                   (" maybe", -0.1)]))
 

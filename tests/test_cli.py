@@ -774,6 +774,38 @@ def test_define_transport_error_names_the_query(tmp_path):
     assert_one_line_json_error(result, "query q7: endpoint error at ", "HTTP 400")
 
 
+def test_define_stopped_by_a_failing_query_resumes_from_the_cache(tmp_path):
+    # n = 8 queries, each with its own definition. The first request for q3 is
+    # answered 400, so define stops with k = 3 answers cached.
+    n, k = 8, 3
+    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+        corpus_mod.Query(id=f"q{i}", text=f"Question {i}?") for i in range(n)])
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "rules.json").write_text(json.dumps([
+        {"match": f"Question {i}?", "text": DEFINITION_TEXT.replace("quantity", f"quantity {i}"),
+         **({"status_sequence": [400, 200]} if i == k else {})}
+        for i in range(n)]), encoding="utf-8")
+
+    def define(server, name, expect_exit=0):
+        (tmp_path / "relanno.conf").write_text(
+            f"base_url={server.base_url}\ncache_dir={tmp_path / name}\n", encoding="utf-8")
+        return run_cli(tmp_path, "define", "--queries", str(tmp_path / "queries.jsonl"),
+                       "--out", str(tmp_path / f"{name}.jsonl"), "--parallelism", "1",
+                       expect_exit=expect_exit)
+
+    with mockserver.MockLLMServer(fixtures_dir=tmp_path / "rules") as server:
+        assert_one_line_json_error(define(server, "stopped", expect_exit=1),
+                                   f"query q{k}: endpoint error at ", "HTTP 400")
+        assert server.request_count == k + 1
+        define(server, "stopped")
+        assert server.request_count == (k + 1) + (n - k)
+        define(server, "clean")
+    assert (tmp_path / "stopped.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+    meanings = [q.definition.meaning
+                for q in corpus_mod.read_rows(tmp_path / "clean.jsonl", corpus_mod.Query)]
+    assert [f"quantity {i}" in m for i, m in enumerate(meanings)] == [True] * n
+
+
 def test_annotate_transport_error_names_the_pair(tmp_path, fixture_queries):
     corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
     corpus_mod.write_rows(tmp_path / "documents.jsonl", [
@@ -964,12 +996,18 @@ def bad_input_case(workspace, name):
         return ["evaluate", "--annotations", annotations, "--gold", bad,
                 "--out", str(w / "r.json")], [
             "(q1,d1)", "unknown three_way label: None"]
-    if name == "confidence out of range":
+    out_of_range = {
+        "confidence out of range": ({"confidence_tok": -0.1}, "confidence_tok", "-0.1"),
+        "score that is NaN": ({"relevance_score": float("nan")}, "relevance_score", "nan"),
+        "guess that is Maybe": ({"guess": "Maybe"}, "guess", "'Maybe'"),
+    }
+    if name in out_of_range:
+        change, field, shown = out_of_range[name]
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
-             "confidence_tok": -0.1}))
+             "confidence_tok": 0.9, **change}))
         return ["evaluate", "--annotations", bad, "--gold", gold,
-                "--out", str(w / "r.json")], ["(q1,d1)", "confidence out of [0,1]: -0.1"]
+                "--out", str(w / "r.json")], ["bad.jsonl:1", f"field '{field}'", shown]
     if name == "out path in a missing directory":
         rankings = w / "rankings.jsonl"
         save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
@@ -1009,21 +1047,29 @@ def bad_input_case(workspace, name):
         pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q9", "doc_id": "d1"}))
         return ["annotate", "--pairs", pairs, "--queries", queries, "--documents", documents,
                 "--out", str(w / "a.jsonl")], ["pair references unknown query id: q9"]
-    unknown = {"annotation with an unknown query id": ("q9", "d1", "query id: q9"),
-               "annotation with an unknown doc id": ("q1", "d99", "doc id: d99")}
-    if name in unknown:
-        query_id, doc_id, fragment = unknown[name]
+    distilled = {
+        "annotation with an unknown query id": (
+            {"query_id": "q9", "confidence_ask": 0.9},
+            ["annotation references unknown query id: q9"]),
+        "annotation with an unknown doc id": (
+            {"doc_id": "d99", "confidence_ask": 0.9},
+            ["annotation references unknown doc id: d99"]),
+        "score above 1 to distill": (
+            {"relevance_score": 1.5, "confidence_tok": 0.9},
+            ["bad.jsonl:1", "field 'relevance_score'", "1.5"]),
+    }
+    if name in distilled:
+        change, fragments = distilled[name]
         bad = write_lines(w / "bad.jsonl", json.dumps(
-            {"query_id": query_id, "doc_id": doc_id, "guess": "Yes",
-             "relevance_score": 0.9, "confidence_ask": 0.9}))
+            {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
+             **change}))
         split = w / "split.json"
         split.write_text(json.dumps({"train_queries": ["q1", "q2"], "test_queries": [],
                                      "train_reports": ["r1", "r2"], "test_reports": [],
                                      "seed": 1}), encoding="utf-8")
         return ["distill", "--annotations", bad, "--queries", queries,
                 "--documents", documents, "--split", str(split),
-                "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], [
-            f"annotation references unknown {fragment}"]
+                "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], fragments
     if name == "rankings over different doc ids":
         save_rankings(w / "a.jsonl", [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
         save_rankings(w / "b.jsonl", [Ranking("q1", [("d1", 0.9), ("d3", 0.1)])])
@@ -1042,6 +1088,7 @@ def bad_input_case(workspace, name):
     "rankings over different doc ids", "examples for unknown queries",
     "ask-only row of an unknown variant", "pair with an unknown query id",
     "annotation with an unknown query id", "annotation with an unknown doc id",
+    "score that is NaN", "guess that is Maybe", "score above 1 to distill",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

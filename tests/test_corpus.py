@@ -9,7 +9,6 @@ from relanno.corpus import (
     RowError,
     RowWriter,
     Split,
-    SplitError,
     from_row,
     merge_short_chunks,
     read_rows,
@@ -90,7 +89,7 @@ class TestSplitTrainTest:
         assert split_train_test(*args) == split_train_test(*args)
 
     def test_too_small_corpus(self):
-        with pytest.raises(SplitError):
+        with pytest.raises(ValueError, match="split impossible"):
             split_train_test(["q1"], ["r1", "r2"], 0.5, 0.5, 1)
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=2, max_value=40),
@@ -111,23 +110,23 @@ class TestSplitTrainTest:
 
 class TestValidateCorpus:
     def test_well_formed(self, fixture_queries, fixture_chunks, fixture_gold):
-        assert validate_corpus(fixture_queries, fixture_chunks, fixture_gold).ok
+        assert validate_corpus(fixture_queries, fixture_chunks, fixture_gold) == []
 
     def test_dangling_gold_reference(self, fixture_queries, fixture_chunks):
         gold = [GoldLabel("q1", "nope", grade=1.0, binary="relevant")]
-        report = validate_corpus(fixture_queries, fixture_chunks, gold)
-        assert len(report.findings) == 1
-        assert "unknown doc id" in report.findings[0]
+        findings = validate_corpus(fixture_queries, fixture_chunks, gold)
+        assert len(findings) == 1
+        assert "unknown doc id" in findings[0]
 
     def test_duplicate_query_id(self, fixture_chunks):
         queries = [Query(id="q1", text="a"), Query(id="q1", text="b")]
-        report = validate_corpus(queries, fixture_chunks)
-        assert any("duplicate query id" in f for f in report.findings)
+        findings = validate_corpus(queries, fixture_chunks)
+        assert any("duplicate query id" in f for f in findings)
 
     def test_grade_range_violation(self, fixture_queries, fixture_chunks):
         gold = [GoldLabel("q1", "d1", grade=1.5)]
-        report = validate_corpus(fixture_queries, fixture_chunks, gold)
-        assert any("out of range" in f for f in report.findings)
+        findings = validate_corpus(fixture_queries, fixture_chunks, gold)
+        assert any("out of range" in f for f in findings)
 
 
 def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):

@@ -91,12 +91,42 @@ def _without_content(raw):
     return raw
 
 
+def _with_logprobs(content=None, first=None):
+    """The answer with its logprobs content, or the first entry of it, replaced."""
+    def spoil(raw):
+        logprobs = raw["choices"][0]["logprobs"]
+        if first is None:
+            logprobs["content"] = content
+        else:
+            logprobs["content"][0] = first
+        return raw
+    return spoil
+
+
+ENTRY = r"choices\[0\]\.logprobs\.content\[0\]"
+
+
 @pytest.mark.parametrize("spoil, error, match", [
     (_without_logprobs, CapabilityError, "token logprobs"),
     (lambda raw: {}, TransportError, r"lacks the field choices\[0\]\.message\.content"),
     (lambda raw: {"choices": []}, TransportError, "lacks the field choices"),
     (_without_content, TransportError, "lacks the field choices"),
-], ids=["no logprobs", "empty object", "no choices", "no content"])
+    (_with_logprobs(content=[]), CapabilityError, "token logprobs"),
+    (_with_logprobs(content={"token": "Yes", "logprob": -0.1}), TransportError,
+     r"choices\[0\]\.logprobs\.content is not a list"),
+    (_with_logprobs(first={"logprob": -0.1}), TransportError, ENTRY + r"\.token"),
+    (_with_logprobs(first="[Guess]:"), TransportError, ENTRY + r"\.token"),
+    (_with_logprobs(first={"token": "[Guess]:", "logprob": 0.5}), TransportError,
+     ENTRY + r"\.logprob is not a number <= 0: 0\.5"),
+    (_with_logprobs(first={"token": "[Guess]:", "logprob": "nan"}), TransportError,
+     ENTRY + r"\.logprob is not a number <= 0: 'nan'"),
+    (_with_logprobs(first={"token": "[Guess]:", "logprob": math.nan}), TransportError,
+     ENTRY + r"\.logprob is not a number <= 0: nan"),
+    (_with_logprobs(first={"token": "[Guess]:", "logprob": True}), TransportError,
+     ENTRY + r"\.logprob is not a number <= 0: True"),
+], ids=["no logprobs", "empty object", "no choices", "no content", "empty logprobs",
+        "logprobs content an object", "entry without token", "entry a string",
+        "positive logprob", "logprob a string", "NaN logprob", "logprob a bool"])
 def test_answer_that_fails_is_not_cached(gateway, monkeypatch, spoil, error, match):
     """An answer that fails its parse is asked again once the endpoint is fixed."""
     real_post = gateway._post
@@ -106,6 +136,14 @@ def test_answer_that_fails_is_not_cached(gateway, monkeypatch, spoil, error, mat
     monkeypatch.setattr(gateway, "_post", real_post)
     response = gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
     assert response.cached is False and response.tokens
+
+
+def test_minus_infinity_logprob_is_probability_zero(gateway, monkeypatch):
+    real_post = gateway._post
+    spoil = _with_logprobs(first={"token": "[Guess]:", "logprob": -math.inf})
+    monkeypatch.setattr(gateway, "_post", lambda path, body: spoil(real_post(path, body)))
+    response = gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
+    assert response.tokens[0] == ("[Guess]:", -math.inf)
 
 
 def test_empty_prompt_rejected(uncached_gateway):

@@ -1,0 +1,99 @@
+"""Every span name the benchmark's tracer and per-layer metrics use still names
+something in relanno, so a rename cannot turn a per-layer metric into null
+(or into a silent 0) in a traced run. perfbench is imported, never changed."""
+
+import importlib.util
+import inspect
+import time
+import types
+from pathlib import Path
+
+import pytest
+
+import relanno.cli  # noqa: F401  (loads every layer module, as the tracer does)
+from relanno import gateway as gateway_mod
+from relanno.config import Config
+from relanno.gateway import LLMGateway
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str) -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer, layers = _load("tracer"), _load("layers")
+
+# Spans that tracer.main records itself, around the import and the command.
+RECORDED_BY_MAIN = {"cli.import", "cli.main"}
+# Spans that tracer._install_gateway records around what a gateway holds.
+GATEWAY_PARTS = {"gateway.cache.get", "gateway.cache.put", "gateway.http", "gateway.sleep"}
+
+
+def _span_names() -> set[str]:
+    names = {name for _, _, (needs, _) in layers.PER_LAYER.values() for name in needs}
+    return names | set(tracer.ARG_COUNTS) | set(tracer.ROW_ARGS) | set(tracer.RESULT_ATTRS)
+
+
+def _public_functions(layer: str) -> dict[str, object]:
+    """What the tracer wraps in relanno.<layer>, by name."""
+    module = getattr(relanno, layer)
+    return {attr: obj for attr, obj in vars(module).items()
+            if not attr.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == module.__name__}
+
+
+def _traced(name: str) -> object:
+    """The function a span name wraps, or None."""
+    layer, _, attr = name.partition(".")
+    if layer == "gateway" and attr in tracer.GATEWAY_METHODS:
+        return vars(LLMGateway).get(attr)
+    return _public_functions(layer).get(attr)
+
+
+NAMES = sorted(_span_names())
+EXACT = [n for n in NAMES if not n.endswith("*")
+         and n not in RECORDED_BY_MAIN | GATEWAY_PARTS]
+# Per metric, the prefixes it reads: a metric may read spans of two naming
+# styles (read_* or load_*), so one of them matching is enough.
+PREFIXES = {metric: [n for n in needs if n.endswith("*")]
+            for metric, (_, _, (needs, _)) in layers.PER_LAYER.items()
+            if any(n.endswith("*") for n in needs)}
+
+
+def test_every_name_is_of_a_traced_layer():
+    for name in NAMES:
+        assert name.split(".")[0] in tracer.LAYERS or name in RECORDED_BY_MAIN, name
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_name_is_a_public_function(name):
+    assert inspect.isfunction(_traced(name)), f"{name} names no function of relanno"
+
+
+@pytest.mark.parametrize("metric", sorted(PREFIXES))
+def test_prefixes_match_a_public_function(metric):
+    matched = [f"{layer}.{attr}" for layer, _, prefix in
+               (name[:-1].partition(".") for name in PREFIXES[metric])
+               for attr in _public_functions(layer) if attr.startswith(prefix)]
+    assert matched, f"{metric} reads {PREFIXES[metric]}, which match no function"
+
+
+@pytest.mark.parametrize("name, argument", [*tracer.ARG_COUNTS.items(),
+                                            *tracer.ROW_ARGS.items()])
+def test_counted_argument_is_a_parameter(name, argument):
+    assert argument in inspect.signature(_traced(name)).parameters, (name, argument)
+
+
+def test_gateway_holds_a_cache_with_get_and_put(tmp_path):
+    gateway = LLMGateway(Config(cache_dir=str(tmp_path)))
+    session_type = gateway_mod.requests.Session
+    assert any(tracer._is_store(value, session_type) for value in vars(gateway).values())
+
+
+def test_gateway_sends_through_requests_and_sleeps_through_time():
+    assert isinstance(vars(gateway_mod).get("requests"), types.ModuleType)
+    assert vars(gateway_mod).get("time") is time
