@@ -53,8 +53,6 @@ class AnnotationError:
 
 def derive_relevance_score(guess: str, confidence: float) -> float:
     """Yes keeps the confidence; No takes the complement."""
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence out of range: {confidence}")
     return confidence if guess == "Yes" else 1.0 - confidence
 
 
@@ -100,26 +98,28 @@ def annotate_pair(
     gateway: LLMGateway,
     calibration: str = "both",  # ask | tok | both
 ) -> Annotation:
-    if calibration not in ("ask", "tok", "both"):
-        raise ValueError(f"unknown calibration source: {calibration}")
     prompt = render_pointwise_prompt(
         question=query.text, chunk_text=chunk.text,
         variant=variant, definition=query.definition)
     want_tok = calibration in ("tok", "both")
     response = gateway.chat_complete(prompt, want_logprobs=want_tok)
     parsed = parse_pointwise_response(response.text, variant)
+    confidence = min(max(parsed.confidence, 0.0), 1.0)
+    if confidence != parsed.confidence:
+        log.warning("(%s,%s): confidence %s out of range, clamped to %s",
+                    pair.query_id, pair.doc_id, parsed.confidence, confidence)
 
     annotation = Annotation(
         query_id=pair.query_id, doc_id=pair.doc_id, guess=parsed.guess,
         relevance_score=0.0,
-        confidence_ask=parsed.confidence if calibration in ("ask", "both") else None,
+        confidence_ask=confidence if calibration in ("ask", "both") else None,
         confidence_tok=extract_tok_confidence(response) if want_tok else None,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )
     # P(helpful). A `prob` variant's Ask answer is that number as given:
     # deriving it back from primary_confidence would round it as 1 - (1 - p).
     if annotation.confidence_tok is None and variant.confidence_phrasing == "ask_probability":
-        annotation.relevance_score = parsed.confidence
+        annotation.relevance_score = confidence
     else:
         annotation.relevance_score = derive_relevance_score(
             parsed.guess, primary_confidence(annotation))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,6 +38,8 @@ class Config:
 
 
 KEYS = {f.name: f.default for f in fields(Config)}
+# The least value of each numeric key that has one; every numeric value is finite.
+_MINIMUMS = {"max_attempts": 1, "backoff_base": 0, "embed_batch_size": 1, "parallelism": 1}
 
 
 def _convert(key: str, raw: str, source: str):
@@ -50,8 +53,10 @@ def _convert(key: str, raw: str, source: str):
             raise ValueError(f"must be one of {', '.join(CALIBRATIONS)}, got {raw!r}")
         elif isinstance(KEYS[key], (int, float)):
             value = type(KEYS[key])(raw)
-            if key == "parallelism" and value < 1:
-                raise ValueError(f"must be at least 1, got {value}")
+            if not -math.inf < value < math.inf:  # NaN fails too
+                raise ValueError(f"must be a finite number, got {raw!r}")
+            if key in _MINIMUMS and value < _MINIMUMS[key]:
+                raise ValueError(f"must be at least {_MINIMUMS[key]}, got {value}")
             return value
     except ValueError as exc:
         raise ValueError(f"{source}: {key}: {exc}") from None

@@ -222,9 +222,12 @@ def _show(value: object) -> str:
 def _scalar(kinds: tuple[type, ...], what: str, convert: Optional[Callable] = None) -> Callable:
     def decode(value):
         # type(), not isinstance(): a bool must not pass as a number.
-        if type(value) in kinds:
+        if type(value) not in kinds:
+            raise RowError(f"expected {what}, got {_show(value)}")
+        try:
             return value if convert is None else convert(value)
-        raise RowError(f"expected {what}, got {_show(value)}")
+        except OverflowError:  # an integer that JSON holds exactly and a float cannot
+            raise RowError(f"expected {what} within float range, got {_show(value)}") from None
     return decode
 
 

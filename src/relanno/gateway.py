@@ -269,8 +269,7 @@ class LLMGateway:
     """Thread-safe handle to chat + embedding endpoints with caching."""
 
     def __init__(self, config: Config):
-        if config.embed_batch_size < 1:
-            raise ValueError("embed_batch_size must be at least 1")
+        # `--parallelism` reaches here without passing `config._convert`.
         if config.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {config.parallelism}")
         self.config = config
@@ -336,8 +335,6 @@ class LLMGateway:
 
     def chat_complete(self, user: str, want_logprobs: bool = False) -> ChatResponse:
         """The chat model's answer to one user message."""
-        if not user.strip():
-            raise ValueError("user prompt must be non-empty")
         model = self.config.chat_model
         # Reproducibility: the pipeline never runs above temperature 0.
         body = {
@@ -390,7 +387,10 @@ class LLMGateway:
                 # type(), not isinstance(): a bool is no logprob. NaN fails too.
                 if type(logprob) not in (int, float) or not logprob <= 0:
                     raise TransportError(f"{field}[{i}].logprob is not a number <= 0: {logprob!r}")
-                tokens.append((token, float(logprob)))
+                try:
+                    tokens.append((token, float(logprob)))
+                except OverflowError:  # an integer that JSON holds exactly and a float cannot
+                    raise TransportError(f"{field}[{i}].logprob is outside float range") from None
         return ChatResponse(text=text, tokens=tokens, model=model, cached=cached)
 
     # --- embeddings --------------------------------------------------------
@@ -404,8 +404,6 @@ class LLMGateway:
         have the same dimension; a batch that breaks this, or that holds
         anything but finite numbers, is not cached.
         """
-        if not texts:
-            raise ValueError("embed needs a nonempty list of texts")
         if any(not t.strip() for t in texts):
             raise ValueError("embed texts must be non-empty")
         model = self.config.embedding_model

@@ -171,8 +171,8 @@ def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
 
 
 def gain_mapping(label_scheme: str) -> Callable[[GoldLabel], float]:
-    """Gold-label-to-gain mapping for the supported label schemes: graded_1_3
-    takes the gold grade, the others map the binary label."""
+    """Gold-label-to-gain mapping of an `evaluate --scheme` choice: graded_1_3
+    takes the gold grade, three_way and binary map the binary label."""
     if label_scheme == "three_way":
         table = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
 
@@ -185,11 +185,9 @@ def gain_mapping(label_scheme: str) -> Callable[[GoldLabel], float]:
         def graded(gold: GoldLabel) -> float:
             return gold.grade
         return graded
-    if label_scheme == "binary":
-        def binary(gold: GoldLabel) -> float:
-            return 1.0 if gold.binary == "relevant" else 0.0
-        return binary
-    raise ValueError(f"unknown label scheme: {label_scheme}")
+    def binary(gold: GoldLabel) -> float:
+        return 1.0 if gold.binary == "relevant" else 0.0
+    return binary
 
 
 def _sort_counting_inversions(values: list) -> tuple[list, int]:
@@ -338,8 +336,6 @@ def f1_threshold_sweep(
     """F1/precision/recall when predicting relevant iff score >= theta."""
     if len(relevance_scores) != len(gold_relevant):
         raise ValueError("scores and gold must be aligned")
-    if any(not 0.0 <= t <= 1.0 for t in grid):
-        raise ValueError("grid thetas must be in [0,1]")
     return [SweepPoint(theta, *_f1_precision_recall([s >= theta for s in relevance_scores],
                                                     gold_relevant))
             for theta in grid]

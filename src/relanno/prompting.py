@@ -9,7 +9,6 @@ module writes or reads the labels and anchors of prompt and answer text.
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +16,6 @@ from typing import Optional, Sequence
 
 from .corpus import RelevanceDefinition
 
-log = logging.getLogger(__name__)
 
 class ParseError(ValueError):
     def __init__(self, message: str, raw_text: str = ""):
@@ -117,7 +115,7 @@ VARIANTS: dict[str, PromptVariant] = {
 @dataclass
 class ParsedPointwise:
     guess: str  # "Yes" | "No"
-    confidence: float
+    confidence: float  # as written, not yet clamped to [0,1]
     reason: Optional[str] = None
 
 
@@ -255,11 +253,6 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
     if match is None:
         raise ParseError(f"unparseable confidence: {conf_raw.strip()!r}", raw_text=text)
     confidence = float(match.group(0))
-
-    if not 0.0 <= confidence <= 1.0:
-        clamped = min(max(confidence, 0.0), 1.0)
-        log.warning("confidence %s out of range, clamped to %s", confidence, clamped)
-        confidence = clamped
 
     reason = None
     if variant.cot:

@@ -44,8 +44,6 @@ class SampleResult:
 
 
 def confidence_bin(confidence: float) -> str:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence out of range: {confidence}")
     for name, lo, hi in BIN_EDGES[:-1]:
         if lo <= confidence < hi:
             return name
@@ -61,8 +59,6 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     """
     if k < 1 or per_side < 1:
         raise ValueError("k and per_side must be at least 1")
-    if fill_policy not in ("strict", "fill"):
-        raise ValueError(f"unknown fill_policy: {fill_policy}")
     if not ranking.entries:
         raise ValueError(f"empty ranking for query {ranking.query_id}")
 
@@ -120,11 +116,10 @@ def stratify_disagreements(
         if model == original:
             continue
         conf = primary_confidence(ann)
-        disagreements[confidence_bin(conf)].append(Disagreement(
+        name = confidence_bin(conf)
+        disagreements[name].append(Disagreement(
             query_id=ann.query_id, doc_id=ann.doc_id,
-            model_guess=model, original_label=original,
-            confidence=conf, bin=confidence_bin(conf),
-        ))
+            model_guess=model, original_label=original, confidence=conf, bin=name))
 
     rng = random.Random(seed)
     sampled: list[Disagreement] = []

@@ -900,34 +900,28 @@ class TestMissingConfidence:
         assert_one_line_json_error(result, "(q1,d2)", "neither confidence_ask nor confidence_tok")
 
 
-def range_case(workspace, name):
-    """Arguments for one out-of-range flag, on otherwise valid inputs."""
-    if name == "sample --k 0":
+def flag_case(workspace, name):
+    """Arguments for `command --flag value`, the name, on otherwise valid inputs."""
+    command, flag, value = name.split()
+    queries, documents, gold = (str(workspace / n) for n in
+                                ("queries.jsonl", "documents.jsonl", "gold.jsonl"))
+    if command == "sample":
         rankings = workspace / "rankings.jsonl"
         save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
-        return ["sample", "--rankings", str(rankings), "--out", str(workspace / "p.jsonl"),
-                "--k", "0"]
-    if name == "ingest --min-tokens 0":
-        return ["ingest", "--queries", str(workspace / "queries.jsonl"),
-                "--documents", str(workspace / "documents.jsonl"),
-                "--out-dir", str(workspace / "c"), "--min-tokens", "0"]
-    if name == "define --parallelism 0":
-        return ["define", "--queries", str(workspace / "queries.jsonl"),
-                "--out", str(workspace / "d.jsonl"), "--parallelism", "0"]
-    if name == "annotate --parallelism -3":
-        return ["annotate", "--pairs", str(write_all_pairs(workspace)),
-                "--queries", str(workspace / "queries.jsonl"),
-                "--documents", str(workspace / "documents.jsonl"),
-                "--out", str(workspace / "a.jsonl"), "--parallelism", "-3"]
-    annotations, _ = annotate_all(workspace)
-    if name == "audit --per-bin -1":
-        return ["audit", "--annotations", str(annotations),
-                "--original", str(workspace / "gold.jsonl"),
-                "--out", str(workspace / "d.jsonl"), "--per-bin", "-1"]
-    flag, value = name.split()[1:]
-    return ["evaluate", "--annotations", str(annotations),
-            "--gold", str(workspace / "gold.jsonl"),
-            "--out", str(workspace / "r.json"), flag, value]
+        args = ["--rankings", str(rankings), "--out", str(workspace / "p.jsonl")]
+    elif command == "ingest":
+        args = ["--queries", queries, "--documents", documents,
+                "--out-dir", str(workspace / "c")]
+    elif command == "define":
+        args = ["--queries", queries, "--out", str(workspace / "d.jsonl")]
+    elif command == "annotate":
+        args = ["--pairs", str(write_all_pairs(workspace)), "--queries", queries,
+                "--documents", documents, "--out", str(workspace / "a.jsonl")]
+    else:
+        annotations, _ = annotate_all(workspace)
+        args = ["--annotations", str(annotations), "--out", str(workspace / "r.json"),
+                "--original" if command == "audit" else "--gold", gold]
+    return [command, *args, flag, value]
 
 
 @pytest.mark.parametrize("name,fragment", [
@@ -940,8 +934,19 @@ def range_case(workspace, name):
     ("annotate --parallelism -3", "parallelism must be at least 1, got -3"),
 ])
 def test_out_of_range_flag_is_one_json_error(workspace, name, fragment):
-    result = run_cli(workspace, *range_case(workspace, name), expect_exit=1)
+    result = run_cli(workspace, *flag_case(workspace, name), expect_exit=1)
     assert_one_line_json_error(result, fragment)
+
+
+# The edge that leaves balanced_sample, annotate_pair and gain_mapping no
+# value of their own to check.
+@pytest.mark.parametrize("name", [
+    "sample --fill-policy bogus", "annotate --calibration vibes", "evaluate --scheme nope",
+])
+def test_value_outside_a_choice_is_a_usage_error(workspace, name):
+    result = run_cli(workspace, *flag_case(workspace, name), expect_exit=2)
+    flag, value = name.split()[1:]
+    assert f"Invalid value for '{flag}': '{value}' is not one of" in result.stderr
 
 
 def bad_input_case(workspace, name):
@@ -990,6 +995,12 @@ def bad_input_case(workspace, name):
             {"id": "q1", "text": "x", "definition": {"meaning": 3}}))
         return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
             "bad.jsonl:1", "field 'definition.meaning'", "expected a string, got 3"]
+    if name == "gold grade beyond float range":
+        bad = write_lines(w / "gold.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": int("9" * 400)}))
+        return ["evaluate", "--annotations", annotations, "--gold", bad,
+                "--out", str(w / "r.json")], [
+            "gold.jsonl:1", "field 'grade'", "expected a number within float range"]
     if name == "gold row without binary":
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "grade": 0.7}))
@@ -1089,6 +1100,7 @@ def bad_input_case(workspace, name):
     "ask-only row of an unknown variant", "pair with an unknown query id",
     "annotation with an unknown query id", "annotation with an unknown doc id",
     "score that is NaN", "guess that is Maybe", "score above 1 to distill",
+    "gold grade beyond float range",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -79,8 +79,10 @@ COMMANDS = {
     "benchmark": ["--rankings-a", "rankings.jsonl", "--rankings-b", "rankings.jsonl"],
 }
 
+# ±10**400: an integer that JSON holds exactly and a float cannot.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4)
@@ -149,7 +151,8 @@ GOOD_LINE = st.one_of(
 BAD_LINE = st.one_of(
     st.builds("{}={}".format, st.sampled_from(KEYS),
               st.one_of(st.integers(-2, 40).map(str), st.floats(-1, 2).map(str), SAFE_TEXT)),
-    st.sampled_from(["# comment", "", "varient=point-prob", "max_in_flight=2", "k"]),
+    st.sampled_from(["# comment", "", "varient=point-prob", "max_in_flight=2", "k",
+                     "backoff_base=1e999", "max_attempts=0"]),
     SAFE_TEXT)
 # Mostly values that load, so that most runs get past the config.
 CONFIG_LINES = st.lists(st.one_of(GOOD_LINE, GOOD_LINE, GOOD_LINE, BAD_LINE), max_size=2)

@@ -84,6 +84,12 @@ def test_api_key_env_var_is_not_a_config_key(tmp_path, monkeypatch):
     ("variant=point-foo\n", ["relanno.conf:1", "variant: unknown variant label: 'point-foo'"]),
     ("parallelism=0\n", ["relanno.conf:1", "parallelism: must be at least 1, got 0"]),
     ("parallelism=many\n", ["relanno.conf:1", "parallelism: invalid literal for int()"]),
+    ("max_attempts=0\n", ["relanno.conf:1", "max_attempts: must be at least 1, got 0"]),
+    ("embed_batch_size=0\n", ["relanno.conf:1", "embed_batch_size: must be at least 1, got 0"]),
+    ("backoff_base=-1\n", ["relanno.conf:1", "backoff_base: must be at least 0, got -1.0"]),
+    ("backoff_base=nan\n", ["relanno.conf:1", "backoff_base: must be a finite number, got 'nan'"]),
+    ("backoff_base=1e999\n", ["relanno.conf:1", "backoff_base: must be a finite number",
+                               "'1e999'"]),
 ])
 def test_bad_config_file_is_one_json_error(tmp_path, text, fragments):
     config = write_config(tmp_path, text)

@@ -124,9 +124,12 @@ ENTRY = r"choices\[0\]\.logprobs\.content\[0\]"
      ENTRY + r"\.logprob is not a number <= 0: nan"),
     (_with_logprobs(first={"token": "[Guess]:", "logprob": True}), TransportError,
      ENTRY + r"\.logprob is not a number <= 0: True"),
+    (_with_logprobs(first={"token": "[Guess]:", "logprob": -10**400}), TransportError,
+     ENTRY + r"\.logprob is outside float range"),
 ], ids=["no logprobs", "empty object", "no choices", "no content", "empty logprobs",
         "logprobs content an object", "entry without token", "entry a string",
-        "positive logprob", "logprob a string", "NaN logprob", "logprob a bool"])
+        "positive logprob", "logprob a string", "NaN logprob", "logprob a bool",
+        "logprob beyond float range"])
 def test_answer_that_fails_is_not_cached(gateway, monkeypatch, spoil, error, match):
     """An answer that fails its parse is asked again once the endpoint is fixed."""
     real_post = gateway._post
@@ -144,11 +147,6 @@ def test_minus_infinity_logprob_is_probability_zero(gateway, monkeypatch):
     monkeypatch.setattr(gateway, "_post", lambda path, body: spoil(real_post(path, body)))
     response = gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
     assert response.tokens[0] == ("[Guess]:", -math.inf)
-
-
-def test_empty_prompt_rejected(uncached_gateway):
-    with pytest.raises(ValueError):
-        uncached_gateway.chat_complete("  ")
 
 
 def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
@@ -207,10 +205,6 @@ class TestEmbed:
         assert_vectors(vectors, [hash_embedding(t) for t in texts])
         assert np.array_equal(vectors[0], vectors[2])
 
-    def test_empty_list_rejected(self, uncached_gateway):
-        with pytest.raises(ValueError):
-            uncached_gateway.embed([])
-
     def test_cached_per_text(self, gateway, mock_server):
         first = gateway.embed(["alpha beta"])
         calls = mock_server.request_count
@@ -233,10 +227,6 @@ class TestEmbed:
             gateway = LLMGateway(Config(base_url=server.base_url, embed_batch_size=4))
             with pytest.raises(TransportError, match="HTTP 400"):
                 gateway.embed([f"text{i}" for i in range(4)])
-
-    def test_batch_size_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            LLMGateway(Config(base_url="http://127.0.0.1:1", embed_batch_size=0))
 
     @pytest.mark.parametrize("value, problem", [
         (None, "other than a list of numbers"),

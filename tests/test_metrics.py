@@ -300,8 +300,6 @@ class TestGainMapping:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             gain_mapping("three_way")(gold_label("sort of"))
-        with pytest.raises(ValueError):
-            gain_mapping("nope")
 
 
 class TestKendallTau:
@@ -387,10 +385,6 @@ class TestThresholdSweep:
     def test_two_item_hand_check(self):
         points = f1_threshold_sweep([0.9, 0.2], [True, False], [0.5])
         assert points[0].f1 == 1.0
-
-    def test_grid_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            f1_threshold_sweep([0.5], [True], [1.5])
 
 
 # --- randomized oracle suite and invariance properties ---------------------

@@ -1,5 +1,4 @@
 import hashlib
-import logging
 
 import pytest
 from hypothesis import given, settings
@@ -165,14 +164,6 @@ class TestParsePointwise:
         parsed = parse_pointwise_response(
             "[Guess]: Yes\n[Probability Helpful]: 0.8", POINT_PROB_D)
         assert parsed.confidence == 0.8
-
-    def test_out_of_range_clamped_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="relanno.prompting"):
-            parsed = parse_pointwise_response("[Guess]: Yes\n[Confidence]: 1.4",
-                                              POINT_ASK_D)
-        assert parsed.confidence == 1.0
-        assert [r.getMessage() for r in caplog.records] == [
-            "confidence 1.4 out of range, clamped to 1.0"]
 
     @given(
         st.sampled_from(["Yes", "No"]),
