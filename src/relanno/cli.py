@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sqlite3
@@ -17,7 +18,7 @@ from . import corpus as corpus_mod
 from . import distill as distill_mod
 from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_confidence,
                         relevant_info_proxy)
-from .config import CALIBRATIONS, KEYS, load_config
+from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
                      RelevanceDefinition, RowWriter, Split, read_json, read_rows, to_row,
                      write_json, write_rows)
@@ -61,6 +62,19 @@ class _ErrorBoundary(click.Group):
             sys.exit(1)
 
 
+def _check_flag(ctx: click.Context, param: click.Parameter, value):
+    """A numeric flag's value, checked as config checks one. A ValueError, not
+    a usage error, so that it ends the run as a bad config value does."""
+    try:
+        return value if value is None else check_number(param.name, value)
+    except ValueError as exc:
+        raise ValueError(f"{param.opts[0]}: {exc}") from None
+
+
+# A click option of an int or a float.
+_number_option = functools.partial(click.option, callback=_check_flag)
+
+
 @click.group(cls=_ErrorBoundary)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="KEY=VALUE config file; env vars RELANNO_<KEY> override it.")
@@ -87,11 +101,11 @@ def main(ctx, config_path, verbose):
 @click.option("--documents", "documents_path", required=True, type=click.Path(exists=True))
 @click.option("--gold", "gold_path", type=click.Path(exists=True), default=None)
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--min-tokens", type=int,
-              help="Merge adjacent chunks shorter than this many tokens.")
-@click.option("--query-test-fraction", type=float)
-@click.option("--report-test-fraction", type=float)
-@click.option("--seed", type=int)
+@_number_option("--min-tokens", type=int,
+                help="Merge adjacent chunks shorter than this many tokens.")
+@_number_option("--query-test-fraction", type=float)
+@_number_option("--report-test-fraction", type=float)
+@_number_option("--seed", type=int)
 def ingest(queries_path, documents_path, gold_path, out_dir,
            min_tokens, query_test_fraction, report_test_fraction, seed):
     """Validate a corpus, merge short chunks, and write a leakage-free split."""
@@ -149,9 +163,9 @@ def rank(config, queries_path, documents_path, out_path):
 @main.command()
 @click.option("--rankings", "rankings_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--k", type=int)
-@click.option("--per-side", type=int)
-@click.option("--seed", type=int)
+@_number_option("--k", type=int)
+@_number_option("--per-side", type=int)
+@_number_option("--seed", type=int)
 @click.option("--fill-policy", type=click.Choice(["strict", "fill"]), default="strict")
 def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
     """Sample balanced (query, document) pairs inside/outside the top-k."""
@@ -166,7 +180,7 @@ def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
     click.echo(json.dumps({"pairs": len(pairs), "out": out_path}))
 
 
-_parallelism_option = click.option(
+_parallelism_option = _number_option(
     "--parallelism", type=int, help="Chat requests in flight at once.")
 
 
@@ -273,9 +287,9 @@ def distill_cmd(annotations_path, queries_path, documents_path,
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--proxy-out", type=click.Path(), default=None,
               help="Also write per-query mean relevance scores as CSV.")
-@click.option("--ece-bins", type=int)
+@_number_option("--ece-bins", type=int)
 # Not the config's `k`, which is sample's top-k: the default here is no cutoff.
-@click.option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
+@_number_option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
 def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins, cutoff_k):
     """Score annotations on the four dimensions and write report.json."""
     annotations = read_rows(annotations_path, Annotation)
@@ -297,12 +311,12 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
 @click.option("--original", "original_path", required=True, type=click.Path(exists=True),
               help="gold.jsonl-style file with the original binary labels.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--per-bin", type=int)
-@click.option("--seed", type=int)
+@_number_option("--per-bin", type=int)
+@_number_option("--seed", type=int)
 @click.option("--verdicts", "verdicts_path", type=click.Path(exists=True), default=None,
               help="JSONL of {query_id, doc_id, verdict: model|original}.")
 @click.option("--table-out", type=click.Path(), default=None)
-@click.option("--cutoff", type=float, default=0.95)
+@_number_option("--cutoff", type=float, default=0.95)
 def audit(annotations_path, original_path, out_path, per_bin, seed,
           verdicts_path, table_out, cutoff):
     """Stratify model-vs-original disagreements; optionally score an audit."""
@@ -337,7 +351,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
               type=click.Path(exists=True))
 @click.option("--gold", "gold_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--steps", type=int, default=21, help="Grid points between 0 and 1.")
+@_number_option("--steps", type=int, default=21, help="Grid points between 0 and 1.")
 def sweep(annotations_path, gold_path, out_path, steps):
     """F1 as a function of the relevance-score retrieval threshold."""
     scored = with_gold(read_rows(annotations_path, Annotation), read_rows(gold_path, GoldLabel))

@@ -38,8 +38,32 @@ class Config:
 
 
 KEYS = {f.name: f.default for f in fields(Config)}
-# The least value of each numeric key that has one; every numeric value is finite.
-_MINIMUMS = {"max_attempts": 1, "backoff_base": 0, "embed_batch_size": 1, "parallelism": 1}
+# Where each numeric setting must lie, as a config key or as a flag of its own:
+# (least, greatest, whether the value may equal them). Every one is finite.
+BOUNDS = {
+    **dict.fromkeys(["max_attempts", "embed_batch_size", "parallelism", "k", "per_side",
+                     "per_bin", "ece_bins", "min_tokens", "cutoff_k", "steps"],
+                    (1, math.inf, True)),  # cutoff_k is evaluate --k
+    "backoff_base": (0, math.inf, True),
+    # Open, so that both sides of the split get something.
+    **dict.fromkeys(["query_test_fraction", "report_test_fraction"], (0, 1, False)),
+    "cutoff": (0, 1, True),  # audit --cutoff, a confidence
+}
+# The longest backoff, in seconds (about 32 years): `time.sleep` fails on a
+# delay near `threading.TIMEOUT_MAX`, some 9.2e9 s, and takes 9e9 s.
+MAX_BACKOFF_S = 1e9
+
+
+def check_number(name: str, value: float) -> float:
+    """value, if it is finite and within the bounds of the setting name."""
+    if not -math.inf < value < math.inf:  # NaN fails too
+        raise ValueError(f"must be a finite number, got {value}")
+    low, high, closed = BOUNDS.get(name, (-math.inf, math.inf, True))
+    if not (low <= value <= high if closed else low < value < high):
+        need = (f"at least {low}" if high == math.inf
+                else f"{'' if closed else 'strictly '}between {low} and {high}")
+        raise ValueError(f"must be {need}, got {value}")
+    return value
 
 
 def _convert(key: str, raw: str, source: str):
@@ -52,12 +76,7 @@ def _convert(key: str, raw: str, source: str):
         elif key == "calibration" and raw not in CALIBRATIONS:
             raise ValueError(f"must be one of {', '.join(CALIBRATIONS)}, got {raw!r}")
         elif isinstance(KEYS[key], (int, float)):
-            value = type(KEYS[key])(raw)
-            if not -math.inf < value < math.inf:  # NaN fails too
-                raise ValueError(f"must be a finite number, got {raw!r}")
-            if key in _MINIMUMS and value < _MINIMUMS[key]:
-                raise ValueError(f"must be at least {_MINIMUMS[key]}, got {value}")
-            return value
+            return check_number(key, type(KEYS[key])(raw))
     except ValueError as exc:
         raise ValueError(f"{source}: {key}: {exc}") from None
     return raw
@@ -87,4 +106,10 @@ def load_config(path: Optional[str | Path] = None) -> Config:
         name = ENV_PREFIX + key.upper()
         if name in os.environ:
             values[key] = _convert(key, os.environ[name], name)
-    return Config(**values)
+    config = Config(**values)
+    # Compared without computing backoff_base * 2 ** (max_attempts - 2), which can overflow.
+    if config.backoff_base > math.ldexp(MAX_BACKOFF_S, -max(config.max_attempts - 2, 0)):
+        raise ValueError(f"max_attempts={config.max_attempts} with backoff_base="
+                         f"{config.backoff_base}: the longest backoff, backoff_base * 2 ** "
+                         f"(max_attempts - 2), must be at most {MAX_BACKOFF_S:g} s")
+    return config

@@ -93,8 +93,6 @@ def merge_short_chunks(
     Chunks must be in document order within each report; accumulation restarts
     at report boundaries. The trailing chunk of a report may stay short.
     """
-    if min_tokens <= 0:
-        raise ValueError("min_tokens must be positive")
     result = MergeResult(chunks=[])
 
     def flush(buffer: list[DocumentChunk]) -> None:
@@ -143,9 +141,6 @@ def split_train_test(
     reports = sorted(set(report_ids))
     if len(queries) < 2 or len(reports) < 2:
         raise ValueError("split impossible: need at least 2 queries and 2 reports")
-    for frac, name in ((query_test_fraction, "query"), (report_test_fraction, "report")):
-        if not 0 < frac < 1:
-            raise ValueError(f"{name}_test_fraction must be in (0,1)")
 
     rng = random.Random(seed)
 
@@ -336,8 +331,9 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if line:
                 try:
                     rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise RowError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+                except ValueError as exc:  # also an integer of more digits than int() reads
+                    raise RowError(f"{path}:{lineno}: not valid JSON: "
+                                   f"{getattr(exc, 'msg', exc)}") from None
     return rows
 
 
@@ -400,6 +396,8 @@ def read_json(path: str | Path, cls: type[T]) -> T:
             row = json.load(f)
         except json.JSONDecodeError as exc:
             raise RowError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+        except ValueError as exc:  # an integer of more digits than int() reads
+            raise RowError(f"{path}: not valid JSON: {exc}") from None
     try:
         return from_row(cls, row)
     except RowError as exc:

@@ -269,9 +269,6 @@ class LLMGateway:
     """Thread-safe handle to chat + embedding endpoints with caching."""
 
     def __init__(self, config: Config):
-        # `--parallelism` reaches here without passing `config._convert`.
-        if config.parallelism < 1:
-            raise ValueError(f"parallelism must be at least 1, got {config.parallelism}")
         self.config = config
         self.cache = ResponseStore(config.cache_dir) if config.cache_dir else None
         # Also loads `requests`, here on the thread that builds the gateway and
@@ -300,7 +297,7 @@ class LLMGateway:
     def _post(self, path: str, body: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
         last_error: Optional[str] = None
-        longest_delay = self.config.backoff_base * 2 ** max(self.config.max_attempts - 2, 0)
+        longest_delay = math.ldexp(self.config.backoff_base, max(self.config.max_attempts - 2, 0))
         delay = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
@@ -308,7 +305,7 @@ class LLMGateway:
                 with self._counter_lock:
                     self.retry_count += 1
                     self.backoff_s += delay
-            delay = self.config.backoff_base * 2 ** attempt  # before the next attempt
+            delay = math.ldexp(self.config.backoff_base, attempt)  # before the next attempt
             try:
                 with self._counter_lock:
                     self.network_calls += 1

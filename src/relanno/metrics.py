@@ -34,8 +34,6 @@ class CalibrationInput:
 
 def ece(data: CalibrationInput, bins: int = 10) -> float:
     """Expected calibration error with equal-width bins over [0,1]."""
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
     conf = np.asarray(data.confidences, dtype=float)
     correct = np.asarray(data.correct, dtype=float)
     # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
@@ -291,9 +289,7 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAn
 def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
                       ece_bins: int, k: Optional[int]) -> MetricReport:
     """The four-dimension report of the annotations that have a gold label;
-    fails on none and on a cutoff k below 1."""
-    if k is not None and k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    fails on none. ece_bins and the cutoff k, when given, are at least 1."""
     scored = with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
     predicted_rel = [a.guess == "Yes" for a, _ in scored]

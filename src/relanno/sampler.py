@@ -57,8 +57,6 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     fill_policy="fill" borrows from the other side when one side is short;
     "strict" keeps the deficit and records a shortfall warning.
     """
-    if k < 1 or per_side < 1:
-        raise ValueError("k and per_side must be at least 1")
     if not ranking.entries:
         raise ValueError(f"empty ranking for query {ranking.query_id}")
 
@@ -105,8 +103,6 @@ def stratify_disagreements(
 
     original_labels: (query_id, doc_id) -> "relevant" | "irrelevant".
     """
-    if per_bin < 1:
-        raise ValueError("per_bin must be at least 1")
     disagreements: dict[str, list[Disagreement]] = {name: [] for name, _, _ in BIN_EDGES}
     for ann in annotations:
         original = original_labels.get((ann.query_id, ann.doc_id))

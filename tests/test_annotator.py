@@ -261,10 +261,6 @@ class TestAnnotateCorpus:
         assert annotations[0].confidence_ask == pytest.approx(0.6)
         assert gateway.retry_count >= 1
 
-    def test_bad_parallelism(self, gateway):
-        with pytest.raises(ValueError, match="parallelism must be at least 1"):
-            with_parallelism(gateway, 0)
-
 
 class TestRelevantInfoProxy:
     def test_means_sorted_descending(self):

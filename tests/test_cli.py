@@ -11,6 +11,7 @@ import time
 from contextlib import closing
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -19,7 +20,8 @@ from conftest import CHAT_RULES
 from relanno import corpus as corpus_mod
 from relanno import lazy_import
 from relanno.annotator import Annotation
-from relanno.cli import JsonLogFormatter, main
+from relanno.cli import JsonLogFormatter, _check_flag, main
+from relanno.config import BOUNDS
 from relanno.retrieval import Ranking, save_rankings
 
 
@@ -925,17 +927,35 @@ def flag_case(workspace, name):
 
 
 @pytest.mark.parametrize("name,fragment", [
-    ("sample --k 0", "k and per_side must be at least 1"),
-    ("ingest --min-tokens 0", "min_tokens must be positive"),
-    ("audit --per-bin -1", "per_bin must be at least 1"),
-    ("evaluate --ece-bins 0", "bins must be at least 1"),
-    ("evaluate --k 0", "k must be at least 1, got 0"),
-    ("define --parallelism 0", "parallelism must be at least 1, got 0"),
-    ("annotate --parallelism -3", "parallelism must be at least 1, got -3"),
+    ("sample --k 0", "--k: must be at least 1, got 0"),
+    ("sample --per-side 0", "--per-side: must be at least 1, got 0"),
+    ("ingest --min-tokens 0", "--min-tokens: must be at least 1, got 0"),
+    ("ingest --query-test-fraction 1.5",
+     "--query-test-fraction: must be strictly between 0 and 1, got 1.5"),
+    ("ingest --report-test-fraction nan", "--report-test-fraction: must be a finite number"),
+    ("audit --per-bin -1", "--per-bin: must be at least 1, got -1"),
+    ("audit --cutoff nan", "--cutoff: must be a finite number, got nan"),
+    ("audit --cutoff 1.5", "--cutoff: must be between 0 and 1, got 1.5"),
+    ("evaluate --ece-bins 0", "--ece-bins: must be at least 1, got 0"),
+    ("evaluate --k 0", "--k: must be at least 1, got 0"),
+    ("sweep --steps 0", "--steps: must be at least 1, got 0"),
+    ("sweep --steps -4", "--steps: must be at least 1, got -4"),
+    ("define --parallelism 0", "--parallelism: must be at least 1, got 0"),
+    ("annotate --parallelism -3", "--parallelism: must be at least 1, got -3"),
 ])
 def test_out_of_range_flag_is_one_json_error(workspace, name, fragment):
     result = run_cli(workspace, *flag_case(workspace, name), expect_exit=1)
     assert_one_line_json_error(result, fragment)
+
+
+def test_every_numeric_flag_is_checked_against_the_config_bounds():
+    """Each int or float flag passes `_check_flag`, and each name in the
+    bounds table that no flag has is a config key set only by file or env."""
+    numeric = [(command.name, param) for command in main.commands.values()
+               for param in command.params if param.type in (click.INT, click.FLOAT)]
+    assert {param.callback for _, param in numeric} == {_check_flag}, numeric
+    flag_names = {param.name for _, param in numeric}
+    assert set(BOUNDS) - flag_names == {"max_attempts", "backoff_base", "embed_batch_size"}
 
 
 # The edge that leaves balanced_sample, annotate_pair and gain_mapping no
@@ -1001,6 +1021,20 @@ def bad_input_case(workspace, name):
         return ["evaluate", "--annotations", annotations, "--gold", bad,
                 "--out", str(w / "r.json")], [
             "gold.jsonl:1", "field 'grade'", "expected a number within float range"]
+    if name == "gold grade of 5000 digits":  # raw text: json.dumps hits the same limit
+        bad = write_lines(w / "gold.jsonl",
+                          '{"query_id": "q1", "doc_id": "d1", "grade": ' + "9" * 5000 + "}")
+        return ["evaluate", "--annotations", annotations, "--gold", bad,
+                "--out", str(w / "r.json")], [
+            "gold.jsonl:1", "not valid JSON", "Exceeds the limit (4300 digits)"]
+    if name == "split seed of 5000 digits":
+        split = w / "split.json"
+        split.write_text('{"train_queries": [], "test_queries": [], "train_reports": [],\n'
+                         '"test_reports": [], "seed": ' + "9" * 5000 + "}", encoding="utf-8")
+        return ["distill", "--annotations", annotations, "--queries", queries,
+                "--documents", documents, "--split", str(split),
+                "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], [
+            "split.json", "not valid JSON", "Exceeds the limit (4300 digits)"]
     if name == "gold row without binary":
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "grade": 0.7}))
@@ -1100,7 +1134,7 @@ def bad_input_case(workspace, name):
     "ask-only row of an unknown variant", "pair with an unknown query id",
     "annotation with an unknown query id", "annotation with an unknown doc id",
     "score that is NaN", "guess that is Maybe", "score above 1 to distill",
-    "gold grade beyond float range",
+    "gold grade beyond float range", "gold grade of 5000 digits", "split seed of 5000 digits",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -1,11 +1,14 @@
-"""Every subcommand, fed config files and input files with missing, mistyped
-and extra fields, either works (exit 0) or fails with exit 1 and exactly one
-JSON error line on stderr: never a traceback, never a usage error."""
+"""Every subcommand, fed config files, numeric flags and input files with
+missing, mistyped and extra fields, either works (exit 0) or fails with exit 1
+and exactly one JSON error line on stderr: never a traceback, never a usage
+error."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -156,6 +159,21 @@ BAD_LINE = st.one_of(
     SAFE_TEXT)
 # Mostly values that load, so that most runs get past the config.
 CONFIG_LINES = st.lists(st.one_of(GOOD_LINE, GOOD_LINE, GOOD_LINE, BAD_LINE), max_size=2)
+# Each subcommand's int and float flags, and values of their type that are in
+# range or not, finite or not: a value of the wrong type is a usage error.
+NUMERIC_FLAGS = {name: [(p.opts[0], p.type) for p in command.params
+                        if p.type in (click.INT, click.FLOAT)]
+                 for name, command in main.commands.items()}
+FLAG_VALUES = {click.INT: st.integers(-2, 40),
+               click.FLOAT: st.floats(-1, 2) | st.sampled_from([math.nan, math.inf, -math.inf])}
+
+
+@st.composite
+def numeric_flags(draw, command):
+    """At most one numeric flag of the command, with a value."""
+    chosen = draw(st.lists(st.sampled_from(NUMERIC_FLAGS[command]), max_size=1)
+                  if NUMERIC_FLAGS[command] else st.just([]))
+    return [arg for flag, kind in chosen for arg in (flag, str(draw(FLAG_VALUES[kind])))]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -176,7 +194,8 @@ def test_cli_never_crashes(mock_server, command, data, config_lines):
                                      "min_tokens=1",
                                      *config_lines]) + "\n", encoding="utf-8")
         argv = ["--config", str(config), command,
-                *(str(work / a) if "." in a or a == "out" else a for a in args)]
+                *(str(work / a) if "." in a or a == "out" else a for a in args),
+                *data.draw(numeric_flags(command), label="flags")]
         result = CliRunner().invoke(main, argv)
     if result.exit_code == 0:
         assert result.exception is None

@@ -87,9 +87,20 @@ def test_api_key_env_var_is_not_a_config_key(tmp_path, monkeypatch):
     ("max_attempts=0\n", ["relanno.conf:1", "max_attempts: must be at least 1, got 0"]),
     ("embed_batch_size=0\n", ["relanno.conf:1", "embed_batch_size: must be at least 1, got 0"]),
     ("backoff_base=-1\n", ["relanno.conf:1", "backoff_base: must be at least 0, got -1.0"]),
-    ("backoff_base=nan\n", ["relanno.conf:1", "backoff_base: must be a finite number, got 'nan'"]),
-    ("backoff_base=1e999\n", ["relanno.conf:1", "backoff_base: must be a finite number",
-                               "'1e999'"]),
+    ("backoff_base=nan\n", ["relanno.conf:1", "backoff_base: must be a finite number, got nan"]),
+    ("backoff_base=1e999\n", ["relanno.conf:1", "backoff_base: must be a finite number, got inf"]),
+    ("k=0\n", ["relanno.conf:1", "k: must be at least 1, got 0"]),
+    ("per_side=-3\n", ["relanno.conf:1", "per_side: must be at least 1, got -3"]),
+    ("per_bin=0\n", ["relanno.conf:1", "per_bin: must be at least 1, got 0"]),
+    ("ece_bins=0\n", ["relanno.conf:1", "ece_bins: must be at least 1, got 0"]),
+    ("min_tokens=0\n", ["relanno.conf:1", "min_tokens: must be at least 1, got 0"]),
+    ("query_test_fraction=1\n", ["relanno.conf:1", "query_test_fraction: must be strictly "
+                                                   "between 0 and 1, got 1.0"]),
+    ("report_test_fraction=0\n", ["relanno.conf:1", "report_test_fraction: must be strictly "
+                                                    "between 0 and 1, got 0.0"]),
+    # 0.5 * 2 ** 1998 s, the longest backoff, overflows a float; 1e300 s is past time.sleep.
+    ("max_attempts=2000\n", ["max_attempts=2000 with backoff_base=0.5", "at most 1e+09 s"]),
+    ("backoff_base=1e300\n", ["max_attempts=4 with backoff_base=1e+300", "at most 1e+09 s"]),
 ])
 def test_bad_config_file_is_one_json_error(tmp_path, text, fragments):
     config = write_config(tmp_path, text)
@@ -104,11 +115,23 @@ def test_bad_config_file_is_one_json_error(tmp_path, text, fragments):
     assert_one_line_json_error(result, *fragments)
 
 
+def test_longest_backoff_up_to_its_bound_loads(tmp_path):
+    """The longest backoff is backoff_base * 2 ** (max_attempts - 2)."""
+    assert load_config(write_config(tmp_path, "backoff_base=0\nmax_attempts=5000\n")) \
+        .max_attempts == 5000
+    assert load_config(write_config(tmp_path, "backoff_base=1e9\nmax_attempts=2\n")) \
+        .backoff_base == 1e9
+    with pytest.raises(ValueError, match="max_attempts=3 with backoff_base=1000000000.0"):
+        load_config(write_config(tmp_path, "backoff_base=1e9\nmax_attempts=3\n"))
+
+
 @pytest.mark.parametrize("name,value,fragment", [
     ("RELANNO_SEED", "x", "RELANNO_SEED: seed: invalid literal for int()"),
     ("RELANNO_QUERY_TEST_FRACTION", "half", "query_test_fraction: could not convert"),
     ("RELANNO_CALIBRATION", "ASK", "calibration: must be one of"),
     ("RELANNO_PARALLELISM", "-1", "RELANNO_PARALLELISM: parallelism: must be at least 1"),
+    ("RELANNO_K", "0", "RELANNO_K: k: must be at least 1, got 0"),
+    ("RELANNO_MAX_ATTEMPTS", "2000", "max_attempts=2000 with backoff_base=0.5"),
 ])
 def test_bad_env_value_is_one_json_error(tmp_path, monkeypatch, name, value, fragment):
     monkeypatch.setenv(name, value)

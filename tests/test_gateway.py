@@ -56,6 +56,15 @@ def test_retries_exhausted():
         gateway.chat_complete("hello")
 
 
+def test_no_backoff_takes_attempts_past_float_range():
+    """backoff_base=0 loads with any max_attempts; 2 ** 1024 is no float."""
+    gateway = LLMGateway(Config(
+        base_url="http://127.0.0.1:1", max_attempts=1030, backoff_base=0.0))
+    with pytest.raises(TransportError, match="retries exhausted"):
+        gateway.chat_complete("hello")
+    assert (gateway.retry_count, gateway.backoff_s) == (1029, 0)
+
+
 def test_logprobs_captured(uncached_gateway):
     response = uncached_gateway.chat_complete("Judge this: SCOPE3DOC passage",
                                               want_logprobs=True)

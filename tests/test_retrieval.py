@@ -159,10 +159,6 @@ class TestRetrieveTopK:
     def test_k_larger_than_n(self):
         assert len(sampled_top_k(make_ranking(3), 5)) == 3
 
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sampled_top_k(make_ranking(3), 0)
-
     def test_prefix_property(self):
         ranking = make_ranking(10)
         for k in range(1, 10):
