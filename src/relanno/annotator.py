@@ -41,6 +41,10 @@ class Annotation:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:  # NaN fails too
                 raise RowError(f"expected a number in [0,1], got {value}", name)
+        try:
+            PromptVariant.from_label(self.variant)
+        except ValueError as exc:
+            raise RowError(str(exc), "variant") from None
 
 
 @dataclass
@@ -59,16 +63,13 @@ def derive_relevance_score(guess: str, confidence: float) -> float:
 def primary_confidence(annotation: Annotation) -> float:
     """P(the guess is right). Tok is the primary calibration source whenever
     logprobs are available; a `prob` variant's Ask answer is P(helpful)."""
-    row = f"annotation ({annotation.query_id},{annotation.doc_id})"
     if annotation.confidence_tok is not None:
         return annotation.confidence_tok
     if annotation.confidence_ask is None:
-        raise ValueError(f"{row} has neither confidence_ask nor confidence_tok")
-    try:
-        if PromptVariant.from_label(annotation.variant).confidence_phrasing == "ask_probability":
-            return derive_relevance_score(annotation.guess, annotation.confidence_ask)
-    except ValueError as exc:
-        raise ValueError(f"{row}: {exc}") from None
+        raise ValueError(f"annotation ({annotation.query_id},{annotation.doc_id}) "
+                         "has neither confidence_ask nor confidence_tok")
+    if PromptVariant.from_label(annotation.variant).confidence_phrasing == "ask_probability":
+        return derive_relevance_score(annotation.guess, annotation.confidence_ask)
     return annotation.confidence_ask
 
 

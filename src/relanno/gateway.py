@@ -318,7 +318,11 @@ class LLMGateway:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if resp.status_code == 200:
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError as exc:  # not JSON, or an int too long for int()
+                    raise TransportError(f"endpoint answer from {url} is not valid JSON: "
+                                         f"{exc}") from None
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"endpoint error at {url}: {last_error}")

@@ -1,5 +1,5 @@
 """Evaluation mathematics: calibration, ranking, classification, uncertainty,
-gain mappings, dimension aggregation and the F1-threshold sweep, and
+gold gains, dimension aggregation and the F1-threshold sweep, and
 `score_annotations`, which scores annotations against gold labels."""
 
 from __future__ import annotations
@@ -22,20 +22,10 @@ class UndefinedMetricError(ValueError):
     pass
 
 
-@dataclass
-class CalibrationInput:
-    confidences: Sequence[float]
-    correct: Sequence[bool]
-
-    def __post_init__(self):
-        if len(self.confidences) != len(self.correct) or not self.confidences:
-            raise ValueError("confidences and correct must be equal-length, nonempty")
-
-
-def ece(data: CalibrationInput, bins: int = 10) -> float:
+def ece(confidences: Sequence[float], correct: Sequence[bool], bins: int = 10) -> float:
     """Expected calibration error with equal-width bins over [0,1]."""
-    conf = np.asarray(data.confidences, dtype=float)
-    correct = np.asarray(data.correct, dtype=float)
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=float)
     # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
     indices = np.minimum((conf * bins).astype(int), bins - 1)
     # Only the filled bins: time and memory do not grow with `bins`.
@@ -45,16 +35,16 @@ def ece(data: CalibrationInput, bins: int = 10) -> float:
     return float(np.sum(n_b / len(conf) * np.abs(acc - avg_conf)))
 
 
-def brier(data: CalibrationInput) -> float:
-    conf = np.asarray(data.confidences, dtype=float)
-    correct = np.asarray(data.correct, dtype=float)
+def brier(confidences: Sequence[float], correct: Sequence[bool]) -> float:
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=float)
     return float(np.mean((conf - correct) ** 2))
 
 
-def auroc(data: CalibrationInput) -> float:
+def auroc(confidences: Sequence[float], correct: Sequence[bool]) -> float:
     """Mann-Whitney formulation: P(conf_correct > conf_incorrect), ties 1/2."""
-    conf = np.asarray(data.confidences, dtype=float)
-    correct = np.asarray(data.correct, dtype=bool)
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=bool)
     pos = conf[correct]
     neg = conf[~correct]
     if len(pos) == 0 or len(neg) == 0:
@@ -73,8 +63,6 @@ def average_precision(scores: Sequence[float], positives: Sequence[bool],
     """AP@k over the score-descending order, stable tie-break by input index:
     the precision at each positive's rank within the top k (all items when k
     is None), summed and divided by min(positives, k)."""
-    if len(scores) != len(positives):
-        raise ValueError("scores and positives must be aligned")
     n_pos = sum(positives)
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
@@ -88,8 +76,8 @@ def average_precision(scores: Sequence[float], positives: Sequence[bool],
     return total / (n_pos if k is None else min(n_pos, k))
 
 
-def _f1_precision_recall(predicted: Sequence[bool],
-                         gold: Sequence[bool]) -> tuple[float, float, float]:
+def f1_precision_recall(predicted: Sequence[bool],
+                        gold: Sequence[bool]) -> tuple[float, float, float]:
     """F1, precision and recall with relevant as the positive class; all three
     are 0 when no prediction is a true positive."""
     tp = sum(1 for p, g in zip(predicted, gold) if p and g)
@@ -98,13 +86,6 @@ def _f1_precision_recall(predicted: Sequence[bool],
     precision = tp / sum(predicted)
     recall = tp / sum(gold)
     return 2 * precision * recall / (precision + recall), precision, recall
-
-
-def f1_binary(predicted_relevant: Sequence[bool], gold_relevant: Sequence[bool]) -> float:
-    """F1 with relevant as the positive class; defined as 0 when P+R = 0."""
-    if len(predicted_relevant) != len(gold_relevant):
-        raise ValueError("predictions and gold must be aligned")
-    return _f1_precision_recall(predicted_relevant, gold_relevant)[0]
 
 
 def gold_relevant(gold: GoldLabel) -> bool:
@@ -168,24 +149,19 @@ def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
     return _mean_over_queries(run, "MAP", query_ap)
 
 
-def gain_mapping(label_scheme: str) -> Callable[[GoldLabel], float]:
-    """Gold-label-to-gain mapping of an `evaluate --scheme` choice: graded_1_3
-    takes the gold grade, three_way and binary map the binary label."""
-    if label_scheme == "three_way":
-        table = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
+THREE_WAY_GAINS = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
 
-        def three_way(gold: GoldLabel) -> float:
-            if gold.binary not in table:
-                raise ValueError(f"unknown three_way label: {gold.binary!r}")
-            return table[gold.binary]
-        return three_way
-    if label_scheme == "graded_1_3":
-        def graded(gold: GoldLabel) -> float:
-            return gold.grade
-        return graded
-    def binary(gold: GoldLabel) -> float:
-        return 1.0 if gold.binary == "relevant" else 0.0
-    return binary
+
+def gain(gold: GoldLabel, scheme: str) -> float:
+    """The gain of a gold label under an `evaluate --scheme` choice: graded_1_3
+    takes the gold grade, three_way and binary map the binary label."""
+    if scheme == "graded_1_3":
+        return gold.grade
+    if scheme == "three_way":
+        if gold.binary not in THREE_WAY_GAINS:
+            raise ValueError(f"unknown three_way label: {gold.binary!r}")
+        return THREE_WAY_GAINS[gold.binary]
+    return 1.0 if gold.binary == "relevant" else 0.0
 
 
 def _sort_counting_inversions(values: list) -> tuple[list, int]:
@@ -274,13 +250,12 @@ def aggregate_report(*, ece: Optional[float], brier: Optional[float],
 
 def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAndGold:
     """Per query, the predicted scores and gold gains of the annotated pairs."""
-    mapping = gain_mapping(scheme)
     run: RunAndGold = {}
     for ann, g in scored:
         predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
         predicted[ann.doc_id] = ann.relevance_score
         try:
-            gold_gains[ann.doc_id] = mapping(g)
+            gold_gains[ann.doc_id] = gain(g, scheme)
         except ValueError as exc:
             raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
     return run
@@ -294,14 +269,13 @@ def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], sche
     confidences = [primary_confidence(a) for a, _ in scored]
     predicted_rel = [a.guess == "Yes" for a, _ in scored]
     gold_rel = [gold_relevant(g) for _, g in scored]
-    calibration = CalibrationInput(
-        confidences=confidences, correct=[p == g for p, g in zip(predicted_rel, gold_rel)])
+    correct = [p == g for p, g in zip(predicted_rel, gold_rel)]
     run = _build_run(scored, scheme)
     sub_metrics = {
-        "ece": lambda: ece(calibration, bins=ece_bins),
-        "brier": lambda: brier(calibration),
-        "auroc": lambda: auroc(calibration),
-        "f1": lambda: f1_binary(predicted_rel, gold_rel),
+        "ece": lambda: ece(confidences, correct, bins=ece_bins),
+        "brier": lambda: brier(confidences, correct),
+        "auroc": lambda: auroc(confidences, correct),
+        "f1": lambda: f1_precision_recall(predicted_rel, gold_rel)[0],
         "ndcg": lambda: ndcg(run, k=k),
         "map": lambda: mean_average_precision(run, k=k),
         "ap": lambda: average_precision([1.0 - c for c in confidences],
@@ -330,8 +304,6 @@ def f1_threshold_sweep(
     grid: Sequence[float],
 ) -> list[SweepPoint]:
     """F1/precision/recall when predicting relevant iff score >= theta."""
-    if len(relevance_scores) != len(gold_relevant):
-        raise ValueError("scores and gold must be aligned")
-    return [SweepPoint(theta, *_f1_precision_recall([s >= theta for s in relevance_scores],
-                                                    gold_relevant))
+    return [SweepPoint(theta, *f1_precision_recall([s >= theta for s in relevance_scores],
+                                                   gold_relevant))
             for theta in grid]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .annotator import Annotation, primary_confidence
-from .corpus import QueryDocPair
+from .corpus import QueryDocPair, RowError
 from .retrieval import Ranking
 
 # Confidence bins for disagreement stratification; half-open, top bin closed.
@@ -35,6 +35,11 @@ class Verdict:
     query_id: str
     doc_id: str
     verdict: str  # model | original
+
+    def __post_init__(self):
+        if self.verdict not in ("model", "original"):
+            raise RowError(f"expected \"model\" or \"original\", got {self.verdict!r}",
+                           "verdict")
 
 
 @dataclass

@@ -5,6 +5,7 @@ import pytest
 
 from relanno.corpus import DocumentChunk, GoldLabel, Query, RelevanceDefinition
 from relanno.config import Config
+from relanno import gateway as gateway_mod
 from relanno.gateway import LLMGateway
 from mockserver import MockLLMServer
 
@@ -71,6 +72,13 @@ def yes_no_logprob_tokens(text, answer_logprob):
             seen_guess = True
         tokens.append([surface, -0.05])
     return tokens
+
+
+def answer_200(body: bytes):
+    """A 200 response holding `body` as it came over the wire."""
+    resp = gateway_mod.requests.Response()
+    resp.status_code, resp._content = 200, body
+    return resp
 
 
 CHAT_RULES = [

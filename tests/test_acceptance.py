@@ -16,14 +16,13 @@ from relanno.cli import main
 from relanno.corpus import DocumentChunk, GoldLabel, Query, Split, split_train_test
 from relanno.distill import LeakageError, export_training_data
 from relanno.metrics import (
-    CalibrationInput,
     aggregate_report,
     auroc,
     average_precision,
     brier,
     ece,
     f1_threshold_sweep,
-    gain_mapping,
+    gain,
     kendall_tau,
     mean_average_precision,
     ndcg,
@@ -110,12 +109,11 @@ def test_metric_oracle_suite():
         n = rng.randint(2, 8)
         conf = [round(rng.random(), 3) for _ in range(n)]
         correct = [rng.random() < 0.5 for _ in range(n)]
-        data = CalibrationInput(conf, correct)
-        assert ece(data, bins=10) == pytest.approx(
+        assert ece(conf, correct, bins=10) == pytest.approx(
             oracle_ece(conf, correct), abs=1e-9)
-        assert brier(data) == pytest.approx(oracle_brier(conf, correct), abs=1e-9)
+        assert brier(conf, correct) == pytest.approx(oracle_brier(conf, correct), abs=1e-9)
         if any(correct) and not all(correct):
-            assert auroc(data) == pytest.approx(
+            assert auroc(conf, correct) == pytest.approx(
                 oracle_auroc(conf, correct), abs=1e-9)
             assert average_precision(conf, correct) == pytest.approx(
                 oracle_ap(conf, correct), abs=1e-9)
@@ -147,10 +145,9 @@ def test_synthetic_calibration():
         c = rng.random()
         conf.append(c)
         correct.append(rng.random() < c)
-    data = CalibrationInput(conf, correct)
     started = time.monotonic()
-    observed_ece = ece(data, bins=10)
-    observed_brier = brier(data)
+    observed_ece = ece(conf, correct, bins=10)
+    observed_brier = brier(conf, correct)
     elapsed = time.monotonic() - started
     assert observed_ece < 0.02
     assert observed_brier == pytest.approx(1 / 6, abs=0.01)
@@ -188,11 +185,11 @@ class TestReferenceArithmetic:
         report = aggregate_report(**dimension_sub_metrics(54.01, 86.32, 91.10, 88.48))
         assert report.avg == pytest.approx(80.00, abs=0.005)
 
-    def test_gain_mappings(self):
+    def test_gains(self):
         partial = GoldLabel("q", "d", grade=2.0, binary="partial")
-        assert gain_mapping("three_way")(partial) == 0.5
-        assert gain_mapping("graded_1_3")(partial) == 2.0
-        print("PASS gain mappings")
+        assert gain(partial, "three_way") == 0.5
+        assert gain(partial, "graded_1_3") == 2.0
+        print("PASS gains")
 
 
 def test_format_round_trips():

@@ -20,7 +20,7 @@ from relanno.annotator import (
     relevant_info_proxy,
 )
 from relanno.config import Config
-from relanno.corpus import DocumentChunk, Query, QueryDocPair, from_row, to_row
+from relanno.corpus import DocumentChunk, Query, QueryDocPair, RowError, from_row, to_row
 from relanno.gateway import ChatResponse, LLMGateway
 from relanno.prompting import VARIANTS, ParseError, PromptVariant, format_pointwise_completion
 
@@ -187,9 +187,8 @@ def test_out_of_range_clamped_with_warning(caplog, fixture_queries, fixture_chun
 
 
 def test_ask_only_row_of_an_unknown_variant_is_rejected():
-    ann = Annotation("q1", "d1", "No", 0.3, confidence_ask=0.7, variant="point-foo")
-    with pytest.raises(ValueError, match=r"\(q1,d1\): unknown variant label: 'point-foo'"):
-        primary_confidence(ann)
+    with pytest.raises(RowError, match=r"field 'variant': unknown variant label: 'point-foo'"):
+        Annotation("q1", "d1", "No", 0.3, confidence_ask=0.7, variant="point-foo")
 
 
 def all_pairs(queries, chunks):

@@ -16,8 +16,9 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
-from conftest import CHAT_RULES
+from conftest import CHAT_RULES, answer_200
 from relanno import corpus as corpus_mod
+from relanno import gateway as gateway_mod
 from relanno import lazy_import
 from relanno.annotator import Annotation
 from relanno.cli import JsonLogFormatter, _check_flag, main
@@ -824,6 +825,18 @@ def test_annotate_transport_error_names_the_pair(tmp_path, fixture_queries):
     assert_one_line_json_error(result, "pair (q1,d12): endpoint error at ", "HTTP 400")
 
 
+def test_annotate_answer_that_is_not_json_names_the_pair(workspace, monkeypatch):
+    monkeypatch.setattr(gateway_mod.requests.Session, "post",
+                        lambda *args, **kwargs: answer_200(b"<html>"))
+    pairs = write_lines(workspace / "pairs.jsonl", json.dumps({"query_id": "q1", "doc_id": "d2"}))
+    result = run_cli(workspace, "annotate", "--pairs", pairs,
+                     "--queries", str(workspace / "queries.jsonl"),
+                     "--documents", str(workspace / "documents.jsonl"),
+                     "--out", str(workspace / "a.jsonl"), expect_exit=1)
+    assert_one_line_json_error(result, "pair (q1,d2): endpoint answer from ",
+                               "/chat/completions is not valid JSON")
+
+
 def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fixture_queries):
     (tmp_path / "rules").mkdir()
     (tmp_path / "rules" / "rules.json").write_text(json.dumps([
@@ -958,7 +971,7 @@ def test_every_numeric_flag_is_checked_against_the_config_bounds():
     assert set(BOUNDS) - flag_names == {"max_attempts", "backoff_base", "embed_batch_size"}
 
 
-# The edge that leaves balanced_sample, annotate_pair and gain_mapping no
+# The edge that leaves balanced_sample, annotate_pair and gain no
 # value of their own to check.
 @pytest.mark.parametrize("name", [
     "sample --fill-policy bogus", "annotate --calibration vibes", "evaluate --scheme nope",
@@ -1082,12 +1095,21 @@ def bad_input_case(workspace, name):
         return ["define", "--queries", queries, "--out", str(w / "d.jsonl"),
                 "--examples", examples], [
             "examples.jsonl", "examples for unknown query ids: q7, q9"]
-    if name == "ask-only row of an unknown variant":
+    unknown_variant = {"ask-only row of an unknown variant": "confidence_ask",
+                       "tok row of an unknown variant": "confidence_tok"}
+    if name in unknown_variant:
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
-             "confidence_ask": 0.9, "variant": "point-foo"}))
+             unknown_variant[name]: 0.9, "variant": "point-foo"}))
         return ["evaluate", "--annotations", bad, "--gold", gold,
-                "--out", str(w / "r.json")], ["(q1,d1)", "unknown variant label: 'point-foo'"]
+                "--out", str(w / "r.json")], [
+            "bad.jsonl:1", "field 'variant'", "unknown variant label: 'point-foo'"]
+    if name == "verdict that is Model":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "verdict": "Model"}))
+        return ["audit", "--annotations", annotations, "--original", gold,
+                "--out", str(w / "d.jsonl"), "--verdicts", bad], [
+            "bad.jsonl:1", "field 'verdict'", "expected \"model\" or \"original\", got 'Model'"]
     if name == "pair with an unknown query id":
         pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q9", "doc_id": "d1"}))
         return ["annotate", "--pairs", pairs, "--queries", queries, "--documents", documents,
@@ -1102,6 +1124,9 @@ def bad_input_case(workspace, name):
         "score above 1 to distill": (
             {"relevance_score": 1.5, "confidence_tok": 0.9},
             ["bad.jsonl:1", "field 'relevance_score'", "1.5"]),
+        "ask-only row of an unknown variant to distill": (
+            {"confidence_ask": 0.9, "variant": "point-foo"},
+            ["bad.jsonl:1", "field 'variant'", "unknown variant label: 'point-foo'"]),
     }
     if name in distilled:
         change, fragments = distilled[name]
@@ -1135,6 +1160,8 @@ def bad_input_case(workspace, name):
     "annotation with an unknown query id", "annotation with an unknown doc id",
     "score that is NaN", "guess that is Maybe", "score above 1 to distill",
     "gold grade beyond float range", "gold grade of 5000 digits", "split seed of 5000 digits",
+    "tok row of an unknown variant", "ask-only row of an unknown variant to distill",
+    "verdict that is Model",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from relanno.gateway import (
 from relanno.config import Config
 import mockserver
 from mockserver import EMBEDDING_DIM, MockLLMServer, hash_embedding
+from conftest import answer_200
 
 
 def test_fixture_round_trip(uncached_gateway):
@@ -156,6 +158,22 @@ def test_minus_infinity_logprob_is_probability_zero(gateway, monkeypatch):
     monkeypatch.setattr(gateway, "_post", lambda path, body: spoil(real_post(path, body)))
     response = gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
     assert response.tokens[0] == ("[Guess]:", -math.inf)
+
+
+@pytest.mark.parametrize("body, problem", [
+    (b"<html>", "Expecting value"),
+    (b'{"choices": [], "n": ' + b"9" * 5000 + b"}", r"Exceeds the limit \(4300 digits\)"),
+], ids=["html", "5000-digit integer"])
+def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, problem):
+    """It is sent once, never retried, and not cached: the next call asks again."""
+    real_post = gateway._session.post
+    monkeypatch.setattr(gateway._session, "post", lambda *args, **kwargs: answer_200(body))
+    url = re.escape(gateway.config.base_url + "/chat/completions")
+    with pytest.raises(TransportError, match=f"answer from {url} is not valid JSON: .*{problem}"):
+        gateway.chat_complete("SCOPE3DOC")
+    assert (gateway.network_calls, gateway.retry_count) == (1, 0)
+    monkeypatch.setattr(gateway._session, "post", real_post)
+    assert gateway.chat_complete("SCOPE3DOC").cached is False
 
 
 def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):

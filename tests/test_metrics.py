@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from relanno.annotator import Annotation, derive_relevance_score
 from relanno.corpus import GoldLabel
 from relanno.metrics import (
-    CalibrationInput,
     UndefinedMetricError,
     aggregate_report,
     auroc,
     average_precision,
     brier,
     ece,
-    f1_binary,
+    f1_precision_recall,
     f1_threshold_sweep,
-    gain_mapping,
+    gain,
     gold_relevant,
     kendall_tau,
     mean_average_precision,
@@ -114,16 +113,13 @@ def oracle_ece(confidences, correct, bins):
 
 class TestEce:
     def test_perfect_calibration(self):
-        data = CalibrationInput([1.0, 1.0, 1.0], [True, True, True])
-        assert ece(data) == 0.0
+        assert ece([1.0, 1.0, 1.0], [True, True, True]) == 0.0
 
     def test_single_bin_hand_computation(self):
-        data = CalibrationInput([0.8] * 4, [True, True, True, False])
-        assert ece(data, bins=1) == pytest.approx(0.05)
+        assert ece([0.8] * 4, [True, True, True, False], bins=1) == pytest.approx(0.05)
 
     def test_maximal_miscalibration(self):
-        data = CalibrationInput([1.0, 1.0], [False, False])
-        assert ece(data) == pytest.approx(1.0)
+        assert ece([1.0, 1.0], [False, False]) == pytest.approx(1.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(0)
@@ -132,8 +128,7 @@ class TestEce:
             bins = rng.choice([1, 3, 10, 37])
             conf = [rng.choice([rng.random(), round(rng.random(), 1)]) for _ in range(n)]
             correct = [rng.random() < 0.5 for _ in range(n)]
-            data = CalibrationInput(conf, correct)
-            assert ece(data, bins=bins) == pytest.approx(
+            assert ece(conf, correct, bins=bins) == pytest.approx(
                 oracle_ece(conf, correct, bins), abs=1e-9)
 
     def test_one_item_per_bin(self):
@@ -143,18 +138,17 @@ class TestEce:
         conf = [0.05 + i / 10 for i in range(10)]
         correct = [i % 3 == 0 for i in range(10)]
         expected = sum(abs(ok - c) for c, ok in zip(conf, correct)) / 10
-        assert ece(CalibrationInput(conf, correct), bins=2**62) == pytest.approx(
+        assert ece(conf, correct, bins=2**62) == pytest.approx(
             expected, abs=1e-12)
 
 
 class TestBrier:
     def test_extremes(self):
-        assert brier(CalibrationInput([1.0], [True])) == 0.0
-        assert brier(CalibrationInput([1.0], [False])) == 1.0
+        assert brier([1.0], [True]) == 0.0
+        assert brier([1.0], [False]) == 1.0
 
     def test_hand_computation(self):
-        data = CalibrationInput([0.8, 0.6], [True, False])
-        assert brier(data) == pytest.approx(0.20)
+        assert brier([0.8, 0.6], [True, False]) == pytest.approx(0.20)
 
     @given(st.floats(min_value=0, max_value=1), st.integers(min_value=1, max_value=50),
            st.integers(min_value=0, max_value=50))
@@ -164,27 +158,23 @@ class TestBrier:
         n = n_correct + n_wrong
         if n == 0:
             return
-        data = CalibrationInput([c] * n, [True] * n_correct + [False] * n_wrong)
         a = n_correct / n
-        assert brier(data) == pytest.approx(c * c - 2 * c * a + a, abs=1e-9)
+        assert brier([c] * n, [True] * n_correct + [False] * n_wrong) == pytest.approx(c * c - 2 * c * a + a, abs=1e-9)
 
 
 class TestAuroc:
     def test_perfect_separation(self):
-        data = CalibrationInput([0.9, 0.9, 0.1], [True, True, False])
-        assert auroc(data) == 1.0
+        assert auroc([0.9, 0.9, 0.1], [True, True, False]) == 1.0
 
     def test_all_ties(self):
-        data = CalibrationInput([0.5, 0.5, 0.5], [True, False, True])
-        assert auroc(data) == 0.5
+        assert auroc([0.5, 0.5, 0.5], [True, False, True]) == 0.5
 
     def test_four_pair_hand_computation(self):
-        data = CalibrationInput([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
-        assert auroc(data) == pytest.approx(0.75)
+        assert auroc([0.9, 0.8, 0.7, 0.6], [True, False, True, False]) == pytest.approx(0.75)
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            auroc(CalibrationInput([0.5, 0.6], [True, True]))
+            auroc([0.5, 0.6], [True, True])
 
 
 class TestAveragePrecision:
@@ -205,16 +195,16 @@ class TestAveragePrecision:
 
 class TestF1Binary:
     def test_perfect(self):
-        assert f1_binary([True, False], [True, False]) == 1.0
+        assert f1_precision_recall([True, False], [True, False]) == (1.0, 1.0, 1.0)
 
     def test_no_predicted_positives(self):
-        assert f1_binary([False, False], [True, False]) == 0.0
+        assert f1_precision_recall([False, False], [True, False]) == (0.0, 0.0, 0.0)
 
     def test_hand_computation(self):
         # TP=2, FP=1, FN=1
         predicted = [True, True, True, False]
         gold = [True, True, False, True]
-        assert f1_binary(predicted, gold) == pytest.approx(2 / 3)
+        assert f1_precision_recall(predicted, gold) == pytest.approx((2 / 3, 2 / 3, 2 / 3))
 
     def test_partial_policy(self):
         assert gold_relevant(gold_label("partial")) is True
@@ -282,24 +272,21 @@ def gold_label(binary=None, grade=0.0):
 
 class TestGainMapping:
     def test_three_way(self):
-        mapping = gain_mapping("three_way")
-        assert mapping(gold_label("relevant")) == 1.0
-        assert mapping(gold_label("partial")) == 0.5
-        assert mapping(gold_label("irrelevant")) == 0.0
+        assert gain(gold_label("relevant"), "three_way") == 1.0
+        assert gain(gold_label("partial"), "three_way") == 0.5
+        assert gain(gold_label("irrelevant"), "three_way") == 0.0
 
     def test_graded(self):
-        mapping = gain_mapping("graded_1_3")
         for grade in (0.0, 1 / 3, 0.5, 2.0, 3.0):
-            assert mapping(gold_label("relevant", grade)) == grade
+            assert gain(gold_label("relevant", grade), "graded_1_3") == grade
 
     def test_binary(self):
-        mapping = gain_mapping("binary")
-        assert mapping(gold_label("relevant")) == 1.0
-        assert mapping(gold_label("irrelevant")) == 0.0
+        assert gain(gold_label("relevant"), "binary") == 1.0
+        assert gain(gold_label("irrelevant"), "binary") == 0.0
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            gain_mapping("three_way")(gold_label("sort of"))
+        with pytest.raises(ValueError, match="unknown three_way label: 'sort of'"):
+            gain(gold_label("sort of"), "three_way")
 
 
 class TestKendallTau:
@@ -398,8 +385,7 @@ class TestRandomOracles:
             correct = [rng.random() < 0.5 for _ in range(n)]
             if not (any(correct) and not all(correct)):
                 continue
-            data = CalibrationInput(conf, correct)
-            assert auroc(data) == pytest.approx(oracle_auroc(conf, correct), abs=1e-9)
+            assert auroc(conf, correct) == pytest.approx(oracle_auroc(conf, correct), abs=1e-9)
 
     def test_ap_matches_bruteforce(self):
         rng = random.Random(2)
@@ -445,7 +431,7 @@ class TestRandomOracles:
             assert mean_average_precision(run, k=k) == pytest.approx(
                 oracle_map(run, k), abs=1e-9)
 
-    def test_sweep_f1_is_f1_binary_at_each_threshold(self):
+    def test_sweep_is_f1_precision_recall_at_each_threshold(self):
         rng = random.Random(9)
         grid = [i / 10 for i in range(11)]
         for _ in range(200):
@@ -453,7 +439,8 @@ class TestRandomOracles:
             scores = [round(rng.random(), 1) for _ in range(n)]
             gold = [rng.random() < 0.5 for _ in range(n)]
             for point in f1_threshold_sweep(scores, gold, grid):
-                assert point.f1 == f1_binary([s >= point.theta for s in scores], gold)
+                assert (point.f1, point.precision, point.recall) == f1_precision_recall(
+                    [s >= point.theta for s in scores], gold)
 
     def test_auroc_matches_bruteforce_large_with_ties(self):
         rng = random.Random(7)
@@ -461,8 +448,7 @@ class TestRandomOracles:
             n = rng.randint(100, 500)
             conf = [round(rng.random(), 1) for _ in range(n)]
             correct = [rng.random() < 0.5 for _ in range(n)]
-            data = CalibrationInput(conf, correct)
-            assert auroc(data) == pytest.approx(oracle_auroc(conf, correct), abs=1e-9)
+            assert auroc(conf, correct) == pytest.approx(oracle_auroc(conf, correct), abs=1e-9)
 
     def test_tau_matches_bruteforce(self):
         rng = random.Random(4)
@@ -503,8 +489,8 @@ class TestRandomOracles:
             def transform(x, a=rng.uniform(0.5, 3.0), b=rng.uniform(0, 2)):
                 return a * x + b
 
-            before = auroc(CalibrationInput(conf, correct))
-            after = auroc(CalibrationInput([transform(c) for c in conf], correct))
+            before = auroc(conf, correct)
+            after = auroc([transform(c) for c in conf], correct)
             assert after == pytest.approx(before, abs=1e-9)
             assert average_precision(conf, correct) == pytest.approx(
                 average_precision([transform(c) for c in conf], correct), abs=1e-9)

@@ -1,11 +1,14 @@
 """Every span name the benchmark's tracer and per-layer metrics use still names
-something in relanno, so a rename cannot turn a per-layer metric into null
+something in relanno, and every result attribute it records still reads from
+the declared return type, so a rename cannot turn a per-layer metric into null
 (or into a silent 0) in a traced run. perfbench is imported, never changed."""
 
+import dataclasses
 import importlib.util
 import inspect
 import time
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,29 @@ def test_gateway_holds_a_cache_with_get_and_put(tmp_path):
 def test_gateway_sends_through_requests_and_sleeps_through_time():
     assert isinstance(vars(gateway_mod).get("requests"), types.ModuleType)
     assert vars(gateway_mod).get("time") is time
+
+
+def _stand_in(hint) -> object:
+    """A value of the declared type, as far as a result lambda reads one: a
+    namespace of a dataclass's fields, [] for a list, None for anything else."""
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return types.SimpleNamespace(**{field.name: _stand_in(hints[field.name])
+                                        for field in dataclasses.fields(hint)})
+    return [] if hint is list or typing.get_origin(hint) is list else None
+
+
+# annotate_corpus returns an iterator, so its span's "errors" is lost and
+# annotator.errors reads 0 (the open FOUND note on the perfbench tracer).
+_RETURNS_NO_ERRORS = pytest.mark.xfail(
+    strict=True, raises=AttributeError,
+    reason="annotate_corpus returns an iterator: annotator.errors reads 0")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_RETURNS_NO_ERRORS) if name == "annotator.annotate_corpus"
+    else name for name in sorted(set(tracer.RESULT_ATTRS) - GATEWAY_PARTS)])
+def test_result_attributes_read_from_the_declared_return_type(name):
+    """A result lambda that fails is dropped silently and its count reads 0."""
+    returns = typing.get_type_hints(_traced(name))["return"]
+    tracer.RESULT_ATTRS[name](_stand_in(returns))
