@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .corpus import DocumentChunk, Query, QueryDocPair, RowError
-from .gateway import CapabilityError, ChatResponse, LLMGateway, TransportError, ordered_map
+from .gateway import ChatResponse, LLMGateway, TransportError, ordered_map
 from .prompting import (
     GUESS_LABEL,
     ParseError,
@@ -140,13 +140,16 @@ def annotate_corpus(
 
     A pair whose answer does not parse is a ledger entry; any other
     error ends the iteration after the pairs before it, and an endpoint error
-    names its pair. Unknown ids fail here, before any request.
+    names its pair. Unknown ids and missing definitions fail here, before any request.
     """
     for pair in pairs:
         if pair.query_id not in queries:
             raise ValueError(f"pair references unknown query id: {pair.query_id}")
         if pair.doc_id not in chunks:
             raise ValueError(f"pair references unknown doc id: {pair.doc_id}")
+        if variant.with_definition and queries[pair.query_id].definition is None:
+            raise ValueError(f"pair ({pair.query_id},{pair.doc_id}): query {pair.query_id} "
+                             f"has no relevance definition, which {variant.label()} needs")
 
     def work(pair: QueryDocPair) -> Annotation | AnnotationError:
         try:
@@ -156,7 +159,7 @@ def annotate_corpus(
         except ParseError as exc:
             log.warning("annotation failed for (%s,%s): %s", pair.query_id, pair.doc_id, exc)
             return AnnotationError(pair.query_id, pair.doc_id, str(exc), exc.raw_text)
-        except (TransportError, CapabilityError) as exc:
+        except TransportError as exc:
             raise type(exc)(f"pair ({pair.query_id},{pair.doc_id}): {exc}") from None
 
     return ordered_map(work, pairs, gateway.config.parallelism)

@@ -20,9 +20,9 @@ from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_co
                         relevant_info_proxy)
 from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
-                     RelevanceDefinition, RowWriter, Split, read_json, read_rows, to_row,
+                     RelevanceDefinition, RowWriter, Split, read_json, read_jsonl, to_row,
                      write_json, write_rows)
-from .gateway import CapabilityError, LLMGateway, TransportError, ordered_map
+from .gateway import LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
     PromptVariant,
@@ -56,8 +56,7 @@ class _ErrorBoundary(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, KeyError, OSError, sqlite3.Error, TransportError,
-                CapabilityError) as exc:
+        except (ValueError, KeyError, OSError, sqlite3.Error, TransportError) as exc:
             click.echo(json.dumps({"error": str(exc)}), err=True)
             sys.exit(1)
 
@@ -109,9 +108,9 @@ def main(ctx, config_path, verbose):
 def ingest(queries_path, documents_path, gold_path, out_dir,
            min_tokens, query_test_fraction, report_test_fraction, seed):
     """Validate a corpus, merge short chunks, and write a leakage-free split."""
-    queries = read_rows(queries_path, Query)
-    chunks = read_rows(documents_path, DocumentChunk)
-    gold = read_rows(gold_path, GoldLabel) if gold_path else []
+    queries = read_jsonl(queries_path, Query)
+    chunks = read_jsonl(documents_path, DocumentChunk)
+    gold = read_jsonl(gold_path, GoldLabel) if gold_path else []
 
     findings = corpus_mod.validate_corpus(queries, chunks, gold)
     if findings:
@@ -148,8 +147,8 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
 @click.pass_obj
 def rank(config, queries_path, documents_path, out_path):
     """Rank documents per query with the dense embedding retriever."""
-    queries = read_rows(queries_path, Query)
-    chunks = read_rows(documents_path, DocumentChunk)
+    queries = read_jsonl(queries_path, Query)
+    chunks = read_jsonl(documents_path, DocumentChunk)
     gateway = LLMGateway(config)
     rankings = rank_documents(queries, chunks, gateway)
     save_rankings(out_path, rankings)
@@ -193,9 +192,9 @@ _parallelism_option = _number_option(
 @click.pass_obj
 def define(config, queries_path, out_path, examples_path, parallelism):
     """Draft (or improve) a relevance definition for each query."""
-    queries = read_rows(queries_path, Query)
+    queries = read_jsonl(queries_path, Query)
     examples_by_query: dict[str, list[str]] = {}
-    for row in read_rows(examples_path, DefinitionExample) if examples_path else []:
+    for row in read_jsonl(examples_path, DefinitionExample) if examples_path else []:
         examples_by_query.setdefault(row.query_id, []).append(row.example)
     unknown = sorted(examples_by_query.keys() - {q.id for q in queries})
     if unknown:
@@ -231,9 +230,9 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
              errors_path, variant, calibration, parallelism):
     """Annotate pairs pointwise with calibrated relevance scores, writing each
     row as soon as the rows before it are written."""
-    queries = {q.id: q for q in read_rows(queries_path, Query)}
-    chunks = {c.id: c for c in read_rows(documents_path, DocumentChunk)}
-    pairs = read_rows(pairs_path, QueryDocPair)
+    queries = {q.id: q for q in read_jsonl(queries_path, Query)}
+    chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
+    pairs = read_jsonl(pairs_path, QueryDocPair)
     variant = PromptVariant.from_label(variant)
     gateway = LLMGateway(dataclasses.replace(config, parallelism=parallelism))
     written = {"annotations": 0, "errors": 0}
@@ -267,9 +266,9 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
 def distill_cmd(annotations_path, queries_path, documents_path,
                 split_path, out_path, manifest_path, variant):
     """Export teacher annotations as chat-format training records."""
-    annotations = read_rows(annotations_path, Annotation)
-    queries = {q.id: q for q in read_rows(queries_path, Query)}
-    chunks = {c.id: c for c in read_rows(documents_path, DocumentChunk)}
+    annotations = read_jsonl(annotations_path, Annotation)
+    queries = {q.id: q for q in read_jsonl(queries_path, Query)}
+    chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
     split = read_json(split_path, Split)
     manifest = distill_mod.export_training_data(
         annotations, queries, chunks, split, PromptVariant.from_label(variant), out_path)
@@ -292,8 +291,8 @@ def distill_cmd(annotations_path, queries_path, documents_path,
 @_number_option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
 def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins, cutoff_k):
     """Score annotations on the four dimensions and write report.json."""
-    annotations = read_rows(annotations_path, Annotation)
-    report = score_annotations(annotations, read_rows(gold_path, GoldLabel), scheme,
+    annotations = read_jsonl(annotations_path, Annotation)
+    report = score_annotations(annotations, read_jsonl(gold_path, GoldLabel), scheme,
                                ece_bins, cutoff_k).rounded()
     write_json(out_path, report)
     if proxy_out:
@@ -320,11 +319,13 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
 def audit(annotations_path, original_path, out_path, per_bin, seed,
           verdicts_path, table_out, cutoff):
     """Stratify model-vs-original disagreements; optionally score an audit."""
-    annotations = read_rows(annotations_path, Annotation)
+    annotations = read_jsonl(annotations_path, Annotation)
     original = {
         (g.query_id, g.doc_id): "relevant" if gold_relevant(g) else "irrelevant"
-        for g in read_rows(original_path, GoldLabel)
+        for g in read_jsonl(original_path, GoldLabel)
     }
+    # Read before --out is written, so a bad verdicts file leaves no output.
+    verdicts = read_jsonl(verdicts_path, Verdict) if verdicts_path else []
     sampled, warnings = stratify_disagreements(annotations, original,
                                                per_bin=per_bin, seed=seed)
     for warning in warnings:
@@ -332,9 +333,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
     write_rows(out_path, sampled)
 
     if verdicts_path:
-        verdict_by_key = {
-            (v.query_id, v.doc_id): v.verdict for v in read_rows(verdicts_path, Verdict)
-        }
+        verdict_by_key = {(v.query_id, v.doc_id): v.verdict for v in verdicts}
         audited = [
             (d, verdict_by_key[(d.query_id, d.doc_id)])
             for d in sampled if (d.query_id, d.doc_id) in verdict_by_key
@@ -354,7 +353,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
 @_number_option("--steps", type=int, default=21, help="Grid points between 0 and 1.")
 def sweep(annotations_path, gold_path, out_path, steps):
     """F1 as a function of the relevance-score retrieval threshold."""
-    scored = with_gold(read_rows(annotations_path, Annotation), read_rows(gold_path, GoldLabel))
+    scored = with_gold(read_jsonl(annotations_path, Annotation), read_jsonl(gold_path, GoldLabel))
     grid = [i / (steps - 1) for i in range(steps)] if steps > 1 else [0.0]
     points = f1_threshold_sweep([a.relevance_score for a, _ in scored],
                                 [gold_relevant(g) for _, g in scored], grid)

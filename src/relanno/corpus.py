@@ -66,6 +66,11 @@ class GoldLabel:
     binary: Optional[str] = None  # relevant | partial | irrelevant
     uncertain: bool = False
 
+    def __post_init__(self):
+        if self.binary not in (None, "relevant", "partial", "irrelevant"):
+            raise RowError("expected \"relevant\", \"partial\", \"irrelevant\" or null, "
+                           f"got {self.binary!r}", "binary")
+
 
 @dataclass
 class Split:
@@ -323,18 +328,27 @@ def to_row(obj: object) -> dict:
     return row
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    rows = []
+def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
+    """The rows of a JSONL file as cls objects, read once, so a pipe works too.
+    Every line is decoded before any row is checked: a line that is not JSON
+    is reported before a bad row. Either error names path:line."""
+    numbered = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if line:
                 try:
-                    rows.append(json.loads(line))
+                    numbered.append((lineno, json.loads(line)))
                 except ValueError as exc:  # also an integer of more digits than int() reads
                     raise RowError(f"{path}:{lineno}: not valid JSON: "
                                    f"{getattr(exc, 'msg', exc)}") from None
-    return rows
+    out = []
+    for lineno, row in numbered:
+        try:
+            out.append(from_row(cls, row))
+        except RowError as exc:
+            raise RowError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def _jsonl_line(row: dict) -> str:
@@ -345,25 +359,6 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(_jsonl_line(row))
-
-
-def _line_number(path: str | Path, index: int) -> int:
-    """The line of the index-th row of a JSONL file, counting blank lines."""
-    with open(path, encoding="utf-8") as f:
-        rows = (n for n, line in enumerate(f, start=1) if line.strip())
-        return next(itertools.islice(rows, index, None))
-
-
-def read_rows(path: str | Path, cls: type[T]) -> list[T]:
-    """The rows of a JSONL file as cls objects; a bad row raises a RowError
-    that names path:line and the field."""
-    out = []
-    for index, row in enumerate(read_jsonl(path)):
-        try:
-            out.append(from_row(cls, row))
-        except RowError as exc:
-            raise RowError(f"{path}:{_line_number(path, index)}: {exc}") from None
-    return out
 
 
 def write_rows(path: str | Path, objs: Iterable[object]) -> None:

@@ -105,7 +105,8 @@ def export_training_data(
     out_path: str | Path,
 ) -> ExportManifest:
     """Write train.jsonl and audit its Yes/No balance; hard-fails on any
-    test-split query or report, and on annotations from more than one model."""
+    test-split query or report, on annotations from more than one model, and on
+    a missing definition."""
     models = sorted({ann.model for ann in annotations})
     if len(models) > 1:
         raise ValueError(f"annotations name more than one teacher model: {', '.join(models)}")
@@ -124,6 +125,9 @@ def export_training_data(
                 f"{chunk.report_id} in training export")
         if ann.query_id not in queries:
             raise ValueError(f"annotation references unknown query id: {ann.query_id}")
+        if variant.with_definition and queries[ann.query_id].definition is None:
+            raise ValueError(f"annotation ({ann.query_id},{ann.doc_id}): query {ann.query_id} "
+                             f"has no relevance definition, which {variant.label()} needs")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)
         if record is None:
             skipped += 1

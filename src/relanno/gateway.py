@@ -45,11 +45,7 @@ R = TypeVar("R")
 
 
 class TransportError(RuntimeError):
-    """Endpoint unreachable or retries exhausted."""
-
-
-class CapabilityError(RuntimeError):
-    """Endpoint cannot provide a required feature (e.g. token logprobs)."""
+    """Endpoint unreachable, retries exhausted, or an answer lacking what is needed."""
 
 
 @dataclass
@@ -375,8 +371,8 @@ class LLMGateway:
             except (KeyError, TypeError):
                 entries = None
             if not entries:
-                raise CapabilityError("endpoint did not return token logprobs; "
-                                      "Tok calibration needs a logprob-capable endpoint")
+                raise TransportError("endpoint did not return token logprobs; "
+                                     "Tok calibration needs a logprob-capable endpoint")
             field = "chat endpoint answer's choices[0].logprobs.content"
             if not isinstance(entries, list):
                 raise TransportError(f"{field} is not a list")

@@ -147,8 +147,7 @@ def render_pointwise_prompt(
     variant: PromptVariant,
     definition: Optional[RelevanceDefinition] = None,
 ) -> str:
-    if variant.with_definition and definition is None:
-        raise ValueError("variant requires a relevance definition but none was given")
+    """The pointwise prompt; a -d variant's callers check that the definition is there."""
     slots = {}
     for field_name, options in POINTWISE_PARTS.items():
         slots.update(options[getattr(variant, field_name)])

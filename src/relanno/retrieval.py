@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import lazy_import
-from .corpus import DocumentChunk, Query, read_rows, write_rows
+from .corpus import DocumentChunk, Query, read_jsonl, write_rows
 from .gateway import LLMGateway
 
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:
-    return read_rows(path, Ranking)
+    return read_jsonl(path, Ranking)
 
 
 def save_rankings(path: str | Path, rankings: list[Ranking]) -> None:

@@ -74,6 +74,12 @@ def yes_no_logprob_tokens(text, answer_logprob):
     return tokens
 
 
+def jsonl_rows(path) -> list[dict]:
+    """The JSON object on each non-blank line of a file, unchecked."""
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
 def answer_200(body: bytes):
     """A 200 response holding `body` as it came over the wire."""
     resp = gateway_mod.requests.Response()

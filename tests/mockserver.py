@@ -50,6 +50,7 @@ class _State:
         self.in_flight = 0
         self.peak_in_flight = 0
         self.chat_prompts: list[str] = []
+        self.authorizations: list[Optional[str]] = []
 
 
 def _load_rules(fixtures_dir: Optional[str | Path]) -> list[dict]:
@@ -85,6 +86,7 @@ class _Handler(BaseHTTPRequestHandler):
         state = self.state
         with state.lock:
             state.request_count += 1
+            state.authorizations.append(self.headers.get("Authorization"))
             state.in_flight += 1
             state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
         try:
@@ -195,11 +197,19 @@ class MockLLMServer:
         with self._state.lock:
             return list(self._state.chat_prompts)
 
+    @property
+    def authorizations(self) -> list[Optional[str]]:
+        """The Authorization header of each request since the last reset
+        (None where there was none), in arrival order."""
+        with self._state.lock:
+            return list(self._state.authorizations)
+
     def reset_counters(self) -> None:
         with self._state.lock:
             self._state.request_count = 0
             self._state.peak_in_flight = self._state.in_flight
             self._state.chat_prompts.clear()
+            self._state.authorizations.clear()
             self._state.hits.clear()
 
     def start(self) -> "MockLLMServer":

@@ -349,9 +349,9 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     # distill refuses test-split data: keep train queries x train reports.
     split = corpus_mod.read_json(ingested / "split.json", Split)
     report_of = {c.id: c.report_id
-                 for c in corpus_mod.read_rows(ingested / "documents.jsonl", DocumentChunk)}
+                 for c in corpus_mod.read_jsonl(ingested / "documents.jsonl", DocumentChunk)}
     corpus_mod.write_rows(work / "train_annotations.jsonl", (
-        a for a in corpus_mod.read_rows(work / "annotations.jsonl", Annotation)
+        a for a in corpus_mod.read_jsonl(work / "annotations.jsonl", Annotation)
         if a.query_id in split.train_queries and report_of[a.doc_id] in split.train_reports))
     invoke("distill", "--annotations", work / "train_annotations.jsonl",
            "--queries", work / "defined.jsonl",

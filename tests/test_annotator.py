@@ -240,6 +240,22 @@ class TestAnnotateCorpus:
                             {"d1": fixture_chunks[0]}, VARIANT, gateway)
         assert mock_server.request_count == 0
 
+    def test_missing_definition_aborts_before_any_call(self, gateway, mock_server,
+                                                       fixture_queries, fixture_chunks):
+        undefined = Query("q3", "A question nobody defined?")
+        queries = {"q1": fixture_queries[0], "q3": undefined}
+        pairs = [QueryDocPair("q1", "d1"), QueryDocPair("q3", "d1")]
+        with pytest.raises(ValueError, match=r"pair \(q3,d1\): query q3 has no relevance "
+                                             r"definition, which point-ask-d needs"):
+            annotate_corpus(pairs, queries, {"d1": fixture_chunks[0]},
+                            PromptVariant.from_label("point-ask-d"), gateway)
+        assert mock_server.request_count == 0
+        # Without a definition in the prompt, the same query is annotated.
+        [annotation] = annotate_corpus([QueryDocPair("q3", "d1")], queries,
+                                       {"d1": fixture_chunks[0]},
+                                       PromptVariant.from_label("point-ask"), gateway, "ask")
+        assert annotation.query_id == "q3"
+
     def test_rerun_served_from_cache(self, gateway, mock_server, fixture_queries,
                                      fixture_chunks):
         pairs = all_pairs(fixture_queries, fixture_chunks)

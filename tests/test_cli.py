@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
-from conftest import CHAT_RULES, answer_200
+from conftest import CHAT_RULES, answer_200, jsonl_rows
 from relanno import corpus as corpus_mod
 from relanno import gateway as gateway_mod
 from relanno import lazy_import
@@ -222,7 +222,7 @@ def rank_fixtures(workspace, expect_exit=0):
 
 def test_rank_writes_one_ranking_per_query(workspace):
     first = json.loads(rank_fixtures(workspace).output)
-    rankings = corpus_mod.read_jsonl(workspace / "rankings.jsonl")
+    rankings = jsonl_rows(workspace / "rankings.jsonl")
     assert [r["query_id"] for r in rankings] == ["q1", "q2"]
     assert all(len(r["entries"]) == 4 for r in rankings)
     # 2 queries + 4 chunks in one embedding request; a re-run is all cache.
@@ -341,7 +341,7 @@ def test_sample_balances_pairs(workspace):
                      "--out", str(out), "--k", "2", "--per-side", "2",
                      "--seed", "7")
     assert json.loads(result.output)["pairs"] == 4
-    pairs = corpus_mod.read_jsonl(out)
+    pairs = jsonl_rows(out)
     assert sum(p["retriever_rank"] <= 2 for p in pairs) == 2
 
 
@@ -368,7 +368,7 @@ class TestAnnotate:
         out, summary = annotate_all(workspace)
         assert summary["annotations"] == 8
         assert summary["errors"] == 0
-        rows = corpus_mod.read_jsonl(out)
+        rows = jsonl_rows(out)
         by_key = {(r["query_id"], r["doc_id"]): r for r in rows}
         assert by_key[("q1", "d1")]["guess"] == "Yes"
         assert by_key[("q1", "d3")]["guess"] == "No"
@@ -402,7 +402,7 @@ def test_prob_variant_ask_answer_is_p_helpful(workspace):
             "--queries", str(workspace / "queries.jsonl"),
             "--documents", str(workspace / "documents.jsonl"),
             "--out", str(out), "--variant", "point-prob-d", "--calibration", "ask")
-    [row] = corpus_mod.read_jsonl(out)
+    [row] = jsonl_rows(out)
     assert (row["guess"], row["confidence_ask"], row["relevance_score"]) == ("No", 0.95, 0.95)
     # Against an original "relevant" label the No is a disagreement, binned by
     # the confidence that it is right.
@@ -410,7 +410,7 @@ def test_prob_variant_ask_answer_is_p_helpful(workspace):
         {"query_id": "q1", "doc_id": "d3", "grade": 1.0, "binary": "relevant"}))
     run_cli(workspace, "audit", "--annotations", str(out), "--original", original,
             "--out", str(workspace / "d.jsonl"), "--per-bin", "1")
-    [disagreement] = corpus_mod.read_jsonl(workspace / "d.jsonl")
+    [disagreement] = jsonl_rows(workspace / "d.jsonl")
     assert disagreement["confidence"] == pytest.approx(0.05)
     assert disagreement["bin"] == "lt90"
 
@@ -510,7 +510,7 @@ class TestEvaluate:
         gold = workspace / "certain.jsonl"
         corpus_mod.write_jsonl(gold, (
             {**row, "uncertain": False} for row in
-            corpus_mod.read_jsonl(workspace / "gold.jsonl")))
+            jsonl_rows(workspace / "gold.jsonl")))
         report = self.evaluate(workspace, annotations, gold)
         assert report["undefined"] == {"ap": "average precision needs at least one positive"}
         assert (report["raw"]["ap"], report["unc"], report["avg"]) == (None, None, None)
@@ -548,13 +548,13 @@ class TestDistillCommand:
         annotations, split_path = self.setup_corpus(workspace, test_queries=[])
         monkeypatch.setenv("RELANNO_CHAT_MODEL", "other-model")
         self.distill(workspace, annotations, split_path)
-        [model] = {a.model for a in corpus_mod.read_rows(annotations, Annotation)}
+        [model] = {a.model for a in corpus_mod.read_jsonl(annotations, Annotation)}
         payload = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
         assert payload["teacher_model"] == model != "other-model"
 
     def test_annotations_from_two_models_exit_1(self, workspace):
         annotations, split_path = self.setup_corpus(workspace, test_queries=[])
-        rows = corpus_mod.read_rows(annotations, Annotation)
+        rows = corpus_mod.read_jsonl(annotations, Annotation)
         rows[-1].model = "other-model"
         corpus_mod.write_rows(annotations, rows)
         result = self.distill(workspace, annotations, split_path, expect_exit=1)
@@ -632,7 +632,7 @@ def test_audit_writes_disagreements_and_table(workspace):
     run_cli(workspace, "audit", "--annotations", str(annotations),
             "--original", str(workspace / "gold.jsonl"),
             "--out", str(out), "--per-bin", "5", "--seed", "3")
-    sampled = corpus_mod.read_jsonl(out)
+    sampled = jsonl_rows(out)
     # model says Yes on (q1,d2) and (q2,d1) where gold says irrelevant
     assert {(d["query_id"], d["doc_id"]) for d in sampled} == {
         ("q1", "d2"), ("q2", "d1")}
@@ -669,7 +669,7 @@ def test_define_generates_definitions(workspace, fixture_queries):
     out = workspace / "defined.jsonl"
     run_cli(workspace, "define", "--queries", str(workspace / "plain.jsonl"),
             "--out", str(out))
-    defined = corpus_mod.read_rows(out, corpus_mod.Query)
+    defined = corpus_mod.read_jsonl(out, corpus_mod.Query)
     assert all(q.definition is not None for q in defined)
 
 
@@ -687,7 +687,7 @@ def test_define_with_examples_improves_the_queries_that_have_them(
             "--examples", examples]
     run_cli(workspace, *args)
     defined = {q.id: q.definition.provenance
-               for q in corpus_mod.read_rows(out, corpus_mod.Query)}
+               for q in corpus_mod.read_jsonl(out, corpus_mod.Query)}
     assert defined == {"q1": "improved", "q2": "generated"}
     # Requests overlap, so they arrive in any order: match each to its query.
     improved, generated = sorted(mock_server.chat_prompts,
@@ -745,7 +745,7 @@ def test_annotate_fatal_error_leaves_the_pairs_before_it(tmp_path, fixture_queri
     assert result.exit_code == 1, result.output
     assert "HTTP 400" in json.loads(result.stderr.strip().splitlines()[-1])["error"]
     written = {name: [f"{r['query_id']},{r['doc_id']}" for r in
-                      corpus_mod.read_jsonl(tmp_path / f"{name}.jsonl")]
+                      jsonl_rows(tmp_path / f"{name}.jsonl")]
                for name in ("annotations", "errors")}
     expected = [f"q1,d{i}" for i in range(fatal)]
     assert written == {"annotations": [p for p in expected if p != "q1,d3"],
@@ -805,7 +805,7 @@ def test_define_stopped_by_a_failing_query_resumes_from_the_cache(tmp_path):
         define(server, "clean")
     assert (tmp_path / "stopped.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
     meanings = [q.definition.meaning
-                for q in corpus_mod.read_rows(tmp_path / "clean.jsonl", corpus_mod.Query)]
+                for q in corpus_mod.read_jsonl(tmp_path / "clean.jsonl", corpus_mod.Query)]
     assert [f"quantity {i}" in m for i, m in enumerate(meanings)] == [True] * n
 
 
@@ -862,7 +862,7 @@ def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fi
 
     def keys(name):
         return [f"{r['query_id']},{r['doc_id']}"
-                for r in corpus_mod.read_jsonl(tmp_path / f"{name}.jsonl")]
+                for r in jsonl_rows(tmp_path / f"{name}.jsonl")]
 
     with mockserver.MockLLMServer(fixtures_dir=tmp_path / "rules") as server:
         env = dict(os.environ, RELANNO_BASE_URL=server.base_url,
@@ -870,7 +870,7 @@ def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fi
         proc = subprocess.Popen(command("killed"), env=env, stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 30
-            while len(corpus_mod.read_jsonl(tmp_path / "killed.jsonl")
+            while len(jsonl_rows(tmp_path / "killed.jsonl")
                        if (tmp_path / "killed.jsonl").exists() else []) < 10:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
@@ -1110,6 +1110,14 @@ def bad_input_case(workspace, name):
         return ["audit", "--annotations", annotations, "--original", gold,
                 "--out", str(w / "d.jsonl"), "--verdicts", bad], [
             "bad.jsonl:1", "field 'verdict'", "expected \"model\" or \"original\", got 'Model'"]
+    capitalised = {"gold binary that is Relevant": ["evaluate", "--scheme", "binary", "--gold"],
+                   "original binary that is Relevant": ["audit", "--original"],
+                   "gold binary that is Relevant to sweep": ["sweep", "--gold"]}
+    if name in capitalised:
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": 1.0, "binary": "Relevant"}))
+        return [*capitalised[name], bad, "--annotations", annotations,
+                "--out", str(w / "out")], ["bad.jsonl:1", "field 'binary'", "got 'Relevant'"]
     if name == "pair with an unknown query id":
         pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q9", "doc_id": "d1"}))
         return ["annotate", "--pairs", pairs, "--queries", queries, "--documents", documents,
@@ -1161,10 +1169,66 @@ def bad_input_case(workspace, name):
     "score that is NaN", "guess that is Maybe", "score above 1 to distill",
     "gold grade beyond float range", "gold grade of 5000 digits", "split seed of 5000 digits",
     "tok row of an unknown variant", "ask-only row of an unknown variant to distill",
-    "verdict that is Model",
+    "verdict that is Model", "gold binary that is Relevant", "original binary that is Relevant",
+    "gold binary that is Relevant to sweep",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
     result = run_cli(workspace, *args, expect_exit=1)
     assert_one_line_json_error(result, *fragments)
+
+
+def test_audit_with_a_bad_verdict_writes_no_output(workspace):
+    args, fragments = bad_input_case(workspace, "verdict that is Model")
+    assert_one_line_json_error(run_cli(workspace, *args, expect_exit=1), *fragments)
+    assert not (workspace / "d.jsonl").exists()
+
+
+def test_rankings_read_from_a_pipe(workspace):
+    """A pipe can be read only once: a bad row's line is known from that one read."""
+    good = json.dumps({"query_id": "q1", "entries": [["d1", 0.9], ["d2", 0.1]]})
+    bad = json.dumps({"query_id": 7, "entries": []})
+
+    def sample_from_pipe(*lines, expect_exit):
+        read_end, write_end = os.pipe()
+        try:
+            with os.fdopen(write_end, "w", encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in lines))
+            return run_cli(workspace, "sample", "--rankings", f"/dev/fd/{read_end}",
+                           "--out", str(workspace / "pairs.jsonl"), "--k", "1",
+                           "--per-side", "1", expect_exit=expect_exit)
+        finally:
+            os.close(read_end)
+
+    assert_one_line_json_error(sample_from_pipe(good, "", bad, expect_exit=1),
+                               ":3: field 'query_id'", "expected a string, got 7")
+    assert json.loads(sample_from_pipe(good, "", expect_exit=0).output)["pairs"] == 2
+
+
+@pytest.mark.parametrize("command", ["annotate", "distill"])
+def test_query_without_a_definition_fails_before_any_request(workspace, mock_server, command):
+    w = workspace
+    with open(w / "queries.jsonl", "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "q3", "text": "A question nobody defined?"}) + "\n")
+    common = ["--queries", str(w / "queries.jsonl"), "--documents", str(w / "documents.jsonl"),
+              "--variant", "point-ask-d", "--out", str(w / "out.jsonl")]
+    if command == "annotate":
+        pairs = write_lines(w / "pairs.jsonl", *(json.dumps({"query_id": q, "doc_id": d})
+                                                for q, d in [("q1", "d1"), ("q1", "d2"),
+                                                             ("q3", "d1")]))
+        args = ["annotate", "--pairs", pairs, "--calibration", "ask", *common]
+    else:
+        annotations = write_lines(w / "ann.jsonl", *(json.dumps(
+            {"query_id": q, "doc_id": "d1", "guess": "Yes", "relevance_score": 0.9,
+             "confidence_ask": 0.9}) for q in ("q1", "q3")))
+        (w / "split.json").write_text(json.dumps({
+            "train_queries": ["q1", "q2", "q3"], "test_queries": [],
+            "train_reports": ["r1", "r2"], "test_reports": [], "seed": 1}), encoding="utf-8")
+        args = ["distill", "--annotations", annotations, "--split", str(w / "split.json"),
+                "--manifest", str(w / "m.json"), *common]
+    pair = "pair (q3,d1)" if command == "annotate" else "annotation (q3,d1)"
+    assert_one_line_json_error(run_cli(workspace, *args, expect_exit=1), pair,
+                               "query q3 has no relevance definition, which point-ask-d needs")
+    assert mock_server.request_count == 0
+    assert not (w / "out.jsonl").exists()
 

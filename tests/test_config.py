@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import jsonl_rows
 from relanno import corpus as corpus_mod
 from relanno.cli import main
 from relanno.config import Config, load_config
@@ -53,7 +54,7 @@ class TestPrecedence:
         result = invoke(config, "sample", "--rankings", str(rankings), "--out", str(out),
                         "--k", "2")
         assert json.loads(result.stdout)["pairs"] == 4
-        assert sum(p["retriever_rank"] <= 2 for p in corpus_mod.read_jsonl(out)) == 2
+        assert sum(p["retriever_rank"] <= 2 for p in jsonl_rows(out)) == 2
 
 
 def test_comments_and_blank_lines(tmp_path):

@@ -11,7 +11,7 @@ from relanno.corpus import (
     Split,
     from_row,
     merge_short_chunks,
-    read_rows,
+    read_jsonl,
     split_train_test,
     to_row,
     validate_corpus,
@@ -134,8 +134,8 @@ def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
     dpath = tmp_path / "documents.jsonl"
     write_rows(qpath, fixture_queries)
     write_rows(dpath, fixture_chunks)
-    assert read_rows(qpath, Query) == fixture_queries
-    assert read_rows(dpath, DocumentChunk) == fixture_chunks
+    assert read_jsonl(qpath, Query) == fixture_queries
+    assert read_jsonl(dpath, DocumentChunk) == fixture_chunks
 
 
 def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
@@ -143,7 +143,7 @@ def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
     with RowWriter(streamed) as writer:
         for n, query in enumerate(fixture_queries, start=1):
             writer.write(query)
-            assert read_rows(streamed, Query) == fixture_queries[:n]  # before close
+            assert read_jsonl(streamed, Query) == fixture_queries[:n]  # before close
     write_rows(batch, fixture_queries)
     assert streamed.read_bytes() == batch.read_bytes()
 
@@ -191,9 +191,16 @@ class TestRowCodec:
                                  "train_reports": [], "test_reports": ["r"], "seed": 3}
         assert from_row(Split, to_row(split)) == split
 
+    def test_broken_line_is_reported_before_an_earlier_bad_row(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"query_id": "q", "doc_id": "d", "grade": "high"}\n\n'
+                        '{"query_id": \n', encoding="utf-8")
+        with pytest.raises(RowError, match=r"gold.jsonl:3: not valid JSON"):
+            read_jsonl(path, GoldLabel)
+
     def test_read_rows_names_the_line_past_blank_lines(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"query_id": "q", "doc_id": "d", "grade": 1}\n\n'
                         '{"query_id": "q", "doc_id": "d", "grade": "high"}\n', encoding="utf-8")
         with pytest.raises(RowError, match=r"gold.jsonl:3: field 'grade'"):
-            read_rows(path, GoldLabel)
+            read_jsonl(path, GoldLabel)

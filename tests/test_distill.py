@@ -1,7 +1,8 @@
 import pytest
 
+from conftest import jsonl_rows
 from relanno.annotator import Annotation, derive_relevance_score
-from relanno.corpus import Split, read_jsonl, to_row
+from relanno.corpus import Split, to_row
 from relanno.distill import (
     LeakageError,
     TrainingRecord,
@@ -125,7 +126,7 @@ class TestBuildTrainingRecord:
         out = tmp_path / "train.jsonl"
         export_training_data([ann], queries, chunks, make_split(),
                              PromptVariant.from_label(exported_as), out)
-        [record] = read_jsonl(out)
+        [record] = jsonl_rows(out)
         assert record["assistant"].endswith(f"[Guess]: No\n{exported}")
 
 class TestExport:
@@ -136,7 +137,7 @@ class TestExport:
         out = tmp_path / "train.jsonl"
         manifest = export_training_data(annotations, queries, chunks,
                                         make_split(), VARIANT, out)
-        records = read_jsonl(out)
+        records = jsonl_rows(out)
         assert len(records) == 2
         assert manifest.count == 2
         assert manifest.balance.yes_count == 1
@@ -152,7 +153,7 @@ class TestExport:
         manifest = export_training_data(
             [annotation("q1", "d1", "Yes", 0.9), annotation("q1", "d2", "No", 0.8)],
             queries, chunks, make_split(), VARIANT, out)
-        written = [TrainingRecord(**row) for row in read_jsonl(out)]
+        written = [TrainingRecord(**row) for row in jsonl_rows(out)]
         assert manifest.balance == audit_balance(written, ["q1"])
         assert to_row(manifest)["balance"] == to_row(manifest.balance)
         assert (manifest.balance.yes_count, manifest.balance.no_count) == (1, 1)
@@ -214,7 +215,7 @@ class TestAuditBalance:
         out = tmp_path / "train.jsonl"
         export_training_data(annotations, queries, chunks, make_split(),
                              VARIANT, out)
-        return [TrainingRecord(**row) for row in read_jsonl(out)]
+        return [TrainingRecord(**row) for row in jsonl_rows(out)]
 
     def test_balanced_not_flagged(self, corpus, tmp_path):
         records = self.export(corpus, tmp_path,

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from relanno import gateway as gateway_mod
 from relanno.gateway import (
     LOOKAHEAD_PER_THREAD,
-    CapabilityError,
     LLMGateway,
     ResponseStore,
     TransportError,
@@ -76,6 +75,18 @@ def test_logprobs_captured(uncached_gateway):
     assert surfaces == response.text
 
 
+@pytest.mark.parametrize("key, header", [("sk-test-123", "Bearer sk-test-123"), (None, None)],
+                         ids=["key set", "key unset"])
+def test_api_key_reaches_the_endpoint(uncached_gateway, mock_server, monkeypatch, key, header):
+    if key is None:
+        monkeypatch.delenv("RELANNO_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("RELANNO_API_KEY", key)
+    uncached_gateway.chat_complete("SCOPE3DOC")
+    uncached_gateway.embed(["SCOPE3DOC"])
+    assert mock_server.authorizations == [header, header]
+
+
 def test_missing_logprobs_is_capability_error(uncached_gateway, monkeypatch):
     # Simulate an endpoint that ignores the logprobs request flag.
     original = uncached_gateway._post
@@ -87,7 +98,7 @@ def test_missing_logprobs_is_capability_error(uncached_gateway, monkeypatch):
         return raw
 
     monkeypatch.setattr(uncached_gateway, "_post", strip_logprobs)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(TransportError, match="token logprobs"):
         uncached_gateway.chat_complete("SCOPE3DOC", want_logprobs=True)
 
 
@@ -118,11 +129,11 @@ ENTRY = r"choices\[0\]\.logprobs\.content\[0\]"
 
 
 @pytest.mark.parametrize("spoil, error, match", [
-    (_without_logprobs, CapabilityError, "token logprobs"),
+    (_without_logprobs, TransportError, "token logprobs"),
     (lambda raw: {}, TransportError, r"lacks the field choices\[0\]\.message\.content"),
     (lambda raw: {"choices": []}, TransportError, "lacks the field choices"),
     (_without_content, TransportError, "lacks the field choices"),
-    (_with_logprobs(content=[]), CapabilityError, "token logprobs"),
+    (_with_logprobs(content=[]), TransportError, "token logprobs"),
     (_with_logprobs(content={"token": "Yes", "logprob": -0.1}), TransportError,
      r"choices\[0\]\.logprobs\.content is not a list"),
     (_with_logprobs(first={"logprob": -0.1}), TransportError, ENTRY + r"\.token"),

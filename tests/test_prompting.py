@@ -118,10 +118,6 @@ class TestPointwisePrompt:
         prompt = self.render(POINT_NODEF)
         assert "<background_information>" not in prompt
 
-    def test_missing_definition_rejected(self):
-        with pytest.raises(ValueError):
-            render_pointwise_prompt("q?", "text", POINT_ASK_D, definition=None)
-
     def test_inputs_appear_exactly_once(self):
         question = "UNIQUEQUESTIONTOKEN?"
         chunk = "UNIQUECHUNKTOKEN paragraph"
