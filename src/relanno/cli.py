@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -21,7 +20,7 @@ from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_co
 from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
                      RelevanceDefinition, RowWriter, Split, read_json, read_jsonl, to_row,
-                     write_json, write_rows)
+                     write_csv, write_json, write_rows)
 from .gateway import LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
@@ -296,11 +295,9 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
                                ece_bins, cutoff_k).rounded()
     write_json(out_path, report)
     if proxy_out:
-        with open(proxy_out, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["query_id", "mean_relevance_score"])
-            for query_id, mean in relevant_info_proxy(annotations):
-                writer.writerow([query_id, f"{mean:.6f}"])
+        write_csv(proxy_out, [("query_id", "mean_relevance_score"),
+                              *((query_id, f"{mean:.6f}")
+                                for query_id, mean in relevant_info_proxy(annotations))])
     click.echo(json.dumps(report))
 
 
@@ -357,12 +354,9 @@ def sweep(annotations_path, gold_path, out_path, steps):
     grid = [i / (steps - 1) for i in range(steps)] if steps > 1 else [0.0]
     points = f1_threshold_sweep([a.relevance_score for a, _ in scored],
                                 [gold_relevant(g) for _, g in scored], grid)
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["theta", "f1", "precision", "recall"])
-        for p in points:
-            writer.writerow([f"{p.theta:.4f}", f"{p.f1:.6f}",
-                             f"{p.precision:.6f}", f"{p.recall:.6f}"])
+    write_csv(out_path, [("theta", "f1", "precision", "recall"),
+                         *((f"{p.theta:.4f}", f"{p.f1:.6f}", f"{p.precision:.6f}",
+                            f"{p.recall:.6f}") for p in points)])
     click.echo(json.dumps({"points": len(points), "out": out_path}))
 
 

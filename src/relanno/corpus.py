@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import functools
 import itertools
 import json
+import math
+import os
 import random
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import (Callable, Iterable, Optional, TypeVar, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
 
 
 def whitespace_token_count(text: str) -> int:
@@ -67,6 +71,8 @@ class GoldLabel:
     uncertain: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.grade <= 1.0:
+            raise RowError(f"expected a number in [0,1], got {self.grade}", "grade")
         if self.binary not in (None, "relevant", "partial", "irrelevant"):
             raise RowError("expected \"relevant\", \"partial\", \"irrelevant\" or null, "
                            f"got {self.binary!r}", "binary")
@@ -189,8 +195,6 @@ def validate_corpus(
             findings.append(f"gold references unknown query id: {g.query_id}")
         if g.doc_id not in dids:
             findings.append(f"gold references unknown doc id: {g.doc_id}")
-        if not 0.0 <= g.grade <= 1.0:
-            findings.append(f"gold grade out of range for ({g.query_id},{g.doc_id}): {g.grade}")
         if g.binary == "irrelevant" and g.grade != 0.0:
             findings.append(f"irrelevant gold with nonzero grade: ({g.query_id},{g.doc_id})")
     return findings
@@ -231,6 +235,23 @@ def _scalar(kinds: tuple[type, ...], what: str, convert: Optional[Callable] = No
     return decode
 
 
+def _unicode(value: str) -> str:
+    """value, unless it holds a lone surrogate, which no UTF-8 output can hold."""
+    if value.isascii():
+        return value
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RowError(f"expected a string, got a lone surrogate at index {exc.start}") from None
+    return value
+
+
+def _finite(value: int | float) -> float:
+    if not math.isfinite(value := float(value)):
+        raise RowError(f"expected a finite number, got {value}")
+    return value
+
+
 def _decoder(hint) -> Callable:
     """Checks a JSON value against a type hint and returns the value to store."""
     origin, args = get_origin(hint), get_args(hint)
@@ -241,10 +262,10 @@ def _decoder(hint) -> Callable:
         decode = _decoder(inner)
         return lambda value: None if value is None else decode(value)
     if hint in (str, bool, int, float):
-        return {str: _scalar((str,), "a string"),
+        return {str: _scalar((str,), "a string", _unicode),
                 bool: _scalar((bool,), "true or false"),
                 int: _scalar((int,), "an integer"),
-                float: _scalar((int, float), "a number", float)}[hint]
+                float: _scalar((int, float), "a number", _finite)}[hint]
     if origin not in (list, set, tuple):
         raise TypeError(f"no row decoder for type {hint!r}")
     decoders = [_decoder(a) for a in args]
@@ -355,8 +376,29 @@ def _jsonl_line(row: dict) -> str:
     return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _published(path: str | Path, newline: Optional[str] = None) -> Iterator[IO[str]]:
+    """The one way a whole-file output is opened: as `<path>.partial` beside the file
+    `path` names through any symlink, renamed onto it when the block ends cleanly and
+    deleted on an error. A path that exists and is not a regular file (a FIFO,
+    /dev/stdout) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline=newline) as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    partial = target + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline=newline) as f:
+            yield f
+        os.replace(partial, target)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _published(path) as f:
         for row in rows:
             f.write(_jsonl_line(row))
 
@@ -368,7 +410,7 @@ def write_rows(path: str | Path, objs: Iterable[object]) -> None:
 class RowWriter:
     """A new JSONL file of dataclass rows, written one row at a time as
     `write_rows` writes them. Each row is flushed as it is written, so a run
-    that stops leaves whole rows only."""
+    that stops leaves a prefix of whole rows, not the earlier file."""
 
     def __init__(self, path: str | Path):
         self._file = open(path, "w", encoding="utf-8")
@@ -400,6 +442,10 @@ def read_json(path: str | Path, cls: type[T]) -> T:
 
 
 def write_json(path: str | Path, row: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(row, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with _published(path) as f:
+        f.write(json.dumps(row, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    with _published(path, newline="") as f:
+        csv.writer(f).writerows(rows)

@@ -270,6 +270,11 @@ class LLMGateway:
         # Also loads `requests`, here on the thread that builds the gateway and
         # before any worker pool uses it (see `lazy_import`).
         self._session = requests.Session()
+        # The environment is read once: per request, a netrc entry replaced the API key.
+        self._session.trust_env = False
+        self._session.proxies = requests.utils.get_environ_proxies(config.base_url)
+        self._session.verify = (os.environ.get("REQUESTS_CA_BUNDLE")
+                                or os.environ.get("CURL_CA_BUNDLE") or True)
         # One kept-alive connection per request in flight: the default pool
         # keeps 10 and drops and reopens connections above that.
         adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)

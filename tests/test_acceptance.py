@@ -186,9 +186,9 @@ class TestReferenceArithmetic:
         assert report.avg == pytest.approx(80.00, abs=0.005)
 
     def test_gains(self):
-        partial = GoldLabel("q", "d", grade=2.0, binary="partial")
+        partial = GoldLabel("q", "d", grade=0.75, binary="partial")
         assert gain(partial, "three_way") == 0.5
-        assert gain(partial, "graded_1_3") == 2.0
+        assert gain(partial, "graded_1_3") == 0.75
         print("PASS gains")
 
 

@@ -5,8 +5,10 @@ import logging
 import os
 import re
 import sqlite3
+import stat
 import subprocess
 import sys
+import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -888,6 +890,82 @@ def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fi
     assert (tmp_path / "killed.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
 
 
+def sample_args(workspace, out):
+    """`sample` over two short rankings, to `out`."""
+    rankings = workspace / "rankings.jsonl"
+    if not rankings.exists():
+        save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.5), ("d3", 0.1)]),
+                                 Ranking("q2", [("d2", 0.8), ("d3", 0.4), ("d1", 0.2)])])
+    return ["sample", "--rankings", str(rankings), "--out", str(out),
+            "--k", "1", "--per-side", "1"]
+
+
+# Runs `relanno ARGS...` with each output row held up for a minute; touches
+# the file named by its first argument when the first row is being written.
+SLOW_WRITE = """\
+import sys, time
+from pathlib import Path
+from relanno import corpus
+from relanno.cli import main
+line = corpus._jsonl_line
+
+def slow_line(row):
+    Path(sys.argv[1]).touch()
+    time.sleep(60)
+    return line(row)
+
+corpus._jsonl_line = slow_line
+main(sys.argv[2:], prog_name="relanno")
+"""
+
+
+def test_killed_sample_keeps_the_earlier_output(workspace):
+    out, started = workspace / "pairs.jsonl", workspace / "started"
+    run_cli(workspace, *sample_args(workspace, out))
+    earlier = out.read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_WRITE, str(started),
+                             *sample_args(workspace, out)], env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not started.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert out.read_bytes() == earlier
+    run_cli(workspace, *sample_args(workspace, out))
+    assert out.read_bytes() == earlier
+    assert not list(workspace.glob("*.partial"))
+
+
+def test_sample_writes_a_fifo_in_place(workspace):
+    run_cli(workspace, *sample_args(workspace, workspace / "plain.jsonl"))
+    fifo = workspace / "pairs.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    run_cli(workspace, *sample_args(workspace, fifo))
+    reader.join(timeout=30)
+    assert received == [(workspace / "plain.jsonl").read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert not list(workspace.glob("*.partial"))
+
+
+def test_sample_through_a_symlink_replaces_the_file_it_names(workspace):
+    run_cli(workspace, *sample_args(workspace, workspace / "plain.jsonl"))
+    (workspace / "real").mkdir()
+    target, link = workspace / "real" / "pairs.jsonl", workspace / "pairs.jsonl"
+    target.write_text("earlier\n", encoding="utf-8")
+    link.symlink_to(target)
+    run_cli(workspace, *sample_args(workspace, link))
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == (workspace / "plain.jsonl").read_bytes()
+    assert not list(workspace.rglob("*.partial"))
+
+
 def write_lines(path, *lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
@@ -1048,6 +1126,28 @@ def bad_input_case(workspace, name):
                 "--documents", documents, "--split", str(split),
                 "--out", str(w / "t.jsonl"), "--manifest", str(w / "m.json")], [
             "split.json", "not valid JSON", "Exceeds the limit (4300 digits)"]
+    gold_grades = {"gold grade of 1e400": ("1e400", "expected a finite number, got inf"),
+                   "gold grade that is NaN": ("NaN", "expected a finite number, got nan"),
+                   "gold grade above 1": ("1.5", "expected a number in [0,1], got 1.5")}
+    if name in gold_grades:
+        literal, message = gold_grades[name]
+        bad = write_lines(w / "gold.jsonl", '{"query_id": "q1", "doc_id": "d1", '
+                          f'"binary": "relevant", "grade": {literal}}}')
+        return ["evaluate", "--scheme", "graded_1_3", "--annotations", annotations,
+                "--gold", bad, "--out", str(w / "r.json")], [
+            "gold.jsonl:1", "field 'grade'", message]
+    if name == "ranking score that is -Infinity":
+        bad = write_lines(w / "bad.jsonl", '{"query_id": "q1", "entries": [["d1", -Infinity]]}')
+        return ["sample", "--rankings", bad, "--out", str(w / "p.jsonl")], [
+            "bad.jsonl:1", "field 'entries[0][1]'", "expected a finite number, got -inf"]
+    if name == "query text with a lone surrogate":
+        (w / "in").mkdir()
+        bad = write_lines(w / "in" / "queries.jsonl", *(
+            json.dumps({"id": f"q{i}", "text": text}) for i, text in
+            enumerate(["one", "two", "three", "bad \ud800 text"], start=1)))
+        return ["ingest", "--queries", bad, "--documents", documents,
+                "--out-dir", str(w / "out")], [
+            "queries.jsonl:4", "field 'text'", "expected a string, got a lone surrogate"]
     if name == "gold row without binary":
         bad = write_lines(w / "bad.jsonl", json.dumps(
             {"query_id": "q1", "doc_id": "d1", "grade": 0.7}))
@@ -1170,7 +1270,8 @@ def bad_input_case(workspace, name):
     "gold grade beyond float range", "gold grade of 5000 digits", "split seed of 5000 digits",
     "tok row of an unknown variant", "ask-only row of an unknown variant to distill",
     "verdict that is Model", "gold binary that is Relevant", "original binary that is Relevant",
-    "gold binary that is Relevant to sweep",
+    "gold binary that is Relevant to sweep", "gold grade of 1e400", "gold grade that is NaN",
+    "gold grade above 1", "ranking score that is -Infinity", "query text with a lone surrogate",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
@@ -1182,6 +1283,12 @@ def test_audit_with_a_bad_verdict_writes_no_output(workspace):
     args, fragments = bad_input_case(workspace, "verdict that is Model")
     assert_one_line_json_error(run_cli(workspace, *args, expect_exit=1), *fragments)
     assert not (workspace / "d.jsonl").exists()
+
+
+def test_ingest_of_a_lone_surrogate_writes_nothing(workspace):
+    args, fragments = bad_input_case(workspace, "query text with a lone surrogate")
+    assert_one_line_json_error(run_cli(workspace, *args, expect_exit=1), *fragments)
+    assert not (workspace / "out").exists()
 
 
 def test_rankings_read_from_a_pipe(workspace):

@@ -16,6 +16,7 @@ from relanno.corpus import (
     to_row,
     validate_corpus,
     whitespace_token_count,
+    write_jsonl,
     write_rows,
 )
 from relanno.sampler import AccuracyCell
@@ -123,11 +124,6 @@ class TestValidateCorpus:
         findings = validate_corpus(queries, fixture_chunks)
         assert any("duplicate query id" in f for f in findings)
 
-    def test_grade_range_violation(self, fixture_queries, fixture_chunks):
-        gold = [GoldLabel("q1", "d1", grade=1.5)]
-        findings = validate_corpus(fixture_queries, fixture_chunks, gold)
-        assert any("out of range" in f for f in findings)
-
 
 def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
     qpath = tmp_path / "queries.jsonl"
@@ -146,6 +142,23 @@ def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
             assert read_jsonl(streamed, Query) == fixture_queries[:n]  # before close
     write_rows(batch, fixture_queries)
     assert streamed.read_bytes() == batch.read_bytes()
+
+
+def rows_that_fail_after(n):
+    for i in range(n):
+        yield {"i": i}
+    raise RuntimeError("the rows ran out")
+
+
+@pytest.mark.parametrize("earlier", [b'{"i": "earlier"}\n', None], ids=["over a file", "no file"])
+def test_a_write_that_fails_leaves_the_earlier_file_and_no_partial(tmp_path, earlier):
+    path = tmp_path / "out.jsonl"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    with pytest.raises(RuntimeError, match="the rows ran out"):
+        write_jsonl(path, rows_that_fail_after(2))
+    assert (path.read_bytes() if path.exists() else None) == earlier
+    assert [p.name for p in tmp_path.iterdir()] == (["out.jsonl"] if earlier else [])
 
 
 def test_token_count_defaults_to_whitespace():
@@ -177,6 +190,27 @@ class TestRowCodec:
     def test_bool_field_takes_only_a_bool(self, flag):
         with pytest.raises(RowError, match="field 'uncertain': expected true or false"):
             from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": 0, "uncertain": flag})
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
+    def test_number_field_takes_only_a_finite_number(self, tmp_path, literal, shown):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"query_id": "q", "doc_id": "d", "grade": %s}\n' % literal,
+                        encoding="utf-8")
+        with pytest.raises(RowError, match=f"gold.jsonl:1: field 'grade': "
+                                           f"expected a finite number, got {shown}$"):
+            read_jsonl(path, GoldLabel)
+
+    def test_grade_range_violation(self):
+        for grade in (1.5, -0.1):
+            with pytest.raises(RowError, match=r"field 'grade': expected a number in \[0,1\]"):
+                from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": grade})
+
+    def test_string_field_takes_no_lone_surrogate(self):
+        assert from_row(Query, {"id": "q1", "text": "Ä \U0001f600"}).text == "Ä \U0001f600"
+        with pytest.raises(RowError, match="field 'text': expected a string, "
+                                           "got a lone surrogate at index 4$"):
+            from_row(Query, {"id": "q1", "text": "bad \ud800 text"})
 
     def test_int_for_float_extra_keys_and_defaults(self):
         gold = from_row(GoldLabel, {"query_id": "q", "doc_id": "d", "grade": 1, "note": "x"})

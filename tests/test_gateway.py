@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import socket
 import struct
 import sys
 import tempfile
@@ -85,6 +86,40 @@ def test_api_key_reaches_the_endpoint(uncached_gateway, mock_server, monkeypatch
     uncached_gateway.chat_complete("SCOPE3DOC")
     uncached_gateway.embed(["SCOPE3DOC"])
     assert mock_server.authorizations == [header, header]
+
+
+def test_a_netrc_entry_does_not_replace_the_api_key(mock_server, tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login someone password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("RELANNO_API_KEY", "sk-test")
+    mock_server.reset_counters()
+    gateway = LLMGateway(Config(base_url=mock_server.base_url, cache_dir=None))
+    gateway.chat_complete("SCOPE3DOC")
+    gateway.embed(["SCOPE3DOC"])
+    assert mock_server.authorizations == ["Bearer sk-test", "Bearer sk-test"]
+
+
+def test_requests_go_through_the_proxy_the_environment_names(mock_server, monkeypatch):
+    for name in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", mock_server.base_url)
+    # Only the proxy's own address is ever looked up: the endpoint's host
+    # exists nowhere, and a request sent past the proxy fails at once.
+    lookup = socket.getaddrinfo
+
+    def local_only(host, *args, **kwargs):
+        if host != "127.0.0.1":
+            raise socket.gaierror(f"no lookup of {host} in this test")
+        return lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", local_only)
+    mock_server.reset_counters()
+    gateway = LLMGateway(Config(base_url="http://relanno.invalid/v1", cache_dir=None,
+                                max_attempts=1))
+    assert gateway.chat_complete("SCOPE3DOC").text == "[Guess]: Yes\n[Confidence]: 0.9"
+    assert mock_server.request_count == 1
 
 
 def test_missing_logprobs_is_capability_error(uncached_gateway, monkeypatch):

@@ -277,7 +277,7 @@ class TestGainMapping:
         assert gain(gold_label("irrelevant"), "three_way") == 0.0
 
     def test_graded(self):
-        for grade in (0.0, 1 / 3, 0.5, 2.0, 3.0):
+        for grade in (0.0, 1 / 3, 0.5, 2 / 3, 1.0):
             assert gain(gold_label("relevant", grade), "graded_1_3") == grade
 
     def test_binary(self):
