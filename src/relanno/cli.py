@@ -19,8 +19,8 @@ from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_co
                         relevant_info_proxy)
 from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
-                     RelevanceDefinition, RowWriter, Split, read_json, read_jsonl, to_row,
-                     write_csv, write_json, write_rows)
+                     RelevanceDefinition, RowWriter, Split, read_json, read_jsonl, write_csv,
+                     write_json, write_jsonl)
 from .gateway import LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
@@ -130,9 +130,9 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
         query_test_fraction, report_test_fraction, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_rows(out / "queries.jsonl", queries)
-    write_rows(out / "documents.jsonl", merged.chunks)
-    write_json(out / "split.json", to_row(split))
+    write_jsonl(out / "queries.jsonl", queries)
+    write_jsonl(out / "documents.jsonl", merged.chunks)
+    write_json(out / "split.json", split)
     click.echo(json.dumps({
         "queries": len(queries), "documents": len(merged.chunks),
         "merged_from": len(chunks), "out_dir": str(out),
@@ -174,7 +174,7 @@ def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
         for warning in result.warnings:
             log.warning("%s", warning)
         pairs.extend(result.pairs)
-    write_rows(out_path, pairs)
+    write_jsonl(out_path, pairs)
     click.echo(json.dumps({"pairs": len(pairs), "out": out_path}))
 
 
@@ -211,7 +211,7 @@ def define(config, queries_path, out_path, examples_path, parallelism):
 
     for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
         query.definition = definition
-    write_rows(out_path, queries)
+    write_jsonl(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), "out": out_path}))
 
 
@@ -271,7 +271,7 @@ def distill_cmd(annotations_path, queries_path, documents_path,
     split = read_json(split_path, Split)
     manifest = distill_mod.export_training_data(
         annotations, queries, chunks, split, PromptVariant.from_label(variant), out_path)
-    write_json(manifest_path, to_row(manifest))
+    write_json(manifest_path, manifest)
     click.echo(json.dumps({"records": manifest.count, "skipped": manifest.skipped,
                            "out": out_path}))
 
@@ -281,7 +281,9 @@ def distill_cmd(annotations_path, queries_path, documents_path,
               type=click.Path(exists=True))
 @click.option("--gold", "gold_path", required=True, type=click.Path(exists=True))
 @click.option("--scheme", type=click.Choice(["three_way", "graded_1_3", "binary"]),
-              default="three_way")
+              default="three_way",
+              help="Gain of a gold row. graded_1_3 takes its grade, which lies in [0,1]: "
+                   "give a 1-3 grade g as (g - 1) / 2.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--proxy-out", type=click.Path(), default=None,
               help="Also write per-query mean relevance scores as CSV.")
@@ -327,7 +329,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
                                                per_bin=per_bin, seed=seed)
     for warning in warnings:
         log.warning("%s", warning)
-    write_rows(out_path, sampled)
+    write_jsonl(out_path, sampled)
 
     if verdicts_path:
         verdict_by_key = {(v.query_id, v.doc_id): v.verdict for v in verdicts}
@@ -338,7 +340,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
         table = disagreement_accuracy_table(
             audited, cutoff=cutoff,
             all_confidences=[primary_confidence(a) for a in annotations])
-        write_json(table_out or out_path + ".table.json", to_row(table))
+        write_json(table_out or out_path + ".table.json", table)
     click.echo(json.dumps({"disagreements": len(sampled), "out": out_path}))
 
 

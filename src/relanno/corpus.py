@@ -287,34 +287,12 @@ def _decoder(hint) -> Callable:
     return decode_sequence
 
 
-def _encoder(hint) -> Optional[Callable]:
-    """What to_row applies to a non-None value of this type; None means as is."""
-    origin, args = get_origin(hint), get_args(hint)
-    if isinstance(hint, type) and is_dataclass(hint):
-        return to_row
-    if origin in (Union, UnionType):
-        return _encoder(next(a for a in args if a is not type(None)))
-    if origin is set:
-        return sorted
-    if origin is dict and args:
-        encode = _encoder(args[1])
-        return encode and (lambda value: {k: encode(v) for k, v in value.items()})
-    return None
-
-
 @functools.cache
 def _decoders(cls: type) -> list[tuple[str, Callable, bool]]:
     """(name, decoder, required) per field of cls."""
     hints = get_type_hints(cls)
     return [(f.name, _decoder(hints[f.name]),
              f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)]
-
-
-@functools.cache
-def _encoders(cls: type) -> list[tuple[str, Optional[Callable], bool]]:
-    """(name, encoder, left out when None) per field of cls."""
-    hints = get_type_hints(cls)
-    return [(f.name, _encoder(hints[f.name]), f.default is None) for f in fields(cls)]
 
 
 def from_row(cls: type[T], row: object) -> T:
@@ -336,17 +314,30 @@ def from_row(cls: type[T], row: object) -> T:
 
 
 def to_row(obj: object) -> dict:
-    """A dataclass as a JSON-ready dict. A field is left out only when it is
-    None and its default is None; sets become sorted lists."""
+    """A dataclass as a JSON-ready dict, each value as `_encoded` gives it. A
+    field is left out only when it is None and its default is None."""
     row = {}
-    for name, encode, omit_none in _encoders(type(obj)):
-        value = getattr(obj, name)
-        if value is None:
-            if not omit_none:
-                row[name] = None
-        else:
-            row[name] = value if encode is None else encode(value)
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            row[f.name] = _encoded(value)
+        elif f.default is not None:
+            row[f.name] = None
     return row
+
+
+def _encoded(value: object) -> object:
+    """value as JSON takes it: a dataclass as its row, a set as a sorted list,
+    a dict with its values encoded; anything else, lists too, as it is."""
+    if isinstance(value, (str, int, float, list)):  # most values, so tested first
+        return value
+    if is_dataclass(value):
+        return to_row(value)
+    if isinstance(value, set):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {k: _encoded(v) for k, v in value.items()}
+    return value
 
 
 def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
@@ -372,8 +363,8 @@ def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
     return out
 
 
-def _jsonl_line(row: dict) -> str:
-    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+def _jsonl_line(obj: object) -> str:
+    return json.dumps(_encoded(obj), ensure_ascii=False, sort_keys=True) + "\n"
 
 
 @contextlib.contextmanager
@@ -397,26 +388,23 @@ def _published(path: str | Path, newline: Optional[str] = None) -> Iterator[IO[s
         raise
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
+    """One line per row: a dataclass or a dict, encoded as to_row encodes."""
     with _published(path) as f:
         for row in rows:
             f.write(_jsonl_line(row))
 
 
-def write_rows(path: str | Path, objs: Iterable[object]) -> None:
-    write_jsonl(path, (to_row(obj) for obj in objs))
-
-
 class RowWriter:
     """A new JSONL file of dataclass rows, written one row at a time as
-    `write_rows` writes them. Each row is flushed as it is written, so a run
+    `write_jsonl` writes them. Each row is flushed as it is written, so a run
     that stops leaves a prefix of whole rows, not the earlier file."""
 
     def __init__(self, path: str | Path):
         self._file = open(path, "w", encoding="utf-8")
 
     def write(self, obj: object) -> None:
-        self._file.write(_jsonl_line(to_row(obj)))
+        self._file.write(_jsonl_line(obj))
         self._file.flush()
 
     def __enter__(self) -> RowWriter:
@@ -441,9 +429,9 @@ def read_json(path: str | Path, cls: type[T]) -> T:
         raise RowError(f"{path}: {exc}") from None
 
 
-def write_json(path: str | Path, row: dict) -> None:
+def write_json(path: str | Path, obj: object) -> None:
     with _published(path) as f:
-        f.write(json.dumps(row, indent=2, sort_keys=True) + "\n")
+        f.write(json.dumps(_encoded(obj), indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:

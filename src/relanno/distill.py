@@ -11,10 +11,9 @@ from pathlib import Path
 from typing import Optional
 
 from .annotator import Annotation, derive_relevance_score
-from .corpus import DocumentChunk, Query, Split, write_rows
+from .corpus import DocumentChunk, Query, Split, write_jsonl
 from .prompting import (
     DEFINITION_PARTS,
-    GUESS_LABEL,
     POINTWISE_PARTS,
     PromptVariant,
     format_pointwise_completion,
@@ -110,8 +109,7 @@ def export_training_data(
     models = sorted({ann.model for ann in annotations})
     if len(models) > 1:
         raise ValueError(f"annotations name more than one teacher model: {', '.join(models)}")
-    records = []
-    skipped = 0
+    records, exported = [], []
     for ann in annotations:
         if ann.query_id in split.test_queries:
             raise LeakageError(
@@ -129,16 +127,15 @@ def export_training_data(
             raise ValueError(f"annotation ({ann.query_id},{ann.doc_id}): query {ann.query_id} "
                              f"has no relevance definition, which {variant.label()} needs")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)
-        if record is None:
-            skipped += 1
-            continue
-        records.append(record)
+        if record is not None:
+            records.append(record)
+            exported.append(ann)
 
-    write_rows(out_path, records)
+    write_jsonl(out_path, records)
     return ExportManifest(
-        count=len(records), skipped=skipped, variant=variant.label(),
+        count=len(records), skipped=len(annotations) - len(records), variant=variant.label(),
         teacher_model=models[0] if models else "", template_hashes=_template_hashes(),
-        balance=audit_balance(records, sorted(split.train_queries)),
+        balance=audit_balance(exported, sorted(split.train_queries)),
     )
 
 
@@ -152,22 +149,22 @@ class BalanceReport:
     empty_queries: list[str] = field(default_factory=list)
 
 
-def audit_balance(records: list[TrainingRecord],
+def audit_balance(exported: list[Annotation],
                   expected_queries: list[str]) -> BalanceReport:
-    """Yes/No balance of an export (Yes fraction 0 when empty); flags a Yes
+    """Yes/No balance of an export, counted on the guesses of the annotations
+    its records were built from (Yes fraction 0 when empty); flags a Yes
     fraction outside [0.25, 0.75] and lists the expected queries with no record."""
     per_query: dict[str, dict[str, int]] = {}
     yes = 0
-    for record in records:
-        guess_yes = f"{GUESS_LABEL} Yes" in record.assistant
+    for ann in exported:
+        guess_yes = ann.guess == "Yes"
         yes += guess_yes
-        qid = record.meta.get("query_id", "?")
-        bucket = per_query.setdefault(qid, {"yes": 0, "no": 0})
+        bucket = per_query.setdefault(ann.query_id, {"yes": 0, "no": 0})
         bucket["yes" if guess_yes else "no"] += 1
-    fraction = yes / len(records) if records else 0.0
+    fraction = yes / len(exported) if exported else 0.0
     empty = sorted(set(expected_queries) - set(per_query))
     return BalanceReport(
-        yes_count=yes, no_count=len(records) - yes, yes_fraction=fraction,
+        yes_count=yes, no_count=len(exported) - yes, yes_fraction=fraction,
         flagged=not 0.25 <= fraction <= 0.75,
         per_query=per_query, empty_queries=empty,
     )

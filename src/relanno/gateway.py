@@ -272,6 +272,8 @@ class LLMGateway:
         self._session = requests.Session()
         # The environment is read once: per request, a netrc entry replaced the API key.
         self._session.trust_env = False
+        if key := os.environ.get(config.api_key_env):
+            self._session.headers["Authorization"] = f"Bearer {key}"
         self._session.proxies = requests.utils.get_environ_proxies(config.base_url)
         self._session.verify = (os.environ.get("REQUESTS_CA_BUNDLE")
                                 or os.environ.get("CURL_CA_BUNDLE") or True)
@@ -288,13 +290,6 @@ class LLMGateway:
 
     # --- transport ---------------------------------------------------------
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.config.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def _post(self, path: str, body: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
         last_error: Optional[str] = None
@@ -310,10 +305,7 @@ class LLMGateway:
             try:
                 with self._counter_lock:
                     self.network_calls += 1
-                resp = self._session.post(
-                    url, json=body, headers=self._headers(),
-                    timeout=TIMEOUT_S,
-                )
+                resp = self._session.post(url, json=body, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = str(exc)
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import lazy_import
-from .corpus import DocumentChunk, Query, read_jsonl, write_rows
+from .corpus import DocumentChunk, Query, read_jsonl, write_jsonl
 from .gateway import LLMGateway
 
 if TYPE_CHECKING:
@@ -70,4 +70,4 @@ def load_rankings(path: str | Path) -> list[Ranking]:
 
 
 def save_rankings(path: str | Path, rankings: list[Ranking]) -> None:
-    write_rows(path, rankings)
+    write_jsonl(path, rankings)

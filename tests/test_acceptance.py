@@ -309,8 +309,8 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     evaluate -> audit -> distill, with a private cache: the bytes of each output."""
     work = tmp_path / tag
     work.mkdir()
-    corpus_mod.write_rows(work / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(work / "documents.jsonl", fixture_chunks)
+    corpus_mod.write_jsonl(work / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(work / "documents.jsonl", fixture_chunks)
     corpus_mod.write_jsonl(work / "gold.jsonl", (
         {"query_id": g.query_id, "doc_id": g.doc_id, "grade": g.grade,
          "binary": g.binary, "uncertain": g.uncertain} for g in fixture_gold))
@@ -350,7 +350,7 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     split = corpus_mod.read_json(ingested / "split.json", Split)
     report_of = {c.id: c.report_id
                  for c in corpus_mod.read_jsonl(ingested / "documents.jsonl", DocumentChunk)}
-    corpus_mod.write_rows(work / "train_annotations.jsonl", (
+    corpus_mod.write_jsonl(work / "train_annotations.jsonl", (
         a for a in corpus_mod.read_jsonl(work / "annotations.jsonl", Annotation)
         if a.query_id in split.train_queries and report_of[a.doc_id] in split.train_reports))
     invoke("distill", "--annotations", work / "train_annotations.jsonl",
@@ -398,8 +398,8 @@ def test_annotate_with_retries_is_byte_identical_at_parallelism_1_and_8(tmp_path
          **({"status_sequence": [429, 200]} if i in throttled else {}),
          **({"delay_ms": 20} if i % 3 == 0 else {})}
         for i in range(20)]), encoding="utf-8")
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
         DocumentChunk(id=f"d{i}", report_id="r1", text=f"DOC{i:02d}X passage")
         for i in range(20)])
     corpus_mod.write_jsonl(tmp_path / "pairs.jsonl", (

@@ -32,8 +32,8 @@ from relanno.retrieval import Ranking, save_rankings
 def workspace(tmp_path, mock_server, fixture_queries, fixture_chunks,
               fixture_gold):
     mock_server.reset_counters()
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", fixture_chunks)
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", fixture_chunks)
     corpus_mod.write_jsonl(tmp_path / "gold.jsonl", (
         {"query_id": g.query_id, "doc_id": g.doc_id, "grade": g.grade,
          "binary": g.binary, "uncertain": g.uncertain}
@@ -183,7 +183,7 @@ class TestIngest:
         assert split.train_reports.isdisjoint(split.test_reports)
 
     def test_validation_failure_exits_nonzero(self, workspace, fixture_queries):
-        corpus_mod.write_rows(workspace / "dup.jsonl",
+        corpus_mod.write_jsonl(workspace / "dup.jsonl",
                               fixture_queries + fixture_queries[:1])
         result = run_cli(workspace, "ingest",
                          "--queries", str(workspace / "dup.jsonl"),
@@ -199,8 +199,8 @@ class TestIngest:
         chunks = [corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1" if i <= 8 else "r2",
                                            text=f"Sentence number {i} of the report.")
                   for i in range(1, 10)]
-        corpus_mod.write_rows(workspace / "short.jsonl", chunks)
-        corpus_mod.write_rows(workspace / "short_gold.jsonl", [
+        corpus_mod.write_jsonl(workspace / "short.jsonl", chunks)
+        corpus_mod.write_jsonl(workspace / "short_gold.jsonl", [
             corpus_mod.GoldLabel("q1", c.id, grade=0.0, binary="irrelevant")
             for c in chunks[:8]])
         result = run_cli(workspace, "ingest",
@@ -289,8 +289,8 @@ class TestRankFailures:
 def test_rank_stopped_by_a_failing_batch_resumes_from_the_cache(
         tmp_path, fixture_queries, monkeypatch):
     texts = {f"d{i:02}": f"passage {i} about topic{i % 3}" for i in range(10)}
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
         corpus_mod.DocumentChunk(id=doc_id, report_id="r1", text=text)
         for doc_id, text in texts.items()])
     # 2 queries + 10 chunks in batches of 3: n = 4 requests. The chunk texts
@@ -558,7 +558,7 @@ class TestDistillCommand:
         annotations, split_path = self.setup_corpus(workspace, test_queries=[])
         rows = corpus_mod.read_jsonl(annotations, Annotation)
         rows[-1].model = "other-model"
-        corpus_mod.write_rows(annotations, rows)
+        corpus_mod.write_jsonl(annotations, rows)
         result = self.distill(workspace, annotations, split_path, expect_exit=1)
         assert_one_line_json_error(result, "more than one teacher model",
                                    f"{rows[0].model}, other-model")
@@ -667,7 +667,7 @@ def test_benchmark_reversed_rankings(workspace):
 
 def test_define_generates_definitions(workspace, fixture_queries):
     plain = [corpus_mod.Query(id=q.id, text=q.text) for q in fixture_queries]
-    corpus_mod.write_rows(workspace / "plain.jsonl", plain)
+    corpus_mod.write_jsonl(workspace / "plain.jsonl", plain)
     out = workspace / "defined.jsonl"
     run_cli(workspace, "define", "--queries", str(workspace / "plain.jsonl"),
             "--out", str(out))
@@ -678,7 +678,7 @@ def test_define_generates_definitions(workspace, fixture_queries):
 def test_define_with_examples_improves_the_queries_that_have_them(
         workspace, mock_server, fixture_queries):
     plain = [corpus_mod.Query(id=q.id, text=q.text) for q in fixture_queries]
-    corpus_mod.write_rows(workspace / "plain.jsonl", plain)
+    corpus_mod.write_jsonl(workspace / "plain.jsonl", plain)
     # Rows out of alphabetical order: the prompt keeps the file's order.
     examples = write_lines(
         workspace / "examples.jsonl",
@@ -732,8 +732,8 @@ def test_annotate_fatal_error_leaves_the_pairs_before_it(tmp_path, fixture_queri
     fatal = 12
     texts = {i: f"PAIRDOC passage {i}" for i in range(40)}
     texts[3], texts[fatal] = "MALFORMEDDOC passage", "FATAL passage"
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
         corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1", text=text)
         for i, text in texts.items()])
     pairs = [{"query_id": "q1", "doc_id": f"d{i}"} for i in texts]
@@ -758,7 +758,7 @@ def test_annotate_fatal_error_leaves_the_pairs_before_it(tmp_path, fixture_queri
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_define_fatal_error_sends_no_later_query(tmp_path, parallelism):
     fatal = 7
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", [
         corpus_mod.Query(id=f"q{i}", text="FATAL?" if i == fatal else f"Question {i}?")
         for i in range(30)])
     result, requests = fatal_error_run(
@@ -770,7 +770,7 @@ def test_define_fatal_error_sends_no_later_query(tmp_path, parallelism):
 
 
 def test_define_transport_error_names_the_query(tmp_path):
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", [
         corpus_mod.Query(id=f"q{i}", text="FATAL?" if i == 7 else f"Question {i}?")
         for i in range(10)])
     result, _ = fatal_error_run(
@@ -783,7 +783,7 @@ def test_define_stopped_by_a_failing_query_resumes_from_the_cache(tmp_path):
     # n = 8 queries, each with its own definition. The first request for q3 is
     # answered 400, so define stops with k = 3 answers cached.
     n, k = 8, 3
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", [
         corpus_mod.Query(id=f"q{i}", text=f"Question {i}?") for i in range(n)])
     (tmp_path / "rules").mkdir()
     (tmp_path / "rules" / "rules.json").write_text(json.dumps([
@@ -812,8 +812,8 @@ def test_define_stopped_by_a_failing_query_resumes_from_the_cache(tmp_path):
 
 
 def test_annotate_transport_error_names_the_pair(tmp_path, fixture_queries):
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
         corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1",
                                  text="FATAL passage" if i == 12 else f"passage {i}")
         for i in range(20)])
@@ -844,8 +844,8 @@ def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fi
     (tmp_path / "rules" / "rules.json").write_text(json.dumps([
         {"match": "", "text": "[Guess]: Yes\n[Confidence]: 0.7", "delay_ms": 30}]),
         encoding="utf-8")
-    corpus_mod.write_rows(tmp_path / "queries.jsonl", fixture_queries)
-    corpus_mod.write_rows(tmp_path / "documents.jsonl", [
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
         corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1", text=f"passage {i}")
         for i in range(100)])
     pairs = [f"q1,d{i}" for i in range(100)]

@@ -151,7 +151,7 @@ def test_config_k_does_not_cut_evaluate(tmp_path, fixture_gold):
          "relevance_score": 0.2 + i / 20, "confidence_ask": 0.6 + i / 40}
         for i, g in enumerate(fixture_gold)))
     gold = tmp_path / "gold.jsonl"
-    corpus_mod.write_rows(gold, fixture_gold)
+    corpus_mod.write_jsonl(gold, fixture_gold)
     reports = []
     for name, text in (("plain", ""), ("k1", "k=1\n")):
         out = tmp_path / f"report_{name}.json"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from relanno.corpus import (
     DocumentChunk,
     GoldLabel,
     Query,
+    RelevanceDefinition,
     RowError,
     RowWriter,
     Split,
@@ -16,10 +19,12 @@ from relanno.corpus import (
     to_row,
     validate_corpus,
     whitespace_token_count,
+    write_json,
     write_jsonl,
-    write_rows,
 )
-from relanno.sampler import AccuracyCell
+from relanno.distill import BalanceReport, ExportManifest
+from relanno.retrieval import Ranking
+from relanno.sampler import AccuracyCell, AccuracyTable
 
 
 def chunk(i, n_tokens, report="r1"):
@@ -128,8 +133,8 @@ class TestValidateCorpus:
 def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
     qpath = tmp_path / "queries.jsonl"
     dpath = tmp_path / "documents.jsonl"
-    write_rows(qpath, fixture_queries)
-    write_rows(dpath, fixture_chunks)
+    write_jsonl(qpath, fixture_queries)
+    write_jsonl(dpath, fixture_chunks)
     assert read_jsonl(qpath, Query) == fixture_queries
     assert read_jsonl(dpath, DocumentChunk) == fixture_chunks
 
@@ -140,7 +145,7 @@ def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
         for n, query in enumerate(fixture_queries, start=1):
             writer.write(query)
             assert read_jsonl(streamed, Query) == fixture_queries[:n]  # before close
-    write_rows(batch, fixture_queries)
+    write_jsonl(batch, fixture_queries)
     assert streamed.read_bytes() == batch.read_bytes()
 
 
@@ -217,13 +222,41 @@ class TestRowCodec:
         assert gold == GoldLabel("q", "d", 1.0)
         assert type(gold.grade) is float
 
-    def test_to_row_drops_none_only_where_the_default_is_none(self):
+    def test_to_row_drops_none_only_where_the_default_is_none(self, tmp_path):
         assert to_row(Query("q1", "t")) == {"id": "q1", "text": "t"}
         assert to_row(AccuracyCell(count=0, accuracy=None)) == {"count": 0, "accuracy": None}
         split = Split({"b", "a"}, {"c"}, set(), {"r"}, seed=3)
         assert to_row(split) == {"train_queries": ["a", "b"], "test_queries": ["c"],
                                  "train_reports": [], "test_reports": ["r"], "seed": 3}
         assert from_row(Split, to_row(split)) == split
+        # A dataclass inside a dict value; None kept where the default is not None.
+        table = AccuracyTable(low_conf={"all": AccuracyCell(2, 50.0)},
+                              high_conf={"all": AccuracyCell(0, None)}, cutoff=0.95)
+        assert to_row(table) == {"low_conf": {"all": {"count": 2, "accuracy": 50.0}},
+                                 "high_conf": {"all": {"count": 0, "accuracy": None}},
+                                 "cutoff": 0.95}
+        # A present Optional dataclass.
+        query = Query("q1", "t", RelevanceDefinition("m", ["e"]))
+        assert to_row(query) == {"id": "q1", "text": "t", "definition": {
+            "meaning": "m", "examples": ["e"], "provenance": "generated"}}
+        assert from_row(Query, to_row(query)) == query
+        # Tuples inside a list are written as JSON lists and read back as tuples.
+        ranking = Ranking("q1", [("d2", 0.9), ("d1", 0.5)])
+        assert to_row(ranking) == {"query_id": "q1", "entries": [("d2", 0.9), ("d1", 0.5)]}
+        assert from_row(Ranking, json.loads(json.dumps(to_row(ranking)))) == ranking
+        # A nested dataclass whose own fields hold dicts and lists.
+        balance = BalanceReport(1, 0, 1.0, True, {"q1": {"yes": 1, "no": 0}}, ["q2"])
+        manifest = ExportManifest(1, 0, "point-ask", "teacher", {"a.txt": "0f"}, balance)
+        assert to_row(manifest) == {
+            "count": 1, "skipped": 0, "variant": "point-ask", "teacher_model": "teacher",
+            "template_hashes": {"a.txt": "0f"},
+            "balance": {"yes_count": 1, "no_count": 0, "yes_fraction": 1.0, "flagged": True,
+                        "per_query": {"q1": {"yes": 1, "no": 0}}, "empty_queries": ["q2"]}}
+        # write_json takes the object and writes the bytes it wrote for to_row(obj).
+        for obj in (split, table, manifest):
+            write_json(tmp_path / "obj.json", obj)
+            assert (tmp_path / "obj.json").read_text(encoding="utf-8") == \
+                json.dumps(to_row(obj), indent=2, sort_keys=True) + "\n"
 
     def test_broken_line_is_reported_before_an_earlier_bad_row(self, tmp_path):
         path = tmp_path / "gold.jsonl"

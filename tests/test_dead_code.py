@@ -1,6 +1,6 @@
-"""Every public top-level function, class and constant in the package is used
-by the package itself, and every template is loaded by it: code that only
-tests reach is deleted, not kept."""
+"""Every top-level function, class and constant in the package, public or
+private, is used by the package itself, and every template is loaded by it:
+code that only tests reach is deleted, not kept."""
 
 import ast
 from pathlib import Path
@@ -38,8 +38,9 @@ def _used_names(tree: ast.AST) -> set[str]:
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each public top-level definition in sources (file name
-    -> code) that no other top-level statement reads."""
+    """`module.name` of each top-level definition in sources (file name -> code)
+    that no other top-level statement reads. Dunder names (`__all__`) are read
+    by Python itself and are not checked."""
     statements = [(module, statement) for module, code in sorted(sources.items())
                   for statement in ast.parse(code).body]
     uses = [_used_names(statement) for _, statement in statements]
@@ -48,7 +49,7 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
         if _is_click_command(statement):
             continue
         for name in _defined_names(statement):
-            if not name.startswith("_") and not any(
+            if not (name.startswith("__") and name.endswith("__")) and not any(
                     name in used for j, used in enumerate(uses) if j != i):
                 dead.append(f"{module.removesuffix('.py')}.{name}")
     return dead
@@ -69,7 +70,7 @@ def package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
 
-def test_every_public_definition_is_used_by_the_package():
+def test_every_definition_is_used_by_the_package():
     sources = package_sources()
     assert len(sources) > 10
     assert unreferenced(sources) == []
@@ -83,14 +84,16 @@ def test_every_template_is_loaded_by_the_package():
 
 def test_scan_flags_definitions_that_only_their_own_body_uses():
     sources = {
-        "a.py": ("LIMIT = 3\n_private = 1\n"
-                 "def used(n):\n    return n < LIMIT\n"
+        "a.py": ("__all__ = ['used']\nLIMIT = 3\n_private = 1\n_kept = 2\n"
+                 "def used(n):\n    return n < LIMIT + _kept\n"
                  "def unused(n):\n    return unused(n - 1)\n"
+                 "def _helper(n):\n    return _helper(n - 1)\n"
                  "class Dead:\n    def copy(self) -> 'Dead':\n        return Dead()\n"),
         "b.py": "from . import a\nprint(a.used(1))\n",
         "c.py": "def serve():\n    pass\n",
     }
-    assert unreferenced(sources) == ["a.unused", "a.Dead", "c.serve"]
+    assert unreferenced(sources) == ["a._private", "a.unused", "a._helper", "a.Dead",
+                                     "c.serve"]
 
 
 def test_template_scan_flags_templates_no_call_loads():

@@ -5,7 +5,6 @@ from relanno.annotator import Annotation, derive_relevance_score
 from relanno.corpus import Split, to_row
 from relanno.distill import (
     LeakageError,
-    TrainingRecord,
     audit_balance,
     build_training_record,
     export_training_data,
@@ -150,13 +149,14 @@ class TestExport:
     def test_manifest_balance_counts_the_written_records(self, corpus, tmp_path):
         queries, chunks = corpus
         out = tmp_path / "train.jsonl"
-        manifest = export_training_data(
-            [annotation("q1", "d1", "Yes", 0.9), annotation("q1", "d2", "No", 0.8)],
-            queries, chunks, make_split(), VARIANT, out)
-        written = [TrainingRecord(**row) for row in jsonl_rows(out)]
-        assert manifest.balance == audit_balance(written, ["q1"])
+        annotations = [annotation("q1", "d1", "Yes", 0.9, reason="has the figure"),
+                       annotation("q1", "d2", "No", 0.8)]  # reason missing: skipped
+        manifest = export_training_data(annotations, queries, chunks, make_split(),
+                                        COT_VARIANT, out)
+        assert len(jsonl_rows(out)) == 1
+        assert manifest.balance == audit_balance(annotations[:1], ["q1"])
         assert to_row(manifest)["balance"] == to_row(manifest.balance)
-        assert (manifest.balance.yes_count, manifest.balance.no_count) == (1, 1)
+        assert (manifest.balance.yes_count, manifest.balance.no_count) == (1, 0)
 
     def test_empty_export_lists_every_train_query(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -210,31 +210,20 @@ class TestExport:
 
 
 class TestAuditBalance:
-    def export(self, corpus, tmp_path, annotations):
-        queries, chunks = corpus
-        out = tmp_path / "train.jsonl"
-        export_training_data(annotations, queries, chunks, make_split(),
-                             VARIANT, out)
-        return [TrainingRecord(**row) for row in jsonl_rows(out)]
-
-    def test_balanced_not_flagged(self, corpus, tmp_path):
-        records = self.export(corpus, tmp_path,
-                              [annotation("q1", "d1", "Yes", 0.9),
-                               annotation("q1", "d2", "No", 0.8)])
-        report = audit_balance(records, ["q1"])
+    def test_balanced_not_flagged(self):
+        report = audit_balance([annotation("q1", "d1", "Yes", 0.9),
+                                annotation("q1", "d2", "No", 0.8)], ["q1"])
         assert report.yes_fraction == pytest.approx(0.5)
+        assert report.per_query == {"q1": {"yes": 1, "no": 1}}
         assert not report.flagged
 
-    def test_skew_outside_band_flagged(self, corpus, tmp_path):
-        records = self.export(corpus, tmp_path,
-                              [annotation("q1", f"d{i}", "Yes", 0.9)
-                               for i in (1, 2)])
-        assert audit_balance(records, ["q1"]).flagged
+    def test_skew_outside_band_flagged(self):
+        assert audit_balance([annotation("q1", f"d{i}", "Yes", 0.9) for i in (1, 2)],
+                             ["q1"]).flagged
 
-    def test_expected_queries_reported_when_absent(self, corpus, tmp_path):
-        records = self.export(corpus, tmp_path,
-                              [annotation("q1", "d1", "Yes", 0.9)])
-        report = audit_balance(records, expected_queries=["q1", "q9"])
+    def test_expected_queries_reported_when_absent(self):
+        report = audit_balance([annotation("q1", "d1", "Yes", 0.9)],
+                               expected_queries=["q1", "q9"])
         assert report.empty_queries == ["q9"]
 
     def test_empty_export_flagged(self):
@@ -242,3 +231,16 @@ class TestAuditBalance:
         assert (report.yes_count, report.no_count, report.yes_fraction) == (0, 0, 0.0)
         assert report.flagged
         assert report.empty_queries == ["q1"]
+
+    def test_a_reason_quoting_the_guess_label_is_not_counted_as_its_guess(self, corpus,
+                                                                          tmp_path):
+        queries, chunks = corpus
+        out = tmp_path / "train.jsonl"
+        manifest = export_training_data(
+            [annotation("q1", "d1", "No", 0.8, reason="it said [Guess]: Yes at first")],
+            queries, chunks, make_split(), PromptVariant.from_label("point-cot-ask-d"), out)
+        [record] = jsonl_rows(out)
+        assert "[Guess]: Yes" in record["assistant"]
+        balance = manifest.balance
+        assert (balance.yes_count, balance.no_count, balance.flagged) == (0, 1, True)
+        assert balance.per_query == {"q1": {"yes": 0, "no": 1}}

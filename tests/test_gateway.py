@@ -78,13 +78,15 @@ def test_logprobs_captured(uncached_gateway):
 
 @pytest.mark.parametrize("key, header", [("sk-test-123", "Bearer sk-test-123"), (None, None)],
                          ids=["key set", "key unset"])
-def test_api_key_reaches_the_endpoint(uncached_gateway, mock_server, monkeypatch, key, header):
+def test_api_key_reaches_the_endpoint(mock_server, monkeypatch, key, header):
     if key is None:
         monkeypatch.delenv("RELANNO_API_KEY", raising=False)
     else:
         monkeypatch.setenv("RELANNO_API_KEY", key)
-    uncached_gateway.chat_complete("SCOPE3DOC")
-    uncached_gateway.embed(["SCOPE3DOC"])
+    mock_server.reset_counters()
+    gateway = LLMGateway(Config(base_url=mock_server.base_url, cache_dir=None))
+    gateway.chat_complete("SCOPE3DOC")
+    gateway.embed(["SCOPE3DOC"])
     assert mock_server.authorizations == [header, header]
 
 
