@@ -4,17 +4,15 @@ relevant-information proxies."""
 from __future__ import annotations
 
 import logging
-import math
-import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .corpus import DocumentChunk, Query, QueryDocPair, RowError
-from .gateway import ChatResponse, LLMGateway, TransportError, ordered_map
+from .gateway import LLMGateway, TransportError, ordered_map
 from .prompting import (
-    GUESS_LABEL,
     ParseError,
     PromptVariant,
+    extract_tok_confidence,
     parse_pointwise_response,
     render_pointwise_prompt,
 )
@@ -73,22 +71,18 @@ def primary_confidence(annotation: Annotation) -> float:
     return annotation.confidence_ask
 
 
-def extract_tok_confidence(response: ChatResponse) -> float:
-    """Probability of the realized Yes/No token after the final guess label."""
-    text = "".join(surface for surface, _ in response.tokens)
-    label_pos = text.rfind(GUESS_LABEL)
-    if label_pos < 0:
-        raise ParseError("completion has no guess label")
-    answer_start = label_pos + len(GUESS_LABEL)
-    offset = 0
-    for surface, logprob in response.tokens:
-        token_end = offset + len(surface)
-        if token_end > answer_start:
-            stripped = re.sub(r"[^a-z]", "", surface.lower())
-            if stripped in ("yes", "no"):
-                return math.exp(logprob)
-        offset = token_end
-    raise ParseError("no yes/no token found after guess label")
+def check_pairs(items: Sequence[QueryDocPair | Annotation], queries: dict[str, Query],
+                chunks: dict[str, DocumentChunk], variant: PromptVariant, noun: str) -> None:
+    """A ValueError, its message starting with `noun`, for the first item whose
+    query or doc id is unknown or whose query lacks the definition a -d variant needs."""
+    for item in items:
+        if item.query_id not in queries:
+            raise ValueError(f"{noun} references unknown query id: {item.query_id}")
+        if item.doc_id not in chunks:
+            raise ValueError(f"{noun} references unknown doc id: {item.doc_id}")
+        if variant.with_definition and queries[item.query_id].definition is None:
+            raise ValueError(f"{noun} ({item.query_id},{item.doc_id}): query {item.query_id} "
+                             f"has no relevance definition, which {variant.label()} needs")
 
 
 def annotate_pair(
@@ -114,7 +108,7 @@ def annotate_pair(
         query_id=pair.query_id, doc_id=pair.doc_id, guess=parsed.guess,
         relevance_score=0.0,
         confidence_ask=confidence if calibration in ("ask", "both") else None,
-        confidence_tok=extract_tok_confidence(response) if want_tok else None,
+        confidence_tok=extract_tok_confidence(response.tokens) if want_tok else None,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )
     # P(helpful). A `prob` variant's Ask answer is that number as given:
@@ -142,14 +136,7 @@ def annotate_corpus(
     error ends the iteration after the pairs before it, and an endpoint error
     names its pair. Unknown ids and missing definitions fail here, before any request.
     """
-    for pair in pairs:
-        if pair.query_id not in queries:
-            raise ValueError(f"pair references unknown query id: {pair.query_id}")
-        if pair.doc_id not in chunks:
-            raise ValueError(f"pair references unknown doc id: {pair.doc_id}")
-        if variant.with_definition and queries[pair.query_id].definition is None:
-            raise ValueError(f"pair ({pair.query_id},{pair.doc_id}): query {pair.query_id} "
-                             f"has no relevance definition, which {variant.label()} needs")
+    check_pairs(pairs, queries, chunks, variant, "pair")
 
     def work(pair: QueryDocPair) -> Annotation | AnnotationError:
         try:

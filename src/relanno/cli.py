@@ -151,11 +151,7 @@ def rank(config, queries_path, documents_path, out_path):
     gateway = LLMGateway(config)
     rankings = rank_documents(queries, chunks, gateway)
     save_rankings(out_path, rankings)
-    click.echo(json.dumps({
-        "rankings": len(rankings), "embedded_texts": gateway.embedded_texts,
-        "network_calls": gateway.network_calls, "retries": gateway.retry_count,
-        "backoff_s": round(gateway.backoff_s, 3), "out": out_path,
-    }))
+    click.echo(json.dumps({"rankings": len(rankings), **gateway.counts, "out": out_path}))
 
 
 @main.command()
@@ -212,7 +208,7 @@ def define(config, queries_path, out_path, examples_path, parallelism):
     for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
         query.definition = definition
     write_jsonl(out_path, queries)
-    click.echo(json.dumps({"queries": len(queries), "out": out_path}))
+    click.echo(json.dumps({"queries": len(queries), **gateway.counts, "out": out_path}))
 
 
 @main.command()
@@ -247,10 +243,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
             else:
                 written["annotations"] += 1
                 annotations.write(outcome)
-    click.echo(json.dumps({
-        **written, "network_calls": gateway.network_calls, "retries": gateway.retry_count,
-        "backoff_s": round(gateway.backoff_s, 3), "out": out_path,
-    }))
+    click.echo(json.dumps({**written, **gateway.counts, "out": out_path}))
 
 
 @main.command("distill")

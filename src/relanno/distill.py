@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .annotator import Annotation, derive_relevance_score
+from .annotator import Annotation, check_pairs, derive_relevance_score
 from .corpus import DocumentChunk, Query, Split, write_jsonl
 from .prompting import (
     DEFINITION_PARTS,
@@ -104,28 +104,22 @@ def export_training_data(
     out_path: str | Path,
 ) -> ExportManifest:
     """Write train.jsonl and audit its Yes/No balance; hard-fails on any
-    test-split query or report, on annotations from more than one model, and on
-    a missing definition."""
+    test-split query or report, on annotations from more than one model, and,
+    before any leakage check, on an unknown id or a missing definition."""
     models = sorted({ann.model for ann in annotations})
     if len(models) > 1:
         raise ValueError(f"annotations name more than one teacher model: {', '.join(models)}")
+    check_pairs(annotations, queries, chunks, variant, "annotation")
     records, exported = [], []
     for ann in annotations:
         if ann.query_id in split.test_queries:
             raise LeakageError(
                 f"annotation for test-split query {ann.query_id} in training export")
-        chunk = chunks.get(ann.doc_id)
-        if chunk is None:
-            raise ValueError(f"annotation references unknown doc id: {ann.doc_id}")
+        chunk = chunks[ann.doc_id]
         if chunk.report_id in split.test_reports:
             raise LeakageError(
                 f"annotation for doc {ann.doc_id} from test-split report "
                 f"{chunk.report_id} in training export")
-        if ann.query_id not in queries:
-            raise ValueError(f"annotation references unknown query id: {ann.query_id}")
-        if variant.with_definition and queries[ann.query_id].definition is None:
-            raise ValueError(f"annotation ({ann.query_id},{ann.doc_id}): query {ann.query_id} "
-                             f"has no relevance definition, which {variant.label()} needs")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)
         if record is not None:
             records.append(record)

@@ -282,11 +282,20 @@ class LLMGateway:
         adapter = requests.adapters.HTTPAdapter(pool_maxsize=config.parallelism)
         for prefix in ("http://", "https://"):
             self._session.mount(prefix, adapter)
-        self.retry_count = 0
-        self.backoff_s = 0.0  # seconds waited before retries, over all threads
-        self.network_calls = 0
-        self.embedded_texts = 0
-        self._counter_lock = threading.Lock()
+        # In summary-line order; backoff_s: seconds waited before retries, over all threads.
+        self._counts = collections.Counter(
+            {"embedded_texts": 0, "network_calls": 0, "retries": 0, "backoff_s": 0.0})
+        self._counts_lock = threading.Lock()
+
+    @property
+    def counts(self) -> dict[str, float]:
+        """The counts so far, backoff_s to the millisecond."""
+        with self._counts_lock:
+            return dict(self._counts, backoff_s=round(self._counts["backoff_s"], 3))
+
+    def _count(self, **amounts: float) -> None:
+        with self._counts_lock:
+            self._counts.update(amounts)  # adds, as a Counter does
 
     # --- transport ---------------------------------------------------------
 
@@ -298,13 +307,10 @@ class LLMGateway:
         for attempt in range(self.config.max_attempts):
             if attempt:
                 _wait_out(delay)
-                with self._counter_lock:
-                    self.retry_count += 1
-                    self.backoff_s += delay
+                self._count(retries=1, backoff_s=delay)
             delay = math.ldexp(self.config.backoff_base, attempt)  # before the next attempt
+            self._count(network_calls=1)
             try:
-                with self._counter_lock:
-                    self.network_calls += 1
                 resp = self._session.post(url, json=body, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = str(exc)
@@ -433,6 +439,5 @@ class LLMGateway:
                 fill(text, row)
                 if self.cache:
                     self.cache.put(cache_key("embedding", model, text), row.tobytes())
-            with self._counter_lock:
-                self.embedded_texts += len(batch)
+            self._count(embedded_texts=len(batch))
         return vectors

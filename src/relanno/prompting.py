@@ -9,6 +9,7 @@ module writes or reads the labels and anchors of prompt and answer text.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -259,6 +260,19 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
         if reason_raw is not None:
             reason = reason_raw.strip()
     return ParsedPointwise(guess=guess, confidence=confidence, reason=reason)
+
+
+def extract_tok_confidence(tokens: Sequence[tuple[str, float]]) -> float:
+    """Probability of the realized Yes/No token after the final guess label."""
+    label_pos = "".join(surface for surface, _ in tokens).rfind(GUESS_LABEL)
+    if label_pos < 0:
+        raise ParseError("completion has no guess label")
+    token_ends = itertools.accumulate(len(surface) for surface, _ in tokens)
+    for token_end, (surface, logprob) in zip(token_ends, tokens):
+        if (token_end > label_pos + len(GUESS_LABEL)
+                and re.sub(r"[^a-z]", "", surface.lower()) in ("yes", "no")):
+            return math.exp(logprob)
+    raise ParseError("no yes/no token found after guess label")
 
 
 def format_pointwise_completion(guess: str, confidence: float,

@@ -47,6 +47,7 @@ class _State:
         self.hits: dict[int, int] = {}
         self.lock = threading.Lock()
         self.request_count = 0
+        self.injected_count = 0
         self.in_flight = 0
         self.peak_in_flight = 0
         self.chat_prompts: list[str] = []
@@ -122,6 +123,8 @@ class _Handler(BaseHTTPRequestHandler):
             sequence = rule["status_sequence"]
             status = sequence[min(hit, len(sequence) - 1)]
         if status != 200:
+            with self.state.lock:
+                self.state.injected_count += 1
             self._send(status, {"error": {"message": f"injected status {status}"}},
                        rule.get("headers"))
             return
@@ -186,6 +189,12 @@ class MockLLMServer:
         return self._state.request_count
 
     @property
+    def injected_count(self) -> int:
+        """Requests answered with a status other than 200 from a rule's
+        status_sequence since the last reset."""
+        return self._state.injected_count
+
+    @property
     def peak_in_flight(self) -> int:
         """The most requests handled at once since the last reset."""
         return self._state.peak_in_flight
@@ -207,6 +216,7 @@ class MockLLMServer:
     def reset_counters(self) -> None:
         with self._state.lock:
             self._state.request_count = 0
+            self._state.injected_count = 0
             self._state.peak_in_flight = self._state.in_flight
             self._state.chat_prompts.clear()
             self._state.authorizations.clear()

@@ -214,17 +214,14 @@ def test_format_round_trips():
 def test_calibration_extraction():
     """Tok confidence equals exp(logprob) to 1e-12; Yes/No scores from one
     confidence are complementary."""
-    from relanno.annotator import extract_tok_confidence
-    from relanno.gateway import ChatResponse
+    from relanno.prompting import extract_tok_confidence
 
     rng = random.Random(5)
     for _ in range(200):
         p = rng.uniform(1e-6, 1.0)
         tokens = [("[Guess]:", -0.01), (" Yes", math.log(p)),
                   ("\n[Confidence]:", -0.01), (" 0.9", -0.01)]
-        response = ChatResponse(
-            text="".join(s for s, _ in tokens), tokens=tokens, model="m")
-        assert extract_tok_confidence(response) == pytest.approx(p, abs=1e-12)
+        assert extract_tok_confidence(tokens) == pytest.approx(p, abs=1e-12)
 
     for _ in range(1000):
         c = rng.random()

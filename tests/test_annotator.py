@@ -15,21 +15,16 @@ from relanno.annotator import (
     annotate_corpus,
     annotate_pair,
     derive_relevance_score,
-    extract_tok_confidence,
     primary_confidence,
     relevant_info_proxy,
 )
 from relanno.config import Config
 from relanno.corpus import DocumentChunk, Query, QueryDocPair, RowError, from_row, to_row
 from relanno.gateway import ChatResponse, LLMGateway
-from relanno.prompting import VARIANTS, ParseError, PromptVariant, format_pointwise_completion
+from relanno.prompting import (VARIANTS, ParseError, PromptVariant, extract_tok_confidence,
+                               format_pointwise_completion)
 
 VARIANT = PromptVariant()
-
-
-def make_response(tokens):
-    text = "".join(surface for surface, _ in tokens)
-    return ChatResponse(text=text, tokens=tokens, model="mock")
 
 
 class TestDeriveRelevanceScore:
@@ -44,26 +39,25 @@ class TestExtractTokConfidence:
     def test_probability_is_exp_of_logprob(self):
         tokens = [("[Guess]:", -0.01), (" Yes", math.log(0.8)),
                   ("\n[Confidence]:", -0.01), (" 0.9", -0.01)]
-        assert extract_tok_confidence(make_response(tokens)) == pytest.approx(
+        assert extract_tok_confidence(tokens) == pytest.approx(
             0.8, abs=1e-12)
 
     def test_leading_space_token_accepted(self):
         tokens = [("[Guess]: ", -0.01), ("No", math.log(0.4))]
-        assert extract_tok_confidence(make_response(tokens)) == pytest.approx(0.4)
+        assert extract_tok_confidence(tokens) == pytest.approx(0.4)
 
     def test_last_guess_label_wins(self):
         tokens = [("[Guess]:", -0.01), (" No", math.log(0.2)),
                   ("\n[Guess]:", -0.01), (" Yes", math.log(0.7))]
-        assert extract_tok_confidence(make_response(tokens)) == pytest.approx(0.7)
+        assert extract_tok_confidence(tokens) == pytest.approx(0.7)
 
     def test_missing_label(self):
         with pytest.raises(ParseError):
-            extract_tok_confidence(make_response([("hello", -0.1)]))
+            extract_tok_confidence([("hello", -0.1)])
 
     def test_no_answer_token_after_label(self):
         with pytest.raises(ParseError):
-            extract_tok_confidence(make_response([("[Guess]:", -0.1),
-                                                  (" maybe", -0.1)]))
+            extract_tok_confidence([("[Guess]:", -0.1), (" maybe", -0.1)])
 
 
 class TestAnnotatePair:
@@ -274,7 +268,7 @@ class TestAnnotateCorpus:
                                       {"q1": fixture_queries[0]}, {"retry": chunk},
                                       gateway, calibration="ask")
         assert annotations[0].confidence_ask == pytest.approx(0.6)
-        assert gateway.retry_count >= 1
+        assert gateway.counts["retries"] >= 1
 
 
 class TestRelevantInfoProxy:

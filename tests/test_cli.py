@@ -233,14 +233,18 @@ def test_rank_writes_one_ranking_per_query(workspace):
     assert (second["embedded_texts"], second["network_calls"]) == (0, 0)
 
 
-def test_rank_and_annotate_summaries_put_backoff_seconds_after_retries(workspace):
+def test_endpoint_command_summaries_print_the_gateway_counts(workspace):
+    counts = ["embedded_texts", "network_calls", "retries", "backoff_s"]
     ranked = json.loads(rank_fixtures(workspace).output)
-    assert list(ranked) == ["rankings", "embedded_texts", "network_calls", "retries",
-                            "backoff_s", "out"]
+    assert list(ranked) == ["rankings", *counts, "out"]
     assert ranked["backoff_s"] == 0.0
+    defined = json.loads(run_cli(workspace, "define", "--queries",
+                                 str(workspace / "queries.jsonl"),
+                                 "--out", str(workspace / "defined.jsonl")).output)
+    assert list(defined) == ["queries", *counts, "out"]
+    assert (defined["embedded_texts"], defined["network_calls"]) == (0, 2)
     _, annotated = annotate_all(workspace)
-    assert list(annotated) == ["annotations", "errors", "network_calls", "retries",
-                               "backoff_s", "out"]
+    assert list(annotated) == ["annotations", "errors", *counts, "out"]
 
 
 def assert_one_line_json_error(result, *fragments):

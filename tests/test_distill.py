@@ -208,6 +208,13 @@ class TestExport:
             export_training_data([annotation("q1", "ghost")], queries, chunks,
                                  make_split(), VARIANT, tmp_path / "t.jsonl")
 
+    def test_unknown_id_is_reported_before_an_earlier_rows_leakage(self, corpus, tmp_path):
+        """Every row's ids are checked before the first leakage check."""
+        queries, chunks = corpus
+        with pytest.raises(ValueError, match="unknown doc id: ghost"):
+            export_training_data([annotation("q2", "d1"), annotation("q1", "ghost")],
+                                 queries, chunks, make_split(), VARIANT, tmp_path / "t.jsonl")
+
 
 class TestAuditBalance:
     def test_balanced_not_flagged(self):

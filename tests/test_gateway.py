@@ -48,7 +48,7 @@ def test_cache_contract(gateway, mock_server):
 def test_retry_on_429(gateway):
     response = gateway.chat_complete("Judge this: RETRYDOC passage")
     assert response.text == "[Guess]: Yes\n[Confidence]: 0.6"
-    assert gateway.retry_count == 1
+    assert gateway.counts["retries"] == 1
 
 
 def test_retries_exhausted():
@@ -64,7 +64,7 @@ def test_no_backoff_takes_attempts_past_float_range():
         base_url="http://127.0.0.1:1", max_attempts=1030, backoff_base=0.0))
     with pytest.raises(TransportError, match="retries exhausted"):
         gateway.chat_complete("hello")
-    assert (gateway.retry_count, gateway.backoff_s) == (1029, 0)
+    assert (gateway.counts["retries"], gateway.counts["backoff_s"]) == (1029, 0)
 
 
 def test_logprobs_captured(uncached_gateway):
@@ -219,7 +219,7 @@ def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, probl
     url = re.escape(gateway.config.base_url + "/chat/completions")
     with pytest.raises(TransportError, match=f"answer from {url} is not valid JSON: .*{problem}"):
         gateway.chat_complete("SCOPE3DOC")
-    assert (gateway.network_calls, gateway.retry_count) == (1, 0)
+    assert (gateway.counts["network_calls"], gateway.counts["retries"]) == (1, 0)
     monkeypatch.setattr(gateway._session, "post", real_post)
     assert gateway.chat_complete("SCOPE3DOC").cached is False
 
@@ -295,7 +295,7 @@ class TestEmbed:
             vectors = gateway.embed(texts)
             assert server.request_count == 4
         assert_vectors(vectors, [hash_embedding(t) for t in texts])
-        assert gateway.embedded_texts == 10
+        assert gateway.counts["embedded_texts"] == 10
 
     def test_batch_above_endpoint_cap_rejected(self):
         with MockLLMServer(max_embed_inputs=3) as server:
@@ -601,7 +601,8 @@ class TestOrderedMap:
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_a_429_backoff_holds_no_slot(tmp_path, parallelism):
     """While one pair waits out its backoff, the others use its slot, and no
-    more than `parallelism` requests are ever in flight."""
+    more than `parallelism` requests are ever in flight. The gateway's counts,
+    updated from every thread, match what the endpoint served."""
     others = 5
     (tmp_path / "rules.json").write_text(json.dumps(
         [{"match": "PAIR0;", "text": "answer 0", "status_sequence": [429, 200]}]
@@ -619,13 +620,18 @@ def test_a_429_backoff_holds_no_slot(tmp_path, parallelism):
 
         wide = list(ordered_map(ask, range(others + 1), parallelism))
         peak = server.peak_in_flight
+        served = [server.request_count, server.injected_count]
         server.reset_counters()
         serial = [gateway.chat_complete(f"PAIR{i}; passage").text
                   for i in range(others + 1)]
+        served = [served[0] + server.request_count, served[1] + server.injected_count]
     assert peak <= parallelism
     assert finished[-1] == 0 and sorted(finished) == list(range(others + 1))
     assert wide == serial == [f"answer {i}" for i in range(others + 1)]
-    assert (gateway.retry_count, gateway.backoff_s) == (2, 0.6)
+    # Each pass: one request per pair, and PAIR0's 429 and its one retry.
+    assert served == [2 * (others + 2), 2]
+    assert gateway.counts == {"embedded_texts": 0, "network_calls": served[0],
+                              "retries": served[1], "backoff_s": 0.6}
 
 
 def test_connection_pool_holds_one_connection_per_thread():

@@ -92,9 +92,12 @@ def test_counted_argument_is_a_parameter(name, argument):
 
 
 def test_gateway_holds_a_cache_with_get_and_put(tmp_path):
+    """Exactly one: the tracer would wrap any other attribute with get and put
+    as the cache too, and count its calls as cache calls."""
     gateway = LLMGateway(Config(cache_dir=str(tmp_path)))
     session_type = gateway_mod.requests.Session
-    assert any(tracer._is_store(value, session_type) for value in vars(gateway).values())
+    stores = [value for value in vars(gateway).values() if tracer._is_store(value, session_type)]
+    assert stores == [gateway.cache]
 
 
 def test_gateway_sends_through_requests_and_sleeps_through_time():
