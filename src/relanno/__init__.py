@@ -16,7 +16,10 @@ def lazy_import(name: str) -> types.ModuleType:
     A module that is not installed fails here, not at first use; one that is
     already in `sys.modules` is returned as it is. The first read is not
     thread-safe on every supported Python, so trigger it on one thread before
-    starting workers that use the module.
+    starting workers that use the module. That thread need not be the calling
+    one: `LLMGateway.embed` reads numpy first on a worker of its own, while its
+    first request is in flight, and is safe because no other thread reads numpy
+    until that worker's read has returned.
     """
     if name in sys.modules:
         return sys.modules[name]

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -367,14 +368,37 @@ def _jsonl_line(obj: object) -> str:
     return json.dumps(_encoded(obj), ensure_ascii=False, sort_keys=True) + "\n"
 
 
+def _own_fd(path: str | Path) -> Optional[int]:
+    """The number of the file descriptor of this process that `path` names
+    (/dev/stdout, /dev/stderr, /dev/fd/N, /proc/self/fd/N, or a symlink to
+    one), else None. Such a path is written through a dup of the descriptor,
+    which shares its offset: reopening it would replace or truncate the file
+    that stdout is redirected to, and lose what the process prints there."""
+    path = os.path.abspath(path)
+    own = re.compile(rf"/(?:dev/fd|proc/{os.getpid()}(?:/task/[0-9]+)?/fd)/([0-9]+)")
+    for _ in range(40):  # as many links as Linux follows
+        head, name = os.path.split(path)
+        path = os.path.join(os.path.realpath(head), name)
+        if match := own.fullmatch(path):
+            return int(match.group(1))
+        try:
+            path = os.path.join(head, os.readlink(path))
+        except OSError:  # not a symlink, or not one this process may read
+            return None
+    return None
+
+
 @contextlib.contextmanager
 def _published(path: str | Path, newline: Optional[str] = None) -> Iterator[IO[str]]:
     """The one way a whole-file output is opened: as `<path>.partial` beside the file
     `path` names through any symlink, renamed onto it when the block ends cleanly and
-    deleted on an error. A path that exists and is not a regular file (a FIFO,
-    /dev/stdout) is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline=newline) as f:
+    deleted on an error. One of this process's descriptors (/dev/stdout) is written
+    through a dup of it, and any other path that exists and is not a regular file (a
+    FIFO) in place."""
+    fd = _own_fd(path)
+    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
+                  newline=newline) as f:
             yield f
         return
     target = os.path.realpath(path)
@@ -398,10 +422,12 @@ def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
 class RowWriter:
     """A new JSONL file of dataclass rows, written one row at a time as
     `write_jsonl` writes them. Each row is flushed as it is written, so a run
-    that stops leaves a prefix of whole rows, not the earlier file."""
+    that stops leaves a prefix of whole rows, not the earlier file. One of this
+    process's descriptors is written through a dup of it, as `_published` does."""
 
     def __init__(self, path: str | Path):
-        self._file = open(path, "w", encoding="utf-8")
+        fd = _own_fd(path)
+        self._file = open(path if fd is None else os.dup(fd), "w", encoding="utf-8")
 
     def write(self, obj: object) -> None:
         self._file.write(_jsonl_line(obj))

@@ -6,10 +6,20 @@ corpus-scale runs are cheap to resume. The gateway is thread-safe; its
 connection pool holds `config.parallelism` connections, one for each request
 that `ordered_map` lets be in flight for the commands that call the chat
 endpoint. A call waiting out a backoff inside `ordered_map` holds no slot.
+
+numpy's first load is the one lazy load that runs off the calling thread:
+`embed` starts it on a worker just before its first request and waits for it
+before it first uses numpy, so a cold `rank` loads numpy while that request is
+in flight. `lazy_import`'s rule holds, since no other thread reads numpy until
+the worker's read returns, and an import error is raised on the calling thread.
+As numpy may still be loading while an answer is parsed, each embedding of
+floats is parsed into a stdlib `array`; and the answer's bytes are freed before
+its text is parsed, so that numpy, now resident sooner, does not raise the peak.
 """
 
 from __future__ import annotations
 
+import array
 import collections
 import hashlib
 import itertools
@@ -193,10 +203,21 @@ def _check_dimensions(dims: set[int]) -> None:
 
 def _is_number_list(row: object) -> bool:
     try:
-        array = np.asarray(row)
+        values = np.asarray(row)
     except ValueError:  # lists nested to unequal depths or lengths
         return False
-    return array.ndim == 1 and np.issubdtype(array.dtype, np.number)
+    return values.ndim == 1 and np.issubdtype(values.dtype, np.number)
+
+
+def _float_rows(obj: dict) -> dict:
+    """The `object_hook` of an embedding answer: an `embedding` whose items are
+    all floats becomes an `array.array("d")` as the answer is parsed, so its
+    Python floats are freed row by row. Any other value stays as it is, for
+    `_batch_vectors` to check."""
+    row = obj.get("embedding")
+    if type(row) is list and set(map(type, row)) == {float}:
+        obj["embedding"] = array.array("d", row)
+    return obj
 
 
 def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
@@ -204,6 +225,7 @@ def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
     rows in input order. Raises TransportError, naming the input, when the
     answer is not `count` lists of finite numbers of one dimension, so that
     nothing of a malformed batch is cached. Adds the dimension to `dims`.
+    Each row is a list or, from `_float_rows`, an array of floats.
     """
     try:
         data = sorted(raw["data"], key=lambda d: d["index"])
@@ -213,7 +235,7 @@ def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
     if len(data) != count:
         raise TransportError(
             f"embedding endpoint returned {len(data)} vectors for {count} inputs")
-    dims |= {len(row) for row in rows if isinstance(row, list)}
+    dims |= {len(row) for row in rows if isinstance(row, (list, array.array))}
     _check_dimensions(dims)
     try:
         vectors = np.array(rows)
@@ -229,6 +251,22 @@ def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
         raise TransportError(f"embedding endpoint answered input {int(np.argmin(finite))} "
                              f"of {count} with a value that is not finite")
     return vectors.astype("<f8", copy=False)
+
+
+def _answer_text(resp: requests.Response) -> str:
+    """The text that `resp.json()` parses. With no declared encoding, that is
+    the body decoded as the UTF encoding its first bytes show, when that
+    decodes; else `resp.text`, the body decoded as declared (`application/json`
+    declares UTF-8) with errors replaced."""
+    content = resp.content
+    if not resp.encoding and len(content) > 3:
+        encoding = requests.utils.guess_json_utf(content)
+        if encoding is not None:
+            try:
+                return content.decode(encoding)
+            except UnicodeDecodeError:
+                pass
+    return resp.text
 
 
 class ResponseStore:
@@ -299,7 +337,10 @@ class LLMGateway:
 
     # --- transport ---------------------------------------------------------
 
-    def _post(self, path: str, body: dict) -> dict:
+    def _post(self, path: str, body: dict,
+              object_hook: Optional[Callable[[dict], object]] = None) -> dict:
+        """The parsed JSON of a 200 answer to `body`, each object passed through
+        `object_hook` as `json.loads` does; transient failures are retried."""
         url = self.config.base_url.rstrip("/") + path
         last_error: Optional[str] = None
         longest_delay = math.ldexp(self.config.backoff_base, max(self.config.max_attempts - 2, 0))
@@ -317,8 +358,10 @@ class LLMGateway:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if resp.status_code == 200:
+                text = _answer_text(resp)
+                del resp  # the bytes are freed before the text is parsed
                 try:
-                    return resp.json()
+                    return json.loads(text, object_hook=object_hook)
                 except ValueError as exc:  # not JSON, or an int too long for int()
                     raise TransportError(f"endpoint answer from {url} is not valid JSON: "
                                          f"{exc}") from None
@@ -430,14 +473,20 @@ class LLMGateway:
             _check_dimensions(dims)
             fill(text, row)
         batch_size = self.config.embed_batch_size
-        for start in range(0, len(missing), batch_size):
-            batch = missing[start:start + batch_size]
-            # The parsed answer is dropped here, before the next batch is sent.
-            fresh = _batch_vectors(self._post("/embeddings", {"model": model, "input": batch}),
-                                   len(batch), dims)
-            for text, row in zip(batch, fresh):
-                fill(text, row)
-                if self.cache:
-                    self.cache.put(cache_key("embedding", model, text), row.tobytes())
-            self._count(embedded_texts=len(batch))
+        # Leaving the block waits for the load, however the requests end.
+        with ThreadPoolExecutor(max_workers=1) as loader:
+            # numpy loads while the first request is in flight (see the module docstring).
+            numpy_loaded = loader.submit(getattr, np, "ndarray") if missing else None
+            for start in range(0, len(missing), batch_size):
+                batch = missing[start:start + batch_size]
+                raw = self._post("/embeddings", {"model": model, "input": batch},
+                                 object_hook=_float_rows)
+                numpy_loaded.result()  # raises an import error here, on the calling thread
+                fresh = _batch_vectors(raw, len(batch), dims)
+                del raw  # dropped before the next batch is sent
+                for text, row in zip(batch, fresh):
+                    fill(text, row)
+                    if self.cache:
+                        self.cache.put(cache_key("embedding", model, text), row.tobytes())
+                self._count(embedded_texts=len(batch))
         return vectors

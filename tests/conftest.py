@@ -80,10 +80,15 @@ def jsonl_rows(path) -> list[dict]:
         return [json.loads(line) for line in f if line.strip()]
 
 
-def answer_200(body: bytes):
-    """A 200 response holding `body` as it came over the wire."""
-    resp = gateway_mod.requests.Response()
+def answer_200(body: bytes, content_type=None):
+    """A 200 response holding `body` as it came over the wire, its encoding
+    taken from `content_type` as requests takes it from the header."""
+    requests = gateway_mod.requests
+    resp = requests.Response()
     resp.status_code, resp._content = 200, body
+    if content_type is not None:
+        resp.headers["Content-Type"] = content_type
+    resp.encoding = requests.utils.get_encoding_from_headers(resp.headers)
     return resp
 
 

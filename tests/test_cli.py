@@ -145,6 +145,32 @@ def test_gateway_loads_requests_on_the_thread_that_builds_it():
                      "print('requests.adapters' in sys.modules)") == ["False", "True"]
 
 
+# Embeds two texts on a cold gateway whose one request is held open for 0.5 s,
+# and prints whether numpy was loaded before the request and when it returned.
+HELD_REQUEST = """\
+import sys, time
+from relanno.config import Config
+from relanno.gateway import LLMGateway
+gateway = LLMGateway(Config(base_url=sys.argv[1]))
+post = gateway._post
+
+def held(path, body, **kwargs):
+    time.sleep(0.5)
+    answer = post(path, body, **kwargs)
+    print("numpy._core" in sys.modules)
+    return answer
+
+gateway._post = held
+print("numpy._core" in sys.modules)
+print(gateway.embed(["alpha", "beta"]).shape)
+"""
+
+
+def test_numpy_loads_while_the_first_embedding_request_is_in_flight(mock_server):
+    assert run_fresh(HELD_REQUEST, mock_server.base_url) == [
+        "False", "True", f"(2, {mockserver.EMBEDDING_DIM})"]
+
+
 def test_lazy_import_of_a_missing_module_fails_at_once():
     with pytest.raises(ModuleNotFoundError, match="no_such_pkg"):
         lazy_import("no_such_pkg")
@@ -904,6 +930,9 @@ def sample_args(workspace, out):
             "--k", "1", "--per-side", "1"]
 
 
+# Runs `relanno ARGS...`.
+RELANNO = "import sys; from relanno.cli import main; main(sys.argv[1:], prog_name='relanno')"
+
 # Runs `relanno ARGS...` with each output row held up for a minute; touches
 # the file named by its first argument when the first row is being written.
 SLOW_WRITE = """\
@@ -956,6 +985,22 @@ def test_sample_writes_a_fifo_in_place(workspace):
     assert received == [(workspace / "plain.jsonl").read_bytes()]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert not list(workspace.glob("*.partial"))
+
+
+@pytest.mark.parametrize("name, count", [("sample", "pairs"), ("annotate", "annotations")])
+def test_out_to_redirected_stdout_keeps_the_rows_then_the_summary(workspace, name, count):
+    """`--out /dev/stdout > file`: the rows, published or streamed, then the
+    summary line, all in the one file."""
+    args = ["--config", str(workspace / "relanno.conf"), *loop_command(workspace, name)]
+    args[args.index("--out") + 1] = "/dev/stdout"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = workspace / "out.txt"
+    with open(out, "wb") as stdout:
+        subprocess.run([sys.executable, "-c", RELANNO, *args], env=env, stdout=stdout,
+                       stderr=subprocess.DEVNULL, check=True)
+    *rows, summary = out.read_text(encoding="utf-8").splitlines()
+    assert json.loads(summary)[count] == len(rows) > 0
+    assert all("query_id" in json.loads(row) for row in rows)
 
 
 def test_sample_through_a_symlink_replaces_the_file_it_names(workspace):

@@ -149,6 +149,29 @@ def test_row_writer_writes_each_row_through(tmp_path, fixture_queries):
     assert streamed.read_bytes() == batch.read_bytes()
 
 
+@pytest.mark.parametrize("form", ["/dev/fd/{}", "/proc/self/fd/{}", "symlink"])
+def test_a_path_naming_an_open_descriptor_is_written_through_it(tmp_path, fixture_queries,
+                                                                 form):
+    """Both writers write where the descriptor's offset is and keep its file,
+    as writing to /dev/stdout redirected to a file must."""
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as f:
+        f.write(b"before\n")
+        f.flush()
+        path = form.format(f.fileno())
+        if form == "symlink":
+            path = tmp_path / "link"
+            path.symlink_to(f"/dev/fd/{f.fileno()}")
+        write_jsonl(path, fixture_queries[:1])
+        with RowWriter(path) as writer:
+            writer.write(fixture_queries[1])
+        f.write(b"after\n")
+    first, *rows, last = out.read_text(encoding="utf-8").splitlines()
+    assert (first, last) == ("before", "after")
+    assert [from_row(Query, json.loads(row)) for row in rows] == fixture_queries[:2]
+    assert not list(tmp_path.glob("*.partial"))
+
+
 def rows_that_fail_after(n):
     for i in range(n):
         yield {"i": i}

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -224,6 +225,33 @@ def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, probl
     assert gateway.chat_complete("SCOPE3DOC").cached is False
 
 
+@pytest.mark.parametrize("body, content_type, expected", [
+    (b'\xef\xbb\xbf{"v": "\xc3\xa9"}', None, {"v": "\u00e9"}),
+    (b'\xef\xbb\xbf{"v": "\xc3\xa9"}', "application/json", "Unexpected UTF-8 BOM"),
+    ('{"v": "\u00e9"}'.encode("latin-1"), "application/json; charset=latin-1", {"v": "\u00e9"}),
+    ('{"v": "\u00e9"}'.encode("utf-16"), "application/json; charset=utf-16", {"v": "\u00e9"}),
+    ('{"v": "\u00e9"}'.encode("utf-16-le"), None, {"v": "\u00e9"}),
+    (b'{"v": "a\xffb"}', "application/json", {"v": "a\ufffdb"}),
+    (b'{"v": "caf\xe9 au lait"}', None, {"v": "caf\u00e9 au lait"}),  # guessed, not UTF-8
+], ids=["BOM, no charset", "BOM, application/json", "charset=latin-1", "charset=utf-16",
+        "UTF-16 without a BOM or charset", "invalid UTF-8 byte",
+        "invalid UTF-8 byte, no charset"])
+def test_answer_is_decoded_as_requests_decodes_it(gateway, monkeypatch, body, content_type,
+                                                  expected):
+    """`_post` decodes the text itself, to free the bytes first: each answer
+    reads as `Response.json()` reads it, or fails as it fails."""
+    monkeypatch.setattr(gateway._session, "post",
+                        lambda *args, **kwargs: answer_200(body, content_type))
+    if isinstance(expected, str):
+        with pytest.raises(TransportError, match=f"not valid JSON: {expected}"):
+            gateway._post("/chat/completions", {})
+        with pytest.raises(ValueError, match=expected):
+            answer_200(body, content_type).json()
+    else:
+        assert gateway._post("/chat/completions", {}) == expected
+        assert answer_200(body, content_type).json() == expected
+
+
 def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):
     bodies = []
     original = uncached_gateway._post
@@ -309,6 +337,7 @@ class TestEmbed:
         (float("nan"), "not finite"),
         (float("inf"), "not finite"),
         ([0.5], "other than a list of numbers"),
+        (10**400, "other than a list of numbers"),  # no OverflowError
     ])
     def test_malformed_answer_names_the_input_and_caches_nothing(
             self, gateway, monkeypatch, value, problem):
@@ -328,12 +357,31 @@ class TestEmbed:
             gateway.embed(texts)
         assert keys == []
 
+    @pytest.mark.parametrize("spoil", [
+        lambda vector: [round(x * 8) for x in vector],
+        lambda vector: [True, False] + vector[2:],
+    ], ids=["integer-valued", "bools among floats"])
+    def test_numbers_other_than_floats_read_as_float64(self, gateway, monkeypatch, spoil):
+        """Such a row is parsed as a list, not an array, beside rows that are."""
+        def served(text):
+            return spoil(hash_embedding(text)) if "ODD" in text else hash_embedding(text)
+
+        monkeypatch.setattr(mockserver, "hash_embedding", served)
+        texts = ["alpha", "beta ODD", "gamma"]
+        assert_vectors(gateway.embed(texts), [served(t) for t in texts])
+
+    def test_a_batch_of_bool_rows_is_refused(self, uncached_gateway, monkeypatch):
+        monkeypatch.setattr(mockserver, "hash_embedding", lambda text: [True, False] * 4)
+        with pytest.raises(TransportError, match="input 0 of 2 with something other than "
+                                                 "a list of numbers"):
+            uncached_gateway.embed(["alpha", "beta"])
+
     @pytest.mark.parametrize("field", ["data", "index", "embedding"])
     def test_answer_without_a_field_names_it(self, uncached_gateway, monkeypatch, field):
         real_post = uncached_gateway._post
 
-        def spoiled(path, body):
-            raw = real_post(path, body)
+        def spoiled(path, body, **kwargs):
+            raw = real_post(path, body, **kwargs)
             if field == "data":
                 del raw["data"]
             else:
@@ -498,9 +546,15 @@ class TestOrderedMap:
             time.sleep(0.02)
             return i
 
-        results = ordered_map(fn, range(1000), 2)
-        assert next(results) == 0
-        results.close()
+        # A full garbage collection here, 60-200 ms late in the suite, would let
+        # more items start before close() than the 20 ms items allow.
+        gc.disable()
+        try:
+            results = ordered_map(fn, range(1000), 2)
+            assert next(results) == 0
+            results.close()
+        finally:
+            gc.enable()
         count = len(started)
         time.sleep(0.1)
         assert len(started) == count <= 2 + 2
