@@ -6,10 +6,12 @@ import dataclasses
 import functools
 import json
 import logging
+import os
 import sqlite3
 import sys
 from contextlib import closing, nullcontext
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -47,10 +49,52 @@ class JsonLogFormatter(logging.Formatter):
                            "msg": record.getMessage()})
 
 
+def _end_process(code: object) -> NoReturn:
+    """Exit with `code` as `sys.exit(code)` would, without the interpreter's
+    teardown (module clearing, garbage collection, numpy's shutdown), which
+    writes nothing: every output and the response cache are closed by their
+    `with` blocks, and no worker thread is left running, before this runs.
+
+    A flush that fails (stdout a closed pipe) prints nothing more: a command
+    that failed keeps its status, and one that did not ends with 120, as
+    Python's own exit gives.
+    """
+    if code is None or isinstance(code, int):
+        status, message = code or 0, ""
+    else:
+        status, message = 1, f"{code}\n"
+    logging.shutdown()
+    for stream, text in ((sys.stdout, ""), (sys.stderr, message)):
+        if stream is None:  # the descriptor was closed when the process started
+            continue
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            status = status or 120
+    os._exit(status)
+
+
 class _ErrorBoundary(click.Group):
     """Ends a command that fails on bad input, config, files or endpoint
     answers with one JSON line on stderr and exit 1. Click usage errors keep
-    exit 2."""
+    exit 2.
+
+    Run as the process's own command line (`main()`, no `args`), the command
+    ends the process with `_end_process`. Given `args`, `main` raises
+    `SystemExit` as click's does, so a Python caller keeps its interpreter.
+    """
+
+    def main(self, args=None, prog_name=None, complete_var=None, standalone_mode=True,
+             **extra):
+        if args is not None or not standalone_mode:
+            return super().main(args, prog_name, complete_var, standalone_mode, **extra)
+        code = None
+        try:
+            super().main(args, prog_name, complete_var, standalone_mode, **extra)
+        except SystemExit as exc:
+            code = exc.code
+        _end_process(code)
 
     def invoke(self, ctx: click.Context):
         try:
@@ -148,9 +192,9 @@ def rank(config, queries_path, documents_path, out_path):
     """Rank documents per query with the dense embedding retriever."""
     queries = read_jsonl(queries_path, Query)
     chunks = read_jsonl(documents_path, DocumentChunk)
-    gateway = LLMGateway(config)
-    rankings = rank_documents(queries, chunks, gateway)
-    save_rankings(out_path, rankings)
+    with closing(LLMGateway(config)) as gateway:
+        rankings = rank_documents(queries, chunks, gateway)
+        save_rankings(out_path, rankings)
     click.echo(json.dumps({"rankings": len(rankings), **gateway.counts, "out": out_path}))
 
 
@@ -194,7 +238,6 @@ def define(config, queries_path, out_path, examples_path, parallelism):
     unknown = sorted(examples_by_query.keys() - {q.id for q in queries})
     if unknown:
         raise ValueError(f"{examples_path}: examples for unknown query ids: {', '.join(unknown)}")
-    gateway = LLMGateway(dataclasses.replace(config, parallelism=parallelism))
 
     def draft(query: Query) -> RelevanceDefinition:
         examples = examples_by_query.get(query.id, [])
@@ -205,8 +248,9 @@ def define(config, queries_path, out_path, examples_path, parallelism):
         except (ValueError, TransportError) as exc:
             raise type(exc)(f"query {query.id}: {exc}") from None
 
-    for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
-        query.definition = definition
+    with closing(LLMGateway(dataclasses.replace(config, parallelism=parallelism))) as gateway:
+        for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
+            query.definition = definition
     write_jsonl(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), **gateway.counts, "out": out_path}))
 
@@ -229,10 +273,10 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
     pairs = read_jsonl(pairs_path, QueryDocPair)
     variant = PromptVariant.from_label(variant)
-    gateway = LLMGateway(dataclasses.replace(config, parallelism=parallelism))
     written = {"annotations": 0, "errors": 0}
-    # closing: an error while writing also stops the requests not yet sent.
-    with closing(annotate_corpus(pairs, queries, chunks, variant, gateway, calibration)) \
+    # closing the outcomes: an error while writing also stops the requests not yet sent.
+    with closing(LLMGateway(dataclasses.replace(config, parallelism=parallelism))) as gateway, \
+            closing(annotate_corpus(pairs, queries, chunks, variant, gateway, calibration)) \
             as outcomes, RowWriter(out_path) as annotations, \
             (RowWriter(errors_path) if errors_path else nullcontext()) as ledger:
         for outcome in outcomes:

@@ -13,7 +13,7 @@ before it first uses numpy, so a cold `rank` loads numpy while that request is
 in flight. `lazy_import`'s rule holds, since no other thread reads numpy until
 the worker's read returns, and an import error is raised on the calling thread.
 As numpy may still be loading while an answer is parsed, each embedding of
-floats is parsed into a stdlib `array`; and the answer's bytes are freed before
+numbers is parsed into a stdlib `array`; and the answer's bytes are freed before
 its text is parsed, so that numpy, now resident sooner, does not raise the peak.
 """
 
@@ -211,12 +211,16 @@ def _is_number_list(row: object) -> bool:
 
 def _float_rows(obj: dict) -> dict:
     """The `object_hook` of an embedding answer: an `embedding` whose items are
-    all floats becomes an `array.array("d")` as the answer is parsed, so its
-    Python floats are freed row by row. Any other value stays as it is, for
-    `_batch_vectors` to check."""
+    all floats or ints (never bools) becomes an `array.array("d")` as the answer
+    is parsed, so its Python numbers are freed row by row, and an int wider
+    than 64 bits is read as a float. Any other value, an int beyond float range
+    included, stays as it is, for `_batch_vectors` to check."""
     row = obj.get("embedding")
-    if type(row) is list and set(map(type, row)) == {float}:
-        obj["embedding"] = array.array("d", row)
+    if type(row) is list and set(map(type, row)) <= {float, int}:
+        try:
+            obj["embedding"] = array.array("d", row)
+        except OverflowError:  # an integer beyond float range
+            pass
     return obj
 
 
@@ -298,6 +302,12 @@ class ResponseStore:
         with self._lock:
             self._db.execute("INSERT OR IGNORE INTO responses VALUES (?, ?)", (key, value))
 
+    def close(self) -> None:
+        """Closes the connection; as the last one, it folds the WAL into the
+        file and removes `-wal` and `-shm`."""
+        with self._lock:
+            self._db.close()
+
 
 class LLMGateway:
     """Thread-safe handle to chat + embedding endpoints with caching."""
@@ -324,6 +334,12 @@ class LLMGateway:
         self._counts = collections.Counter(
             {"embedded_texts": 0, "network_calls": 0, "retries": 0, "backoff_s": 0.0})
         self._counts_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Closes the response cache and the connection pool; `counts` stays readable."""
+        if self.cache:
+            self.cache.close()
+        self._session.close()
 
     @property
     def counts(self) -> dict[str, float]:

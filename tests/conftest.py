@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,24 @@ from relanno.config import Config
 from relanno import gateway as gateway_mod
 from relanno.gateway import LLMGateway
 from mockserver import MockLLMServer
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# `relanno ARGS...` as its console script runs it: `main()` reads sys.argv and
+# ends the process itself.
+ENTRY = "import sys; from relanno.cli import main; sys.exit(main())"
+
+
+def run_entry(*args, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """`relanno ARGS...` in its own process through ENTRY, with `env` added to
+    the environment and without PYTHONUNBUFFERED, so stdout is block-buffered
+    as in a shell pipeline. stdout and stderr are captured as text unless given."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    environ.update(env, PYTHONPATH=SRC)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-c", ENTRY, *map(str, args)], env=environ,
+                          text=True, timeout=120, **kwargs)
 
 
 def make_definition(topic="the firm's Scope 3 emission"):

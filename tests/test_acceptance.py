@@ -4,6 +4,7 @@ whole toolkit, plus an end-to-end determinism run against the mock server."""
 import hashlib
 import json
 import math
+import os
 import random
 import time
 
@@ -32,6 +33,7 @@ from relanno.prompting import (
     format_pointwise_completion,
     parse_pointwise_response,
 )
+from conftest import run_entry
 from mockserver import MockLLMServer
 
 # --- brute-force oracles (independent re-derivations, kept deliberately dumb)
@@ -301,9 +303,10 @@ GOLDEN_SHA256 = {
 
 
 def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
-                 fixture_gold, tag, parallelism):
+                 fixture_gold, tag, parallelism, own_process=False):
     """The fixture loop, ingest -> rank -> sample -> define -> annotate ->
-    evaluate -> audit -> distill, with a private cache: the bytes of each output."""
+    evaluate -> audit -> distill, with a private cache: the bytes of each output.
+    With `own_process`, each command runs in its own process, as `relanno` does."""
     work = tmp_path / tag
     work.mkdir()
     corpus_mod.write_jsonl(work / "queries.jsonl", fixture_queries)
@@ -320,9 +323,12 @@ def run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
     runner = CliRunner()
 
     def invoke(*args):
-        result = runner.invoke(main, ["--config", str(config), *map(str, args)])
-        assert result.exit_code == 0, result.output
-        return result
+        if own_process:
+            result = run_entry("--config", config, *args)
+            assert result.returncode == 0, result.stderr
+        else:
+            result = runner.invoke(main, ["--config", str(config), *map(str, args)])
+            assert result.exit_code == 0, result.output
 
     invoke("ingest", "--queries", work / "queries.jsonl",
            "--documents", work / "documents.jsonl", "--gold", work / "gold.jsonl",
@@ -380,6 +386,17 @@ def test_end_to_end_determinism(tmp_path, mock_server, fixture_queries,
     assert set(report) == {"unc", "bin", "cal", "info", "avg", "raw"}
     assert elapsed < 30.0
     print(f"PASS end-to-end goldens in {elapsed:.2f}s")
+
+
+def test_fixture_loop_in_own_processes_writes_the_golden_bytes(
+        tmp_path, mock_server, fixture_queries, fixture_chunks, fixture_gold):
+    """The loop as `relanno` runs it, each command ending its own process:
+    every output is whole, and the cache is closed (no `-wal` or `-shm` left)."""
+    outputs = run_pipeline(tmp_path, mock_server, fixture_queries, fixture_chunks,
+                           fixture_gold, "processes", 8, own_process=True)
+    assert {name: hashlib.sha256(blob).hexdigest()
+            for name, blob in outputs.items()} == GOLDEN_SHA256
+    assert sorted(os.listdir(tmp_path / "processes" / "cache")) == ["responses.sqlite3"]
 
 
 def test_annotate_with_retries_is_byte_identical_at_parallelism_1_and_8(tmp_path,

@@ -18,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
-from conftest import CHAT_RULES, answer_200, jsonl_rows
+from conftest import CHAT_RULES, ENTRY, SRC, answer_200, jsonl_rows, run_entry
 from relanno import corpus as corpus_mod
 from relanno import gateway as gateway_mod
 from relanno import lazy_import
@@ -930,9 +930,6 @@ def sample_args(workspace, out):
             "--k", "1", "--per-side", "1"]
 
 
-# Runs `relanno ARGS...`.
-RELANNO = "import sys; from relanno.cli import main; main(sys.argv[1:], prog_name='relanno')"
-
 # Runs `relanno ARGS...` with each output row held up for a minute; touches
 # the file named by its first argument when the first row is being written.
 SLOW_WRITE = """\
@@ -993,14 +990,160 @@ def test_out_to_redirected_stdout_keeps_the_rows_then_the_summary(workspace, nam
     summary line, all in the one file."""
     args = ["--config", str(workspace / "relanno.conf"), *loop_command(workspace, name)]
     args[args.index("--out") + 1] = "/dev/stdout"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = workspace / "out.txt"
     with open(out, "wb") as stdout:
-        subprocess.run([sys.executable, "-c", RELANNO, *args], env=env, stdout=stdout,
-                       stderr=subprocess.DEVNULL, check=True)
+        assert run_entry(*args, stdout=stdout).returncode == 0
     *rows, summary = out.read_text(encoding="utf-8").splitlines()
     assert json.loads(summary)[count] == len(rows) > 0
     assert all("query_id" in json.loads(row) for row in rows)
+
+
+def cache_files(directory):
+    return sorted(os.listdir(directory / "cache"))
+
+
+@pytest.mark.parametrize("name", ["ingest", "rank", "sample", "define", "annotate",
+                                  "evaluate", "audit", "distill"])
+def test_own_process_ends_after_its_summary_line(workspace, name):
+    """A command that ends its own process prints its summary line, and leaves
+    the response cache closed: one file, no `-wal` or `-shm`."""
+    result = run_entry("--config", workspace / "relanno.conf", *loop_command(workspace, name))
+    assert result.returncode == 0, result.stderr
+    [summary] = result.stdout.splitlines()
+    assert isinstance(json.loads(summary), dict)
+    if name in ("rank", "define", "annotate"):
+        assert cache_files(workspace) == ["responses.sqlite3"]
+
+
+def test_own_process_bad_input_is_one_json_line_and_exit_1(workspace):
+    """Refused after annotate opened its cache: still closed."""
+    pairs = write_lines(workspace / "pairs.jsonl",
+                        json.dumps({"query_id": "q1", "doc_id": "ghost"}))
+    result = run_entry("--config", workspace / "relanno.conf", "annotate", "--pairs", pairs,
+                       "--queries", workspace / "queries.jsonl",
+                       "--documents", workspace / "documents.jsonl",
+                       "--out", workspace / "a.jsonl")
+    assert result.returncode == 1 and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert "unknown doc id: ghost" in json.loads(line)["error"]
+    assert cache_files(workspace) == ["responses.sqlite3"]
+    assert not (workspace / "a.jsonl").exists()
+
+
+def test_own_process_usage_error_exits_2(workspace):
+    result = run_entry("sample", "--out", workspace / "pairs.jsonl")
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Missing option '--rankings'" in result.stderr
+
+
+def test_own_process_fatal_annotate_keeps_a_prefix_and_closes_the_cache(tmp_path,
+                                                                          fixture_queries):
+    """Stopped by a 400 with requests in flight: whole rows before the failing
+    pair, each of them in a closed cache."""
+    fatal = 12
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
+        corpus_mod.DocumentChunk(id=f"d{i}", report_id="r1",
+                                 text="FATAL passage" if i == fatal else f"passage {i}")
+        for i in range(40)])
+    pairs = [{"query_id": "q1", "doc_id": f"d{i}"} for i in range(40)]
+    corpus_mod.write_jsonl(tmp_path / "pairs.jsonl", pairs)
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "rules.json").write_text(json.dumps([
+        {"match": "FATAL", "text": "", "status_sequence": [400]},
+        {"match": "", "text": "[Guess]: Yes\n[Confidence]: 0.7", "delay_ms": 20},
+    ]), encoding="utf-8")
+    (tmp_path / "relanno.conf").write_text(f"cache_dir={tmp_path / 'cache'}\n")
+    with mockserver.MockLLMServer(fixtures_dir=tmp_path / "rules") as server:
+        result = run_entry("--config", tmp_path / "relanno.conf", "annotate",
+                           "--pairs", tmp_path / "pairs.jsonl",
+                           "--queries", tmp_path / "queries.jsonl",
+                           "--documents", tmp_path / "documents.jsonl",
+                           "--out", tmp_path / "a.jsonl", "--calibration", "ask",
+                           "--parallelism", "4", env={"RELANNO_BASE_URL": server.base_url})
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert "HTTP 400" in json.loads(line)["error"]
+    assert (tmp_path / "a.jsonl").read_text().endswith("\n")
+    written = [{"query_id": r["query_id"], "doc_id": r["doc_id"]}
+               for r in jsonl_rows(tmp_path / "a.jsonl")]
+    assert written == pairs[:fatal]
+    assert cache_files(tmp_path) == ["responses.sqlite3"]
+    with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
+        assert db.execute("SELECT count(*) FROM responses").fetchone()[0] >= fatal
+
+
+def test_own_process_with_stdout_closed_exits_0(workspace):
+    """Started with descriptor 1 closed, Python has no sys.stdout to flush."""
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c", ENTRY,
+         "--config", str(workspace / "relanno.conf"),
+         *sample_args(workspace, workspace / "pairs.jsonl")],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (workspace / "pairs.jsonl").exists()
+
+
+@pytest.mark.parametrize("code, status, stderr", [
+    (None, 0, ""), (0, 0, ""), (3, 3, ""), ("stopped", 1, "stopped\n"),
+])
+def test_end_process_maps_the_exit_code_as_python_does(code, status, stderr):
+    result = subprocess.run(
+        [sys.executable, "-c", f"from relanno.cli import _end_process; _end_process({code!r})"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (status, stderr)
+
+
+def test_main_given_args_raises_system_exit(workspace):
+    """A Python caller that passes `args` keeps its interpreter."""
+    with pytest.raises(SystemExit) as done:
+        main(["--config", str(workspace / "relanno.conf"),
+              *sample_args(workspace, workspace / "pairs.jsonl")])
+    assert done.value.code == 0
+    with pytest.raises(SystemExit) as done:
+        main(["sample"])
+    assert done.value.code == 2
+
+
+def test_evaluate_to_a_closed_pipe_is_one_json_line_and_exit_1(workspace):
+    """stdout is a pipe whose reader is gone, and block-buffered: the summary
+    line cannot be written, and neither can it be at exit, which says nothing more."""
+    args = loop_command(workspace, "evaluate")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_entry("--config", workspace / "relanno.conf", *args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "[Errno 32] Broken pipe"}
+    assert (workspace / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["rank", "define", "annotate", "annotate-fatal"])
+def test_no_worker_thread_outlives_a_command(workspace, name):
+    """What `main()` relies on to end the process without joining threads. In
+    annotate-fatal, pair 0 fails while pair 1's request is still in flight."""
+    def workers():
+        return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+    before = workers()
+    args = loop_command(workspace, name.removesuffix("-fatal"))
+    if name == "annotate-fatal":
+        (workspace / "rules").mkdir()
+        (workspace / "rules" / "rules.json").write_text(json.dumps([
+            {"match": "SCOPE3DOC", "text": "", "status_sequence": [400], "delay_ms": 100},
+            {"match": "", "text": "[Guess]: Yes\n[Confidence]: 0.7", "delay_ms": 1000},
+        ]), encoding="utf-8")
+        args[args.index("--parallelism") + 1] = "2"
+        with mockserver.MockLLMServer(fixtures_dir=workspace / "rules") as server:
+            result = CliRunner().invoke(main, ["--config", str(workspace / "relanno.conf"),
+                                               *args], env={"RELANNO_BASE_URL": server.base_url})
+        assert_one_line_json_error(result, "HTTP 400")
+    else:
+        run_cli(workspace, *args)
+    assert workers() <= before
 
 
 def test_sample_through_a_symlink_replaces_the_file_it_names(workspace):

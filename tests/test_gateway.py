@@ -360,9 +360,12 @@ class TestEmbed:
     @pytest.mark.parametrize("spoil", [
         lambda vector: [round(x * 8) for x in vector],
         lambda vector: [True, False] + vector[2:],
-    ], ids=["integer-valued", "bools among floats"])
+        lambda vector: vector[:5] + [2**64] + vector[6:],
+        lambda vector: vector[:5] + [2**70] + vector[6:],
+    ], ids=["integer-valued", "bools among floats", "2**64", "2**70"])
     def test_numbers_other_than_floats_read_as_float64(self, gateway, monkeypatch, spoil):
-        """Such a row is parsed as a list, not an array, beside rows that are."""
+        """Ints of any width in float range, as a float would be; a row with
+        bools is parsed as a list, beside rows parsed as arrays."""
         def served(text):
             return spoil(hash_embedding(text)) if "ODD" in text else hash_embedding(text)
 
