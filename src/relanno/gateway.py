@@ -201,20 +201,13 @@ def _check_dimensions(dims: set[int]) -> None:
         raise TransportError(f"inconsistent embedding dimensions: {sorted(dims)}")
 
 
-def _is_number_list(row: object) -> bool:
-    try:
-        values = np.asarray(row)
-    except ValueError:  # lists nested to unequal depths or lengths
-        return False
-    return values.ndim == 1 and np.issubdtype(values.dtype, np.number)
-
-
 def _float_rows(obj: dict) -> dict:
-    """The `object_hook` of an embedding answer: an `embedding` whose items are
-    all floats or ints (never bools) becomes an `array.array("d")` as the answer
-    is parsed, so its Python numbers are freed row by row, and an int wider
-    than 64 bits is read as a float. Any other value, an int beyond float range
-    included, stays as it is, for `_batch_vectors` to check."""
+    """The `object_hook` of an embedding answer, and the one rule for a row of
+    numbers: an `embedding` whose items are all floats or ints (never bools)
+    within float range becomes an `array.array("d")` as the answer is parsed,
+    so its Python numbers are freed row by row, and an int wider than 64 bits
+    is read as the float it rounds to. Any other value stays as it is, for
+    `_batch_vectors` to refuse."""
     row = obj.get("embedding")
     if type(row) is list and set(map(type, row)) <= {float, int}:
         try:
@@ -227,9 +220,9 @@ def _float_rows(obj: dict) -> dict:
 def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
     """The `(count, d)` little-endian float64 array of one embedding answer,
     rows in input order. Raises TransportError, naming the input, when the
-    answer is not `count` lists of finite numbers of one dimension, so that
-    nothing of a malformed batch is cached. Adds the dimension to `dims`.
-    Each row is a list or, from `_float_rows`, an array of floats.
+    answer is not `count` rows that `_float_rows` read as numbers, then when
+    their dimensions disagree, then when one is not finite, so that nothing
+    of a malformed batch is cached. Adds the dimension to `dims`.
     """
     try:
         data = sorted(raw["data"], key=lambda d: d["index"])
@@ -239,17 +232,13 @@ def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
     if len(data) != count:
         raise TransportError(
             f"embedding endpoint returned {len(data)} vectors for {count} inputs")
-    dims |= {len(row) for row in rows if isinstance(row, (list, array.array))}
+    for index, row in enumerate(rows):
+        if type(row) is not array.array:
+            raise TransportError(f"embedding endpoint answered input {index} of {count} "
+                                 "with something other than a list of numbers")
+    dims |= set(map(len, rows))
     _check_dimensions(dims)
-    try:
-        vectors = np.array(rows)
-        numeric = vectors.ndim == 2 and np.issubdtype(vectors.dtype, np.number)
-    except ValueError:  # lists nested to unequal depths or lengths
-        numeric = False
-    if not numeric:
-        index = next(i for i, row in enumerate(rows) if not _is_number_list(row))
-        raise TransportError(f"embedding endpoint answered input {index} of {count} "
-                             "with something other than a list of numbers")
+    vectors = np.array(rows)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise TransportError(f"embedding endpoint answered input {int(np.argmin(finite))} "
@@ -478,9 +467,11 @@ class LLMGateway:
                 vectors = np.empty((len(texts), row.size), dtype="<f8")
             vectors[positions[text]] = row
 
+        # Each distinct text is keyed once; its fresh row is stored under that key.
+        keys = {text: cache_key("embedding", model, text) for text in positions if self.cache}
         missing: list[str] = []
         for text in positions:
-            hit = self.cache.get(cache_key("embedding", model, text)) if self.cache else None
+            hit = self.cache.get(keys[text]) if self.cache else None
             if hit is None:
                 missing.append(text)
                 continue
@@ -503,6 +494,6 @@ class LLMGateway:
                 for text, row in zip(batch, fresh):
                     fill(text, row)
                     if self.cache:
-                        self.cache.put(cache_key("embedding", model, text), row.tobytes())
+                        self.cache.put(keys[text], row.tobytes())
                 self._count(embedded_texts=len(batch))
         return vectors

@@ -61,6 +61,10 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
 
     fill_policy="fill" borrows from the other side when one side is short;
     "strict" keeps the deficit and records a shortfall warning.
+
+    Each query draws from its own generator, seeded by (seed, query id), so
+    rankings of one length do not all give the same rank positions. A string
+    seed is hashed with SHA-512, so the draw does not depend on PYTHONHASHSEED.
     """
     if not ranking.entries:
         raise ValueError(f"empty ranking for query {ranking.query_id}")
@@ -68,7 +72,7 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     ranked = [(doc_id, rank) for rank, (doc_id, _) in enumerate(ranking.entries, start=1)]
     inside = ranked[:k]
     outside = ranked[k:]
-    rng = random.Random(seed)
+    rng = random.Random(f"{seed}:{ranking.query_id}")
     take_in = rng.sample(inside, min(per_side, len(inside)))
     take_out = rng.sample(outside, min(per_side, len(outside)))
 

@@ -307,7 +307,7 @@ class TestRankFailures:
 
     @pytest.mark.parametrize("value, problem", [
         (None, "other than a list of numbers"), ("x", "other than a list of numbers"),
-        (float("nan"), "not finite")])
+        (True, "other than a list of numbers"), (float("nan"), "not finite")])
     def test_malformed_vector(self, workspace, monkeypatch, value, problem):
         monkeypatch.setattr(mockserver, "hash_embedding", lambda text: (
             [1.0, value] if "GOVDOC" in text else [1.0, 2.0]))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relanno import corpus as corpus_mod
 from relanno import gateway as gateway_mod
 from relanno.gateway import (
     LOOKAHEAD_PER_THREAD,
@@ -338,6 +339,7 @@ class TestEmbed:
         (float("inf"), "not finite"),
         ([0.5], "other than a list of numbers"),
         (10**400, "other than a list of numbers"),  # no OverflowError
+        pytest.param(True, "other than a list of numbers", id="bools among floats"),
     ])
     def test_malformed_answer_names_the_input_and_caches_nothing(
             self, gateway, monkeypatch, value, problem):
@@ -359,13 +361,11 @@ class TestEmbed:
 
     @pytest.mark.parametrize("spoil", [
         lambda vector: [round(x * 8) for x in vector],
-        lambda vector: [True, False] + vector[2:],
         lambda vector: vector[:5] + [2**64] + vector[6:],
         lambda vector: vector[:5] + [2**70] + vector[6:],
-    ], ids=["integer-valued", "bools among floats", "2**64", "2**70"])
+    ], ids=["integer-valued", "2**64", "2**70"])
     def test_numbers_other_than_floats_read_as_float64(self, gateway, monkeypatch, spoil):
-        """Ints of any width in float range, as a float would be; a row with
-        bools is parsed as a list, beside rows parsed as arrays."""
+        """Ints of any width in float range, as a float would be."""
         def served(text):
             return spoil(hash_embedding(text)) if "ODD" in text else hash_embedding(text)
 
@@ -378,6 +378,63 @@ class TestEmbed:
         with pytest.raises(TransportError, match="input 0 of 2 with something other than "
                                                  "a list of numbers"):
             uncached_gateway.embed(["alpha", "beta"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(),  # NaN, ±inf, ±0.0 and subnormals among them
+        st.integers(min_value=-2**1100, max_value=2**1100),  # some beyond float range
+        st.sampled_from([2**64, 10**400, True, False, None, "0.5", [0.5], []]),
+    ), min_size=1, max_size=8))
+    @example([0.0, -0.0, 5e-324, -2.5e-310, 2**64, 1.7976931348623157e308])
+    @example([0.5, True, 0.25])
+    @example([0.5, False])
+    @example([0.5, 10**400])
+    @example([0.5, None])
+    @example([0.5, "0.5"])
+    @example([0.5, [0.5]])
+    @example([0.5, float("nan")])
+    @example([float("inf"), 0.5])
+    @example([-float("inf")])
+    def test_a_row_is_read_as_corpus_reads_a_list_of_floats(self, row):
+        """A row is read exactly when every item is an int or a float, never a
+        bool, finite and within float range: the rule that a `list[float]`
+        field of an input row follows. A refused row caches nothing of its batch."""
+        try:
+            expected = corpus_mod._decoder(list[float])(row)
+        except corpus_mod.RowError:
+            expected = None
+        body = json.dumps({"data": [{"index": 0, "embedding": [1.0] * len(row)},
+                                    {"index": 1, "embedding": row}]}).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            gateway = LLMGateway(Config(cache_dir=tmp))
+            gateway._session.post = lambda *args, **kwargs: answer_200(body)
+            try:
+                if expected is None:
+                    with pytest.raises(TransportError, match="input 1 of 2 with "):
+                        gateway.embed(["good", "odd"])
+                    for text in ("good", "odd"):
+                        key = cache_key("embedding", gateway.config.embedding_model, text)
+                        assert gateway.cache.get(key) is None
+                else:
+                    vectors = gateway.embed(["good", "odd"])
+                    assert vectors[1].tobytes() == _bits(expected)
+            finally:
+                gateway.close()
+
+    def test_each_distinct_text_is_keyed_once(self, mock_server, tmp_path, monkeypatch):
+        keyed = []
+        real_cache_key = gateway_mod.cache_key
+        monkeypatch.setattr(gateway_mod, "cache_key",
+                            lambda kind, model, text: keyed.append(text)
+                            or real_cache_key(kind, model, text))
+        texts = ["alpha", "beta", "alpha", "gamma", "beta"]
+        config = Config(base_url=mock_server.base_url, cache_dir=str(tmp_path))
+        mock_server.reset_counters()
+        for run in ("cold", "warm"):
+            keyed.clear()
+            assert_vectors(LLMGateway(config).embed(texts), [hash_embedding(t) for t in texts])
+            assert sorted(keyed) == ["alpha", "beta", "gamma"], run
+        assert mock_server.request_count == 1
 
     @pytest.mark.parametrize("field", ["data", "index", "embedding"])
     def test_answer_without_a_field_names_it(self, uncached_gateway, monkeypatch, field):

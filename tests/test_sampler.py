@@ -44,6 +44,15 @@ class TestBalancedSample:
         b = balanced_sample(make_ranking(50), k=5, per_side=10, seed=9)
         assert a.pairs == b.pairs
 
+    def test_each_query_draws_its_own_ranks(self):
+        ids = [f"d{i:03d}" for i in range(200)]
+        first = Ranking(query_id="q1", entries=[(d, 1.0 - i / 200) for i, d in enumerate(ids)])
+        second = Ranking(query_id="q2", entries=[(d, 1.0 - i / 200)
+                                                 for i, d in enumerate(reversed(ids))])
+        ranks = [[p.retriever_rank for p in balanced_sample(r, k=5, per_side=10, seed=9).pairs]
+                 for r in (first, second)]
+        assert ranks[0] != ranks[1]
+
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError):
             balanced_sample(Ranking(query_id="q", entries=[]), k=5, per_side=5, seed=0)
