@@ -53,22 +53,38 @@ class AnnotationError:
     raw_text: str = ""
 
 
-def derive_relevance_score(guess: str, confidence: float) -> float:
-    """Yes keeps the confidence; No takes the complement."""
-    return confidence if guess == "Yes" else 1.0 - confidence
+def convert_confidence(value: float, guess: str, asked: str, wanted: str) -> float:
+    """A probability in the form confidence phrasing `asked` asks for, in the
+    form `wanted` asks for. `ask_confidence` asks for P(the guess is right) and
+    `ask_probability` for P(helpful): from one to the other, Yes keeps the
+    number and No takes its complement."""
+    return value if asked == wanted or guess == "Yes" else 1.0 - value
 
 
 def primary_confidence(annotation: Annotation) -> float:
     """P(the guess is right). Tok is the primary calibration source whenever
-    logprobs are available; a `prob` variant's Ask answer is P(helpful)."""
+    logprobs are available; else the Ask answer, converted from what the
+    annotation's variant asked for."""
     if annotation.confidence_tok is not None:
         return annotation.confidence_tok
     if annotation.confidence_ask is None:
         raise ValueError(f"annotation ({annotation.query_id},{annotation.doc_id}) "
                          "has neither confidence_ask nor confidence_tok")
-    if PromptVariant.from_label(annotation.variant).confidence_phrasing == "ask_probability":
-        return derive_relevance_score(annotation.guess, annotation.confidence_ask)
-    return annotation.confidence_ask
+    return convert_confidence(
+        annotation.confidence_ask, annotation.guess,
+        PromptVariant.from_label(annotation.variant).confidence_phrasing, "ask_confidence")
+
+
+def stated_confidence(annotation: Annotation, variant: PromptVariant) -> float:
+    """The number a `variant` prompt asks the model to state with the
+    annotation's guess: the Ask answer when the annotation's own variant asked
+    the same thing, else the relevance score (P(helpful)) converted."""
+    phrasing = variant.confidence_phrasing
+    if annotation.confidence_ask is not None and \
+            PromptVariant.from_label(annotation.variant).confidence_phrasing == phrasing:
+        return annotation.confidence_ask
+    return convert_confidence(annotation.relevance_score, annotation.guess,
+                              "ask_probability", phrasing)
 
 
 def check_pairs(items: Sequence[QueryDocPair | Annotation], queries: dict[str, Query],
@@ -93,6 +109,8 @@ def annotate_pair(
     gateway: LLMGateway,
     calibration: str = "both",  # ask | tok | both
 ) -> Annotation:
+    """One pair's annotation. Its relevance score is P(helpful), converted from
+    the Tok probability when there is one, else from the Ask answer."""
     prompt = render_pointwise_prompt(
         question=query.text, chunk_text=chunk.text,
         variant=variant, definition=query.definition)
@@ -104,21 +122,17 @@ def annotate_pair(
         log.warning("(%s,%s): confidence %s out of range, clamped to %s",
                     pair.query_id, pair.doc_id, parsed.confidence, confidence)
 
-    annotation = Annotation(
+    confidence_tok = extract_tok_confidence(response.tokens) if want_tok else None
+    # Tok is P(the realized token), so P(the guess is right), as `ask_confidence` asks.
+    primary, phrasing = ((confidence, variant.confidence_phrasing) if confidence_tok is None
+                         else (confidence_tok, "ask_confidence"))
+    return Annotation(
         query_id=pair.query_id, doc_id=pair.doc_id, guess=parsed.guess,
-        relevance_score=0.0,
+        relevance_score=convert_confidence(primary, parsed.guess, phrasing, "ask_probability"),
         confidence_ask=confidence if calibration in ("ask", "both") else None,
-        confidence_tok=extract_tok_confidence(response.tokens) if want_tok else None,
+        confidence_tok=confidence_tok,
         reason=parsed.reason, model=response.model, variant=variant.label(),
     )
-    # P(helpful). A `prob` variant's Ask answer is that number as given:
-    # deriving it back from primary_confidence would round it as 1 - (1 - p).
-    if annotation.confidence_tok is None and variant.confidence_phrasing == "ask_probability":
-        annotation.relevance_score = confidence
-    else:
-        annotation.relevance_score = derive_relevance_score(
-            parsed.guess, primary_confidence(annotation))
-    return annotation
 
 
 def annotate_corpus(

@@ -331,7 +331,7 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
     """Score annotations on the four dimensions and write report.json."""
     annotations = read_jsonl(annotations_path, Annotation)
     report = score_annotations(annotations, read_jsonl(gold_path, GoldLabel), scheme,
-                               ece_bins, cutoff_k).rounded()
+                               ece_bins, cutoff_k)
     write_json(out_path, report)
     if proxy_out:
         write_csv(proxy_out, [("query_id", "mean_relevance_score"),

@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .annotator import Annotation, check_pairs, derive_relevance_score
+from .annotator import Annotation, check_pairs, stated_confidence
 from .corpus import DocumentChunk, Query, Split, write_jsonl
 from .prompting import (
     DEFINITION_PARTS,
@@ -65,7 +65,9 @@ def build_training_record(
     chunk: DocumentChunk,
     variant: PromptVariant,
 ) -> Optional[TrainingRecord]:
-    """One chat-format record, or None for a CoT annotation missing its reason."""
+    """One chat-format record, or None for a CoT annotation missing its reason.
+    Its completion states the number `variant`'s prompt asks for
+    (`annotator.stated_confidence`)."""
     if variant.cot and annotation.reason is None:
         log.warning("skipping (%s,%s): CoT variant but no reason captured",
                     annotation.query_id, annotation.doc_id)
@@ -73,18 +75,8 @@ def build_training_record(
     prompt = render_pointwise_prompt(
         question=query.text, chunk_text=chunk.text,
         variant=variant, definition=query.definition)
-    # Completion confidence targets what the student should verbalize: the
-    # teacher's Ask answer when its prompt asked the same thing. Otherwise the
-    # relevance score is P(helpful), which is what a prob prompt asks for; an
-    # ask prompt asks for the confidence in the guess, the same flip back.
-    confidence = annotation.confidence_ask
-    if confidence is None or (PromptVariant.from_label(annotation.variant).confidence_phrasing
-                              != variant.confidence_phrasing):
-        confidence = annotation.relevance_score
-        if variant.confidence_phrasing == "ask_confidence":
-            confidence = derive_relevance_score(annotation.guess, confidence)
     completion = format_pointwise_completion(
-        guess=annotation.guess, confidence=confidence,
+        guess=annotation.guess, confidence=stated_confidence(annotation, variant),
         reason=annotation.reason if variant.cot else None, variant=variant)
     return TrainingRecord(
         user=prompt, assistant=completion,

@@ -217,21 +217,30 @@ def _float_rows(obj: dict) -> dict:
     return obj
 
 
-def _batch_vectors(raw: dict, count: int, dims: set[int]) -> np.ndarray:
+def _batch_vectors(raw: object, count: int, dims: set[int]) -> np.ndarray:
     """The `(count, d)` little-endian float64 array of one embedding answer,
-    rows in input order. Raises TransportError, naming the input, when the
-    answer is not `count` rows that `_float_rows` read as numbers, then when
-    their dimensions disagree, then when one is not finite, so that nothing
-    of a malformed batch is cached. Adds the dimension to `dims`.
-    """
+    each row at the input its `index` names. Raises TransportError, naming the
+    input, when the answer is not an object whose `data` is `count` objects
+    indexed 0 to count-1, each once, with rows that `_float_rows` read as
+    numbers, then when their dimensions disagree, then when one is not
+    finite, so that nothing of a malformed batch is cached. Adds the dimension to `dims`."""
+    if type(raw) is not dict:
+        raise TransportError("embedding endpoint answer is not a JSON object")
     try:
-        data = sorted(raw["data"], key=lambda d: d["index"])
+        data = raw["data"]
+        if type(data) is not list or any(type(item) is not dict for item in data):
+            raise TransportError("embedding endpoint answer's data is not a list of objects")
+        indices = [item["index"] for item in data]
         rows = [item["embedding"] for item in data]
     except KeyError as exc:
         raise TransportError(f"embedding endpoint answer lacks the field {exc.args[0]}") from None
     if len(data) != count:
         raise TransportError(
             f"embedding endpoint returned {len(data)} vectors for {count} inputs")
+    if any(type(index) is not int for index in indices) or sorted(indices) != list(range(count)):
+        raise TransportError(f"embedding endpoint answer's indices are not 0 to {count - 1}, "
+                             "each once")
+    rows = [row for _, row in sorted(zip(indices, rows))]  # the indices are distinct
     for index, row in enumerate(rows):
         if type(row) is not array.array:
             raise TransportError(f"embedding endpoint answered input {index} of {count} "

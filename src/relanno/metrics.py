@@ -202,35 +202,15 @@ def kendall_tau(rank_a: list, rank_b: list) -> float:
     return (pairs - 2 * discordant) / pairs
 
 
-@dataclass
-class MetricReport:
-    """Dimension scores on a 0-100 scale and the raw sub-metrics. A sub-metric
-    that is undefined on the scored rows is None, with its reason in
-    `undefined`; a dimension built from it, and the average, are None too."""
-    unc: Optional[float]
-    bin: Optional[float]
-    cal: Optional[float]
-    info: Optional[float]
-    avg: Optional[float]
-    raw: dict[str, Optional[float]]
-    undefined: dict[str, str]
-
-    def rounded(self) -> dict:
-        out = {k: None if v is None else round(v, 2) for k, v in
-               (("unc", self.unc), ("bin", self.bin), ("cal", self.cal),
-                ("info", self.info), ("avg", self.avg))}
-        out["raw"] = dict(self.raw)
-        if self.undefined:
-            out["undefined"] = dict(self.undefined)
-        return out
-
-
 def aggregate_report(*, ece: Optional[float], brier: Optional[float],
                      auroc: Optional[float], f1: Optional[float], ndcg: Optional[float],
                      map: Optional[float], ap: Optional[float],
-                     undefined: Optional[dict[str, str]] = None) -> MetricReport:
-    """Four-dimension score table on a 0-100 scale; `undefined` gives the
-    reason of each sub-metric passed as None.
+                     undefined: Optional[dict[str, str]] = None) -> dict:
+    """The report `evaluate` writes: the dimensions `unc`, `bin`, `cal`, `info`
+    and their average `avg` on a 0-100 scale, rounded to 2 dp; then `raw`, the
+    sub-metrics as given; then, when not empty, `undefined`, the reason of each
+    sub-metric passed as None. A dimension built from a None sub-metric, and
+    the average, are None too.
 
     Calibration averages AUROC with 1-ECE and 1-Brier so that higher is
     uniformly better; the overall average weighs the four dimensions equally.
@@ -242,10 +222,13 @@ def aggregate_report(*, ece: Optional[float], brier: Optional[float],
     binary = None if f1 is None else 100.0 * f1
     avg = (None if None in (unc, binary, cal, info)
            else (unc + binary + cal + info) / 4.0)
-    return MetricReport(unc=unc, bin=binary, cal=cal, info=info, avg=avg,
-                        raw={"ece": ece, "brier": brier, "auroc": auroc, "f1": f1,
-                             "ndcg": ndcg, "map": map, "ap": ap},
-                        undefined=undefined or {})
+    report: dict = {name: None if value is None else round(value, 2) for name, value in
+                    zip(("unc", "bin", "cal", "info", "avg"), (unc, binary, cal, info, avg))}
+    report["raw"] = {"ece": ece, "brier": brier, "auroc": auroc, "f1": f1,
+                     "ndcg": ndcg, "map": map, "ap": ap}
+    if undefined:
+        report["undefined"] = dict(undefined)
+    return report
 
 
 def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAndGold:
@@ -262,9 +245,9 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAn
 
 
 def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
-                      ece_bins: int, k: Optional[int]) -> MetricReport:
-    """The four-dimension report of the annotations that have a gold label;
-    fails on none. ece_bins and the cutoff k, when given, are at least 1."""
+                      ece_bins: int, k: Optional[int]) -> dict:
+    """The four-dimension report (`aggregate_report`) of the annotations that
+    have a gold label; fails on none. ece_bins and the cutoff k, when given, are at least 1."""
     scored = with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
     predicted_rel = [a.guess == "Yes" for a, _ in scored]

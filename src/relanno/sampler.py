@@ -69,9 +69,10 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     if not ranking.entries:
         raise ValueError(f"empty ranking for query {ranking.query_id}")
 
-    ranked = [(doc_id, rank) for rank, (doc_id, _) in enumerate(ranking.entries, start=1)]
-    inside = ranked[:k]
-    outside = ranked[k:]
+    # `random.sample` picks by position alone: ranges draw what the entries would.
+    positions = range(len(ranking.entries))
+    inside = positions[:k]
+    outside = positions[k:]
     rng = random.Random(f"{seed}:{ranking.query_id}")
     take_in = rng.sample(inside, min(per_side, len(inside)))
     take_out = rng.sample(outside, min(per_side, len(outside)))
@@ -80,11 +81,12 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     deficit_in = per_side - len(take_in)
     deficit_out = per_side - len(take_out)
     if fill_policy == "fill":
+        taken = set(take_in + take_out)
         if deficit_in > 0:
-            spare = [e for e in outside if e not in take_out]
+            spare = [p for p in outside if p not in taken]
             take_in += rng.sample(spare, min(deficit_in, len(spare)))
         if deficit_out > 0:
-            spare = [e for e in inside if e not in take_in]
+            spare = [p for p in inside if p not in taken]
             take_out += rng.sample(spare, min(deficit_out, len(spare)))
     else:
         if deficit_in > 0:
@@ -94,10 +96,8 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
             warnings.append(
                 f"query {ranking.query_id}: outside-top-{k} side short by {deficit_out}")
 
-    pairs = [
-        QueryDocPair(query_id=ranking.query_id, doc_id=doc_id, retriever_rank=rank)
-        for doc_id, rank in sorted(take_in + take_out, key=lambda e: e[1])
-    ]
+    pairs = [QueryDocPair(ranking.query_id, ranking.entries[p][0], retriever_rank=p + 1)
+             for p in sorted(take_in + take_out)]
     return SampleResult(pairs=pairs, warnings=warnings)
 
 

@@ -14,7 +14,7 @@ from relanno.annotator import (
     AnnotationError,
     annotate_corpus,
     annotate_pair,
-    derive_relevance_score,
+    convert_confidence,
     primary_confidence,
     relevant_info_proxy,
 )
@@ -29,10 +29,11 @@ VARIANT = PromptVariant()
 
 class TestDeriveRelevanceScore:
     def test_yes_keeps_confidence(self):
-        assert derive_relevance_score("Yes", 0.8) == 0.8
+        assert convert_confidence(0.8, "Yes", "ask_confidence", "ask_probability") == 0.8
 
     def test_no_takes_complement(self):
-        assert derive_relevance_score("No", 0.95) == pytest.approx(0.05)
+        assert convert_confidence(0.95, "No", "ask_confidence", "ask_probability") == \
+            pytest.approx(0.05)
 
 
 class TestExtractTokConfidence:

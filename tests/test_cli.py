@@ -315,6 +315,14 @@ class TestRankFailures:
                                    "input 4 of 6", problem)
         assert not (workspace / "rankings.jsonl").exists()
 
+    def test_answer_with_a_repeated_index(self, workspace, monkeypatch):
+        body = json.dumps({"data": [{"index": 0, "embedding": [1.0, 2.0]}] * 6}).encode()
+        monkeypatch.setattr(gateway_mod.requests.Session, "post",
+                            lambda *args, **kwargs: answer_200(body))
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   "indices are not 0 to 5, each once")
+        assert not (workspace / "rankings.jsonl").exists()
+
 
 def test_rank_stopped_by_a_failing_batch_resumes_from_the_cache(
         tmp_path, fixture_queries, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import jsonl_rows
-from relanno.annotator import Annotation, derive_relevance_score
+from relanno.annotator import Annotation, convert_confidence
 from relanno.corpus import Split, to_row
 from relanno.distill import (
     LeakageError,
@@ -99,7 +99,8 @@ class TestBuildTrainingRecord:
                                                              exported):
         queries, chunks = corpus
         variant = PromptVariant.from_label(label)
-        ann = Annotation("q1", "d1", guess, derive_relevance_score(guess, 0.9),
+        ann = Annotation("q1", "d1", guess,
+                         convert_confidence(0.9, guess, "ask_confidence", "ask_probability"),
                          confidence_tok=0.9, reason="cites the figure")
         record = build_training_record(ann, queries["q1"], chunks["d1"], variant)
         parsed = parse_pointwise_response(record.assistant, variant)

@@ -297,6 +297,14 @@ def assert_vectors(vectors, expected):
     assert np.array_equal(vectors, np.array(expected))
 
 
+def indexed(indices):
+    """An embedding answer whose i-th item has index indices[i] and the row
+    [0, k + 1] for the integer k that its index equals, 0 for any other."""
+    return {"data": [{"index": index,
+                      "embedding": [0.0, index + 1.0 if type(index) is int else 0.0]}
+                     for index in indices]}
+
+
 class TestEmbed:
     def test_shapes_aligned(self, uncached_gateway):
         vectors = uncached_gateway.embed(["a", "b"])
@@ -452,6 +460,37 @@ class TestEmbed:
         with pytest.raises(TransportError, match=f"embedding endpoint answer lacks the "
                                                  f"field {field}$"):
             uncached_gateway.embed(["alpha", "beta"])
+
+    @pytest.mark.parametrize("body, problem", [
+        pytest.param([], "is not a JSON object", id="a list"),
+        pytest.param("data", "is not a JSON object", id="a string"),
+        pytest.param({"data": {"index": 0, "embedding": [1.0, 0.0]}},
+                     "data is not a list of objects", id="data an object"),
+        pytest.param({"data": [[1.0, 0.0], [0.0, 1.0]]},
+                     "data is not a list of objects", id="data of lists"),
+        pytest.param({"data": [{"index": 0, "embedding": [1.0, 0.0]}, None]},
+                     "data is not a list of objects", id="data holding null"),
+        *(pytest.param(indexed(indices), "indices are not 0 to 1, each once",
+                       id=f"indices {indices}")
+          for indices in ([0, 0], [5, 7], [1, 2], [-1, 0], ["0", 1], [0, "1"], [0.0, 1],
+                          [True, 0], [None, 1], [[0], 1])),
+    ])
+    def test_answer_not_indexed_0_to_count_is_refused(self, gateway, monkeypatch,
+                                                       body, problem):
+        """Each one fails with a TransportError, not a TypeError, and caches nothing."""
+        monkeypatch.setattr(gateway._session, "post",
+                            lambda *args, **kwargs: answer_200(json.dumps(body).encode()))
+        with pytest.raises(TransportError, match=f"^embedding endpoint answer.* {problem}"):
+            gateway.embed(["alpha", "beta"])
+        for text in ("alpha", "beta"):
+            key = cache_key("embedding", gateway.config.embedding_model, text)
+            assert gateway.cache.get(key) is None
+
+    def test_rows_are_placed_by_their_index(self, gateway, monkeypatch):
+        body = json.dumps(indexed([2, 0, 1])).encode()
+        monkeypatch.setattr(gateway._session, "post", lambda *args, **kwargs: answer_200(body))
+        vectors = gateway.embed(["alpha", "beta", "gamma"])
+        assert vectors.tolist() == [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
 
 
 class TestCacheKey:

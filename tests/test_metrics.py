@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relanno.annotator import Annotation, derive_relevance_score
+from relanno.annotator import Annotation, convert_confidence
 from relanno.corpus import GoldLabel
 from relanno.metrics import (
     UndefinedMetricError,
@@ -309,10 +309,10 @@ class TestAggregateReport:
             "f1": 0.85, "ap": 0.4}
 
     def test_cal_dimension(self):
-        assert aggregate_report(**self.BASE).cal == pytest.approx(90.0)
+        assert aggregate_report(**self.BASE)["cal"] == pytest.approx(90.0)
 
     def test_info_dimension(self):
-        assert aggregate_report(**self.BASE).info == pytest.approx(70.0)
+        assert aggregate_report(**self.BASE)["info"] == pytest.approx(70.0)
 
     def test_missing_sub_metric_named(self):
         incomplete = dict(self.BASE)
@@ -322,8 +322,8 @@ class TestAggregateReport:
 
     def test_avg_is_mean_of_dimensions(self):
         report = aggregate_report(**self.BASE)
-        assert report.avg == pytest.approx(
-            (report.unc + report.bin + report.cal + report.info) / 4)
+        assert report["avg"] == pytest.approx(
+            (report["unc"] + report["bin"] + report["cal"] + report["info"]) / 4)
 
 
 GRADES = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
@@ -347,17 +347,19 @@ def test_score_annotations_reports_what_is_defined(rows, scheme, k):
     annotations, gold = [], []
     for i, (query_id, guess, confidence, label, uncertain) in enumerate(rows):
         annotations.append(Annotation(query_id, f"d{i}", guess,
-                                      derive_relevance_score(guess, confidence),
+                                      convert_confidence(confidence, guess, "ask_confidence",
+                                                         "ask_probability"),
                                       confidence_ask=confidence))
         gold.append(GoldLabel(query_id, f"d{i}", grade=GRADES[label], binary=label,
                               uncertain=uncertain))
     report = score_annotations(annotations, gold, scheme, ece_bins=10, k=k)
-    assert set(report.undefined) == {name for name, v in report.raw.items() if v is None}
+    assert set(report.get("undefined", {})) == {name for name, v in report["raw"].items()
+                                                if v is None}
     for dimension, sub_metrics in DIMENSIONS.items():
-        value = getattr(report, dimension)
-        assert (value is None) == any(report.raw[name] is None for name in sub_metrics)
+        value = report[dimension]
+        assert (value is None) == any(report["raw"][name] is None for name in sub_metrics)
         assert value is None or 0.0 <= value <= 100.0
-    assert (report.avg is None) == any(getattr(report, d) is None for d in DIMENSIONS)
+    assert (report["avg"] is None) == any(report[d] is None for d in DIMENSIONS)
 
 
 class TestThresholdSweep:

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relanno.annotator import Annotation
+from relanno.corpus import QueryDocPair
 from relanno.retrieval import Ranking
 from relanno.sampler import (
     Disagreement,
@@ -66,6 +69,52 @@ class TestBalancedSample:
         ids = [p.doc_id for p in result.pairs]
         assert len(ids) == len(set(ids))
         assert set(ids) <= set(ranking.doc_ids())
+
+    @given(st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]) | st.text(min_size=1),
+                    min_size=1, max_size=120),
+           st.integers(min_value=1, max_value=130), st.integers(min_value=1, max_value=70),
+           st.integers(min_value=0, max_value=999) | st.text(), st.text(min_size=1),
+           st.sampled_from(["strict", "fill"]))
+    @settings(max_examples=300)
+    def test_same_pairs_as_sampling_the_ranked_entries(self, doc_ids, k, per_side, seed,
+                                                       query_id, policy):
+        """Drawing rank positions gives the pairs and warnings that drawing from
+        a copied list of (doc_id, rank) entries gave."""
+        ranking = Ranking(query_id=query_id,
+                          entries=[(d, 1.0 - i / len(doc_ids)) for i, d in enumerate(doc_ids)])
+        result = balanced_sample(ranking, k=k, per_side=per_side, seed=seed, fill_policy=policy)
+        assert (result.pairs, result.warnings) == \
+            sample_ranked_entries(ranking, k, per_side, seed, policy)
+
+
+def sample_ranked_entries(ranking, k, per_side, seed, fill_policy):
+    """The oracle: `balanced_sample` as it was when it sampled (doc_id, rank)
+    tuples, returning (pairs, warnings)."""
+    ranked = [(doc_id, rank) for rank, (doc_id, _) in enumerate(ranking.entries, start=1)]
+    inside = ranked[:k]
+    outside = ranked[k:]
+    rng = random.Random(f"{seed}:{ranking.query_id}")
+    take_in = rng.sample(inside, min(per_side, len(inside)))
+    take_out = rng.sample(outside, min(per_side, len(outside)))
+    warnings = []
+    deficit_in = per_side - len(take_in)
+    deficit_out = per_side - len(take_out)
+    if fill_policy == "fill":
+        if deficit_in > 0:
+            spare = [e for e in outside if e not in take_out]
+            take_in += rng.sample(spare, min(deficit_in, len(spare)))
+        if deficit_out > 0:
+            spare = [e for e in inside if e not in take_in]
+            take_out += rng.sample(spare, min(deficit_out, len(spare)))
+    else:
+        if deficit_in > 0:
+            warnings.append(f"query {ranking.query_id}: top-{k} side short by {deficit_in}")
+        if deficit_out > 0:
+            warnings.append(
+                f"query {ranking.query_id}: outside-top-{k} side short by {deficit_out}")
+    pairs = [QueryDocPair(query_id=ranking.query_id, doc_id=doc_id, retriever_rank=rank)
+             for doc_id, rank in sorted(take_in + take_out, key=lambda e: e[1])]
+    return pairs, warnings
 
 
 class TestConfidenceBins:
