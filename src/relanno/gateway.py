@@ -2,10 +2,12 @@
 
 Captures per-token log probabilities, retries transient failures with
 exponential backoff, and caches raw endpoint responses in one SQLite file so
-corpus-scale runs are cheap to resume. The gateway is thread-safe; its
-connection pool holds `config.parallelism` connections, one for each request
-that `ordered_map` lets be in flight for the commands that call the chat
-endpoint. A call waiting out a backoff inside `ordered_map` holds no slot.
+corpus-scale runs are cheap to resume. An answer is read as UTF-8, as RFC 8259
+§8.1 requires of JSON, whatever charset it declares: no other body is guessed
+at. The gateway is thread-safe; its connection pool holds `config.parallelism`
+connections, one for each request that `ordered_map` lets be in flight for the
+commands that call the chat endpoint. A call waiting out a backoff inside
+`ordered_map` holds no slot.
 
 numpy's first load is the one lazy load that runs off the calling thread:
 `embed` starts it on a worker just before its first request and waits for it
@@ -38,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import lazy_import
 from .config import Config
+from .corpus import RowError, _unicode
 
 np = lazy_import("numpy")
 requests = lazy_import("requests")
@@ -255,22 +258,6 @@ def _batch_vectors(raw: object, count: int, dims: set[int]) -> np.ndarray:
     return vectors.astype("<f8", copy=False)
 
 
-def _answer_text(resp: requests.Response) -> str:
-    """The text that `resp.json()` parses. With no declared encoding, that is
-    the body decoded as the UTF encoding its first bytes show, when that
-    decodes; else `resp.text`, the body decoded as declared (`application/json`
-    declares UTF-8) with errors replaced."""
-    content = resp.content
-    if not resp.encoding and len(content) > 3:
-        encoding = requests.utils.guess_json_utf(content)
-        if encoding is not None:
-            try:
-                return content.decode(encoding)
-            except UnicodeDecodeError:
-                pass
-    return resp.text
-
-
 class ResponseStore:
     """Write-once store of endpoint answers keyed by content hash: one SQLite
     file, `<root>/responses.sqlite3`, in WAL mode. Values are bytes; each
@@ -354,7 +341,9 @@ class LLMGateway:
     def _post(self, path: str, body: dict,
               object_hook: Optional[Callable[[dict], object]] = None) -> dict:
         """The parsed JSON of a 200 answer to `body`, each object passed through
-        `object_hook` as `json.loads` does; transient failures are retried."""
+        `object_hook` as `json.loads` does; transient failures are retried. A
+        200 body that is not UTF-8 JSON is a TransportError, sent once and never
+        retried; an error body is quoted with invalid bytes replaced."""
         url = self.config.base_url.rstrip("/") + path
         last_error: Optional[str] = None
         longest_delay = math.ldexp(self.config.backoff_base, max(self.config.max_attempts - 2, 0))
@@ -372,14 +361,15 @@ class LLMGateway:
                 log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
                 continue
             if resp.status_code == 200:
-                text = _answer_text(resp)
-                del resp  # the bytes are freed before the text is parsed
                 try:
+                    text = resp.content.decode("utf-8")
+                    del resp  # the bytes are freed before the text is parsed
                     return json.loads(text, object_hook=object_hook)
-                except ValueError as exc:  # not JSON, or an int too long for int()
+                except ValueError as exc:  # not UTF-8, not JSON, or an int too long for int()
                     raise TransportError(f"endpoint answer from {url} is not valid JSON: "
                                          f"{exc}") from None
-            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+            excerpt = resp.content[:200].decode("utf-8", "replace")
+            last_error = f"HTTP {resp.status_code}: {excerpt}"
             if resp.status_code not in RETRYABLE_STATUS:
                 raise TransportError(f"endpoint error at {url}: {last_error}")
             asked = _retry_after(resp.headers.get("Retry-After"))
@@ -411,7 +401,9 @@ class LLMGateway:
         # Parsed before it is cached, so an answer that fails is asked again.
         response = self._parse_chat(raw, model, want_logprobs, cached=False)
         if self.cache:
-            self.cache.put(key, json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+            # A token may hold half of a surrogate pair, which `json.loads` reads back.
+            blob = json.dumps(raw, ensure_ascii=False).encode("utf-8", "surrogatepass")
+            self.cache.put(key, blob)
         return response
 
     @staticmethod
@@ -424,6 +416,11 @@ class LLMGateway:
         if not isinstance(text, str):
             raise TransportError("chat endpoint answer lacks the field "
                                  "choices[0].message.content")
+        try:
+            _unicode(text)  # the text is written to UTF-8 rows; its tokens are fragments
+        except RowError as exc:
+            raise TransportError(f"chat endpoint answer's choices[0].message.content: "
+                                 f"{exc}") from None
         tokens: list[tuple[str, float]] = []
         if want_logprobs:
             try:

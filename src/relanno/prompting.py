@@ -200,8 +200,10 @@ def parse_definition_response(text: str,
 
 GUESS_LABEL = "[Guess]:"
 REASON_LABEL = "[Reason]:"
-CONFIDENCE_LABELS = tuple(parts["confidence_label"]
-                          for parts in POINTWISE_PARTS["confidence_phrasing"].values())
+# The label each confidence phrasing asks under: one is written and read per variant.
+_LABEL_BY_PHRASING = {phrasing: parts["confidence_label"]
+                      for phrasing, parts in POINTWISE_PARTS["confidence_phrasing"].items()}
+CONFIDENCE_LABELS = tuple(_LABEL_BY_PHRASING.values())
 _FLOAT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
@@ -231,8 +233,10 @@ def _normalize_guess(raw: str) -> Optional[str]:
 def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwise:
     """Extract guess/confidence (and reason for CoT) from a model completion.
 
-    The last occurrence of each label wins: CoT text occasionally echoes
-    labels before the final answer block.
+    The confidence is read only under the label the variant's prompt asks for:
+    a number under the other phrasing's label means something else. The last
+    occurrence of each label wins: CoT text occasionally echoes labels before
+    the final answer block.
     """
     guess_raw = _last_field(text, GUESS_LABEL)
     if guess_raw is None:
@@ -241,14 +245,10 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
     if guess is None:
         raise ParseError(f"unparseable guess: {guess_raw.strip()!r}", raw_text=text)
 
-    conf_raw = None
-    for label in CONFIDENCE_LABELS:
-        candidate = _last_field(text, label)
-        if candidate is not None:
-            conf_raw = candidate
-            break
+    label = _LABEL_BY_PHRASING[variant.confidence_phrasing]
+    conf_raw = _last_field(text, label)
     if conf_raw is None:
-        raise ParseError("no confidence field found", raw_text=text)
+        raise ParseError(f"no {label.rstrip(':')} field found", raw_text=text)
     match = _FLOAT_RE.search(conf_raw)
     if match is None:
         raise ParseError(f"unparseable confidence: {conf_raw.strip()!r}", raw_text=text)
@@ -280,12 +280,10 @@ def format_pointwise_completion(guess: str, confidence: float,
                                 variant: PromptVariant) -> str:
     """Inverse of parse_pointwise_response for valid inputs, using the
     confidence label that the variant's prompt asks for."""
-    confidence_label = POINTWISE_PARTS["confidence_phrasing"][
-        variant.confidence_phrasing]["confidence_label"]
     lines = []
     if reason is not None:
         lines.append(f"{REASON_LABEL} {reason}")
     lines.append(f"{GUESS_LABEL} {guess}")
-    lines.append(f"{confidence_label} {confidence}")
+    lines.append(f"{_LABEL_BY_PHRASING[variant.confidence_phrasing]} {confidence}")
     return "\n".join(lines)
 

@@ -8,7 +8,9 @@ A rule answers every chat request whose user message contains its `match`
 with its `text` (and `logprobs`). Optional fields: `status_sequence`, the
 status of its 1st, 2nd, ... request (the last one repeats); `headers`, sent
 with each answer whose status is not 200; `delay_ms`, waited before each
-answer of status 200.
+answer of status 200. Rules are written under the `[Confidence]:` label; a
+prompt that asks for `[Probability Helpful]:` is answered under that label
+instead, as a model that follows its prompt answers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import Optional
 
 EMBEDDING_DIM = 32
 DEFAULT_CHAT_TEXT = "[Guess]: No\n[Confidence]: 0.5"
+CONFIDENCE_LABEL = "[Confidence]:"
+PROBABILITY_LABEL = "[Probability Helpful]:"
 
 
 def tokenize_with_logprobs(text: str, logprob: float = -0.1) -> list[list]:
@@ -133,6 +137,10 @@ class _Handler(BaseHTTPRequestHandler):
 
         text = rule["text"] if rule is not None else DEFAULT_CHAT_TEXT
         logprobs = (rule or {}).get("logprobs") or tokenize_with_logprobs(text)
+        if PROBABILITY_LABEL in user:
+            text = text.replace(CONFIDENCE_LABEL, PROBABILITY_LABEL)
+            logprobs = [[t.replace(CONFIDENCE_LABEL, PROBABILITY_LABEL), lp]
+                        for t, lp in logprobs]
         choice: dict = {
             "index": 0,
             "message": {"role": "assistant", "content": text},

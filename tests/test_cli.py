@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import re
 import sqlite3
@@ -18,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
-from conftest import CHAT_RULES, ENTRY, SRC, answer_200, jsonl_rows, run_entry
+from conftest import CHAT_RULES, ENTRY, SRC, answer_200, jsonl_rows, make_definition, run_entry
 from relanno import corpus as corpus_mod
 from relanno import gateway as gateway_mod
 from relanno import lazy_import
@@ -875,6 +876,94 @@ def test_annotate_answer_that_is_not_json_names_the_pair(workspace, monkeypatch)
                      "--out", str(workspace / "a.jsonl"), expect_exit=1)
     assert_one_line_json_error(result, "pair (q1,d2): endpoint answer from ",
                                "/chat/completions is not valid JSON")
+
+
+class TestAnswerText:
+    """Chat answers whose text a pair or query cannot be written with, or that
+    answer under the other confidence label; each is run with and without a cache."""
+
+    RULES = [
+        # The emoji is split across two tokens, each holding half of its surrogate pair.
+        {"match": "SPLITTOKENDOC", "text": "[Guess]: Yes \U0001f600\n[Confidence]: 0.7",
+         "logprobs": [["[Guess]:", -0.05], [" Yes", -0.2], [" \ud83d", -0.05],
+                      ["\ude00", -0.05], ["\n[Confidence]:", -0.05], [" 0.7", -0.05]]},
+        {"match": "SURROGATEDOC", "text": "[Reason]: a lone \ud83d\n[Guess]: Yes\n"
+                                          "[Confidence]: 0.7"},
+        {"match": "OTHERLABELDOC", "text": "[Guess]: No\n[Probability Helpful]: 0.1"},
+        {"match": "An analyst posts", "text": "Meaning of the question: a lone \ud83d"},
+    ]
+
+    def run(self, tmp_path, cached, command, *args, expect_exit=0):
+        """(result, rows in the cache) of one command against a mock serving RULES."""
+        rules = tmp_path / "rules"
+        rules.mkdir(exist_ok=True)
+        (rules / "rules.json").write_text(json.dumps(self.RULES), encoding="utf-8")
+        cache = tmp_path / "cache"
+        with mockserver.MockLLMServer(fixtures_dir=rules) as server:
+            (tmp_path / "relanno.conf").write_text(
+                f"base_url={server.base_url}\ncache_dir={cache if cached else ''}\n",
+                encoding="utf-8")
+            result = run_cli(tmp_path, command, *args, expect_exit=expect_exit)
+        if not (cache / "responses.sqlite3").exists():
+            return result, 0
+        with closing(sqlite3.connect(cache / "responses.sqlite3")) as db:
+            return result, db.execute("SELECT count(*) FROM responses").fetchone()[0]
+
+    def annotate(self, tmp_path, cached, doc_text, *args, expect_exit=0):
+        corpus_mod.write_jsonl(tmp_path / "queries.jsonl", [corpus_mod.Query(
+            id="q1", text="Question?", definition=make_definition())])
+        corpus_mod.write_jsonl(tmp_path / "documents.jsonl", [
+            corpus_mod.DocumentChunk(id="d1", report_id="r1", text=doc_text)])
+        pairs = write_lines(tmp_path / "pairs.jsonl", '{"query_id": "q1", "doc_id": "d1"}')
+        return self.run(tmp_path, cached, "annotate", "--pairs", pairs,
+                        "--queries", str(tmp_path / "queries.jsonl"),
+                        "--documents", str(tmp_path / "documents.jsonl"),
+                        "--out", str(tmp_path / "a.jsonl"),
+                        "--errors", str(tmp_path / "e.jsonl"), *args, expect_exit=expect_exit)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_token_may_hold_half_a_surrogate_pair(self, tmp_path, cached):
+        result, stored = self.annotate(tmp_path, cached, "SPLITTOKENDOC passage")
+        [row] = jsonl_rows(tmp_path / "a.jsonl")
+        assert row["confidence_tok"] == pytest.approx(math.exp(-0.2))
+        assert stored == int(cached)
+        if cached:  # and the stored answer reads back as it came
+            first = (tmp_path / "a.jsonl").read_bytes()
+            result, _ = self.annotate(tmp_path, cached, "SPLITTOKENDOC passage")
+            assert json.loads(result.output)["network_calls"] == 0
+            assert (tmp_path / "a.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_content_with_a_lone_surrogate_names_the_pair(self, tmp_path, cached):
+        result, stored = self.annotate(tmp_path, cached, "SURROGATEDOC passage",
+                                       "--variant", "point-cot-ask-d", expect_exit=1)
+        assert_one_line_json_error(
+            result, "pair (q1,d1): chat endpoint answer's choices[0].message.content: "
+                    "expected a string, got a lone surrogate at index 17")
+        assert stored == 0
+        assert jsonl_rows(tmp_path / "a.jsonl") == jsonl_rows(tmp_path / "e.jsonl") == []
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_content_with_a_lone_surrogate_names_the_query(self, tmp_path, cached):
+        corpus_mod.write_jsonl(tmp_path / "queries.jsonl",
+                               [corpus_mod.Query(id="q1", text="Question?")])
+        result, stored = self.run(tmp_path, cached, "define",
+                                  "--queries", str(tmp_path / "queries.jsonl"),
+                                  "--out", str(tmp_path / "d.jsonl"), expect_exit=1)
+        assert_one_line_json_error(
+            result, "query q1: chat endpoint answer's choices[0].message.content: "
+                    "expected a string, got a lone surrogate")
+        assert stored == 0
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_ask_answer_under_the_probability_label_is_a_ledger_row(self, tmp_path, cached):
+        """Read as a confidence in the No, it would have scored 0.9."""
+        result, _ = self.annotate(tmp_path, cached, "OTHERLABELDOC passage",
+                                  "--variant", "point-ask-d", "--calibration", "ask")
+        assert json.loads(result.output)["errors"] == 1
+        assert jsonl_rows(tmp_path / "a.jsonl") == []
+        [error] = jsonl_rows(tmp_path / "e.jsonl")
+        assert error["error"] == "no [Confidence] field found"
 
 
 def test_killed_annotate_leaves_a_prefix_and_resumes_from_the_cache(tmp_path, fixture_queries):

@@ -210,14 +210,42 @@ def test_minus_infinity_logprob_is_probability_zero(gateway, monkeypatch):
     assert response.tokens[0] == ("[Guess]:", -math.inf)
 
 
-@pytest.mark.parametrize("body, problem", [
-    (b"<html>", "Expecting value"),
-    (b'{"choices": [], "n": ' + b"9" * 5000 + b"}", r"Exceeds the limit \(4300 digits\)"),
-], ids=["html", "5000-digit integer"])
-def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, problem):
+UTF8_BODY = '{"v": "caf\u00e9 \U0001f600"}'.encode("utf-8")
+
+
+@pytest.mark.parametrize("content_type", [
+    None, "application/json", "application/json; charset=utf-8",
+    "application/json; charset=latin-1",  # a declared charset is not read
+])
+def test_answer_is_read_as_utf8(gateway, monkeypatch, content_type):
+    monkeypatch.setattr(gateway._session, "post",
+                        lambda *args, **kwargs: answer_200(UTF8_BODY, content_type))
+    assert gateway._post("/chat/completions", {}) == {"v": "caf\u00e9 \U0001f600"}
+
+
+@pytest.mark.parametrize("body, content_type, problem", [
+    (b"<html>", None, "Expecting value"),
+    (b'{"choices": [], "n": ' + b"9" * 5000 + b"}", None,
+     r"Exceeds the limit \(4300 digits\)"),
+    # Whatever the header says, a body that is not UTF-8 is refused.
+    (b'\xef\xbb\xbf' + UTF8_BODY, None, "Unexpected UTF-8 BOM"),
+    (b'\xef\xbb\xbf' + UTF8_BODY, "application/json", "Unexpected UTF-8 BOM"),
+    ('{"v": "\u00e9"}'.encode("latin-1"), "application/json; charset=latin-1",
+     "can't decode byte 0xe9 in position 7"),
+    ('{"v": "\u00e9"}'.encode("utf-16"), "application/json; charset=utf-16",
+     "can't decode byte 0xff in position 0"),
+    ('{"v": "\u00e9"}'.encode("utf-16-le"), None, "can't decode byte 0xe9 in position 14"),
+    (b'{"v": "a\xffb"}', "application/json", "can't decode byte 0xff in position 8"),
+    (b'{"v": "caf\xe9 au lait"}', None, "can't decode byte 0xe9 in position 10"),
+], ids=["html", "5000-digit integer", "BOM, no charset", "BOM, application/json",
+        "charset=latin-1", "charset=utf-16", "UTF-16 without a BOM or charset",
+        "invalid UTF-8 byte", "invalid UTF-8 byte, no charset"])
+def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, content_type,
+                                               problem):
     """It is sent once, never retried, and not cached: the next call asks again."""
     real_post = gateway._session.post
-    monkeypatch.setattr(gateway._session, "post", lambda *args, **kwargs: answer_200(body))
+    monkeypatch.setattr(gateway._session, "post",
+                        lambda *args, **kwargs: answer_200(body, content_type))
     url = re.escape(gateway.config.base_url + "/chat/completions")
     with pytest.raises(TransportError, match=f"answer from {url} is not valid JSON: .*{problem}"):
         gateway.chat_complete("SCOPE3DOC")
@@ -226,31 +254,43 @@ def test_answer_that_is_not_json_names_the_url(gateway, monkeypatch, body, probl
     assert gateway.chat_complete("SCOPE3DOC").cached is False
 
 
-@pytest.mark.parametrize("body, content_type, expected", [
-    (b'\xef\xbb\xbf{"v": "\xc3\xa9"}', None, {"v": "\u00e9"}),
-    (b'\xef\xbb\xbf{"v": "\xc3\xa9"}', "application/json", "Unexpected UTF-8 BOM"),
-    ('{"v": "\u00e9"}'.encode("latin-1"), "application/json; charset=latin-1", {"v": "\u00e9"}),
-    ('{"v": "\u00e9"}'.encode("utf-16"), "application/json; charset=utf-16", {"v": "\u00e9"}),
-    ('{"v": "\u00e9"}'.encode("utf-16-le"), None, {"v": "\u00e9"}),
-    (b'{"v": "a\xffb"}', "application/json", {"v": "a\ufffdb"}),
-    (b'{"v": "caf\xe9 au lait"}', None, {"v": "caf\u00e9 au lait"}),  # guessed, not UTF-8
-], ids=["BOM, no charset", "BOM, application/json", "charset=latin-1", "charset=utf-16",
-        "UTF-16 without a BOM or charset", "invalid UTF-8 byte",
-        "invalid UTF-8 byte, no charset"])
-def test_answer_is_decoded_as_requests_decodes_it(gateway, monkeypatch, body, content_type,
-                                                  expected):
-    """`_post` decodes the text itself, to free the bytes first: each answer
-    reads as `Response.json()` reads it, or fails as it fails."""
-    monkeypatch.setattr(gateway._session, "post",
-                        lambda *args, **kwargs: answer_200(body, content_type))
-    if isinstance(expected, str):
-        with pytest.raises(TransportError, match=f"not valid JSON: {expected}"):
-            gateway._post("/chat/completions", {})
-        with pytest.raises(ValueError, match=expected):
-            answer_200(body, content_type).json()
-    else:
-        assert gateway._post("/chat/completions", {}) == expected
-        assert answer_200(body, content_type).json() == expected
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES, st.sampled_from([None, "application/json",
+                                     "application/json; charset=utf-8",
+                                     "application/json; charset=latin-1"]))
+def test_any_utf8_json_answer_reads_as_json_loads_reads_it(value, content_type):
+    blob = json.dumps(value, ensure_ascii=False).encode("utf-8")
+    gateway = LLMGateway(Config(cache_dir=None))
+    gateway._session.post = lambda *args, **kwargs: answer_200(blob, content_type)
+    assert gateway._post("/chat/completions", {}) == json.loads(blob)
+
+
+@pytest.mark.parametrize("status, retried, error", [
+    (503, True, "retries exhausted for "), (400, False, "endpoint error at ")])
+def test_error_body_with_an_invalid_byte_is_quoted_with_it_replaced(
+        gateway, monkeypatch, status, retried, error):
+    """A retryable status is retried as any other; the quoted body shows U+FFFD."""
+    def answer(*args, **kwargs):
+        resp = answer_200(b'{"error": "bad \xff byte"}', "application/json")
+        resp.status_code = status
+        return resp
+
+    monkeypatch.setattr(gateway._session, "post", answer)
+    monkeypatch.setattr(gateway_mod.time, "sleep", lambda s: None)
+    with pytest.raises(TransportError) as err:
+        gateway.chat_complete("SCOPE3DOC")
+    assert str(err.value).startswith(error)
+    assert str(err.value).endswith(f'HTTP {status}: {{"error": "bad \ufffd byte"}}')
+    attempts = gateway.config.max_attempts if retried else 1
+    assert (gateway.counts["network_calls"], gateway.counts["retries"]) == (attempts,
+                                                                           attempts - 1)
 
 
 def test_temperature_clamped_to_zero(uncached_gateway, monkeypatch):

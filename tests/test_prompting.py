@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,20 @@ class TestParsePointwise:
         parsed = parse_pointwise_response(
             "[Guess]: Yes\n[Probability Helpful]: 0.8", POINT_PROB_D)
         assert parsed.confidence == 0.8
+
+    @pytest.mark.parametrize("text, variant, missing", [
+        ("[Guess]: No\n[Probability Helpful]: 0.1", POINT_ASK_D, "[Confidence]"),
+        ("[Guess]: No\n[Confidence]: 0.9", POINT_PROB_D, "[Probability Helpful]"),
+    ], ids=["ask, answered P(helpful)", "prob, answered confidence"])
+    def test_confidence_is_read_only_under_the_variants_label(self, text, variant, missing):
+        """A number under the other phrasing's label means something else."""
+        with pytest.raises(ParseError, match=re.escape(f"no {missing} field found")):
+            parse_pointwise_response(text, variant)
+
+    def test_the_other_label_still_ends_the_field(self):
+        parsed = parse_pointwise_response(
+            "[Guess]: No\n[Confidence]: 0.9 [Probability Helpful]: 0.1", POINT_ASK_D)
+        assert parsed.confidence == 0.9
 
     @given(
         st.sampled_from(["Yes", "No"]),
