@@ -116,22 +116,22 @@ def annotate_pair(
         variant=variant, definition=query.definition)
     want_tok = calibration in ("tok", "both")
     response = gateway.chat_complete(prompt, want_logprobs=want_tok)
-    parsed = parse_pointwise_response(response.text, variant)
-    confidence = min(max(parsed.confidence, 0.0), 1.0)
-    if confidence != parsed.confidence:
+    guess, stated, reason = parse_pointwise_response(response.text, variant)
+    confidence = min(max(stated, 0.0), 1.0)
+    if confidence != stated:
         log.warning("(%s,%s): confidence %s out of range, clamped to %s",
-                    pair.query_id, pair.doc_id, parsed.confidence, confidence)
+                    pair.query_id, pair.doc_id, stated, confidence)
 
     confidence_tok = extract_tok_confidence(response.tokens) if want_tok else None
     # Tok is P(the realized token), so P(the guess is right), as `ask_confidence` asks.
     primary, phrasing = ((confidence, variant.confidence_phrasing) if confidence_tok is None
                          else (confidence_tok, "ask_confidence"))
     return Annotation(
-        query_id=pair.query_id, doc_id=pair.doc_id, guess=parsed.guess,
-        relevance_score=convert_confidence(primary, parsed.guess, phrasing, "ask_probability"),
+        query_id=pair.query_id, doc_id=pair.doc_id, guess=guess,
+        relevance_score=convert_confidence(primary, guess, phrasing, "ask_probability"),
         confidence_ask=confidence if calibration in ("ask", "both") else None,
         confidence_tok=confidence_tok,
-        reason=parsed.reason, model=response.model, variant=variant.label(),
+        reason=reason, model=response.model, variant=variant.label(),
     )
 
 

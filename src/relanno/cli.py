@@ -117,6 +117,27 @@ def _check_flag(ctx: click.Context, param: click.Parameter, value):
 _number_option = functools.partial(click.option, callback=_check_flag)
 
 
+def _written_in_place(path: str) -> bool:
+    """Whether an output at path is written where it is, not replaced or
+    truncated: one of this process's descriptors (/dev/stdout), written through
+    a dup of it, or an existing path that is not a regular file (/dev/null)."""
+    return corpus_mod._own_fd(path) is not None or (
+        os.path.exists(path) and not os.path.isfile(path))
+
+
+def _check_distinct_outputs(flag: str, path: str, other_flag: str, other: str | None) -> None:
+    """Refuses two outputs of one command that name the same file, before any
+    input is read: the second writer would replace the first's file or write
+    over it. Paths are compared resolved, and as files when both exist (a hard
+    link, or /dev/stdout redirected to the other path). Two outputs that are
+    both written in place may share a file."""
+    if other is None or (_written_in_place(path) and _written_in_place(other)):
+        return
+    if os.path.realpath(path) == os.path.realpath(other) or (
+            os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+        raise ValueError(f"{flag} and {other_flag} name the same file: {other}")
+
+
 @click.group(cls=_ErrorBoundary)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="KEY=VALUE config file; env vars RELANNO_<KEY> override it.")
@@ -161,24 +182,24 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
             log.error("%s", finding)
         raise ValueError(f"corpus validation failed with {len(findings)} finding(s)")
 
-    merged = corpus_mod.merge_short_chunks(chunks, min_tokens)
-    for warning in merged.warnings:
+    merged, warnings, merged_into = corpus_mod.merge_short_chunks(chunks, min_tokens)
+    for warning in warnings:
         log.warning("%s", warning)
-    moved = [f"({g.query_id},{g.doc_id}) -> {merged.merged_into[g.doc_id]}"
-             for g in gold if g.doc_id in merged.merged_into]
+    moved = [f"({g.query_id},{g.doc_id}) -> {merged_into[g.doc_id]}"
+             for g in gold if g.doc_id in merged_into]
     if moved:
         log.warning("gold labels on chunks merged into a neighbour: %s", ", ".join(moved))
 
     split = corpus_mod.split_train_test(
-        [q.id for q in queries], [c.report_id for c in merged.chunks],
+        [q.id for q in queries], [c.report_id for c in merged],
         query_test_fraction, report_test_fraction, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(out / "queries.jsonl", queries)
-    write_jsonl(out / "documents.jsonl", merged.chunks)
+    write_jsonl(out / "documents.jsonl", merged)
     write_json(out / "split.json", split)
     click.echo(json.dumps({
-        "queries": len(queries), "documents": len(merged.chunks),
+        "queries": len(queries), "documents": len(merged),
         "merged_from": len(chunks), "out_dir": str(out),
     }))
 
@@ -269,6 +290,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
              errors_path, variant, calibration, parallelism):
     """Annotate pairs pointwise with calibrated relevance scores, writing each
     row as soon as the rows before it are written."""
+    _check_distinct_outputs("--out", out_path, "--errors", errors_path)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
     pairs = read_jsonl(pairs_path, QueryDocPair)
@@ -302,6 +324,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
 def distill_cmd(annotations_path, queries_path, documents_path,
                 split_path, out_path, manifest_path, variant):
     """Export teacher annotations as chat-format training records."""
+    _check_distinct_outputs("--out", out_path, "--manifest", manifest_path)
     annotations = read_jsonl(annotations_path, Annotation)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
@@ -329,6 +352,7 @@ def distill_cmd(annotations_path, queries_path, documents_path,
 @_number_option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
 def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins, cutoff_k):
     """Score annotations on the four dimensions and write report.json."""
+    _check_distinct_outputs("--out", out_path, "--proxy-out", proxy_out)
     annotations = read_jsonl(annotations_path, Annotation)
     report = score_annotations(annotations, read_jsonl(gold_path, GoldLabel), scheme,
                                ece_bins, cutoff_k)
@@ -355,6 +379,7 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
 def audit(annotations_path, original_path, out_path, per_bin, seed,
           verdicts_path, table_out, cutoff):
     """Stratify model-vs-original disagreements; optionally score an audit."""
+    _check_distinct_outputs("--out", out_path, "--table-out", table_out)
     annotations = read_jsonl(annotations_path, Annotation)
     original = {
         (g.query_id, g.doc_id): "relevant" if gold_relevant(g) else "irrelevant"
@@ -394,8 +419,8 @@ def sweep(annotations_path, gold_path, out_path, steps):
     points = f1_threshold_sweep([a.relevance_score for a, _ in scored],
                                 [gold_relevant(g) for _, g in scored], grid)
     write_csv(out_path, [("theta", "f1", "precision", "recall"),
-                         *((f"{p.theta:.4f}", f"{p.f1:.6f}", f"{p.precision:.6f}",
-                            f"{p.recall:.6f}") for p in points)])
+                         *((f"{theta:.4f}", f"{f1:.6f}", f"{precision:.6f}", f"{recall:.6f}")
+                           for theta, f1, precision, recall in points)])
     click.echo(json.dumps({"points": len(points), "out": out_path}))
 
 

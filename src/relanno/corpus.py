@@ -88,41 +88,38 @@ class Split:
     seed: int
 
 
-@dataclass
-class MergeResult:
-    chunks: list[DocumentChunk]
-    warnings: list[str] = field(default_factory=list)
-    # The id of each chunk merged into a neighbour -> the id of that neighbour.
-    merged_into: dict[str, str] = field(default_factory=dict)
-
-
 def merge_short_chunks(
     chunks: list[DocumentChunk],
     min_tokens: int,
-) -> MergeResult:
+) -> tuple[list[DocumentChunk], list[str], dict[str, str]]:
     """Greedily concatenate adjacent short chunks until each reaches min_tokens.
 
     Chunks must be in document order within each report; accumulation restarts
     at report boundaries. The trailing chunk of a report may stay short.
+    Returns (chunks, warnings, merged_into): the merged chunks, one warning per
+    chunk that stays short, and the id of each chunk merged into a neighbour
+    -> the id of that neighbour.
     """
-    result = MergeResult(chunks=[])
+    merged: list[DocumentChunk] = []
+    warnings: list[str] = []
+    merged_into: dict[str, str] = {}
 
     def flush(buffer: list[DocumentChunk]) -> None:
         if not buffer:
             return
         for absorbed in buffer[1:]:
-            result.merged_into[absorbed.id] = buffer[0].id
+            merged_into[absorbed.id] = buffer[0].id
         text = "\n".join(c.text for c in buffer)
         out = DocumentChunk(
             id=buffer[0].id, report_id=buffer[0].report_id,
             text=text, token_count=whitespace_token_count(text),
         )
         if out.token_count < min_tokens:
-            result.warnings.append(
+            warnings.append(
                 f"chunk {out.id} of report {out.report_id} remains short "
                 f"({out.token_count} < {min_tokens} tokens)"
             )
-        result.chunks.append(out)
+        merged.append(out)
 
     buffer: list[DocumentChunk] = []
     acc = 0
@@ -138,7 +135,7 @@ def merge_short_chunks(
             flush(buffer)
             buffer, acc = [], 0
     flush(buffer)
-    return result
+    return merged, warnings, merged_into
 
 
 def split_train_test(
@@ -315,16 +312,10 @@ def from_row(cls: type[T], row: object) -> T:
 
 
 def to_row(obj: object) -> dict:
-    """A dataclass as a JSON-ready dict, each value as `_encoded` gives it. A
-    field is left out only when it is None and its default is None."""
-    row = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None:
-            row[f.name] = _encoded(value)
-        elif f.default is not None:
-            row[f.name] = None
-    return row
+    """A dataclass as a JSON-ready dict, each value as `_encoded` gives it,
+    with every field that is None left out."""
+    return {f.name: _encoded(value) for f in fields(obj)
+            if (value := getattr(obj, f.name)) is not None}
 
 
 def _encoded(value: object) -> object:

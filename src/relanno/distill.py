@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -27,13 +27,7 @@ class LeakageError(ValueError):
     """A training record references a test-split query or report."""
 
 
-@dataclass
-class TrainingRecord:
-    user: str
-    assistant: str
-    meta: dict
-
-
+# The benchmark's tracer reads `.count` of the manifest export_training_data returns.
 @dataclass
 class ExportManifest:
     count: int
@@ -41,7 +35,7 @@ class ExportManifest:
     variant: str
     teacher_model: str
     template_hashes: dict[str, str]
-    balance: BalanceReport
+    balance: dict  # as audit_balance gives it
 
 
 def _template_hashes() -> dict[str, str]:
@@ -64,10 +58,11 @@ def build_training_record(
     query: Query,
     chunk: DocumentChunk,
     variant: PromptVariant,
-) -> Optional[TrainingRecord]:
-    """One chat-format record, or None for a CoT annotation missing its reason.
-    Its completion states the number `variant`'s prompt asks for
-    (`annotator.stated_confidence`)."""
+) -> Optional[dict]:
+    """One chat-format record {"user", "assistant", "meta"}: the prompt, the
+    completion and {"query_id", "doc_id", "variant", "teacher_model"}; or None
+    for a CoT annotation missing its reason. Its completion states the number
+    `variant`'s prompt asks for (`annotator.stated_confidence`)."""
     if variant.cot and annotation.reason is None:
         log.warning("skipping (%s,%s): CoT variant but no reason captured",
                     annotation.query_id, annotation.doc_id)
@@ -78,13 +73,13 @@ def build_training_record(
     completion = format_pointwise_completion(
         guess=annotation.guess, confidence=stated_confidence(annotation, variant),
         reason=annotation.reason if variant.cot else None, variant=variant)
-    return TrainingRecord(
-        user=prompt, assistant=completion,
-        meta={
+    return {
+        "user": prompt, "assistant": completion,
+        "meta": {
             "query_id": annotation.query_id, "doc_id": annotation.doc_id,
             "variant": variant.label(), "teacher_model": annotation.model,
         },
-    )
+    }
 
 
 def export_training_data(
@@ -125,21 +120,12 @@ def export_training_data(
     )
 
 
-@dataclass
-class BalanceReport:
-    yes_count: int
-    no_count: int
-    yes_fraction: float
-    flagged: bool
-    per_query: dict[str, dict[str, int]] = field(default_factory=dict)
-    empty_queries: list[str] = field(default_factory=list)
-
-
-def audit_balance(exported: list[Annotation],
-                  expected_queries: list[str]) -> BalanceReport:
+def audit_balance(exported: list[Annotation], expected_queries: list[str]) -> dict:
     """Yes/No balance of an export, counted on the guesses of the annotations
-    its records were built from (Yes fraction 0 when empty); flags a Yes
-    fraction outside [0.25, 0.75] and lists the expected queries with no record."""
+    its records were built from: {"yes_count", "no_count", "yes_fraction" (0
+    when empty), "flagged" (a Yes fraction outside [0.25, 0.75]), "per_query"
+    (query id -> {"yes", "no"}), "empty_queries" (the expected queries with no
+    record)}."""
     per_query: dict[str, dict[str, int]] = {}
     yes = 0
     for ann in exported:
@@ -148,10 +134,8 @@ def audit_balance(exported: list[Annotation],
         bucket = per_query.setdefault(ann.query_id, {"yes": 0, "no": 0})
         bucket["yes" if guess_yes else "no"] += 1
     fraction = yes / len(exported) if exported else 0.0
-    empty = sorted(set(expected_queries) - set(per_query))
-    return BalanceReport(
-        yes_count=yes, no_count=len(exported) - yes, yes_fraction=fraction,
-        flagged=not 0.25 <= fraction <= 0.75,
-        per_query=per_query, empty_queries=empty,
-    )
-
+    return {
+        "yes_count": yes, "no_count": len(exported) - yes, "yes_fraction": fraction,
+        "flagged": not 0.25 <= fraction <= 0.75, "per_query": per_query,
+        "empty_queries": sorted(set(expected_queries) - set(per_query)),
+    }

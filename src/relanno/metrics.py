@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import lazy_import
@@ -273,20 +272,13 @@ def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], sche
     return aggregate_report(**values, undefined=undefined)
 
 
-@dataclass
-class SweepPoint:
-    theta: float
-    f1: float
-    precision: float
-    recall: float
-
-
 def f1_threshold_sweep(
     relevance_scores: Sequence[float],
     gold_relevant: Sequence[bool],
     grid: Sequence[float],
-) -> list[SweepPoint]:
-    """F1/precision/recall when predicting relevant iff score >= theta."""
-    return [SweepPoint(theta, *f1_precision_recall([s >= theta for s in relevance_scores],
-                                                   gold_relevant))
+) -> list[tuple[float, float, float, float]]:
+    """(theta, f1, precision, recall) per theta of the grid, predicting
+    relevant iff score >= theta."""
+    return [(theta, *f1_precision_recall([s >= theta for s in relevance_scores],
+                                         gold_relevant))
             for theta in grid]

@@ -113,13 +113,6 @@ VARIANTS: dict[str, PromptVariant] = {
 }
 
 
-@dataclass
-class ParsedPointwise:
-    guess: str  # "Yes" | "No"
-    confidence: float  # as written, not yet clamped to [0,1]
-    reason: Optional[str] = None
-
-
 _TEMPLATES: dict[str, str] = {}
 
 
@@ -230,8 +223,11 @@ def _normalize_guess(raw: str) -> Optional[str]:
     return None
 
 
-def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwise:
-    """Extract guess/confidence (and reason for CoT) from a model completion.
+def parse_pointwise_response(text: str,
+                             variant: PromptVariant) -> tuple[str, float, Optional[str]]:
+    """(guess, confidence, reason) from a model completion: the guess "Yes" or
+    "No", the confidence as written, not yet clamped to [0,1], and the reason
+    for a CoT variant (None for any other, or when the completion gives none).
 
     The confidence is read only under the label the variant's prompt asks for:
     a number under the other phrasing's label means something else. The last
@@ -259,7 +255,7 @@ def parse_pointwise_response(text: str, variant: PromptVariant) -> ParsedPointwi
         reason_raw = _last_field(text, REASON_LABEL)
         if reason_raw is not None:
             reason = reason_raw.strip()
-    return ParsedPointwise(guess=guess, confidence=confidence, reason=reason)
+    return guess, confidence, reason
 
 
 def extract_tok_confidence(tokens: Sequence[tuple[str, float]]) -> float:

@@ -42,6 +42,7 @@ class Verdict:
                            "verdict")
 
 
+# The benchmark's tracer reads `.pairs` of the result balanced_sample returns.
 @dataclass
 class SampleResult:
     pairs: list[QueryDocPair]
@@ -138,51 +139,37 @@ def stratify_disagreements(
     return sampled, warnings
 
 
-@dataclass
-class AccuracyCell:
-    count: int
-    accuracy: Optional[float]  # percentage; None when the stratum is empty
-
-
-@dataclass
-class AccuracyTable:
-    # Cells keyed all | original_relevant | original_irrelevant.
-    low_conf: dict[str, AccuracyCell]   # confidence <= cutoff
-    high_conf: dict[str, AccuracyCell]  # confidence > cutoff
-    cutoff: float
-    high_conf_fraction: Optional[float] = None  # of all confidences, when given
-
-
 def disagreement_accuracy_table(
     audited: list[tuple[Disagreement, str]],
     cutoff: float = 0.95,
     all_confidences: Optional[list[float]] = None,
-) -> AccuracyTable:
+) -> dict:
     """Accuracy of the model side of each disagreement, split at the cutoff.
 
     audited: (disagreement, human_verdict) where human_verdict is "model" or
-    "original". Reported for All / original-relevant / original-irrelevant,
-    for confidence <= cutoff and > cutoff.
+    "original". The table holds "cutoff"; "low_conf" (confidence <= cutoff) and
+    "high_conf" (> cutoff), each keyed "all", "original_relevant" and
+    "original_irrelevant", each cell {"count", "accuracy"}, the accuracy a
+    percentage, or None when the cell is empty; and, when all_confidences are
+    given, "high_conf_fraction", the share of them above the cutoff.
     """
-    def cell(items: list[tuple[Disagreement, str]]) -> AccuracyCell:
-        if not items:
-            return AccuracyCell(count=0, accuracy=None)
+    def cell(items: list[tuple[Disagreement, str]]) -> dict:
         wins = sum(1 for _, verdict in items if verdict == "model")
-        return AccuracyCell(count=len(items), accuracy=100.0 * wins / len(items))
+        return {"count": len(items),
+                "accuracy": 100.0 * wins / len(items) if items else None}
 
-    strata = {}
+    table: dict = {"cutoff": cutoff}
     for stratum, pred in (("low_conf", lambda d: d.confidence <= cutoff),
                           ("high_conf", lambda d: d.confidence > cutoff)):
         items = [(d, v) for d, v in audited if pred(d)]
-        strata[stratum] = {
+        table[stratum] = {
             "all": cell(items),
             "original_relevant": cell(
                 [(d, v) for d, v in items if d.original_label == "relevant"]),
             "original_irrelevant": cell(
                 [(d, v) for d, v in items if d.original_label == "irrelevant"]),
         }
-    table = AccuracyTable(**strata, cutoff=cutoff)
     if all_confidences:
         high = sum(1 for c in all_confidences if c > cutoff)
-        table.high_conf_fraction = high / len(all_confidences)
+        table["high_conf_fraction"] = high / len(all_confidences)
     return table

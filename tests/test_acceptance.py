@@ -204,12 +204,12 @@ def test_format_round_trips():
         reason = (" ".join(rng.choices(words, k=rng.randint(1, 6)))
                   if rng.random() < 0.5 else None)
         variant = PromptVariant(cot=reason is not None)
-        parsed = parse_pointwise_response(
+        parsed_guess, parsed_confidence, parsed_reason = parse_pointwise_response(
             format_pointwise_completion(guess, confidence, reason, variant=variant),
             variant)
-        assert parsed.guess == guess
-        assert parsed.confidence == pytest.approx(confidence, abs=1e-12)
-        assert parsed.reason == reason
+        assert parsed_guess == guess
+        assert parsed_confidence == pytest.approx(confidence, abs=1e-12)
+        assert parsed_reason == reason
     print("PASS format round-trips (10000 pointwise)")
 
 
@@ -240,7 +240,7 @@ def test_threshold_behavior():
         scores = [rng.random() for _ in range(n)]
         relevant = [rng.random() < 0.5 for _ in range(n)]
         grid = sorted(rng.random() for _ in range(rng.randint(2, 8)))
-        recalls = [p.recall for p in f1_threshold_sweep(scores, relevant, grid)]
+        recalls = [recall for _, _, _, recall in f1_threshold_sweep(scores, relevant, grid)]
         assert recalls == sorted(recalls, reverse=True)
 
     fixtures = [
@@ -249,8 +249,8 @@ def test_threshold_behavior():
         ([1.0, 0.0], [False, True]),
     ]
     for scores, relevant in fixtures:
-        point = f1_threshold_sweep(scores, relevant, [0.0])[0]
-        assert point.recall == 1.0
+        [(_, _, _, recall)] = f1_threshold_sweep(scores, relevant, [0.0])
+        assert recall == 1.0
     print("PASS threshold monotonicity and theta=0 recall")
 
 
@@ -440,3 +440,106 @@ def test_annotate_with_retries_is_byte_identical_at_parallelism_1_and_8(tmp_path
                 (20, 3, 0.15)
             outputs[parallelism] = out.read_bytes()
     assert outputs[1] == outputs[8]
+
+
+# --- byte pins for outputs outside the fixture loop --------------------------
+# SHA-256 of outputs that `GOLDEN_SHA256` does not cover: ingest on chunks that
+# merge and stay short, an audit table with an empty stratum (its accuracy is
+# null) and one with no annotations (no high_conf_fraction), and a sweep's CSV.
+# A change that alters one on purpose updates its digest here and says so in
+# CHANGES.md.
+OUTPUT_SHA256 = {
+    "ingested/queries.jsonl":
+        "0e06f94ea87987814833fc6f7878ade83c6de0de1b77a0e6b1258f2e76105022",
+    "ingested/documents.jsonl":
+        "ac32123ca2fba85d8f6d5c49a11f82da68e97bdabdd3cfc9ff402fd6c428a9bb",
+    "ingested/split.json":
+        "cfd99d8458efa439e9636d1e91fee9940d3fa69c1419f8034d03f5150af60d2e",
+    "disagreements.jsonl":
+        "6c92794941122871a750006e884e5870698732ad259dffb8ed84803262c37795",
+    "table.json": "cab1c6c0345ba0d13f5aef691b82fae7ac5def18b7a81651e7b95362256d0101",
+    "empty_table.json": "0e5696f2fc9762aba157101d1da99d22ab13379db7d142f2a143636ea8f510c4",
+    "sweep.csv": "9c2930dc951f34fe0a53772ef258210053e496507c4bb2434f31e935b89b3113",
+}
+
+PIN_DOCUMENTS = [
+    ("a1", "r1", "Scope three emissions rose"),
+    ("a2", "r1", "sharply"),
+    ("a3", "r1", "Water use fell by ten percent overall"),
+    ("a4", "r1", "Ends."),
+    ("b1", "r2", "The"),
+    ("b2", "r2", "board"),
+    ("b3", "r2", "meets quarterly with auditors"),
+    ("c1", "r3", "Short"),
+]
+# (query, doc, model guess, confidence, original label, auditor's verdict)
+PIN_JUDGED = [
+    ("q1", "a1", "Yes", 0.97, "irrelevant", "model"),
+    ("q1", "a3", "No", 0.6, "relevant", "original"),
+    ("q1", "b1", "Yes", 0.99, "irrelevant", "original"),
+    ("q2", "a1", "No", 0.92, "relevant", "model"),
+    ("q2", "a3", "Yes", 0.8, "irrelevant", "model"),
+    ("q2", "b1", "Yes", 0.7, "relevant", None),
+]
+
+
+def run_pinned_commands(work):
+    """ingest, audit (twice) and sweep on the pin inputs in their own
+    processes: each command's stdout and stderr, by name."""
+    corpus_mod.write_jsonl(work / "queries.jsonl", [
+        Query(id="q1", text="What does the firm emit?"),
+        Query(id="q2", text="How much water is used?"),
+        Query(id="q3", text="Who audits the board?")])
+    corpus_mod.write_jsonl(work / "documents.jsonl", (
+        DocumentChunk(id=doc_id, report_id=report_id, text=text)
+        for doc_id, report_id, text in PIN_DOCUMENTS))
+    corpus_mod.write_jsonl(work / "ingest_gold.jsonl", [
+        GoldLabel("q1", "a1", grade=1.0, binary="relevant"),
+        GoldLabel("q1", "a2", grade=0.0, binary="irrelevant"),
+        GoldLabel("q2", "b3", grade=0.5, binary="partial")])
+    corpus_mod.write_jsonl(work / "annotations.jsonl", (
+        Annotation(q, d, guess, conf if guess == "Yes" else 1 - conf,
+                   confidence_ask=conf, variant="point-ask")
+        for q, d, guess, conf, _, _ in PIN_JUDGED))
+    corpus_mod.write_jsonl(work / "gold.jsonl", (
+        GoldLabel(q, d, grade=float(label == "relevant"), binary=label)
+        for q, d, _, _, label, _ in PIN_JUDGED))
+    corpus_mod.write_jsonl(work / "verdicts.jsonl", (
+        {"query_id": q, "doc_id": d, "verdict": verdict}
+        for q, d, _, _, _, verdict in PIN_JUDGED if verdict))
+    (work / "none.jsonl").write_text("", encoding="utf-8")
+    commands = {
+        "ingest": ["ingest", "--queries", "queries.jsonl", "--documents", "documents.jsonl",
+                   "--gold", "ingest_gold.jsonl", "--out-dir", "ingested",
+                   "--min-tokens", "5", "--query-test-fraction", "0.34",
+                   "--report-test-fraction", "0.5", "--seed", "5"],
+        "audit": ["audit", "--annotations", "annotations.jsonl", "--original", "gold.jsonl",
+                  "--out", "disagreements.jsonl", "--per-bin", "5", "--seed", "3",
+                  "--verdicts", "verdicts.jsonl", "--table-out", "table.json"],
+        "empty_audit": ["audit", "--annotations", "none.jsonl", "--original", "gold.jsonl",
+                        "--out", "no_disagreements.jsonl", "--per-bin", "1", "--seed", "3",
+                        "--verdicts", "none.jsonl", "--table-out", "empty_table.json"],
+        "sweep": ["sweep", "--annotations", "annotations.jsonl", "--gold", "gold.jsonl",
+                  "--out", "sweep.csv", "--steps", "11"],
+    }
+    printed = {}
+    for name, args in commands.items():
+        result = run_entry(*args, cwd=work)
+        assert result.returncode == 0, result.stderr
+        printed[name] = (result.stdout, result.stderr)
+    return printed
+
+
+def test_outputs_outside_the_fixture_loop_match_their_pins(tmp_path):
+    printed = run_pinned_commands(tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in OUTPUT_SHA256} == OUTPUT_SHA256
+    # What ingest logs about the merge: each short chunk, then the moved gold.
+    assert [json.loads(line)["msg"] for line in printed["ingest"][1].splitlines()] == [
+        "chunk a4 of report r1 remains short (1 < 5 tokens)",
+        "chunk c1 of report r3 remains short (1 < 5 tokens)",
+        "gold labels on chunks merged into a neighbour: (q1,a2) -> a1, (q2,b3) -> b1",
+    ]
+    assert json.loads(printed["ingest"][0]) == {
+        "queries": 3, "documents": 5, "merged_from": 8, "out_dir": "ingested"}
+    assert json.loads(printed["sweep"][0]) == {"points": 11, "out": "sweep.csv"}

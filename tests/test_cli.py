@@ -1628,3 +1628,87 @@ def test_query_without_a_definition_fails_before_any_request(workspace, mock_ser
     assert mock_server.request_count == 0
     assert not (w / "out.jsonl").exists()
 
+
+# The output flag of each command that takes two outputs, besides `--out`.
+SECOND_OUTPUT = {"annotate": "--errors", "evaluate": "--proxy-out", "audit": "--table-out",
+                 "distill": "--manifest"}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_OUTPUT))
+def test_two_outputs_naming_one_file_are_refused(workspace, mock_server, name):
+    """One JSON error naming both flags, before any request is sent or output
+    opened. Both writers would otherwise write the one file: annotate's
+    interleaved, the others' the second replacing the first."""
+    flag = SECOND_OUTPUT[name]
+    args = loop_command(workspace, name)
+    out = args[args.index("--out") + 1]
+    if flag in args:
+        args[args.index(flag) + 1] = out
+    else:
+        args += [flag, out]
+    if name == "audit":  # the table is written only for verdicts
+        args += ["--verdicts", write_lines(workspace / "verdicts.jsonl")]
+    mock_server.reset_counters()
+    assert_one_line_json_error(run_cli(workspace, *args, expect_exit=1),
+                               f"--out and {flag} name the same file: {out}")
+    assert mock_server.request_count == 0
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("alias", ["relative path", "symlink", "hard link"])
+def test_an_output_named_again_by_another_path_is_refused(workspace, monkeypatch, alias):
+    out = workspace / "annotations.jsonl"
+    out.write_text("kept\n", encoding="utf-8")
+    other = workspace / "errors.jsonl"
+    if alias == "relative path":
+        monkeypatch.chdir(workspace)
+        other = "annotations.jsonl"
+    elif alias == "symlink":
+        other.symlink_to(out)
+    else:
+        os.link(out, other)
+    result = run_cli(workspace, *loop_command(workspace, "annotate"), "--errors", str(other),
+                     expect_exit=1)
+    assert_one_line_json_error(result, "--out and --errors name the same file")
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_both_outputs_to_redirected_stdout_keep_every_row(workspace):
+    """`--out /dev/stdout --errors /dev/stdout > file` names one of the
+    process's descriptors twice, which each writer shares: the annotations and
+    the ledger rows in input order, then the summary, all in the one file."""
+    with open(workspace / "documents.jsonl", "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "d5", "report_id": "r2", "text": "MALFORMEDDOC"}) + "\n")
+    args = loop_command(workspace, "annotate")
+    with open(args[args.index("--pairs") + 1], "a", encoding="utf-8") as f:
+        f.write(json.dumps({"query_id": "q2", "doc_id": "d5"}) + "\n")
+    args[args.index("--out") + 1] = "/dev/stdout"
+    out = workspace / "out.txt"
+    with open(out, "wb") as stdout:
+        result = run_entry("--config", workspace / "relanno.conf", *args,
+                           "--errors", "/dev/stdout", stdout=stdout)
+    assert result.returncode == 0, result.stderr
+    *rows, summary = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert [(row["doc_id"], "error" in row) for row in rows] == [
+        *((d, False) for d in ("d1", "d2", "d3", "d4") * 2), ("d5", True)]
+    assert (summary["annotations"], summary["errors"]) == (8, 1)
+
+
+def test_an_output_named_again_by_the_file_stdout_is_redirected_to_is_refused(workspace):
+    """`--out /dev/stdout --errors x > x` used to write both from offset 0 of x."""
+    args = loop_command(workspace, "annotate")
+    args[args.index("--out") + 1] = "/dev/stdout"
+    out = workspace / "out.txt"
+    with open(out, "wb") as stdout:
+        result = run_entry("--config", workspace / "relanno.conf", *args,
+                           "--errors", out, stdout=stdout)
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": f"--out and --errors name the same file: {out}"}
+    assert out.read_bytes() == b""
+
+
+def test_both_outputs_to_dev_null_are_discarded(workspace):
+    args = loop_command(workspace, "evaluate")
+    args[args.index("--out") + 1] = os.devnull
+    run_cli(workspace, *args, "--proxy-out", os.devnull)

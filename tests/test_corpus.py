@@ -8,6 +8,7 @@ from relanno.corpus import (
     DocumentChunk,
     GoldLabel,
     Query,
+    QueryDocPair,
     RelevanceDefinition,
     RowError,
     RowWriter,
@@ -22,9 +23,8 @@ from relanno.corpus import (
     write_json,
     write_jsonl,
 )
-from relanno.distill import BalanceReport, ExportManifest
+from relanno.distill import ExportManifest
 from relanno.retrieval import Ranking
-from relanno.sampler import AccuracyCell, AccuracyTable
 
 
 def chunk(i, n_tokens, report="r1"):
@@ -35,49 +35,49 @@ def chunk(i, n_tokens, report="r1"):
 class TestMergeShortChunks:
     def test_all_above_threshold_unchanged(self):
         chunks = [chunk(0, 150), chunk(1, 200)]
-        result = merge_short_chunks(chunks, 120)
-        assert [c.token_count for c in result.chunks] == [150, 200]
-        assert [c.text for c in result.chunks] == [chunks[0].text, chunks[1].text]
+        merged, _, _ = merge_short_chunks(chunks, 120)
+        assert [c.token_count for c in merged] == [150, 200]
+        assert [c.text for c in merged] == [chunks[0].text, chunks[1].text]
 
     def test_greedy_accumulation(self):
         chunks = [chunk(0, 50), chunk(1, 60), chunk(2, 40), chunk(3, 200)]
-        result = merge_short_chunks(chunks, 120)
-        assert [c.token_count for c in result.chunks] == [150, 200]
-        assert result.chunks[0].id == "c0"
-        assert result.merged_into == {"c1": "c0", "c2": "c0"}
+        merged, _, merged_into = merge_short_chunks(chunks, 120)
+        assert [c.token_count for c in merged] == [150, 200]
+        assert merged[0].id == "c0"
+        assert merged_into == {"c1": "c0", "c2": "c0"}
 
     def test_single_short_chunk_warns(self):
-        result = merge_short_chunks([chunk(0, 80)], 120)
-        assert [c.token_count for c in result.chunks] == [80]
-        assert len(result.warnings) == 1
+        merged, warnings, _ = merge_short_chunks([chunk(0, 80)], 120)
+        assert [c.token_count for c in merged] == [80]
+        assert len(warnings) == 1
 
     def test_empty_input(self):
-        assert merge_short_chunks([], 120).chunks == []
+        assert merge_short_chunks([], 120) == ([], [], {})
 
     def test_restarts_per_report(self):
         chunks = [chunk(0, 50, "r1"), chunk(1, 50, "r2")]
-        result = merge_short_chunks(chunks, 60)
-        assert len(result.chunks) == 2
-        assert len(result.warnings) == 2
+        merged, warnings, _ = merge_short_chunks(chunks, 60)
+        assert len(merged) == 2
+        assert len(warnings) == 2
 
     @given(st.lists(st.integers(min_value=1, max_value=200), min_size=0, max_size=20),
            st.integers(min_value=1, max_value=150))
     @settings(max_examples=100)
     def test_preserves_text_and_idempotent(self, sizes, min_tokens):
         chunks = [chunk(i, n) for i, n in enumerate(sizes)]
-        result = merge_short_chunks(chunks, min_tokens)
+        merged, _, merged_into = merge_short_chunks(chunks, min_tokens)
         # no text lost or duplicated
-        merged_words = " ".join(c.text for c in result.chunks).split()
+        merged_words = " ".join(c.text for c in merged).split()
         assert merged_words == " ".join(c.text for c in chunks).split()
         # all but the last chunk reach the threshold
-        for c in result.chunks[:-1]:
+        for c in merged[:-1]:
             assert c.token_count >= min_tokens
         # every id given is kept, or names the kept chunk it merged into
-        kept = [c.id for c in result.chunks]
-        assert sorted(kept + list(result.merged_into)) == sorted(c.id for c in chunks)
-        assert set(result.merged_into.values()) <= set(kept)
-        again = merge_short_chunks(result.chunks, min_tokens)
-        assert [c.text for c in again.chunks] == [c.text for c in result.chunks]
+        kept = [c.id for c in merged]
+        assert sorted(kept + list(merged_into)) == sorted(c.id for c in chunks)
+        assert set(merged_into.values()) <= set(kept)
+        again, _, _ = merge_short_chunks(merged, min_tokens)
+        assert [c.text for c in again] == [c.text for c in merged]
 
 
 class TestSplitTrainTest:
@@ -245,19 +245,14 @@ class TestRowCodec:
         assert gold == GoldLabel("q", "d", 1.0)
         assert type(gold.grade) is float
 
-    def test_to_row_drops_none_only_where_the_default_is_none(self, tmp_path):
+    def test_to_row_leaves_out_every_none_field(self, tmp_path):
         assert to_row(Query("q1", "t")) == {"id": "q1", "text": "t"}
-        assert to_row(AccuracyCell(count=0, accuracy=None)) == {"count": 0, "accuracy": None}
+        assert to_row(QueryDocPair("q1", "d1")) == {
+            "query_id": "q1", "doc_id": "d1", "split": "unassigned"}
         split = Split({"b", "a"}, {"c"}, set(), {"r"}, seed=3)
         assert to_row(split) == {"train_queries": ["a", "b"], "test_queries": ["c"],
                                  "train_reports": [], "test_reports": ["r"], "seed": 3}
         assert from_row(Split, to_row(split)) == split
-        # A dataclass inside a dict value; None kept where the default is not None.
-        table = AccuracyTable(low_conf={"all": AccuracyCell(2, 50.0)},
-                              high_conf={"all": AccuracyCell(0, None)}, cutoff=0.95)
-        assert to_row(table) == {"low_conf": {"all": {"count": 2, "accuracy": 50.0}},
-                                 "high_conf": {"all": {"count": 0, "accuracy": None}},
-                                 "cutoff": 0.95}
         # A present Optional dataclass.
         query = Query("q1", "t", RelevanceDefinition("m", ["e"]))
         assert to_row(query) == {"id": "q1", "text": "t", "definition": {
@@ -267,8 +262,9 @@ class TestRowCodec:
         ranking = Ranking("q1", [("d2", 0.9), ("d1", 0.5)])
         assert to_row(ranking) == {"query_id": "q1", "entries": [("d2", 0.9), ("d1", 0.5)]}
         assert from_row(Ranking, json.loads(json.dumps(to_row(ranking)))) == ranking
-        # A nested dataclass whose own fields hold dicts and lists.
-        balance = BalanceReport(1, 0, 1.0, True, {"q1": {"yes": 1, "no": 0}}, ["q2"])
+        # A dataclass whose fields hold dicts and lists.
+        balance = {"yes_count": 1, "no_count": 0, "yes_fraction": 1.0, "flagged": True,
+                   "per_query": {"q1": {"yes": 1, "no": 0}}, "empty_queries": ["q2"]}
         manifest = ExportManifest(1, 0, "point-ask", "teacher", {"a.txt": "0f"}, balance)
         assert to_row(manifest) == {
             "count": 1, "skipped": 0, "variant": "point-ask", "teacher_model": "teacher",
@@ -276,7 +272,7 @@ class TestRowCodec:
             "balance": {"yes_count": 1, "no_count": 0, "yes_fraction": 1.0, "flagged": True,
                         "per_query": {"q1": {"yes": 1, "no": 0}}, "empty_queries": ["q2"]}}
         # write_json takes the object and writes the bytes it wrote for to_row(obj).
-        for obj in (split, table, manifest):
+        for obj in (split, manifest):
             write_json(tmp_path / "obj.json", obj)
             assert (tmp_path / "obj.json").read_text(encoding="utf-8") == \
                 json.dumps(to_row(obj), indent=2, sort_keys=True) + "\n"

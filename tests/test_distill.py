@@ -37,27 +37,26 @@ class TestBuildTrainingRecord:
         queries, chunks = corpus
         record = build_training_record(annotation(), queries["q1"], chunks["d1"],
                                        VARIANT)
-        parsed = parse_pointwise_response(record.assistant, VARIANT)
-        assert (parsed.guess, parsed.confidence) == ("Yes", 0.9)
+        assert parse_pointwise_response(record["assistant"], VARIANT)[:2] == ("Yes", 0.9)
 
     def test_prompt_contains_question_and_chunk(self, corpus):
         queries, chunks = corpus
         record = build_training_record(annotation(), queries["q1"], chunks["d1"],
                                        VARIANT)
-        assert queries["q1"].text in record.user
-        assert chunks["d1"].text in record.user
+        assert queries["q1"].text in record["user"]
+        assert chunks["d1"].text in record["user"]
 
     def test_non_cot_export_has_no_reason_line(self, corpus):
         queries, chunks = corpus
         record = build_training_record(annotation(reason="leftover rationale"),
                                        queries["q1"], chunks["d1"], VARIANT)
-        assert "[Reason]" not in record.assistant
+        assert "[Reason]" not in record["assistant"]
 
     def test_cot_reason_included(self, corpus):
         queries, chunks = corpus
         record = build_training_record(annotation(reason="quotes the table"),
                                        queries["q1"], chunks["d1"], COT_VARIANT)
-        assert "[Reason]: quotes the table" in record.assistant
+        assert "[Reason]: quotes the table" in record["assistant"]
 
     def test_cot_without_reason_skipped(self, corpus):
         queries, chunks = corpus
@@ -75,17 +74,16 @@ class TestBuildTrainingRecord:
         variant = PromptVariant.from_label(label)
         record = build_training_record(annotation(), queries["q1"], chunks["d1"],
                                        variant)
-        assert confidence_label in record.user
-        assert record.assistant.endswith(f"{confidence_label} 0.9")
-        parsed = parse_pointwise_response(record.assistant, variant)
-        assert (parsed.guess, parsed.confidence) == ("Yes", 0.9)
+        assert confidence_label in record["user"]
+        assert record["assistant"].endswith(f"{confidence_label} 0.9")
+        assert parse_pointwise_response(record["assistant"], variant)[:2] == ("Yes", 0.9)
 
     def test_missing_ask_confidence_derived_from_score(self, corpus):
         queries, chunks = corpus
         ann = Annotation("q1", "d1", "No", 0.3, confidence_ask=None)
         record = build_training_record(ann, queries["q1"], chunks["d1"], VARIANT)
-        parsed = parse_pointwise_response(record.assistant, VARIANT)
-        assert (parsed.guess, parsed.confidence) == ("No", pytest.approx(0.7))
+        assert parse_pointwise_response(record["assistant"], VARIANT)[:2] == (
+            "No", pytest.approx(0.7))
 
     # Tok-only annotations: a prob prompt asks for P(helpful), an ask prompt for
     # the confidence in the guess. Tok at 0.9 on "No" means P(helpful) = 0.1.
@@ -103,8 +101,8 @@ class TestBuildTrainingRecord:
                          convert_confidence(0.9, guess, "ask_confidence", "ask_probability"),
                          confidence_tok=0.9, reason="cites the figure")
         record = build_training_record(ann, queries["q1"], chunks["d1"], variant)
-        parsed = parse_pointwise_response(record.assistant, variant)
-        assert (parsed.guess, parsed.confidence) == (guess, pytest.approx(exported))
+        assert parse_pointwise_response(record["assistant"], variant)[:2] == (
+            guess, pytest.approx(exported))
 
 
     # Ask-only annotations: the Ask answer goes out as it is only when its prompt
@@ -140,8 +138,8 @@ class TestExport:
         records = jsonl_rows(out)
         assert len(records) == 2
         assert manifest.count == 2
-        assert manifest.balance.yes_count == 1
-        assert manifest.balance.yes_fraction == pytest.approx(0.5)
+        assert manifest.balance["yes_count"] == 1
+        assert manifest.balance["yes_fraction"] == pytest.approx(0.5)
         assert manifest.teacher_model == "teacher"
         assert manifest.template_hashes  # prompts pinned for reproducibility
         assert set(manifest.template_hashes) == {
@@ -156,8 +154,8 @@ class TestExport:
                                         COT_VARIANT, out)
         assert len(jsonl_rows(out)) == 1
         assert manifest.balance == audit_balance(annotations[:1], ["q1"])
-        assert to_row(manifest)["balance"] == to_row(manifest.balance)
-        assert (manifest.balance.yes_count, manifest.balance.no_count) == (1, 0)
+        assert to_row(manifest)["balance"] == manifest.balance
+        assert (manifest.balance["yes_count"], manifest.balance["no_count"]) == (1, 0)
 
     def test_empty_export_lists_every_train_query(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -165,8 +163,8 @@ class TestExport:
                                         make_split(), COT_VARIANT,
                                         tmp_path / "t.jsonl")
         assert (manifest.count, manifest.skipped) == (0, 1)
-        assert manifest.balance.empty_queries == ["q1"]
-        assert to_row(manifest)["balance"] == to_row(manifest.balance)
+        assert manifest.balance["empty_queries"] == ["q1"]
+        assert to_row(manifest)["balance"] == manifest.balance
 
     def test_test_query_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -201,7 +199,7 @@ class TestExport:
         manifest = export_training_data(annotations, queries, chunks, split,
                                         COT_VARIANT, tmp_path / "t.jsonl")
         assert (manifest.count, manifest.skipped) == (1, 1)
-        assert manifest.balance.empty_queries == ["q2", "q3"]
+        assert manifest.balance["empty_queries"] == ["q2", "q3"]
 
     def test_unknown_doc_rejected(self, corpus, tmp_path):
         queries, chunks = corpus
@@ -221,24 +219,24 @@ class TestAuditBalance:
     def test_balanced_not_flagged(self):
         report = audit_balance([annotation("q1", "d1", "Yes", 0.9),
                                 annotation("q1", "d2", "No", 0.8)], ["q1"])
-        assert report.yes_fraction == pytest.approx(0.5)
-        assert report.per_query == {"q1": {"yes": 1, "no": 1}}
-        assert not report.flagged
+        assert report["yes_fraction"] == pytest.approx(0.5)
+        assert report["per_query"] == {"q1": {"yes": 1, "no": 1}}
+        assert not report["flagged"]
 
     def test_skew_outside_band_flagged(self):
         assert audit_balance([annotation("q1", f"d{i}", "Yes", 0.9) for i in (1, 2)],
-                             ["q1"]).flagged
+                             ["q1"])["flagged"]
 
     def test_expected_queries_reported_when_absent(self):
         report = audit_balance([annotation("q1", "d1", "Yes", 0.9)],
                                expected_queries=["q1", "q9"])
-        assert report.empty_queries == ["q9"]
+        assert report["empty_queries"] == ["q9"]
 
     def test_empty_export_flagged(self):
         report = audit_balance([], ["q1"])
-        assert (report.yes_count, report.no_count, report.yes_fraction) == (0, 0, 0.0)
-        assert report.flagged
-        assert report.empty_queries == ["q1"]
+        assert (report["yes_count"], report["no_count"], report["yes_fraction"]) == (0, 0, 0.0)
+        assert report["flagged"]
+        assert report["empty_queries"] == ["q1"]
 
     def test_a_reason_quoting_the_guess_label_is_not_counted_as_its_guess(self, corpus,
                                                                           tmp_path):
@@ -250,5 +248,5 @@ class TestAuditBalance:
         [record] = jsonl_rows(out)
         assert "[Guess]: Yes" in record["assistant"]
         balance = manifest.balance
-        assert (balance.yes_count, balance.no_count, balance.flagged) == (0, 1, True)
-        assert balance.per_query == {"q1": {"yes": 0, "no": 1}}
+        assert (balance["yes_count"], balance["no_count"], balance["flagged"]) == (0, 1, True)
+        assert balance["per_query"] == {"q1": {"yes": 0, "no": 1}}

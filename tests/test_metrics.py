@@ -364,16 +364,16 @@ def test_score_annotations_reports_what_is_defined(rows, scheme, k):
 
 class TestThresholdSweep:
     def test_theta_zero_full_recall(self):
-        points = f1_threshold_sweep([0.9, 0.2, 0.5], [True, False, True], [0.0])
-        assert points[0].recall == 1.0
+        [(_, _, _, recall)] = f1_threshold_sweep([0.9, 0.2, 0.5], [True, False, True], [0.0])
+        assert recall == 1.0
 
     def test_theta_one_no_predictions(self):
-        points = f1_threshold_sweep([0.9, 0.2], [True, False], [1.0])
-        assert points[0].f1 == 0.0
+        [(_, f1, _, _)] = f1_threshold_sweep([0.9, 0.2], [True, False], [1.0])
+        assert f1 == 0.0
 
     def test_two_item_hand_check(self):
-        points = f1_threshold_sweep([0.9, 0.2], [True, False], [0.5])
-        assert points[0].f1 == 1.0
+        [(_, f1, _, _)] = f1_threshold_sweep([0.9, 0.2], [True, False], [0.5])
+        assert f1 == 1.0
 
 
 # --- randomized oracle suite and invariance properties ---------------------
@@ -440,9 +440,9 @@ class TestRandomOracles:
             n = rng.randint(1, 8)
             scores = [round(rng.random(), 1) for _ in range(n)]
             gold = [rng.random() < 0.5 for _ in range(n)]
-            for point in f1_threshold_sweep(scores, gold, grid):
-                assert (point.f1, point.precision, point.recall) == f1_precision_recall(
-                    [s >= point.theta for s in scores], gold)
+            for theta, f1, precision, recall in f1_threshold_sweep(scores, gold, grid):
+                assert (f1, precision, recall) == f1_precision_recall(
+                    [s >= theta for s in scores], gold)
 
     def test_auroc_matches_bruteforce_large_with_ties(self):
         rng = random.Random(7)

@@ -129,17 +129,15 @@ class TestPointwisePrompt:
 
 class TestParsePointwise:
     def test_plain(self):
-        parsed = parse_pointwise_response("[Guess]: Yes\n[Confidence]: 0.85",
-                                          POINT_ASK_D)
-        assert (parsed.guess, parsed.confidence) == ("Yes", 0.85)
-        assert parsed.reason is None
+        assert parse_pointwise_response("[Guess]: Yes\n[Confidence]: 0.85",
+                                        POINT_ASK_D) == ("Yes", 0.85, None)
 
     def test_cot_reason_captured(self):
-        parsed = parse_pointwise_response(
+        guess, confidence, reason = parse_pointwise_response(
             "[Reason]: cites Scope 3 table\n[Guess]: No\n[Confidence]: 0.7",
             POINT_COT_ASK_D)
-        assert parsed.reason == "cites Scope 3 table"
-        assert (parsed.guess, parsed.confidence) == ("No", 0.7)
+        assert reason == "cites Scope 3 table"
+        assert (guess, confidence) == ("No", 0.7)
 
     def test_invalid_guess(self):
         with pytest.raises(ParseError):
@@ -154,13 +152,13 @@ class TestParsePointwise:
     def test_last_occurrence_wins(self):
         text = ("[Guess]: No\n[Confidence]: 0.2\n"
                 "Final answer:\n[Guess]: Yes\n[Confidence]: 0.9")
-        parsed = parse_pointwise_response(text, POINT_ASK_D)
-        assert (parsed.guess, parsed.confidence) == ("Yes", 0.9)
+        guess, confidence, _ = parse_pointwise_response(text, POINT_ASK_D)
+        assert (guess, confidence) == ("Yes", 0.9)
 
     def test_probability_label_accepted(self):
-        parsed = parse_pointwise_response(
+        _, confidence, _ = parse_pointwise_response(
             "[Guess]: Yes\n[Probability Helpful]: 0.8", POINT_PROB_D)
-        assert parsed.confidence == 0.8
+        assert confidence == 0.8
 
     @pytest.mark.parametrize("text, variant, missing", [
         ("[Guess]: No\n[Probability Helpful]: 0.1", POINT_ASK_D, "[Confidence]"),
@@ -172,9 +170,9 @@ class TestParsePointwise:
             parse_pointwise_response(text, variant)
 
     def test_the_other_label_still_ends_the_field(self):
-        parsed = parse_pointwise_response(
+        _, confidence, _ = parse_pointwise_response(
             "[Guess]: No\n[Confidence]: 0.9 [Probability Helpful]: 0.1", POINT_ASK_D)
-        assert parsed.confidence == 0.9
+        assert confidence == 0.9
 
     @given(
         st.sampled_from(["Yes", "No"]),
@@ -187,10 +185,10 @@ class TestParsePointwise:
     def test_format_parse_round_trip(self, guess, confidence, reason):
         variant = PromptVariant(cot=reason is not None)
         text = format_pointwise_completion(guess, confidence, reason, variant=variant)
-        parsed = parse_pointwise_response(text, variant)
-        assert parsed.guess == guess
-        assert parsed.confidence == pytest.approx(confidence)
-        assert parsed.reason == reason
+        parsed_guess, parsed_confidence, parsed_reason = parse_pointwise_response(text, variant)
+        assert parsed_guess == guess
+        assert parsed_confidence == pytest.approx(confidence)
+        assert parsed_reason == reason
 
 
 class TestParseDefinitionResponse:
@@ -294,7 +292,7 @@ class TestPointwiseTemplate:
         text = format_pointwise_completion(
             guess, confidence, reason if variant.cot else None, variant=variant)
         assert [c for c in CONFIDENCE_LABELS if c in text] == [expected_label]
-        parsed = parse_pointwise_response(text, variant)
-        assert parsed.guess == guess
-        assert parsed.confidence == pytest.approx(confidence)
-        assert parsed.reason == (reason if variant.cot else None)
+        parsed_guess, parsed_confidence, parsed_reason = parse_pointwise_response(text, variant)
+        assert parsed_guess == guess
+        assert parsed_confidence == pytest.approx(confidence)
+        assert parsed_reason == (reason if variant.cot else None)

@@ -168,8 +168,8 @@ class TestRetrieveTopK:
 def swept(scores, gold, theta):
     """(precision, recall) of threshold retrieval as `sweep` does it: a doc is
     retrieved iff its score >= theta."""
-    [point] = f1_threshold_sweep(scores, gold, [theta])
-    return point.precision, point.recall
+    [(_, _, precision, recall)] = f1_threshold_sweep(scores, gold, [theta])
+    return precision, recall
 
 
 class TestRetrieveByThreshold:

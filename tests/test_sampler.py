@@ -184,8 +184,8 @@ class TestAccuracyTable:
         audited = [(disagreement(0.99, "irrelevant"), "model"),
                    (disagreement(0.50, "relevant"), "model")]
         table = disagreement_accuracy_table(audited)
-        assert table.high_conf["all"].accuracy == 100.0
-        assert table.low_conf["all"].accuracy == 100.0
+        assert table["high_conf"]["all"]["accuracy"] == 100.0
+        assert table["low_conf"]["all"]["accuracy"] == 100.0
 
     def test_hand_computed_cells(self):
         audited = [
@@ -195,15 +195,15 @@ class TestAccuracyTable:
             (disagreement(0.70, "relevant"), "original"),
         ]
         table = disagreement_accuracy_table(audited)
-        assert table.high_conf["original_irrelevant"].accuracy == pytest.approx(50.0)
-        assert table.low_conf["original_relevant"].accuracy == pytest.approx(50.0)
-        assert table.high_conf["all"].count == 2
+        assert table["high_conf"]["original_irrelevant"]["accuracy"] == pytest.approx(50.0)
+        assert table["low_conf"]["original_relevant"]["accuracy"] == pytest.approx(50.0)
+        assert table["high_conf"]["all"]["count"] == 2
 
     def test_empty_stratum_reported_absent(self):
         audited = [(disagreement(0.99, "irrelevant"), "model")]
         table = disagreement_accuracy_table(audited)
-        assert table.low_conf["all"].accuracy is None
-        assert table.high_conf["original_relevant"].accuracy is None
+        assert table["low_conf"]["all"]["accuracy"] is None
+        assert table["high_conf"]["original_relevant"]["accuracy"] is None
 
     def test_matches_published_high_confidence_cell(self):
         # 21 of 23 model wins among high-confidence originally-irrelevant
@@ -211,11 +211,11 @@ class TestAccuracyTable:
         audited = [(disagreement(0.99, "irrelevant"),
                     "model" if i < 21 else "original") for i in range(23)]
         table = disagreement_accuracy_table(audited)
-        assert table.high_conf["original_irrelevant"].accuracy == pytest.approx(
+        assert table["high_conf"]["original_irrelevant"]["accuracy"] == pytest.approx(
             91.30, abs=0.005)
 
     def test_high_conf_fraction(self):
         audited = [(disagreement(0.99, "irrelevant"), "model")]
         table = disagreement_accuracy_table(
             audited, all_confidences=[0.99, 0.99, 0.5, 0.8])
-        assert table.high_conf_fraction == pytest.approx(0.5)
+        assert table["high_conf_fraction"] == pytest.approx(0.5)
