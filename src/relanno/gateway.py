@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import lazy_import
 from .config import Config
-from .corpus import RowError, _unicode
+from .corpus import RowError, check_unicode
 
 np = lazy_import("numpy")
 requests = lazy_import("requests")
@@ -418,7 +418,7 @@ class LLMGateway:
             raise TransportError("chat endpoint answer lacks the field "
                                  "choices[0].message.content")
         try:
-            _unicode(text)  # the text is written to UTF-8 rows; its tokens are fragments
+            check_unicode(text)  # the text is written to UTF-8 rows; its tokens are fragments
         except RowError as exc:
             raise TransportError(f"chat endpoint answer's choices[0].message.content: "
                                  f"{exc}") from None
@@ -459,8 +459,6 @@ class LLMGateway:
         have the same dimension; a batch that breaks this, or that holds
         anything but finite numbers, is not cached.
         """
-        if any(not t.strip() for t in texts):
-            raise ValueError("embed texts must be non-empty")
         model = self.config.embedding_model
         positions: dict[str, list[int]] = {}
         for i, text in enumerate(texts):

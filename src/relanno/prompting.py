@@ -8,7 +8,9 @@ module writes or reads the labels and anchors of prompt and answer text.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -122,6 +124,20 @@ def load_template(name: str) -> str:
         _TEMPLATES[name] = resources.files("relanno.templates").joinpath(
             f"{name}.txt").read_text(encoding="utf-8")
     return _TEMPLATES[name]
+
+
+def template_digests() -> dict[str, str]:
+    """SHA-256 of every template file, by file name, and of each table of
+    template parts kept in code: what a prompt is rendered from."""
+    digests = {}
+    for entry in sorted(resources.files("relanno.templates").iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".txt"):
+            digests[entry.name] = hashlib.sha256(entry.read_bytes()).hexdigest()
+    for name, table in {"definition_parts": DEFINITION_PARTS,
+                        "pointwise_parts": POINTWISE_PARTS}.items():
+        parts = json.dumps(table, sort_keys=True, ensure_ascii=False)
+        digests[name] = hashlib.sha256(parts.encode("utf-8")).hexdigest()
+    return digests
 
 
 def render_definition_prompt(question: str, gold_examples: Sequence[str] = ()) -> str:

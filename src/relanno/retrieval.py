@@ -47,12 +47,17 @@ def rank_documents(queries: list[Query], chunks: list[DocumentChunk],
 
     Query and chunk texts go to the gateway in one `embed` call, and the
     scores come from views of the one float64 array it returns. Ties break
-    lexicographically by doc_id so rankings are reproducible.
+    lexicographically by doc_id so rankings are reproducible. A query or chunk
+    whose text is empty is refused by id before any request.
     """
     if not chunks:
         raise ValueError("rank_documents needs at least one chunk")
     if not queries:
         return []
+    for kind, items in (("query", queries), ("document", chunks)):
+        for item in items:
+            if not item.text.strip():
+                raise ValueError(f"{kind} {item.id} has empty text")
     chunks = sorted(chunks, key=lambda c: c.id)
     vectors = gateway.embed([q.text for q in queries] + [c.text for c in chunks])
     scores = cosine_similarity(vectors[:len(queries)], vectors[len(queries):])

@@ -293,7 +293,7 @@ def test_split_hygiene():
 # alters an output on purpose updates its digest here and names it in CHANGES.md.
 GOLDEN_SHA256 = {
     "rankings.jsonl": "9cf761b1bf15353d48f3cf01ea608a1f3fc75dfe3ce550da3c87b098f8e5782e",
-    "pairs.jsonl": "55ed48aa3270aa0b7db92b49a0de89feb05bae0eeadc3dfc0d3cbb5de898d4e1",
+    "pairs.jsonl": "b92744c0d400428c0427bed260be511cb9b6f8327de6115f9e2c2d852adfd1d0",
     "defined.jsonl": "72cb7c77882b27421cd3615ab0597b02b901a4285822eb00a2d819abf748c554",
     "annotations.jsonl": "deb53a458b6c62d764622544c8a08d3e79ea27601735c3a0e6452a05a5c4362e",
     "report.json": "697b8439f5a770144fd62cae71589936fa6b689c9ab413ac518375fd85dd35d9",

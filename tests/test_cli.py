@@ -292,6 +292,18 @@ class TestRankFailures:
         assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
                                    "at least one chunk")
 
+    @pytest.mark.parametrize("kind, name, row", [
+        ("document", "documents.jsonl", {"id": "d9", "report_id": "r1", "text": " \n"}),
+        ("query", "queries.jsonl", {"id": "q9", "text": ""})])
+    def test_empty_text_is_named_before_any_request(self, workspace, mock_server,
+                                                    kind, name, row):
+        with open(workspace / name, "a", encoding="utf-8") as f:
+            f.write(json.dumps(row) + "\n")
+        assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
+                                   f"{kind} {row['id']} has empty text")
+        assert mock_server.request_count == 0
+        assert not (workspace / "rankings.jsonl").exists()
+
     def test_zero_norm_vector(self, workspace, monkeypatch):
         monkeypatch.setattr(mockserver, "hash_embedding",
                             lambda text: [0.0] * mockserver.EMBEDDING_DIM)
@@ -690,6 +702,19 @@ def test_audit_writes_disagreements_and_table(workspace):
     table = json.loads(table_out.read_text(encoding="utf-8"))
     assert table["low_conf"]["all"]["count"] == 2
     assert table["low_conf"]["all"]["accuracy"] == pytest.approx(100.0)
+
+
+def test_audit_table_out_without_verdicts_is_refused_before_any_input_is_read(workspace):
+    """The table is written only for verdicts: a --table-out with none would
+    write nothing and say nothing."""
+    annotations = workspace / "annotations.jsonl"
+    annotations.write_text("not JSON\n", encoding="utf-8")
+    out, table = workspace / "disagreements.jsonl", workspace / "table.json"
+    result = run_cli(workspace, "audit", "--annotations", str(annotations),
+                     "--original", str(workspace / "gold.jsonl"), "--out", str(out),
+                     "--table-out", str(table), expect_exit=1)
+    assert_one_line_json_error(result, "--table-out needs --verdicts")
+    assert not out.exists() and not table.exists()
 
 
 def test_benchmark_reversed_rankings(workspace):

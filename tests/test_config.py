@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -141,6 +142,41 @@ def test_bad_env_value_is_one_json_error(tmp_path, monkeypatch, name, value, fra
     result = invoke(write_config(tmp_path, ""), "sample", "--rankings", str(rankings),
                     "--out", str(tmp_path / "pairs.jsonl"))
     assert_one_line_json_error(result, fragment)
+
+
+@pytest.mark.parametrize("source", ["file", "environment"])
+@pytest.mark.parametrize("url, problem", [
+    ("htp://{address}", "must be an http or https URL with a host"),
+    ("{address}", "must be an http or https URL with a host"),
+    ("http://", "must be an http or https URL with a host"),
+    ("http://{address}x", "Port could not be cast to integer"),
+], ids=["bad scheme", "no scheme", "no host", "bad port"])
+def test_unusable_base_url_is_refused_before_any_request(tmp_path, monkeypatch, mock_server,
+                                                         fixture_queries, fixture_chunks,
+                                                         source, url, problem):
+    """A URL that no request can be sent to used to be retried max_attempts
+    times, with backoff, and end in "retries exhausted"."""
+    url = url.format(address=mock_server.base_url.removeprefix("http://"))
+    if source == "file":
+        config, where = write_config(tmp_path, f"base_url={url}\n"), "relanno.conf:1"
+    else:
+        monkeypatch.setenv("RELANNO_BASE_URL", url)
+        config, where = write_config(tmp_path, ""), "RELANNO_BASE_URL"
+    corpus_mod.write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+    corpus_mod.write_jsonl(tmp_path / "documents.jsonl", fixture_chunks)
+    mock_server.reset_counters()
+    start = time.monotonic()
+    result = invoke(config, "rank", "--queries", str(tmp_path / "queries.jsonl"),
+                    "--documents", str(tmp_path / "documents.jsonl"),
+                    "--out", str(tmp_path / "rankings.jsonl"))
+    assert time.monotonic() - start < 1
+    assert_one_line_json_error(result, f"{where}: base_url: {problem}")
+    assert mock_server.request_count == 0
+
+
+def test_https_base_url_with_a_path_loads(tmp_path):
+    config = write_config(tmp_path, "base_url=https://api.example.com/v1\n")
+    assert load_config(config).base_url == "https://api.example.com/v1"
 
 
 def test_config_k_does_not_cut_evaluate(tmp_path, fixture_gold):

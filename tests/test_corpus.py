@@ -247,8 +247,7 @@ class TestRowCodec:
 
     def test_to_row_leaves_out_every_none_field(self, tmp_path):
         assert to_row(Query("q1", "t")) == {"id": "q1", "text": "t"}
-        assert to_row(QueryDocPair("q1", "d1")) == {
-            "query_id": "q1", "doc_id": "d1", "split": "unassigned"}
+        assert to_row(QueryDocPair("q1", "d1")) == {"query_id": "q1", "doc_id": "d1"}
         split = Split({"b", "a"}, {"c"}, set(), {"r"}, seed=3)
         assert to_row(split) == {"train_queries": ["a", "b"], "test_queries": ["c"],
                                  "train_reports": [], "test_reports": ["r"], "seed": 3}
