@@ -4,10 +4,11 @@ Captures per-token log probabilities, retries transient failures with
 exponential backoff, and caches raw endpoint responses in one SQLite file so
 corpus-scale runs are cheap to resume. An answer is read as UTF-8, as RFC 8259
 §8.1 requires of JSON, whatever charset it declares: no other body is guessed
-at. The gateway is thread-safe; its connection pool holds `config.parallelism`
-connections, one for each request that `ordered_map` lets be in flight for the
-commands that call the chat endpoint. A call waiting out a backoff inside
-`ordered_map` holds no slot.
+at. The gateway is thread-safe. Inside `ordered_map`, a request holds one of
+`config.parallelism` slots only while it is on the wire (sent, answered and
+decoded), and its connection pool holds one connection per slot; a backoff, a
+cached answer, a prompt and the parsing of an answer hold none. A free slot
+goes to the earliest item waiting for one.
 
 numpy's first load is the one lazy load that runs off the calling thread:
 `embed` starts it on a worker just before its first request and waits for it
@@ -50,7 +51,8 @@ log = logging.getLogger(__name__)
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 TIMEOUT_S = 60.0
 # Items queued per slot ahead of the one `ordered_map` yields next: enough
-# that the other slots keep working while one item waits out its backoff.
+# that the slots stay busy with later requests while one item waits out its
+# backoff or a slow answer, and its cached neighbours need no slot at all.
 LOOKAHEAD_PER_THREAD = 64
 
 T = TypeVar("T")
@@ -79,7 +81,8 @@ def cache_key(kind: str, model: str, payload: object) -> str:
 
 class _Slots:
     """`count` slots, each one that comes free given to the earliest index
-    waiting for one, and the index of the earliest item that failed."""
+    waiting for one, and the index of the earliest item that failed: no slot
+    is given to an index after it."""
 
     def __init__(self, count: int):
         self._cond = threading.Condition()
@@ -96,8 +99,10 @@ class _Slots:
             self._waiting.add(index)
             self._cond.wait_for(lambda: self._free and index == min(self._waiting))
             self._waiting.remove(index)
-            self._free -= 1
             self._cond.notify_all()  # a slot may still be free for the next index
+            if index > self.stop_after:
+                raise _Stopped
+            self._free -= 1
 
     def give(self) -> None:
         with self._cond:
@@ -106,7 +111,7 @@ class _Slots:
 
 
 class _Stopped(BaseException):
-    """An item came back from its backoff after an earlier item failed."""
+    """An item reached the wire after an earlier item failed."""
 
 
 # `held`: the slots and item index of the `ordered_map` call this thread is
@@ -114,64 +119,41 @@ class _Stopped(BaseException):
 _turn = threading.local()
 
 
-def _wait_out(delay: float) -> None:
-    """Sleep `delay` seconds; inside `ordered_map`, without holding a slot.
-
-    The slot goes to the earliest waiting item and one is taken back before
-    the retry; when an earlier item has failed meanwhile, the retry is not
-    sent and `ordered_map` drops this item.
-    """
-    held = getattr(_turn, "held", None)
-    if held is None:
-        time.sleep(delay)
-        return
-    slots, index = held
-    slots.give()
-    try:
-        time.sleep(delay)
-    finally:
-        slots.take(index)
-    if index > slots.stop_after:
-        raise _Stopped
-
-
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> Iterator[R]:
-    """fn(item) for each item, at most `parallelism` calls at once, yielded in
-    input order: the results and the error that a sequential loop would give.
+    """fn(item) for each item, on 2 * parallelism threads, yielded in input
+    order: the results and the error that a sequential loop would give.
 
-    A call runs only while it holds one of `parallelism` slots. It gives its
-    slot up while it waits out a backoff in the gateway, and 2 * parallelism
-    threads run, so the next item uses the slot meanwhile. A slot that comes
-    free goes to the earliest item waiting for one, so no later item
-    overtakes an earlier one that waits. Up to LOOKAHEAD_PER_THREAD *
-    parallelism items are queued ahead of the one yielded next, so one slow
-    item does not idle the other slots, while memory stays bounded however
-    many items there are.
+    Each request that fn sends through the gateway holds one of `parallelism`
+    slots while it is on the wire, and only then: a backoff, a cached answer
+    and the work around a request hold none, so a cached item never waits
+    behind a request. A slot that comes free goes to the earliest item waiting
+    for one, so no later request overtakes an earlier one that waits. Up to
+    LOOKAHEAD_PER_THREAD * parallelism items are queued ahead of the one
+    yielded next, so one slow item does not idle the other slots, while memory
+    stays bounded however many items there are.
 
-    When fn raises for an item, no later item starts or sends a retry: each
-    looks for a failure once it holds a slot. The earlier items still run and
-    are yielded, then the error of the first item that failed is raised. An
-    Event would also stop an earlier item that was still waiting for a slot,
-    so the earliest failed index is kept instead. Closing the iterator early
-    starts no further call either.
+    When fn raises for an item, no later item starts, and none sends a request
+    or a retry once the failure is recorded: a request that fails records it
+    before its slot is freed. The earlier items still run and are yielded,
+    then the error of the first item that failed is raised. An Event would also
+    stop an earlier item, so the earliest failed index is kept instead. Closing
+    the iterator early starts no further call either.
     """
     slots = _Slots(parallelism)
 
     def call(index: int, item: T):
-        slots.take(index)
+        if index > slots.stop_after:
+            return None  # never yielded: the iterator stops at the failure
+        _turn.held = (slots, index)
         try:
-            if index > slots.stop_after:
-                return None  # never yielded: the iterator stops at the failure
-            _turn.held = (slots, index)
             return fn(item)
         except _Stopped:
             return None
         except BaseException:
-            slots.stop(index)  # before the slot is given to a later item
+            slots.stop(index)
             raise
         finally:
             _turn.held = None
-            slots.give()
 
     numbered = enumerate(items)
     pending = collections.deque()
@@ -344,40 +326,52 @@ class LLMGateway:
         """The parsed JSON of a 200 answer to `body`, each object passed through
         `object_hook` as `json.loads` does; transient failures are retried. A
         200 body that is not UTF-8 JSON is a TransportError, sent once and never
-        retried; an error body is quoted with invalid bytes replaced."""
+        retried; an error body is quoted with invalid bytes replaced.
+
+        Each attempt holds a slot of the running `ordered_map` (outside one, a
+        slot of its own) from before it is sent until its answer is decoded,
+        and a failure raised here is recorded before that slot is freed. The
+        backoff before a retry holds none."""
         url = self.config.base_url.rstrip("/") + path
-        last_error: Optional[str] = None
         longest_delay = math.ldexp(self.config.backoff_base, max(self.config.max_attempts - 2, 0))
+        slots, index = getattr(_turn, "held", None) or (_Slots(1), 0)
         delay = 0.0
-        for attempt in range(self.config.max_attempts):
+        for attempt in itertools.count():
             if attempt:
-                _wait_out(delay)
-                self._count(retries=1, backoff_s=delay)
-            delay = math.ldexp(self.config.backoff_base, attempt)  # before the next attempt
-            self._count(network_calls=1)
+                time.sleep(delay)
+            slots.take(index)  # raises _Stopped after an earlier item failed
             try:
-                resp = self._session.post(url, json=body, timeout=TIMEOUT_S)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
-                continue
-            if resp.status_code == 200:
+                self._count(network_calls=1, retries=int(attempt > 0), backoff_s=delay)
+                delay = math.ldexp(self.config.backoff_base, attempt)  # before the next attempt
                 try:
-                    text = resp.content.decode("utf-8")
-                    del resp  # the bytes are freed before the text is parsed
-                    return json.loads(text, object_hook=object_hook)
-                except ValueError as exc:  # not UTF-8, not JSON, or an int too long for int()
-                    raise TransportError(f"endpoint answer from {url} is not valid JSON: "
-                                         f"{exc}") from None
-            excerpt = resp.content[:200].decode("utf-8", "replace")
-            last_error = f"HTTP {resp.status_code}: {excerpt}"
-            if resp.status_code not in RETRYABLE_STATUS:
-                raise TransportError(f"endpoint error at {url}: {last_error}")
-            asked = _retry_after(resp.headers.get("Retry-After"))
-            if asked is not None:
-                delay = min(asked, longest_delay)
-            log.warning("retryable status from %s: %s", url, resp.status_code)
-        raise TransportError(f"retries exhausted for {url}: {last_error}")
+                    resp = self._session.post(url, json=body, timeout=TIMEOUT_S)
+                except requests.RequestException as exc:
+                    last_error = str(exc)
+                    log.warning("request to %s failed (%s), attempt %d", url, exc, attempt + 1)
+                else:
+                    if resp.status_code == 200:
+                        try:
+                            text = resp.content.decode("utf-8")
+                            del resp  # the bytes are freed before the text is parsed
+                            return json.loads(text, object_hook=object_hook)
+                        except ValueError as exc:  # not UTF-8, not JSON, or an int too long
+                            raise TransportError(f"endpoint answer from {url} is not valid "
+                                                 f"JSON: {exc}") from None
+                    excerpt = resp.content[:200].decode("utf-8", "replace")
+                    last_error = f"HTTP {resp.status_code}: {excerpt}"
+                    if resp.status_code not in RETRYABLE_STATUS:
+                        raise TransportError(f"endpoint error at {url}: {last_error}")
+                    asked = _retry_after(resp.headers.get("Retry-After"))
+                    if asked is not None:
+                        delay = min(asked, longest_delay)
+                    log.warning("retryable status from %s: %s", url, resp.status_code)
+                if attempt + 1 >= self.config.max_attempts:
+                    raise TransportError(f"retries exhausted for {url}: {last_error}")
+            except BaseException:
+                slots.stop(index)  # before a later item can take the slot
+                raise
+            finally:
+                slots.give()
 
     # --- chat --------------------------------------------------------------
 

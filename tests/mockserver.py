@@ -6,9 +6,11 @@ bit-reproducible. Intended for tests and offline dry runs.
 
 A rule answers every chat request whose user message contains its `match`
 with its `text` (and `logprobs`). Optional fields: `status_sequence`, the
-status of its 1st, 2nd, ... request (the last one repeats); `headers`, sent
-with each answer whose status is not 200; `delay_ms`, waited before each
-answer of status 200. Rules are written under the `[Confidence]:` label; a
+status of its 1st, 2nd, ... request (the last one repeats), where `"drop"`
+closes the connection without answering and `"truncate"` sends a 200 whose
+body stops at half its `Content-Length`; `headers`, sent with each answer
+whose status is not 200; `delay_ms`, waited before each answer of status 200,
+a truncated one included. Rules are written under the `[Confidence]:` label; a
 prompt that asks for `[Probability Helpful]:` is answered under that label
 instead, as a model that follows its prompt answers.
 """
@@ -75,7 +77,8 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output quiet
         pass
 
-    def _send(self, status: int, body: dict, headers: Optional[dict] = None) -> None:
+    def _send(self, status: int, body: dict, headers: Optional[dict] = None,
+              truncate: bool = False) -> None:
         payload = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -83,6 +86,9 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
+        if truncate:
+            payload = payload[:len(payload) // 2]
+            self.close_connection = True
         self.wfile.write(payload)
 
     def do_POST(self):
@@ -129,6 +135,10 @@ class _Handler(BaseHTTPRequestHandler):
         if status != 200:
             with self.state.lock:
                 self.state.injected_count += 1
+        if status == "drop":
+            self.close_connection = True
+            return
+        if status not in (200, "truncate"):
             self._send(status, {"error": {"message": f"injected status {status}"}},
                        rule.get("headers"))
             return
@@ -153,7 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, {
             "id": "mock", "object": "chat.completion",
             "model": body.get("model", "mock"), "choices": [choice],
-        })
+        }, truncate=status == "truncate")
 
     def _embeddings(self, body: dict) -> None:
         inputs = body.get("input", [])
@@ -198,8 +208,8 @@ class MockLLMServer:
 
     @property
     def injected_count(self) -> int:
-        """Requests answered with a status other than 200 from a rule's
-        status_sequence since the last reset."""
+        """Requests answered from a rule's status_sequence with anything but
+        200 (a status, a drop or a truncated answer) since the last reset."""
         return self._state.injected_count
 
     @property

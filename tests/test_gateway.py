@@ -663,7 +663,8 @@ class TestOrderedMap:
             for result in ordered_map(fn, range(100), 4):
                 results.append(result)
         assert results == list(range(10))
-        assert max(started) < 10 + 4  # only calls already running when 10 failed
+        # Only calls already running on the 2 * parallelism threads when 10 failed.
+        assert max(started) < 10 + 2 * 4
 
     def test_the_earliest_failed_item_is_the_error_raised(self):
         def fn(i):
@@ -679,10 +680,17 @@ class TestOrderedMap:
 
     def test_closing_early_starts_no_further_call(self):
         started = []
+        running = [0, 0]  # now, most at once
+        lock = threading.Lock()
 
         def fn(i):
-            started.append(i)
+            with lock:
+                started.append(i)
+                running[0] += 1
+                running[1] = max(running)
             time.sleep(0.02)
+            with lock:
+                running[0] -= 1
             return i
 
         # A full garbage collection here, 60-200 ms late in the suite, would let
@@ -696,7 +704,10 @@ class TestOrderedMap:
             gc.enable()
         count = len(started)
         time.sleep(0.1)
-        assert len(started) == count <= 2 + 2
+        # The first call on each of the 2 * parallelism threads, and the one
+        # each may have started before close().
+        assert len(started) == count <= 2 * (2 * 2)
+        assert running[1] <= 2 * 2
 
     def test_a_slow_item_does_not_idle_the_other_threads(self):
         # Were the items queued ahead capped at `parallelism`, the second
@@ -742,8 +753,9 @@ class TestOrderedMap:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_backoff_gives_its_slot_to_the_earliest_waiting_item(self, monkeypatch):
-        grants = []  # (index, indices waiting at that moment, back from a backoff)
+    def test_a_backoff_gives_its_slot_to_the_earliest_waiting_item(self, tmp_path,
+                                                                    monkeypatch):
+        grants = []  # (index, indices waiting at that moment, taken before)
 
         class RecordingSlots(gateway_mod._Slots):
             def take(self, index):
@@ -753,42 +765,134 @@ class TestOrderedMap:
                                    any(g[0] == index for g in grants)))
 
         monkeypatch.setattr(gateway_mod, "_Slots", RecordingSlots)
+        (tmp_path / "rules.json").write_text(json.dumps(
+            [{"match": "PAIR0;", "text": "answer 0", "status_sequence": [429, 200]}]
+            + [{"match": f"PAIR{i};", "text": f"answer {i}", "delay_ms": 20}
+               for i in range(1, 30)]))
         finished = []
+        with MockLLMServer(fixtures_dir=tmp_path) as server:
+            gateway = LLMGateway(Config(base_url=server.base_url, backoff_base=0.1,
+                                        parallelism=2))
 
-        def fn(i):
-            if i == 0:
-                gateway_mod._wait_out(0.3)
-            else:
-                time.sleep(0.001)  # lets a woken waiter and a new arrival race
-            finished.append(i)
-            return i
+            def ask(i):
+                text = gateway.chat_complete(f"PAIR{i}; passage").text
+                finished.append(i)
+                return text
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert list(ordered_map(fn, range(30), 2)) == list(range(30))
-        finally:
-            sys.setswitchinterval(interval)
+            assert list(ordered_map(ask, range(30), 2)) == [f"answer {i}" for i in range(30)]
         assert finished[0] != 0  # later items ran while item 0 waited
-        assert [g[0] for g in grants if g[2]] == [0]
-        for index, waiting, returning in grants:
-            assert returning or all(index < w for w in waiting), (index, waiting)
+        assert [g[0] for g in grants if g[2]] == [0]  # its retry took a slot once more
+        for index, waiting, _ in grants:
+            assert all(index < w for w in waiting), (index, waiting)
 
-    def test_no_retry_is_sent_after_an_earlier_item_failed(self):
-        resumed = []
+    def test_no_retry_is_sent_after_an_earlier_item_failed(self, tmp_path):
+        # Item 2 fails at its retry, 0.1 s in, while item 5 waits out a 0.4 s backoff.
+        (tmp_path / "rules.json").write_text(json.dumps([
+            {"match": "PAIR2;", "status_sequence": [503, 400], "text": "never"},
+            {"match": "PAIR5;", "status_sequence": [429, 200], "text": "answer 5",
+             "headers": {"Retry-After": "1"}},
+        ]))
+        finished = []
+        with MockLLMServer(fixtures_dir=tmp_path) as server:
+            gateway = LLMGateway(Config(base_url=server.base_url, backoff_base=0.1,
+                                        max_attempts=4, parallelism=8))
 
-        def fn(i):
-            if i == 2:
-                time.sleep(0.05)  # fails while item 5 waits out its backoff
-                raise RuntimeError("item 2")
-            if i == 5:
-                gateway_mod._wait_out(0.2)
-                resumed.append(i)
+            def ask(i):
+                gateway.chat_complete(f"PAIR{i}; passage")
+                finished.append(i)
+                return i
+
+            with pytest.raises(TransportError, match="HTTP 400"):
+                list(ordered_map(ask, range(8), 8))
+            prompts = server.chat_prompts
+        assert prompts.count("PAIR5; passage") == 1  # sent, and not retried
+        assert prompts.count("PAIR2; passage") == 2
+        assert 5 not in finished
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["wire", "hit"]), max_size=40),
+       failures=st.dictionaries(st.integers(0, 39), st.sampled_from(["400", "parse"]),
+                                max_size=3),
+       parallelism=st.sampled_from([1, 2, 8]))
+def test_a_slot_is_held_only_while_a_request_is_on_the_wire(kinds, failures, parallelism):
+    """ordered_map over items that are cached, go on the wire for a few ms, or
+    fail at the wire (an HTTP 400) or off it (an answer that does not parse).
+    It gives a sequential loop's prefix and error, never has more than
+    `parallelism` requests on the wire, records a failure at the wire before
+    its slot is freed, and gives no slot to an index after the earliest failure
+    once that is recorded. No socket is opened."""
+    for index, kind in failures.items():
+        if index < len(kinds):
+            kinds[index] = kind
+    lock = threading.Lock()
+    on_wire = [0, 0]  # now, most at once
+    events = []  # (what, index): each grant, stop and give, in the order they happened
+
+    def post(url, json, timeout):
+        with lock:
+            on_wire[0] += 1
+            on_wire[1] = max(on_wire)
+        time.sleep(0.001 * (1 + json["item"] % 2))
+        with lock:
+            on_wire[0] -= 1
+        return mock.Mock(status_code=400 if kinds[json["item"]] == "400" else 200,
+                         headers={}, content=b'{"item": %d}' % json["item"])
+
+    gateway = LLMGateway(Config(base_url="http://127.0.0.1:9", max_attempts=1))
+    gateway._session.post = post
+
+    def work(i):
+        if kinds[i] == "hit":
             return i
+        if kinds[i] == "parse":
+            raise ValueError(f"item {i}")
+        return gateway._post("/chat/completions", {"item": i})["item"]
 
-        with pytest.raises(RuntimeError, match="item 2"):
-            list(ordered_map(fn, range(8), 8))
-        assert resumed == []
+    def run(results):
+        done = []
+        try:
+            done.extend(results)
+        except (ValueError, TransportError) as exc:
+            return done, repr(exc)
+        return done, None
+
+    expected = run(map(work, range(len(kinds))))
+
+    class RecordingSlots(gateway_mod._Slots):
+        # Each event is recorded under the lock that orders it against the others.
+        def take(self, index):
+            with self._cond:
+                super().take(index)
+                events.append(("grant", index))
+
+        def stop(self, index):
+            with self._cond:
+                super().stop(index)
+                events.append(("stop", index))
+
+        def give(self):
+            with self._cond:
+                super().give()
+                events.append(("give", gateway_mod._turn.held[1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch between the steps of a grant
+    try:
+        with mock.patch.object(gateway_mod, "_Slots", RecordingSlots):
+            assert run(ordered_map(work, range(len(kinds)), parallelism)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_wire[1] <= parallelism
+    stop_after = math.inf
+    for what, index in events:
+        if what == "stop":
+            stop_after = min(stop_after, index)
+        elif what == "grant":
+            assert index <= stop_after, (index, stop_after)
+    for what, index in events:
+        if what == "give" and kinds[index] == "400":
+            assert ("stop", index) in events[:events.index((what, index))]
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
@@ -827,7 +931,56 @@ def test_a_429_backoff_holds_no_slot(tmp_path, parallelism):
                               "retries": served[1], "backoff_s": 0.6}
 
 
-def test_connection_pool_holds_one_connection_per_thread():
+def test_cached_answers_finish_while_a_request_is_on_the_wire(tmp_path):
+    """At parallelism 1, the cached pairs after a slow request are answered
+    while it is on the wire: a cached answer waits for no slot. The results
+    still come in input order."""
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"match": "PAIR0;", "text": "answer 0", "delay_ms": 300}]
+        + [{"match": f"PAIR{i};", "text": f"answer {i}"} for i in range(1, 7)]))
+    finished = []
+    with MockLLMServer(fixtures_dir=tmp_path) as server:
+        gateway = LLMGateway(Config(base_url=server.base_url, parallelism=1,
+                                    cache_dir=str(tmp_path / "cache")))
+        for i in range(1, 7):
+            gateway.chat_complete(f"PAIR{i}; passage")
+
+        def ask(i):
+            text = gateway.chat_complete(f"PAIR{i}; passage").text
+            finished.append(i)
+            return text
+
+        assert list(ordered_map(ask, range(7), 1)) == [f"answer {i}" for i in range(7)]
+        assert server.request_count == 7
+    assert finished == [1, 2, 3, 4, 5, 6, 0]
+
+
+def test_a_dropped_or_truncated_answer_is_retried_and_frees_its_slot(tmp_path):
+    """A connection closed without an answer and a 200 cut at half its
+    Content-Length each fail the send; each is retried once, and the slot it
+    held goes back, so the run ends as a fault-free one does."""
+    rules = [{"match": f"PAIR{i};", "text": f"answer {i}", "delay_ms": 10} for i in range(8)]
+
+    def run(name, faults):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "rules.json").write_text(json.dumps(
+            [dict(rule, **faults.get(i, {})) for i, rule in enumerate(rules)]))
+        with MockLLMServer(fixtures_dir=tmp_path / name) as server:
+            gateway = LLMGateway(Config(base_url=server.base_url, backoff_base=0.01,
+                                        parallelism=2))
+            results = list(ordered_map(
+                lambda i: gateway.chat_complete(f"PAIR{i}; passage").text, range(8), 2))
+            return results, gateway.counts, server.injected_count, server.peak_in_flight
+
+    clean = run("clean", {})
+    results, counts, injected, peak = run("faulty", {
+        1: {"status_sequence": ["drop", 200]}, 4: {"status_sequence": ["truncate", 200]}})
+    assert results == clean[0] == [f"answer {i}" for i in range(8)]
+    assert (counts["retries"], counts["network_calls"], injected) == (2, 10, 2)
+    assert peak <= 2
+
+
+def test_connection_pool_holds_one_connection_per_request_in_flight():
     base_url = "http://127.0.0.1:9"
     adapter = LLMGateway(Config(base_url=base_url, parallelism=16))._session.get_adapter(
         base_url)
