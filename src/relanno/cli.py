@@ -38,7 +38,8 @@ from .sampler import (
     stratify_disagreements,
 )
 
-log = logging.getLogger(__name__)
+# Named, not __name__: run as `python -m relanno.cli`, this module is __main__.
+log = logging.getLogger("relanno.cli")
 
 
 class JsonLogFormatter(logging.Formatter):
@@ -150,16 +151,17 @@ def main(ctx, config_path, verbose):
 @_number_option("--seed", type=int)
 def ingest(queries_path, documents_path, gold_path, out_dir,
            min_tokens, query_test_fraction, report_test_fraction, seed):
-    """Validate a corpus, merge short chunks, and write a leakage-free split."""
+    """Check a corpus, merge short chunks, and write a leakage-free split."""
     queries = read_jsonl(queries_path, Query)
     chunks = read_jsonl(documents_path, DocumentChunk)
     gold = read_jsonl(gold_path, GoldLabel) if gold_path else []
 
-    findings = corpus_mod.validate_corpus(queries, chunks, gold)
-    if findings:
-        for finding in findings:
-            log.error("%s", finding)
-        raise ValueError(f"corpus validation failed with {len(findings)} finding(s)")
+    known = {"query": {q.id for q in queries}, "doc": {c.id for c in chunks}}
+    for g in gold:
+        for kind, key in (("query", g.query_id), ("doc", g.doc_id)):
+            if key not in known[kind]:
+                raise ValueError(f"{gold_path}: gold ({g.query_id},{g.doc_id}) references "
+                                 f"unknown {kind} id: {key}")
 
     merged, warnings, merged_into = corpus_mod.merge_short_chunks(chunks, min_tokens)
     for warning in warnings:

@@ -18,8 +18,10 @@ from typing import (IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVa
                     get_args, get_origin, get_type_hints)
 
 
-def whitespace_token_count(text: str) -> int:
-    return len(text.split())
+def _check_not_blank(value: str, name: str) -> None:
+    """A RowError on field `name` when value is empty or whitespace only."""
+    if not value.strip():
+        raise RowError(f"expected a string that is not blank, got {_show(value)}", name)
 
 
 @dataclass
@@ -27,6 +29,9 @@ class RelevanceDefinition:
     meaning: str
     examples: list[str] = field(default_factory=list)
     provenance: str = "generated"  # generated | improved | human
+
+    def __post_init__(self):
+        _check_not_blank(self.meaning, "meaning")
 
 
 @dataclass
@@ -42,17 +47,18 @@ class Query:
     text: str
     definition: Optional[RelevanceDefinition] = None
 
+    def __post_init__(self):
+        _check_not_blank(self.text, "text")
+
 
 @dataclass
 class DocumentChunk:
     id: str
     report_id: str
     text: str
-    token_count: int = -1
 
     def __post_init__(self):
-        if self.token_count < 0:
-            self.token_count = whitespace_token_count(self.text)
+        _check_not_blank(self.text, "text")
 
 
 @dataclass
@@ -76,6 +82,8 @@ class GoldLabel:
         if self.binary not in (None, "relevant", "partial", "irrelevant"):
             raise RowError("expected \"relevant\", \"partial\", \"irrelevant\" or null, "
                            f"got {self.binary!r}", "binary")
+        if self.binary == "irrelevant" and self.grade != 0.0:
+            raise RowError(f"expected 0 for an irrelevant label, got {self.grade}", "grade")
 
 
 @dataclass
@@ -108,15 +116,12 @@ def merge_short_chunks(
             return
         for absorbed in buffer[1:]:
             merged_into[absorbed.id] = buffer[0].id
-        text = "\n".join(c.text for c in buffer)
-        out = DocumentChunk(
-            id=buffer[0].id, report_id=buffer[0].report_id,
-            text=text, token_count=whitespace_token_count(text),
-        )
-        if out.token_count < min_tokens:
+        out = DocumentChunk(id=buffer[0].id, report_id=buffer[0].report_id,
+                            text="\n".join(c.text for c in buffer))
+        if (tokens := len(out.text.split())) < min_tokens:
             warnings.append(
                 f"chunk {out.id} of report {out.report_id} remains short "
-                f"({out.token_count} < {min_tokens} tokens)"
+                f"({tokens} < {min_tokens} tokens)"
             )
         merged.append(out)
 
@@ -129,7 +134,7 @@ def merge_short_chunks(
             buffer, acc = [], 0
         current_report = chunk.report_id
         buffer.append(chunk)
-        acc += whitespace_token_count(chunk.text)
+        acc += len(chunk.text.split())
         if acc >= min_tokens:
             flush(buffer)
             buffer, acc = [], 0
@@ -161,40 +166,6 @@ def split_train_test(
     train_q, test_q = pick(queries, query_test_fraction)
     train_r, test_r = pick(reports, report_test_fraction)
     return Split(train_q, test_q, train_r, test_r, seed)
-
-
-def validate_corpus(
-    queries: list[Query],
-    chunks: list[DocumentChunk],
-    gold: Optional[list[GoldLabel]] = None,
-) -> list[str]:
-    """Diagnostic pass over a corpus; returns its findings, never raises."""
-    findings: list[str] = []
-    qids: set[str] = set()
-    for q in queries:
-        if q.id in qids:
-            findings.append(f"duplicate query id: {q.id}")
-        qids.add(q.id)
-        if not q.text.strip():
-            findings.append(f"empty query text: {q.id}")
-        if q.definition is not None and not q.definition.meaning.strip():
-            findings.append(f"empty definition meaning for query: {q.id}")
-    dids: set[str] = set()
-    for c in chunks:
-        key = f"{c.report_id}/{c.id}"
-        if c.id in dids:
-            findings.append(f"duplicate document id: {key}")
-        dids.add(c.id)
-        if not c.text.strip():
-            findings.append(f"empty document text: {key}")
-    for g in gold or []:
-        if g.query_id not in qids:
-            findings.append(f"gold references unknown query id: {g.query_id}")
-        if g.doc_id not in dids:
-            findings.append(f"gold references unknown doc id: {g.doc_id}")
-        if g.binary == "irrelevant" and g.grade != 0.0:
-            findings.append(f"irrelevant gold with nonzero grade: ({g.query_id},{g.doc_id})")
-    return findings
 
 
 # --- Row codec and JSON I/O -------------------------------------------------
@@ -340,7 +311,8 @@ def _encoded(value: object) -> object:
 def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
     """The rows of a JSONL file as cls objects, read once, so a pipe works too.
     Every line is decoded before any row is checked: a line that is not JSON
-    is reported before a bad row. Either error names path:line."""
+    is reported before a bad row. Either error names path:line. A row whose
+    `id` repeats an earlier row's is an error naming both lines."""
     numbered = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -351,12 +323,17 @@ def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
                 except ValueError as exc:  # also an integer of more digits than int() reads
                     raise RowError(f"{path}:{lineno}: not valid JSON: "
                                    f"{getattr(exc, 'msg', exc)}") from None
-    out = []
+    out, line_of_id = [], {}
     for lineno, row in numbered:
         try:
-            out.append(from_row(cls, row))
+            obj = from_row(cls, row)
         except RowError as exc:
             raise RowError(f"{path}:{lineno}: {exc}") from None
+        if (key := getattr(obj, "id", None)) is not None and \
+                line_of_id.setdefault(key, lineno) != lineno:
+            raise RowError(f"{path}:{lineno}: field 'id': {_show(key)} repeats "
+                           f"line {line_of_id[key]}")
+        out.append(obj)
     return out
 
 

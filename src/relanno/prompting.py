@@ -143,8 +143,6 @@ def template_digests() -> dict[str, str]:
 def render_definition_prompt(question: str, gold_examples: Sequence[str] = ()) -> str:
     """The definition prompt; with gold examples, the prompt that improves the
     definition with them, in the order given."""
-    if not question.strip():
-        raise ValueError("question must be non-empty")
     # One format call: braces inside the inputs are never formatted again.
     return load_template("definition").format(
         question=question, examples="\n".join(gold_examples),
@@ -196,15 +194,12 @@ def parse_definition_response(text: str,
         meaning, examples_block = body, ""
     else:
         meaning, examples_block = body[:ex_idx], body[ex_idx + len(EXAMPLES_ANCHOR):]
-    meaning = meaning.strip()
-    if not meaning:
-        raise ParseError("empty meaning in definition response", raw_text=text)
     examples = [
         re.sub(r"^\d+\.\s*", "", line.strip())
         for line in examples_block.splitlines()
         if re.match(r"^\s*\d+\.", line)
     ]
-    return RelevanceDefinition(meaning=meaning, examples=examples,
+    return RelevanceDefinition(meaning=meaning.strip(), examples=examples,
                                provenance=provenance)
 
 GUESS_LABEL = "[Guess]:"

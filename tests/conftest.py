@@ -32,6 +32,18 @@ def run_entry(*args, env=(), **kwargs) -> subprocess.CompletedProcess:
                           text=True, timeout=120, **kwargs)
 
 
+def one_json_error(*args, **kwargs) -> str:
+    """The message of `relanno ARGS...` run through run_entry, which must exit 1
+    with exactly one line on stderr, a JSON error. Run as its own process, the
+    command's log lines reach stderr too, as `CliRunner` cannot show them."""
+    result = run_entry(*args, **kwargs)
+    assert result.returncode == 1, result.stderr
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)
+    assert list(error) == ["error"], line
+    return error["error"]
+
+
 def make_definition(topic="the firm's Scope 3 emission"):
     return RelevanceDefinition(
         meaning=f"The question is asking for information about {topic}.",
@@ -118,6 +130,9 @@ CHAT_RULES = [
     {"match": "RETRYDOC", "text": "[Guess]: Yes\n[Confidence]: 0.6",
      "status_sequence": [429, 200]},
     {"match": "MALFORMEDDOC", "text": "I cannot decide about this passage."},
+    {"match": "BLANKMEANINGDOC", "text": ("Meaning of the question: \n"
+                                          "Examples of information that the question "
+                                          "is looking for:\n1. A disclosed figure.")},
     {"match": "SCOPE3DOC", "text": "[Guess]: Yes\n[Confidence]: 0.9",
      "logprobs": yes_no_logprob_tokens("[Guess]: Yes\n[Confidence]: 0.9",
                                        math.log(0.8))},

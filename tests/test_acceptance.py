@@ -452,7 +452,7 @@ OUTPUT_SHA256 = {
     "ingested/queries.jsonl":
         "0e06f94ea87987814833fc6f7878ade83c6de0de1b77a0e6b1258f2e76105022",
     "ingested/documents.jsonl":
-        "ac32123ca2fba85d8f6d5c49a11f82da68e97bdabdd3cfc9ff402fd6c428a9bb",
+        "4846e0b452f7e3786f61bff290d334066236b0e98a64d1f7a375eae543336c67",
     "ingested/split.json":
         "cfd99d8458efa439e9636d1e91fee9940d3fa69c1419f8034d03f5150af60d2e",
     "disagreements.jsonl":

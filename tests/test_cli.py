@@ -19,7 +19,8 @@ import pytest
 from click.testing import CliRunner
 
 import mockserver
-from conftest import CHAT_RULES, ENTRY, SRC, answer_200, jsonl_rows, make_definition, run_entry
+from conftest import (CHAT_RULES, ENTRY, SRC, answer_200, jsonl_rows, make_definition,
+                      one_json_error, run_entry)
 from relanno import corpus as corpus_mod
 from relanno import gateway as gateway_mod
 from relanno import lazy_import
@@ -218,7 +219,19 @@ class TestIngest:
                          "--out-dir", str(workspace / "ingested"),
                          "--min-tokens", "1",
                          expect_exit=1)
-        assert "validation failed" in result.output
+        assert_one_line_json_error(result, "dup.jsonl:3: field 'id': \"q1\" repeats line 1")
+
+    def test_stops_at_the_first_bad_row(self, workspace):
+        # Two bad rows: a blank text on line 2, a repeated id on line 3.
+        (workspace / "bad.jsonl").write_text("".join(json.dumps(row) + "\n" for row in [
+            {"id": "d1", "report_id": "r1", "text": "One."},
+            {"id": "d2", "report_id": "r1", "text": " "},
+            {"id": "d1", "report_id": "r1", "text": "Three."}]), encoding="utf-8")
+        message = one_json_error(
+            "ingest", "--queries", workspace / "queries.jsonl",
+            "--documents", workspace / "bad.jsonl", "--out-dir", workspace / "ingested")
+        assert message.startswith(f"{workspace / 'bad.jsonl'}:2: field 'text': "), message
+        assert not (workspace / "ingested").exists()
 
     def test_gold_on_a_merged_chunk_is_a_warning(self, workspace, caplog):
         # Eight one-sentence chunks of one report merge into one at the
@@ -276,7 +289,12 @@ def test_endpoint_command_summaries_print_the_gateway_counts(workspace):
 
 def assert_one_line_json_error(result, *fragments):
     """Exit 1 and exactly one line on stderr: a JSON error holding each
-    fragment, and not the quoted repr that `str()` gives a KeyError."""
+    fragment, and not the quoted repr that `str()` gives a KeyError.
+
+    `result` comes from `CliRunner`, in this process, where pytest's log
+    capture already holds the root logger: `main` installs no JSON handler,
+    so the command's log lines never reach `result.stderr`. To see them, run
+    the command as its own process (`conftest.one_json_error`)."""
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not an escaped traceback
     [line] = result.stderr.strip().splitlines()
@@ -299,8 +317,21 @@ class TestRankFailures:
                                                     kind, name, row):
         with open(workspace / name, "a", encoding="utf-8") as f:
             f.write(json.dumps(row) + "\n")
+        line = {"document": 5, "query": 3}[kind]  # after the 4 chunks or the 2 queries
         assert_one_line_json_error(rank_fixtures(workspace, expect_exit=1),
-                                   f"{kind} {row['id']} has empty text")
+                                   f"{name}:{line}: field 'text': expected a string that "
+                                   f"is not blank, got {json.dumps(row['text'])}")
+        assert mock_server.request_count == 0
+        assert not (workspace / "rankings.jsonl").exists()
+
+    def test_repeated_doc_id_is_refused_before_any_request(self, workspace, mock_server):
+        with open(workspace / "documents.jsonl", "a", encoding="utf-8") as f:
+            f.write(json.dumps({"id": "d2", "report_id": "r2", "text": "Again."}) + "\n")
+        message = one_json_error(
+            "--config", workspace / "relanno.conf", "rank",
+            "--queries", workspace / "queries.jsonl", "--documents",
+            workspace / "documents.jsonl", "--out", workspace / "rankings.jsonl")
+        assert message == f"{workspace / 'documents.jsonl'}:5: field 'id': \"d2\" repeats line 2"
         assert mock_server.request_count == 0
         assert not (workspace / "rankings.jsonl").exists()
 
@@ -383,6 +414,21 @@ def test_log_line_with_quotes_is_json():
     assert json.loads(stream.getvalue()) == {
         "level": "WARNING", "logger": "relanno.test_log_format",
         "msg": 'chunk "d1" merged into d"2\\'}
+
+
+def test_cli_logs_under_one_name_however_it_is_run(workspace):
+    # The fixture's chunks are short of the default --min-tokens: ingest warns.
+    args = ["ingest", "--queries", workspace / "queries.jsonl",
+            "--documents", workspace / "documents.jsonl", "--out-dir", workspace / "ingested"]
+    as_script = run_entry(*args)
+    as_module = subprocess.run([sys.executable, "-m", "relanno.cli", *map(str, args)],
+                               env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                               text=True, timeout=120)
+    loggers = []
+    for result in (as_script, as_module):
+        assert result.returncode == 0, result.stderr
+        loggers.append({json.loads(line)["logger"] for line in result.stderr.splitlines()})
+    assert loggers == [{"relanno.cli"}, {"relanno.cli"}]
 
 
 def test_sample_balances_pairs(workspace):
@@ -1501,6 +1547,10 @@ def bad_input_case(workspace, name):
         bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q7", "text": "MALFORMEDDOC?"}))
         return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
             "query q7: no meaning anchor in definition response"]
+    if name == "definition answer with a blank meaning":
+        bad = write_lines(w / "bad.jsonl", json.dumps({"id": "q7", "text": "BLANKMEANINGDOC?"}))
+        return ["define", "--queries", bad, "--out", str(w / "d.jsonl")], [
+            "query q7: field 'meaning': expected a string that is not blank, got \"\""]
     if name == "examples for unknown queries":
         examples = write_lines(w / "examples.jsonl",
                                json.dumps({"query_id": "q9", "example": "x"}),
@@ -1577,6 +1627,7 @@ def bad_input_case(workspace, name):
     "nested definition field", "uncertain as a string", "gold row without binary",
     "confidence out of range", "out path in a missing directory",
     "cache file that is not a database", "definition answer without meaning",
+    "definition answer with a blank meaning",
     "rankings over different doc ids", "examples for unknown queries",
     "ask-only row of an unknown variant", "pair with an unknown query id",
     "annotation with an unknown query id", "annotation with an unknown doc id",
@@ -1591,6 +1642,44 @@ def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
     result = run_cli(workspace, *args, expect_exit=1)
     assert_one_line_json_error(result, *fragments)
+
+
+@pytest.mark.parametrize("name, row, fragment", [
+    ("queries.jsonl", {"id": "q1", "text": "Again?"}, ":3: field 'id': \"q1\" repeats line 1"),
+    ("documents.jsonl", {"id": "d3", "report_id": "r2", "text": "Again."},
+     ":5: field 'id': \"d3\" repeats line 3"),
+    ("documents.jsonl", {"id": "d9", "report_id": "r2", "text": "   "},
+     ":5: field 'text': expected a string that is not blank, got \"   \""),
+], ids=["repeated query id", "repeated doc id", "blank document text"])
+def test_annotate_refuses_a_bad_row_before_any_request(workspace, mock_server,
+                                                         name, row, fragment):
+    with open(workspace / name, "a", encoding="utf-8") as f:
+        f.write(json.dumps(row) + "\n")
+    pairs = write_all_pairs(workspace)
+    with open(pairs, "a", encoding="utf-8") as f:
+        f.write(json.dumps({"query_id": "q1", "doc_id": "d9"}) + "\n")
+    message = one_json_error(
+        "--config", workspace / "relanno.conf", "annotate", "--pairs", pairs,
+        "--queries", workspace / "queries.jsonl", "--documents", workspace / "documents.jsonl",
+        "--out", workspace / "annotations.jsonl", "--calibration", "ask")
+    assert message == f"{workspace / name}{fragment}"
+    assert mock_server.request_count == 0
+
+
+def test_evaluate_refuses_an_irrelevant_gold_row_of_nonzero_grade(workspace, mock_server):
+    annotations = workspace / "annotations.jsonl"
+    corpus_mod.write_jsonl(annotations, [Annotation("q1", "d1", "Yes", 0.9, confidence_ask=0.9,
+                                                    variant="point-ask")])
+    gold = workspace / "gold.jsonl"
+    with open(gold, "a", encoding="utf-8") as f:
+        f.write(json.dumps({"query_id": "q1", "doc_id": "d1", "grade": 0.5,
+                            "binary": "irrelevant"}) + "\n")
+    message = one_json_error(
+        "evaluate", "--scheme", "graded_1_3", "--annotations", annotations, "--gold", gold,
+        "--out", workspace / "report.json")
+    assert message == f"{gold}:9: field 'grade': expected 0 for an irrelevant label, got 0.5"
+    assert not (workspace / "report.json").exists()
+    assert mock_server.request_count == 0
 
 
 def test_audit_with_a_bad_verdict_writes_no_output(workspace):

@@ -1,10 +1,13 @@
 """Every subcommand, fed config files, numeric flags and input files with
-missing, mistyped and extra fields, either works (exit 0) or fails with exit 1
-and exactly one JSON error line on stderr: never a traceback, never a usage
-error."""
+missing, mistyped, extra and blank fields and repeated rows, either works
+(exit 0) or fails with exit 1 and exactly one JSON error line on stderr: never
+a traceback, never a usage error."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
@@ -85,7 +88,7 @@ COMMANDS = {
 # ±10**400: an integer that JSON holds exactly and a float cannot.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([10**400, -10**400])
-    | st.floats() | st.text(max_size=4),
+    | st.floats() | st.text(max_size=4) | st.just(" "),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4)
@@ -93,10 +96,12 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def mutated(draw, value):
-    """value with one field or item dropped, retyped, added or mutated in turn."""
+    """value with one field or item dropped, retyped, added or mutated in turn,
+    or one item of a list repeated after itself."""
     if not isinstance(value, (dict, list)) or not value:
         return draw(JSON_VALUES)
-    kind = draw(st.sampled_from(["drop", "retype", "extra", "descend", "replace"]))
+    kinds = ["drop", "retype", "extra", "descend", "replace"]
+    kind = draw(st.sampled_from(kinds + ["repeat"] if isinstance(value, list) else kinds))
     if kind == "replace":
         return draw(JSON_VALUES)
     value = dict(value) if isinstance(value, dict) else list(value)
@@ -108,6 +113,8 @@ def mutated(draw, value):
         value[key] = draw(JSON_VALUES)
     elif kind == "descend":
         value[key] = draw(mutated(value[key]))
+    elif kind == "repeat":
+        value.insert(key, value[key])
     elif isinstance(value, dict):
         value[draw(st.text(max_size=4))] = draw(JSON_VALUES)
     else:
@@ -120,10 +127,10 @@ def file_contents(draw, name):
     """The text of one input file: valid, mutated, or with a broken line."""
     value = VALID[name]
     for _ in range(draw(st.integers(0, 2))):
-        if isinstance(value, list) and value:  # a JSONL file: mutate one row
+        if isinstance(value, list) and value and draw(st.booleans()):  # mutate one row
             i = draw(st.integers(0, len(value) - 1))
             value = value[:i] + [draw(mutated(value[i]))] + value[i + 1:]
-        else:
+        else:  # the whole value: a JSONL file may lose, gain or repeat a row
             value = draw(mutated(value))
     if name == "split":
         text = json.dumps(value)
@@ -176,26 +183,48 @@ def numeric_flags(draw, command):
     return [arg for flag, kind in chosen for arg in (flag, str(draw(FLAG_VALUES[kind])))]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), config_lines=CONFIG_LINES)
-def test_cli_never_crashes(mock_server, command, data, config_lines):
+def string_paths(value, path=()):
+    """The path of keys and indices to each string inside value."""
+    if isinstance(value, str):
+        return [path]
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    return [p for key, item in items for p in string_paths(item, (*path, key))]
+
+
+@st.composite
+def repeated_or_blank(draw, name):
+    """The text of one valid input file, or of one with a row repeated after
+    itself, or with one string of a row made blank."""
+    value = copy.deepcopy(VALID[name])
+    if isinstance(value, dict):  # split.json
+        return json.dumps(value)
+    i = draw(st.integers(0, len(value) - 1))
+    edit = draw(st.sampled_from(["none", "repeat", "blank"]))
+    if edit == "repeat":
+        value.insert(i, value[i])
+    elif edit == "blank":
+        *path, key = draw(st.sampled_from(string_paths(value[i])))
+        functools.reduce(operator.getitem, path, value[i])[key] = " "
+    return "".join(json.dumps(row) + "\n" for row in value)
+
+
+def run_command(mock_server, command, contents, config_lines=(), flags=()):
+    """Runs one subcommand on input files of the given text, by the flag value
+    that names each, and checks that it works (exit 0) or fails with exit 1
+    and exactly one JSON error line on stderr."""
     args = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for arg in args:
-            name = arg.split(".")[0]
-            if name in VALID:
-                (work / arg).write_text(data.draw(file_contents(name), label=arg),
-                                        encoding="utf-8")
+        for arg, text in contents.items():
+            (work / arg).write_text(text, encoding="utf-8")
         config = work / "relanno.conf"
         config.write_text("\n".join([f"base_url={mock_server.base_url}",
                                      f"cache_dir={work / 'cache'}", "backoff_base=0.01",
                                      "min_tokens=1",
                                      *config_lines]) + "\n", encoding="utf-8")
         argv = ["--config", str(config), command,
-                *(str(work / a) if "." in a or a == "out" else a for a in args),
-                *data.draw(numeric_flags(command), label="flags")]
+                *(str(work / a) if "." in a or a == "out" else a for a in args), *flags]
         result = CliRunner().invoke(main, argv)
     if result.exit_code == 0:
         assert result.exception is None
@@ -204,3 +233,27 @@ def test_cli_never_crashes(mock_server, command, data, config_lines):
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     [line] = result.stderr.strip().splitlines()
     assert set(json.loads(line)) == {"error"}
+
+
+def input_files(command):
+    """The flag values of a command that name an input file."""
+    return [arg for arg in COMMANDS[command] if arg.split(".")[0] in VALID]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), config_lines=CONFIG_LINES)
+def test_cli_never_crashes(mock_server, command, data, config_lines):
+    contents = {arg: data.draw(file_contents(arg.split(".")[0]), label=arg)
+                for arg in input_files(command)}
+    run_command(mock_server, command, contents, config_lines,
+                data.draw(numeric_flags(command), label="flags"))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cli_never_crashes_on_a_repeated_row_or_a_blank_string(mock_server, command, data):
+    run_command(mock_server, command, {
+        arg: data.draw(repeated_or_blank(arg.split(".")[0]), label=arg)
+        for arg in input_files(command)})

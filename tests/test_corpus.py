@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_json_error, run_entry
 from relanno.corpus import (
     DocumentChunk,
     GoldLabel,
@@ -18,8 +19,6 @@ from relanno.corpus import (
     read_jsonl,
     split_train_test,
     to_row,
-    validate_corpus,
-    whitespace_token_count,
     write_json,
     write_jsonl,
 )
@@ -36,19 +35,19 @@ class TestMergeShortChunks:
     def test_all_above_threshold_unchanged(self):
         chunks = [chunk(0, 150), chunk(1, 200)]
         merged, _, _ = merge_short_chunks(chunks, 120)
-        assert [c.token_count for c in merged] == [150, 200]
+        assert [len(c.text.split()) for c in merged] == [150, 200]
         assert [c.text for c in merged] == [chunks[0].text, chunks[1].text]
 
     def test_greedy_accumulation(self):
         chunks = [chunk(0, 50), chunk(1, 60), chunk(2, 40), chunk(3, 200)]
         merged, _, merged_into = merge_short_chunks(chunks, 120)
-        assert [c.token_count for c in merged] == [150, 200]
+        assert [len(c.text.split()) for c in merged] == [150, 200]
         assert merged[0].id == "c0"
         assert merged_into == {"c1": "c0", "c2": "c0"}
 
     def test_single_short_chunk_warns(self):
         merged, warnings, _ = merge_short_chunks([chunk(0, 80)], 120)
-        assert [c.token_count for c in merged] == [80]
+        assert [len(c.text.split()) for c in merged] == [80]
         assert len(warnings) == 1
 
     def test_empty_input(self):
@@ -71,7 +70,7 @@ class TestMergeShortChunks:
         assert merged_words == " ".join(c.text for c in chunks).split()
         # all but the last chunk reach the threshold
         for c in merged[:-1]:
-            assert c.token_count >= min_tokens
+            assert len(c.text.split()) >= min_tokens
         # every id given is kept, or names the kept chunk it merged into
         kept = [c.id for c in merged]
         assert sorted(kept + list(merged_into)) == sorted(c.id for c in chunks)
@@ -115,19 +114,31 @@ class TestSplitTrainTest:
 
 
 class TestValidateCorpus:
-    def test_well_formed(self, fixture_queries, fixture_chunks, fixture_gold):
-        assert validate_corpus(fixture_queries, fixture_chunks, fixture_gold) == []
+    def test_well_formed(self, tmp_path, fixture_queries, fixture_chunks, fixture_gold):
+        files = {"queries": fixture_queries, "documents": fixture_chunks, "gold": fixture_gold}
+        for name, rows in files.items():
+            write_jsonl(tmp_path / f"{name}.jsonl", rows)
+        result = run_entry("ingest", *(arg for name in files
+                                       for arg in (f"--{name}", f"{name}.jsonl")),
+                           "--out-dir", "out", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
 
-    def test_dangling_gold_reference(self, fixture_queries, fixture_chunks):
-        gold = [GoldLabel("q1", "nope", grade=1.0, binary="relevant")]
-        findings = validate_corpus(fixture_queries, fixture_chunks, gold)
-        assert len(findings) == 1
-        assert "unknown doc id" in findings[0]
+    def test_dangling_gold_reference(self, tmp_path, fixture_queries, fixture_chunks):
+        write_jsonl(tmp_path / "queries.jsonl", fixture_queries)
+        write_jsonl(tmp_path / "documents.jsonl", fixture_chunks)
+        write_jsonl(tmp_path / "gold.jsonl", [
+            GoldLabel("q1", "d1", grade=1.0, binary="relevant"),
+            GoldLabel("q1", "nope", grade=1.0, binary="relevant")])
+        assert one_json_error("ingest", "--queries", "queries.jsonl",
+                              "--documents", "documents.jsonl", "--gold", "gold.jsonl",
+                              "--out-dir", "out", cwd=tmp_path) == \
+            "gold.jsonl: gold (q1,nope) references unknown doc id: nope"
 
-    def test_duplicate_query_id(self, fixture_chunks):
-        queries = [Query(id="q1", text="a"), Query(id="q1", text="b")]
-        findings = validate_corpus(queries, fixture_chunks)
-        assert any("duplicate query id" in f for f in findings)
+    def test_duplicate_query_id(self, tmp_path):
+        write_jsonl(tmp_path / "queries.jsonl", [{"id": "q1", "text": "a"},
+                                                 {"id": "q1", "text": "b"}])
+        with pytest.raises(RowError, match=r'queries.jsonl:2: field \'id\': "q1" repeats line 1$'):
+            read_jsonl(tmp_path / "queries.jsonl", Query)
 
 
 def test_jsonl_round_trip(tmp_path, fixture_queries, fixture_chunks):
@@ -187,11 +198,6 @@ def test_a_write_that_fails_leaves_the_earlier_file_and_no_partial(tmp_path, ear
         write_jsonl(path, rows_that_fail_after(2))
     assert (path.read_bytes() if path.exists() else None) == earlier
     assert [p.name for p in tmp_path.iterdir()] == (["out.jsonl"] if earlier else [])
-
-
-def test_token_count_defaults_to_whitespace():
-    c = DocumentChunk(id="x", report_id="r", text="one two three")
-    assert c.token_count == whitespace_token_count(c.text) == 3
 
 
 class TestRowCodec:

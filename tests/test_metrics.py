@@ -209,7 +209,7 @@ class TestF1Binary:
     def test_partial_policy(self):
         assert gold_relevant(gold_label("partial")) is True
         assert gold_relevant(gold_label("relevant")) is True
-        assert gold_relevant(gold_label("irrelevant", grade=1.0)) is False
+        assert gold_relevant(gold_label("relevant", grade=0.0)) is True  # the label wins
         assert gold_relevant(gold_label(None)) is False
         assert gold_relevant(gold_label(None, grade=0.5)) is True
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relanno.corpus import RelevanceDefinition
+from relanno.corpus import Query, RelevanceDefinition, RowError
 from relanno.prompting import (
     CONFIDENCE_LABELS,
     VARIANTS,
@@ -40,8 +40,8 @@ class TestDefinitionPrompts:
         assert "Examples of information that the question is looking for:" in prompt
 
     def test_empty_question_rejected(self):
-        with pytest.raises(ValueError):
-            render_definition_prompt("  ")
+        with pytest.raises(RowError, match="field 'text': expected a string that is not blank"):
+            Query(id="q1", text="  ")
 
     def test_improved_examples_between_markers(self):
         prompt = render_definition_prompt(
