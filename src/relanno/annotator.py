@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Annotation:
+    KEY = ("query_id", "doc_id")
     query_id: str
     doc_id: str
     guess: str  # "Yes" | "No"
@@ -107,7 +108,7 @@ def annotate_pair(
     chunk: DocumentChunk,
     variant: PromptVariant,
     gateway: LLMGateway,
-    calibration: str = "both",  # ask | tok | both
+    calibration: str,  # ask | tok | both
 ) -> Annotation:
     """One pair's annotation. Its relevance score is P(helpful), converted from
     the Tok probability when there is one, else from the Ask answer."""
@@ -131,7 +132,7 @@ def annotate_pair(
         relevance_score=convert_confidence(primary, guess, phrasing, "ask_probability"),
         confidence_ask=confidence if calibration in ("ask", "both") else None,
         confidence_tok=confidence_tok,
-        reason=reason, model=response.model, variant=variant.label(),
+        reason=reason, model=gateway.config.chat_model, variant=variant.label(),
     )
 
 
@@ -141,7 +142,7 @@ def annotate_corpus(
     chunks: dict[str, DocumentChunk],
     variant: PromptVariant,
     gateway: LLMGateway,
-    calibration: str = "both",
+    calibration: str,
 ) -> Iterator[Annotation | AnnotationError]:
     """The annotation of each pair, or its error-ledger entry, in input order,
     with `gateway.config.parallelism` requests in flight.

@@ -163,9 +163,7 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
                 raise ValueError(f"{gold_path}: gold ({g.query_id},{g.doc_id}) references "
                                  f"unknown {kind} id: {key}")
 
-    merged, warnings, merged_into = corpus_mod.merge_short_chunks(chunks, min_tokens)
-    for warning in warnings:
-        log.warning("%s", warning)
+    merged, merged_into = corpus_mod.merge_short_chunks(chunks, min_tokens)
     moved = [f"({g.query_id},{g.doc_id}) -> {merged_into[g.doc_id]}"
              for g in gold if g.doc_id in merged_into]
     if moved:
@@ -209,13 +207,9 @@ def rank(config, queries_path, documents_path, out_path):
 @click.option("--fill-policy", type=click.Choice(["strict", "fill"]), default="strict")
 def sample(rankings_path, out_path, k, per_side, seed, fill_policy):
     """Sample balanced (query, document) pairs inside/outside the top-k."""
-    pairs = []
-    for ranking in load_rankings(rankings_path):
-        result = balanced_sample(ranking, k=k, per_side=per_side, seed=seed,
-                                 fill_policy=fill_policy)
-        for warning in result.warnings:
-            log.warning("%s", warning)
-        pairs.extend(result.pairs)
+    pairs = [pair for ranking in load_rankings(rankings_path)
+             for pair in balanced_sample(ranking, k=k, per_side=per_side, seed=seed,
+                                         fill_policy=fill_policy).pairs]
     write_jsonl(out_path, pairs)
     click.echo(json.dumps({"pairs": len(pairs), "out": out_path}))
 
@@ -251,7 +245,8 @@ def define(config, queries_path, out_path, examples_path, parallelism):
             raise type(exc)(f"query {query.id}: {exc}") from None
 
     with closing(LLMGateway(dataclasses.replace(config, parallelism=parallelism))) as gateway:
-        for query, definition in zip(queries, ordered_map(draft, queries, parallelism)):
+        definitions = ordered_map(draft, queries, gateway.config.parallelism)
+        for query, definition in zip(queries, definitions):
             query.definition = definition
     write_jsonl(out_path, queries)
     click.echo(json.dumps({"queries": len(queries), **gateway.counts, "out": out_path}))
@@ -369,10 +364,7 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
     }
     # Read before --out is written, so a bad verdicts file leaves no output.
     verdicts = read_jsonl(verdicts_path, Verdict) if verdicts_path else []
-    sampled, warnings = stratify_disagreements(annotations, original,
-                                               per_bin=per_bin, seed=seed)
-    for warning in warnings:
-        log.warning("%s", warning)
+    sampled = stratify_disagreements(annotations, original, per_bin=per_bin, seed=seed)
     write_jsonl(out_path, sampled)
 
     if verdicts_path:

@@ -7,6 +7,7 @@ import csv
 import functools
 import itertools
 import json
+import logging
 import math
 import os
 import random
@@ -16,6 +17,8 @@ from pathlib import Path
 from types import UnionType
 from typing import (IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union,
                     get_args, get_origin, get_type_hints)
+
+log = logging.getLogger(__name__)
 
 
 def _check_not_blank(value: str, name: str) -> None:
@@ -37,12 +40,17 @@ class RelevanceDefinition:
 @dataclass
 class DefinitionExample:
     """A row of `define --examples`: one gold example for a query."""
+    KEY = ()  # a query may have many examples
     query_id: str
     example: str
+
+    def __post_init__(self):
+        _check_not_blank(self.example, "example")
 
 
 @dataclass
 class Query:
+    KEY = ("id",)
     id: str
     text: str
     definition: Optional[RelevanceDefinition] = None
@@ -53,6 +61,7 @@ class Query:
 
 @dataclass
 class DocumentChunk:
+    KEY = ("id",)
     id: str
     report_id: str
     text: str
@@ -63,6 +72,7 @@ class DocumentChunk:
 
 @dataclass
 class QueryDocPair:
+    KEY = ("query_id", "doc_id")
     query_id: str
     doc_id: str
     retriever_rank: Optional[int] = None
@@ -70,6 +80,7 @@ class QueryDocPair:
 
 @dataclass
 class GoldLabel:
+    KEY = ("query_id", "doc_id")
     query_id: str
     doc_id: str
     grade: float
@@ -98,17 +109,15 @@ class Split:
 def merge_short_chunks(
     chunks: list[DocumentChunk],
     min_tokens: int,
-) -> tuple[list[DocumentChunk], list[str], dict[str, str]]:
+) -> tuple[list[DocumentChunk], dict[str, str]]:
     """Greedily concatenate adjacent short chunks until each reaches min_tokens.
 
     Chunks must be in document order within each report; accumulation restarts
-    at report boundaries. The trailing chunk of a report may stay short.
-    Returns (chunks, warnings, merged_into): the merged chunks, one warning per
-    chunk that stays short, and the id of each chunk merged into a neighbour
-    -> the id of that neighbour.
+    at report boundaries. The trailing chunk of a report may stay short, with
+    a warning. Returns (chunks, merged_into): the merged chunks, and the id of
+    each chunk merged into a neighbour -> the id of that neighbour.
     """
     merged: list[DocumentChunk] = []
-    warnings: list[str] = []
     merged_into: dict[str, str] = {}
 
     def flush(buffer: list[DocumentChunk]) -> None:
@@ -119,10 +128,8 @@ def merge_short_chunks(
         out = DocumentChunk(id=buffer[0].id, report_id=buffer[0].report_id,
                             text="\n".join(c.text for c in buffer))
         if (tokens := len(out.text.split())) < min_tokens:
-            warnings.append(
-                f"chunk {out.id} of report {out.report_id} remains short "
-                f"({tokens} < {min_tokens} tokens)"
-            )
+            log.warning("chunk %s of report %s remains short (%s < %s tokens)",
+                        out.id, out.report_id, tokens, min_tokens)
         merged.append(out)
 
     buffer: list[DocumentChunk] = []
@@ -139,7 +146,7 @@ def merge_short_chunks(
             flush(buffer)
             buffer, acc = [], 0
     flush(buffer)
-    return merged, warnings, merged_into
+    return merged, merged_into
 
 
 def split_train_test(
@@ -312,7 +319,8 @@ def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
     """The rows of a JSONL file as cls objects, read once, so a pipe works too.
     Every line is decoded before any row is checked: a line that is not JSON
     is reported before a bad row. Either error names path:line. A row whose
-    `id` repeats an earlier row's is an error naming both lines."""
+    key repeats an earlier row's is an error naming both lines: cls.KEY, a
+    class attribute and so no field, names the key's fields, () for none."""
     numbered = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -323,16 +331,17 @@ def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
                 except ValueError as exc:  # also an integer of more digits than int() reads
                     raise RowError(f"{path}:{lineno}: not valid JSON: "
                                    f"{getattr(exc, 'msg', exc)}") from None
-    out, line_of_id = [], {}
+    out, line_of_key = [], {}
     for lineno, row in numbered:
         try:
             obj = from_row(cls, row)
         except RowError as exc:
             raise RowError(f"{path}:{lineno}: {exc}") from None
-        if (key := getattr(obj, "id", None)) is not None and \
-                line_of_id.setdefault(key, lineno) != lineno:
-            raise RowError(f"{path}:{lineno}: field 'id': {_show(key)} repeats "
-                           f"line {line_of_id[key]}")
+        key = tuple(getattr(obj, name) for name in cls.KEY)
+        if key and (first := line_of_key.setdefault(key, lineno)) != lineno:
+            shown = ", ".join(f"field {name!r}: {_show(value)}"
+                              for name, value in zip(cls.KEY, key))
+            raise RowError(f"{path}:{lineno}: {shown} repeats line {first}")
         out.append(obj)
     return out
 

@@ -15,10 +15,6 @@ from .prompting import (PromptVariant, format_pointwise_completion, render_point
 log = logging.getLogger(__name__)
 
 
-class LeakageError(ValueError):
-    """A training record references a test-split query or report."""
-
-
 # The benchmark's tracer reads `.count` of the manifest export_training_data returns.
 @dataclass
 class ExportManifest:
@@ -77,11 +73,10 @@ def export_training_data(
     records, exported = [], []
     for ann in annotations:
         if ann.query_id in split.test_queries:
-            raise LeakageError(
-                f"annotation for test-split query {ann.query_id} in training export")
+            raise ValueError(f"annotation for test-split query {ann.query_id} in training export")
         chunk = chunks[ann.doc_id]
         if chunk.report_id in split.test_reports:
-            raise LeakageError(
+            raise ValueError(
                 f"annotation for doc {ann.doc_id} from test-split report "
                 f"{chunk.report_id} in training export")
         record = build_training_record(ann, queries[ann.query_id], chunk, variant)

@@ -68,7 +68,6 @@ class TransportError(RuntimeError):
 class ChatResponse:
     text: str
     tokens: list[tuple[str, float]]
-    model: str
     cached: bool = False
 
 
@@ -391,10 +390,10 @@ class LLMGateway:
         key = cache_key("chat", model, body)
         cached = self.cache.get(key) if self.cache else None
         if cached is not None:
-            return self._parse_chat(json.loads(cached), model, want_logprobs, cached=True)
+            return self._parse_chat(json.loads(cached), want_logprobs, cached=True)
         raw = self._post("/chat/completions", body)
         # Parsed before it is cached, so an answer that fails is asked again.
-        response = self._parse_chat(raw, model, want_logprobs, cached=False)
+        response = self._parse_chat(raw, want_logprobs, cached=False)
         if self.cache:
             # A token may hold half of a surrogate pair, which `json.loads` reads back.
             blob = json.dumps(raw, ensure_ascii=False).encode("utf-8", "surrogatepass")
@@ -402,7 +401,7 @@ class LLMGateway:
         return response
 
     @staticmethod
-    def _parse_chat(raw: dict, model: str, want_logprobs: bool, cached: bool) -> ChatResponse:
+    def _parse_chat(raw: dict, want_logprobs: bool, cached: bool) -> ChatResponse:
         try:
             choice = raw["choices"][0]
             text = choice["message"]["content"]
@@ -440,7 +439,7 @@ class LLMGateway:
                     tokens.append((token, float(logprob)))
                 except OverflowError:  # an integer that JSON holds exactly and a float cannot
                     raise TransportError(f"{field}[{i}].logprob is outside float range") from None
-        return ChatResponse(text=text, tokens=tokens, model=model, cached=cached)
+        return ChatResponse(text=text, tokens=tokens, cached=cached)
 
     # --- embeddings --------------------------------------------------------
 

@@ -21,7 +21,7 @@ class UndefinedMetricError(ValueError):
     pass
 
 
-def ece(confidences: Sequence[float], correct: Sequence[bool], bins: int = 10) -> float:
+def ece(confidences: Sequence[float], correct: Sequence[bool], bins: int) -> float:
     """Expected calibration error with equal-width bins over [0,1]."""
     conf = np.asarray(confidences, dtype=float)
     correct = np.asarray(correct, dtype=float)

@@ -140,7 +140,7 @@ def template_digests() -> dict[str, str]:
     return digests
 
 
-def render_definition_prompt(question: str, gold_examples: Sequence[str] = ()) -> str:
+def render_definition_prompt(question: str, gold_examples: Sequence[str]) -> str:
     """The definition prompt; with gold examples, the prompt that improves the
     definition with them, in the order given."""
     # One format call: braces inside the inputs are never formatted again.
@@ -182,8 +182,7 @@ def _definition_text(definition: RelevanceDefinition) -> str:
     return "\n".join(lines)
 
 
-def parse_definition_response(text: str,
-                              provenance: str = "generated") -> RelevanceDefinition:
+def parse_definition_response(text: str, provenance: str) -> RelevanceDefinition:
     """Split a definition completion into meaning text and numbered examples."""
     idx = text.find(MEANING_ANCHOR)
     if idx < 0:

@@ -18,6 +18,7 @@ np = lazy_import("numpy")
 
 @dataclass
 class Ranking:
+    KEY = ("query_id",)
     query_id: str
     entries: list[tuple[str, float]]  # (doc_id, score), descending by score
 

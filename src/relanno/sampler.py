@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .annotator import Annotation, primary_confidence
 from .corpus import QueryDocPair, RowError
 from .retrieval import Ranking
+
+log = logging.getLogger(__name__)
 
 # Confidence bins for disagreement stratification; half-open, top bin closed.
 BIN_EDGES = [
@@ -32,6 +34,7 @@ class Disagreement:
 @dataclass
 class Verdict:
     """A row of `audit --verdicts`: which side a human auditor found right."""
+    KEY = ("query_id", "doc_id")
     query_id: str
     doc_id: str
     verdict: str  # model | original
@@ -46,7 +49,6 @@ class Verdict:
 @dataclass
 class SampleResult:
     pairs: list[QueryDocPair]
-    warnings: list[str] = field(default_factory=list)
 
 
 def confidence_bin(confidence: float) -> str:
@@ -57,11 +59,11 @@ def confidence_bin(confidence: float) -> str:
 
 
 def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
-                    fill_policy: str = "strict") -> SampleResult:
+                    fill_policy: str) -> SampleResult:
     """Sample per_side docs from ranks <= k and per_side from ranks > k.
 
     fill_policy="fill" borrows from the other side when one side is short;
-    "strict" keeps the deficit and records a shortfall warning.
+    "strict" keeps the deficit and logs a shortfall warning.
 
     Each query draws from its own generator, seeded by (seed, query id), so
     rankings of one length do not all give the same rank positions. A string
@@ -78,7 +80,6 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     take_in = rng.sample(inside, min(per_side, len(inside)))
     take_out = rng.sample(outside, min(per_side, len(outside)))
 
-    warnings: list[str] = []
     deficit_in = per_side - len(take_in)
     deficit_out = per_side - len(take_out)
     if fill_policy == "fill":
@@ -91,15 +92,14 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
             take_out += rng.sample(spare, min(deficit_out, len(spare)))
     else:
         if deficit_in > 0:
-            warnings.append(
-                f"query {ranking.query_id}: top-{k} side short by {deficit_in}")
+            log.warning("query %s: top-%s side short by %s", ranking.query_id, k, deficit_in)
         if deficit_out > 0:
-            warnings.append(
-                f"query {ranking.query_id}: outside-top-{k} side short by {deficit_out}")
+            log.warning("query %s: outside-top-%s side short by %s",
+                        ranking.query_id, k, deficit_out)
 
     pairs = [QueryDocPair(ranking.query_id, ranking.entries[p][0], retriever_rank=p + 1)
              for p in sorted(take_in + take_out)]
-    return SampleResult(pairs=pairs, warnings=warnings)
+    return SampleResult(pairs=pairs)
 
 
 def stratify_disagreements(
@@ -107,9 +107,10 @@ def stratify_disagreements(
     original_labels: dict[tuple[str, str], str],
     per_bin: int,
     seed: int,
-) -> tuple[list[Disagreement], list[str]]:
+) -> list[Disagreement]:
     """Keep (query, doc) pairs where the model guess contradicts the original
-    label, partition by confidence bin, and sample per_bin from each bin.
+    label, partition by confidence bin, and sample per_bin from each bin, with
+    a warning for each bin that holds fewer.
 
     original_labels: (query_id, doc_id) -> "relevant" | "irrelevant".
     """
@@ -129,20 +130,19 @@ def stratify_disagreements(
 
     rng = random.Random(seed)
     sampled: list[Disagreement] = []
-    warnings: list[str] = []
     for name, _, _ in BIN_EDGES:
         bucket = disagreements[name]
         if len(bucket) < per_bin:
-            warnings.append(f"bin {name}: only {len(bucket)} of {per_bin} disagreements")
+            log.warning("bin %s: only %s of %s disagreements", name, len(bucket), per_bin)
         take = rng.sample(bucket, min(per_bin, len(bucket)))
         sampled.extend(sorted(take, key=lambda d: (d.query_id, d.doc_id)))
-    return sampled, warnings
+    return sampled
 
 
 def disagreement_accuracy_table(
     audited: list[tuple[Disagreement, str]],
-    cutoff: float = 0.95,
-    all_confidences: Optional[list[float]] = None,
+    cutoff: float,
+    all_confidences: list[float],
 ) -> dict:
     """Accuracy of the model side of each disagreement, split at the cutoff.
 
@@ -150,8 +150,8 @@ def disagreement_accuracy_table(
     "original". The table holds "cutoff"; "low_conf" (confidence <= cutoff) and
     "high_conf" (> cutoff), each keyed "all", "original_relevant" and
     "original_irrelevant", each cell {"count", "accuracy"}, the accuracy a
-    percentage, or None when the cell is empty; and, when all_confidences are
-    given, "high_conf_fraction", the share of them above the cutoff.
+    percentage, or None when the cell is empty; and, when all_confidences is
+    not empty, "high_conf_fraction", the share of them above the cutoff.
     """
     def cell(items: list[tuple[Disagreement, str]]) -> dict:
         wins = sum(1 for _, verdict in items if verdict == "model")

@@ -15,7 +15,7 @@ from relanno import corpus as corpus_mod
 from relanno.annotator import Annotation, convert_confidence
 from relanno.cli import main
 from relanno.corpus import DocumentChunk, GoldLabel, Query, Split, split_train_test
-from relanno.distill import LeakageError, export_training_data
+from relanno.distill import export_training_data
 from relanno.metrics import (
     aggregate_report,
     auroc,
@@ -280,10 +280,10 @@ def test_split_hygiene():
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         out = f"{tmp}/train.jsonl"
-        with pytest.raises(LeakageError):
+        with pytest.raises(ValueError, match="test-split query q2"):
             export_training_data([ann("q2", "d1")], queries, chunks, split,
                                  variant, out)
-        with pytest.raises(LeakageError):
+        with pytest.raises(ValueError, match="test-split report r2"):
             export_training_data([ann("q1", "d2")], queries, chunks, split,
                                  variant, out)
     print("PASS split hygiene (1000 draws) and leakage guard")

@@ -147,12 +147,14 @@ def test_scores_mean_what_the_variant_asks(variant_server, fixture_queries, labe
 class OneAnswer:
     """Stands in for the gateway: answers every prompt with one completion."""
 
+    config = Config(chat_model="stub")
+
     def __init__(self, text, tok):
         self.text = text
         self.tokens = [tuple(t) for t in yes_no_logprob_tokens(text, math.log(tok))]
 
     def chat_complete(self, prompt, want_logprobs=False):
-        return ChatResponse(self.text, self.tokens if want_logprobs else [], "stub")
+        return ChatResponse(self.text, self.tokens if want_logprobs else [])
 
 
 @given(label=st.sampled_from(list(VARIANTS)), guess=st.sampled_from(["Yes", "No"]),
@@ -232,7 +234,7 @@ class TestAnnotateCorpus:
         pairs = [QueryDocPair("q1", "d1"), QueryDocPair("q1", "ghost")]
         with pytest.raises(ValueError, match="unknown doc id: ghost"):
             annotate_corpus(pairs, {"q1": fixture_queries[0]},
-                            {"d1": fixture_chunks[0]}, VARIANT, gateway)
+                            {"d1": fixture_chunks[0]}, VARIANT, gateway, "ask")
         assert mock_server.request_count == 0
 
     def test_missing_definition_aborts_before_any_call(self, gateway, mock_server,
@@ -243,7 +245,7 @@ class TestAnnotateCorpus:
         with pytest.raises(ValueError, match=r"pair \(q3,d1\): query q3 has no relevance "
                                              r"definition, which point-ask-d needs"):
             annotate_corpus(pairs, queries, {"d1": fixture_chunks[0]},
-                            PromptVariant.from_label("point-ask-d"), gateway)
+                            PromptVariant.from_label("point-ask-d"), gateway, "ask")
         assert mock_server.request_count == 0
         # Without a definition in the prompt, the same query is annotated.
         [annotation] = annotate_corpus([QueryDocPair("q3", "d1")], queries,

@@ -417,9 +417,11 @@ def test_log_line_with_quotes_is_json():
 
 
 def test_cli_logs_under_one_name_however_it_is_run(workspace):
-    # The fixture's chunks are short of the default --min-tokens: ingest warns.
+    # The fixture's chunks are short of the default --min-tokens: corpus warns
+    # of each merged chunk that stays short, and ingest of the gold moved.
     args = ["ingest", "--queries", workspace / "queries.jsonl",
-            "--documents", workspace / "documents.jsonl", "--out-dir", workspace / "ingested"]
+            "--documents", workspace / "documents.jsonl", "--gold", workspace / "gold.jsonl",
+            "--out-dir", workspace / "ingested"]
     as_script = run_entry(*args)
     as_module = subprocess.run([sys.executable, "-m", "relanno.cli", *map(str, args)],
                                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
@@ -428,7 +430,7 @@ def test_cli_logs_under_one_name_however_it_is_run(workspace):
     for result in (as_script, as_module):
         assert result.returncode == 0, result.stderr
         loggers.append({json.loads(line)["logger"] for line in result.stderr.splitlines()})
-    assert loggers == [{"relanno.cli"}, {"relanno.cli"}]
+    assert loggers == [{"relanno.corpus", "relanno.cli"}] * 2
 
 
 def test_sample_balances_pairs(workspace):
@@ -1680,6 +1682,49 @@ def test_evaluate_refuses_an_irrelevant_gold_row_of_nonzero_grade(workspace, moc
     assert message == f"{gold}:9: field 'grade': expected 0 for an irrelevant label, got 0.5"
     assert not (workspace / "report.json").exists()
     assert mock_server.request_count == 0
+
+
+@pytest.mark.parametrize("kind", ["pairs", "annotations", "gold", "verdicts", "rankings"])
+def test_a_repeated_row_is_refused_before_any_request_or_output(workspace, mock_server, kind):
+    annotations = workspace / "annotations.jsonl"
+    corpus_mod.write_jsonl(annotations, [
+        Annotation("q1", doc_id, "Yes", 0.9, confidence_ask=0.9, variant="point-ask")
+        for doc_id in ("d1", "d2")])
+    rankings = workspace / "rankings.jsonl"
+    save_rankings(rankings, [Ranking("q1", [("d1", 0.9), ("d2", 0.1)])])
+    verdicts = Path(write_lines(workspace / "verdicts.jsonl", json.dumps(
+        {"query_id": "q1", "doc_id": "d1", "verdict": "model"})))
+    pairs, gold, out = write_all_pairs(workspace), workspace / "gold.jsonl", workspace / "out"
+    inputs = ["--queries", workspace / "queries.jsonl",
+              "--documents", workspace / "documents.jsonl"]
+    path, args = {
+        "pairs": (pairs, ["annotate", "--pairs", pairs, *inputs, "--calibration", "ask"]),
+        "annotations": (annotations, ["evaluate", "--annotations", annotations, "--gold", gold]),
+        "gold": (gold, ["evaluate", "--annotations", annotations, "--gold", gold]),
+        "verdicts": (verdicts, ["audit", "--annotations", annotations, "--original", gold,
+                                "--verdicts", verdicts]),
+        "rankings": (rankings, ["sample", "--rankings", rankings]),
+    }[kind]
+    # The first row, (q1,d1) or q1, again at the end.
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(rows) + rows[0], encoding="utf-8")
+    message = one_json_error("--config", workspace / "relanno.conf", *args, "--out", out)
+    key = "field 'query_id': \"q1\"" + ("" if kind == "rankings" else ", field 'doc_id': \"d1\"")
+    assert message == f"{path}:{len(rows) + 1}: {key} repeats line 1"
+    assert mock_server.request_count == 0
+    assert not out.exists()
+
+
+def test_define_refuses_a_blank_example_before_any_request(workspace, mock_server):
+    examples = write_lines(workspace / "examples.jsonl",
+                           json.dumps({"query_id": "q1", "example": " "}))
+    message = one_json_error(
+        "--config", workspace / "relanno.conf", "define", "--queries",
+        workspace / "queries.jsonl", "--examples", examples, "--out", workspace / "defined.jsonl")
+    assert message == (f"{examples}:1: field 'example': "
+                       "expected a string that is not blank, got \" \"")
+    assert mock_server.request_count == 0
+    assert not (workspace / "defined.jsonl").exists()
 
 
 def test_audit_with_a_bad_verdict_writes_no_output(workspace):

@@ -34,37 +34,39 @@ def chunk(i, n_tokens, report="r1"):
 class TestMergeShortChunks:
     def test_all_above_threshold_unchanged(self):
         chunks = [chunk(0, 150), chunk(1, 200)]
-        merged, _, _ = merge_short_chunks(chunks, 120)
+        merged, _ = merge_short_chunks(chunks, 120)
         assert [len(c.text.split()) for c in merged] == [150, 200]
         assert [c.text for c in merged] == [chunks[0].text, chunks[1].text]
 
     def test_greedy_accumulation(self):
         chunks = [chunk(0, 50), chunk(1, 60), chunk(2, 40), chunk(3, 200)]
-        merged, _, merged_into = merge_short_chunks(chunks, 120)
+        merged, merged_into = merge_short_chunks(chunks, 120)
         assert [len(c.text.split()) for c in merged] == [150, 200]
         assert merged[0].id == "c0"
         assert merged_into == {"c1": "c0", "c2": "c0"}
 
-    def test_single_short_chunk_warns(self):
-        merged, warnings, _ = merge_short_chunks([chunk(0, 80)], 120)
+    def test_single_short_chunk_warns(self, caplog):
+        merged, _ = merge_short_chunks([chunk(0, 80)], 120)
         assert [len(c.text.split()) for c in merged] == [80]
-        assert len(warnings) == 1
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("relanno.corpus", "chunk c0 of report r1 remains short (80 < 120 tokens)")]
 
     def test_empty_input(self):
-        assert merge_short_chunks([], 120) == ([], [], {})
+        assert merge_short_chunks([], 120) == ([], {})
 
-    def test_restarts_per_report(self):
+    def test_restarts_per_report(self, caplog):
         chunks = [chunk(0, 50, "r1"), chunk(1, 50, "r2")]
-        merged, warnings, _ = merge_short_chunks(chunks, 60)
+        merged, _ = merge_short_chunks(chunks, 60)
         assert len(merged) == 2
-        assert len(warnings) == 2
+        assert caplog.messages == ["chunk c0 of report r1 remains short (50 < 60 tokens)",
+                                   "chunk c1 of report r2 remains short (50 < 60 tokens)"]
 
     @given(st.lists(st.integers(min_value=1, max_value=200), min_size=0, max_size=20),
            st.integers(min_value=1, max_value=150))
     @settings(max_examples=100)
     def test_preserves_text_and_idempotent(self, sizes, min_tokens):
         chunks = [chunk(i, n) for i, n in enumerate(sizes)]
-        merged, _, merged_into = merge_short_chunks(chunks, min_tokens)
+        merged, merged_into = merge_short_chunks(chunks, min_tokens)
         # no text lost or duplicated
         merged_words = " ".join(c.text for c in merged).split()
         assert merged_words == " ".join(c.text for c in chunks).split()
@@ -75,7 +77,7 @@ class TestMergeShortChunks:
         kept = [c.id for c in merged]
         assert sorted(kept + list(merged_into)) == sorted(c.id for c in chunks)
         assert set(merged_into.values()) <= set(kept)
-        again, _, _ = merge_short_chunks(merged, min_tokens)
+        again, _ = merge_short_chunks(merged, min_tokens)
         assert [c.text for c in again] == [c.text for c in merged]
 
 

@@ -4,7 +4,6 @@ from conftest import jsonl_rows
 from relanno.annotator import Annotation, convert_confidence
 from relanno.corpus import Split, to_row
 from relanno.distill import (
-    LeakageError,
     audit_balance,
     build_training_record,
     export_training_data,
@@ -168,14 +167,14 @@ class TestExport:
 
     def test_test_query_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
-        with pytest.raises(LeakageError, match="q2"):
+        with pytest.raises(ValueError, match="q2"):
             export_training_data([annotation("q2", "d1")], queries, chunks,
                                  make_split(), VARIANT, tmp_path / "t.jsonl")
 
     def test_test_report_leakage_fails(self, corpus, tmp_path):
         queries, chunks = corpus
         # d3 belongs to report r2, which is held out
-        with pytest.raises(LeakageError, match="r2"):
+        with pytest.raises(ValueError, match="r2"):
             export_training_data([annotation("q1", "d3", "No", 0.95)], queries,
                                  chunks, make_split(), VARIANT,
                                  tmp_path / "t.jsonl")

@@ -113,13 +113,13 @@ def oracle_ece(confidences, correct, bins):
 
 class TestEce:
     def test_perfect_calibration(self):
-        assert ece([1.0, 1.0, 1.0], [True, True, True]) == 0.0
+        assert ece([1.0, 1.0, 1.0], [True, True, True], bins=10) == 0.0
 
     def test_single_bin_hand_computation(self):
         assert ece([0.8] * 4, [True, True, True, False], bins=1) == pytest.approx(0.05)
 
     def test_maximal_miscalibration(self):
-        assert ece([1.0, 1.0], [False, False]) == pytest.approx(1.0)
+        assert ece([1.0, 1.0], [False, False], bins=10) == pytest.approx(1.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(0)

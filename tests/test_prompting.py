@@ -31,11 +31,11 @@ class TestDefinitionPrompts:
     QUESTION = "What is the firm's Scope 3 emission?"
 
     def test_question_substituted_verbatim(self):
-        prompt = render_definition_prompt(self.QUESTION)
+        prompt = render_definition_prompt(self.QUESTION, [])
         assert self.QUESTION in prompt
 
     def test_template_anchors_present(self):
-        prompt = render_definition_prompt(self.QUESTION)
+        prompt = render_definition_prompt(self.QUESTION, [])
         assert "Meaning of the question:" in prompt
         assert "Examples of information that the question is looking for:" in prompt
 
@@ -52,7 +52,7 @@ class TestDefinitionPrompts:
         assert prompt.index("first example") < prompt.index("second example")
 
     def test_no_examples_renders_the_generated_prompt(self):
-        prompt = render_definition_prompt(self.QUESTION)
+        prompt = render_definition_prompt(self.QUESTION, ())
         assert render_definition_prompt(self.QUESTION, []) == prompt
         assert "[BEGIN" not in prompt
 
@@ -88,7 +88,7 @@ def test_golden_definition_prompts(case):
     def digest(prompt):
         return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
-    assert digest(render_definition_prompt(question)) == generated
+    assert digest(render_definition_prompt(question, [])) == generated
     assert digest(render_definition_prompt(question, examples)) == improved
 
 
@@ -196,14 +196,14 @@ class TestParseDefinitionResponse:
         text = ("Meaning of the question: It asks about Scope 3 emissions.\n"
                 "Examples of information that the question is looking for:\n"
                 "1. Total Scope 3 figures.\n2. Upstream categories.")
-        definition = parse_definition_response(text)
+        definition = parse_definition_response(text, "generated")
         assert definition.meaning == "It asks about Scope 3 emissions."
         assert definition.examples == ["Total Scope 3 figures.",
                                        "Upstream categories."]
 
     def test_missing_anchor(self):
         with pytest.raises(ParseError):
-            parse_definition_response("no structure at all")
+            parse_definition_response("no structure at all", "generated")
 
 
 class TestVariantLabels:

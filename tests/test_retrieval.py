@@ -148,7 +148,8 @@ def make_ranking(n=10):
 def sampled_top_k(ranking, k):
     """Top-k retrieval as `sample` does it: with per_side at least the ranking's
     length, balanced_sample keeps every doc of rank <= k."""
-    sample = balanced_sample(ranking, k=k, per_side=len(ranking.entries), seed=0)
+    sample = balanced_sample(ranking, k=k, per_side=len(ranking.entries), seed=0,
+                             fill_policy="strict")
     return [pair.doc_id for pair in sample.pairs if pair.retriever_rank <= k]
 
 
