@@ -89,14 +89,9 @@ def stated_confidence(annotation: Annotation, variant: PromptVariant) -> float:
 
 
 def check_pairs(items: Sequence[QueryDocPair | Annotation], queries: dict[str, Query],
-                chunks: dict[str, DocumentChunk], variant: PromptVariant, noun: str) -> None:
-    """A ValueError, its message starting with `noun`, for the first item whose
-    query or doc id is unknown or whose query lacks the definition a -d variant needs."""
+                variant: PromptVariant, noun: str) -> None:
+    """A ValueError, starting with `noun`, for the first item whose query lacks a -d definition."""
     for item in items:
-        if item.query_id not in queries:
-            raise ValueError(f"{noun} references unknown query id: {item.query_id}")
-        if item.doc_id not in chunks:
-            raise ValueError(f"{noun} references unknown doc id: {item.doc_id}")
         if variant.with_definition and queries[item.query_id].definition is None:
             raise ValueError(f"{noun} ({item.query_id},{item.doc_id}): query {item.query_id} "
                              f"has no relevance definition, which {variant.label()} needs")
@@ -149,9 +144,9 @@ def annotate_corpus(
 
     A pair whose answer does not parse is a ledger entry; any other
     error ends the iteration after the pairs before it, and an endpoint error
-    names its pair. Unknown ids and missing definitions fail here, before any request.
+    names its pair. A missing definition fails here, before any request.
     """
-    check_pairs(pairs, queries, chunks, variant, "pair")
+    check_pairs(pairs, queries, variant, "pair")
 
     def work(pair: QueryDocPair) -> Annotation | AnnotationError:
         try:

@@ -22,7 +22,7 @@ from .annotator import (Annotation, AnnotationError, annotate_corpus, primary_co
 from .config import CALIBRATIONS, KEYS, check_number, load_config
 from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDocPair,
                      RelevanceDefinition, RowWriter, Split, check_distinct_outputs, read_json,
-                     read_jsonl, write_csv, write_json, write_jsonl)
+                     read_jsonl, write_csv, write_json, write_jsonl, written_in_place)
 from .gateway import LLMGateway, TransportError, ordered_map
 from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
 from .prompting import (
@@ -154,14 +154,9 @@ def ingest(queries_path, documents_path, gold_path, out_dir,
     """Check a corpus, merge short chunks, and write a leakage-free split."""
     queries = read_jsonl(queries_path, Query)
     chunks = read_jsonl(documents_path, DocumentChunk)
-    gold = read_jsonl(gold_path, GoldLabel) if gold_path else []
-
-    known = {"query": {q.id for q in queries}, "doc": {c.id for c in chunks}}
-    for g in gold:
-        for kind, key in (("query", g.query_id), ("doc", g.doc_id)):
-            if key not in known[kind]:
-                raise ValueError(f"{gold_path}: gold ({g.query_id},{g.doc_id}) references "
-                                 f"unknown {kind} id: {key}")
+    gold = (read_jsonl(gold_path, GoldLabel, known={"query_id": {q.id for q in queries},
+                                                    "doc_id": {c.id for c in chunks}})
+            if gold_path else [])
 
     merged, merged_into = corpus_mod.merge_short_chunks(chunks, min_tokens)
     moved = [f"({g.query_id},{g.doc_id}) -> {merged_into[g.doc_id]}"
@@ -229,11 +224,9 @@ def define(config, queries_path, out_path, examples_path, parallelism):
     """Draft (or improve) a relevance definition for each query."""
     queries = read_jsonl(queries_path, Query)
     examples_by_query: dict[str, list[str]] = {}
-    for row in read_jsonl(examples_path, DefinitionExample) if examples_path else []:
+    for row in read_jsonl(examples_path, DefinitionExample,
+                          known={"query_id": {q.id for q in queries}}) if examples_path else []:
         examples_by_query.setdefault(row.query_id, []).append(row.example)
-    unknown = sorted(examples_by_query.keys() - {q.id for q in queries})
-    if unknown:
-        raise ValueError(f"{examples_path}: examples for unknown query ids: {', '.join(unknown)}")
 
     def draft(query: Query) -> RelevanceDefinition:
         examples = examples_by_query.get(query.id, [])
@@ -269,7 +262,7 @@ def annotate(config, pairs_path, queries_path, documents_path, out_path,
     check_distinct_outputs("--out", out_path, "--errors", errors_path)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
-    pairs = read_jsonl(pairs_path, QueryDocPair)
+    pairs = read_jsonl(pairs_path, QueryDocPair, known={"query_id": queries, "doc_id": chunks})
     variant = PromptVariant.from_label(variant)
     written = {"annotations": 0, "errors": 0}
     # closing the outcomes: an error while writing also stops the requests not yet sent.
@@ -300,9 +293,10 @@ def distill_cmd(annotations_path, queries_path, documents_path,
                 split_path, out_path, manifest_path, variant):
     """Export teacher annotations as chat-format training records."""
     check_distinct_outputs("--out", out_path, "--manifest", manifest_path)
-    annotations = read_jsonl(annotations_path, Annotation)
     queries = {q.id: q for q in read_jsonl(queries_path, Query)}
     chunks = {c.id: c for c in read_jsonl(documents_path, DocumentChunk)}
+    annotations = read_jsonl(annotations_path, Annotation,
+                             known={"query_id": queries, "doc_id": chunks})
     split = read_json(split_path, Split)
     manifest = distill_mod.export_training_data(
         annotations, queries, chunks, split, PromptVariant.from_label(variant), out_path)
@@ -356,6 +350,9 @@ def audit(annotations_path, original_path, out_path, per_bin, seed,
     """Stratify model-vs-original disagreements; optionally score an audit."""
     if table_out and not verdicts_path:
         raise ValueError("--table-out needs --verdicts: the table scores the audited verdicts")
+    if verdicts_path and not table_out and written_in_place(out_path):
+        raise ValueError(f"--verdicts needs --table-out when --out is written in place: "
+                         f"{out_path}")
     check_distinct_outputs("--out", out_path, "--table-out", table_out)
     annotations = read_jsonl(annotations_path, Annotation)
     original = {

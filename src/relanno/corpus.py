@@ -315,12 +315,13 @@ def _encoded(value: object) -> object:
     return value
 
 
-def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
+def read_jsonl(path: str | Path, cls: type[T], known: Optional[dict] = None) -> list[T]:
     """The rows of a JSONL file as cls objects, read once, so a pipe works too.
     Every line is decoded before any row is checked: a line that is not JSON
-    is reported before a bad row. Either error names path:line. A row whose
-    key repeats an earlier row's is an error naming both lines: cls.KEY, a
-    class attribute and so no field, names the key's fields, () for none."""
+    is reported before a bad row. Either error names path:line, as does a row
+    whose field `f` holds an id not in `known[f]`, the ids of another file's
+    rows, or whose key repeats an earlier row's (naming both lines): cls.KEY,
+    a class attribute and so no field, names the key's fields, () for none."""
     numbered = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -335,6 +336,9 @@ def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
     for lineno, row in numbered:
         try:
             obj = from_row(cls, row)
+            for name, ids in (known or {}).items():
+                if (value := getattr(obj, name)) not in ids:
+                    raise RowError(f"unknown id {_show(value)}", name)
         except RowError as exc:
             raise RowError(f"{path}:{lineno}: {exc}") from None
         key = tuple(getattr(obj, name) for name in cls.KEY)
@@ -370,7 +374,7 @@ def _own_fd(path: str | Path) -> Optional[int]:
     return None
 
 
-def _in_place(path: str | Path) -> bool:
+def written_in_place(path: str | Path) -> bool:
     """Whether an output at path is written where it is, not published whole:
     one of this process's descriptors (/dev/stdout), written through a dup of
     it, or any other path that exists and is not a regular file (a FIFO)."""
@@ -383,7 +387,7 @@ def check_distinct_outputs(flag: str, path: str, other_flag: str, other: Optiona
     over it. Paths are compared resolved, and as files when both exist (a hard
     link, or /dev/stdout redirected to the other path). Two outputs that are
     both written in place may share a file."""
-    if other is None or (_in_place(path) and _in_place(other)):
+    if other is None or (written_in_place(path) and written_in_place(other)):
         return
     if os.path.realpath(path) == os.path.realpath(other) or (
             os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
@@ -394,8 +398,8 @@ def check_distinct_outputs(flag: str, path: str, other_flag: str, other: Optiona
 def _published(path: str | Path, newline: Optional[str] = None) -> Iterator[IO[str]]:
     """The one way a whole-file output is opened: as `<path>.partial` beside the file
     `path` names through any symlink, renamed onto it when the block ends cleanly and
-    deleted on an error; or, when `_in_place(path)`, where it is."""
-    if _in_place(path):
+    deleted on an error; or, when `written_in_place(path)`, where it is."""
+    if written_in_place(path):
         fd = _own_fd(path)
         with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
                   newline=newline) as f:

@@ -65,11 +65,11 @@ def export_training_data(
 ) -> ExportManifest:
     """Write train.jsonl and audit its Yes/No balance; hard-fails on any
     test-split query or report, on annotations from more than one model, and,
-    before any leakage check, on an unknown id or a missing definition."""
+    before any leakage check, on a missing definition."""
     models = sorted({ann.model for ann in annotations})
     if len(models) > 1:
         raise ValueError(f"annotations name more than one teacher model: {', '.join(models)}")
-    check_pairs(annotations, queries, chunks, variant, "annotation")
+    check_pairs(annotations, queries, variant, "annotation")
     records, exported = [], []
     for ann in annotations:
         if ann.query_id in split.test_queries:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import lazy_import
-from .corpus import DocumentChunk, Query, read_jsonl, write_jsonl
+from .corpus import DocumentChunk, Query, RowError, read_jsonl, write_jsonl
 from .gateway import LLMGateway
 
 if TYPE_CHECKING:
@@ -21,6 +21,14 @@ class Ranking:
     KEY = ("query_id",)
     query_id: str
     entries: list[tuple[str, float]]  # (doc_id, score), descending by score
+
+    def __post_init__(self):
+        if not self.entries:
+            raise RowError("expected a list that is not empty, got []", "entries")
+        index_of: dict[str, int] = {}
+        for i, (doc_id, _) in enumerate(self.entries):
+            if (first := index_of.setdefault(doc_id, i)) != i:
+                raise RowError(f"doc id {doc_id!r} repeats entries[{first}]", f"entries[{i}]")
 
     def doc_ids(self) -> list[str]:
         return [doc_id for doc_id, _ in self.entries]

@@ -63,15 +63,13 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     """Sample per_side docs from ranks <= k and per_side from ranks > k.
 
     fill_policy="fill" borrows from the other side when one side is short;
-    "strict" keeps the deficit and logs a shortfall warning.
+    "strict" keeps the deficit. A side still short after any borrowing logs
+    a shortfall warning.
 
     Each query draws from its own generator, seeded by (seed, query id), so
     rankings of one length do not all give the same rank positions. A string
     seed is hashed with SHA-512, so the draw does not depend on PYTHONHASHSEED.
     """
-    if not ranking.entries:
-        raise ValueError(f"empty ranking for query {ranking.query_id}")
-
     # `random.sample` picks by position alone: ranges draw what the entries would.
     positions = range(len(ranking.entries))
     inside = positions[:k]
@@ -80,22 +78,15 @@ def balanced_sample(ranking: Ranking, k: int, per_side: int, seed: int,
     take_in = rng.sample(inside, min(per_side, len(inside)))
     take_out = rng.sample(outside, min(per_side, len(outside)))
 
-    deficit_in = per_side - len(take_in)
-    deficit_out = per_side - len(take_out)
     if fill_policy == "fill":
         taken = set(take_in + take_out)
-        if deficit_in > 0:
-            spare = [p for p in outside if p not in taken]
-            take_in += rng.sample(spare, min(deficit_in, len(spare)))
-        if deficit_out > 0:
-            spare = [p for p in inside if p not in taken]
-            take_out += rng.sample(spare, min(deficit_out, len(spare)))
-    else:
-        if deficit_in > 0:
-            log.warning("query %s: top-%s side short by %s", ranking.query_id, k, deficit_in)
-        if deficit_out > 0:
-            log.warning("query %s: outside-top-%s side short by %s",
-                        ranking.query_id, k, deficit_out)
+        for drawn, other in ((take_in, outside), (take_out, inside)):  # extended in place
+            if (deficit := per_side - len(drawn)) > 0:
+                spare = [p for p in other if p not in taken]
+                drawn += rng.sample(spare, min(deficit, len(spare)))
+    for side, drawn in (("top", take_in), ("outside-top", take_out)):
+        if (short := per_side - len(drawn)) > 0:
+            log.warning("query %s: %s-%s side short by %s", ranking.query_id, side, k, short)
 
     pairs = [QueryDocPair(ranking.query_id, ranking.entries[p][0], retriever_rank=p + 1)
              for p in sorted(take_in + take_out)]

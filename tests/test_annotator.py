@@ -19,7 +19,8 @@ from relanno.annotator import (
     relevant_info_proxy,
 )
 from relanno.config import Config
-from relanno.corpus import DocumentChunk, Query, QueryDocPair, RowError, from_row, to_row
+from relanno.corpus import (DocumentChunk, Query, QueryDocPair, RowError, from_row, read_jsonl,
+                            to_row, write_jsonl)
 from relanno.gateway import ChatResponse, LLMGateway
 from relanno.prompting import (VARIANTS, ParseError, PromptVariant, extract_tok_confidence,
                                format_pointwise_completion)
@@ -229,13 +230,21 @@ class TestAnnotateCorpus:
         assert len(errors) == 2
         assert errors[0].raw_text == "I cannot decide about this passage."
 
-    def test_unknown_ids_abort_before_any_call(self, gateway, mock_server,
-                                               fixture_queries, fixture_chunks):
-        pairs = [QueryDocPair("q1", "d1"), QueryDocPair("q1", "ghost")]
-        with pytest.raises(ValueError, match="unknown doc id: ghost"):
-            annotate_corpus(pairs, {"q1": fixture_queries[0]},
-                            {"d1": fixture_chunks[0]}, VARIANT, gateway, "ask")
-        assert mock_server.request_count == 0
+    def test_unknown_ids_abort_before_any_call(self, tmp_path, fixture_queries,
+                                               fixture_chunks):
+        """An unknown id is refused where the pairs are read, as `annotate` reads
+        them, so no pair reaches annotate_corpus."""
+        queries = {"q1": fixture_queries[0]}
+        chunks = {"d1": fixture_chunks[0]}
+        path = tmp_path / "pairs.jsonl"
+        for pairs, message in [
+                ([QueryDocPair("q1", "d1"), QueryDocPair("q1", "ghost")],
+                 ":2: field 'doc_id': unknown id \"ghost\""),
+                ([QueryDocPair("q7", "d1")], ":1: field 'query_id': unknown id \"q7\"")]:
+            write_jsonl(path, pairs)
+            with pytest.raises(RowError) as caught:
+                read_jsonl(path, QueryDocPair, known={"query_id": queries, "doc_id": chunks})
+            assert str(caught.value) == f"{path}{message}"
 
     def test_missing_definition_aborts_before_any_call(self, gateway, mock_server,
                                                        fixture_queries, fixture_chunks):

@@ -765,6 +765,23 @@ def test_audit_table_out_without_verdicts_is_refused_before_any_input_is_read(wo
     assert not out.exists() and not table.exists()
 
 
+def test_audit_verdicts_with_out_in_place_need_table_out(workspace):
+    """`--out` written in place (here a link to /dev/stdout) has no
+    `<out>.table.json` beside it: the table needs `--table-out`, refused
+    before any input is read. The bad annotations keep the command from
+    writing a table where the link points, had the refusal not come first."""
+    annotations = workspace / "annotations.jsonl"
+    annotations.write_text("not JSON\n", encoding="utf-8")
+    out = workspace / "stdout"
+    out.symlink_to("/dev/stdout")
+    result = run_cli(workspace, "audit", "--annotations", str(annotations),
+                     "--original", str(workspace / "gold.jsonl"), "--out", str(out),
+                     "--verdicts", str(workspace / "gold.jsonl"), expect_exit=1)
+    assert_one_line_json_error(
+        result, f"--verdicts needs --table-out when --out is written in place: {out}")
+    assert result.stdout == ""
+
+
 def test_benchmark_reversed_rankings(workspace):
     entries = [(f"d{i}", 1.0 - i / 5) for i in range(5)]
     save_rankings(workspace / "a.jsonl", [Ranking("q1", entries)])
@@ -1186,16 +1203,21 @@ def test_own_process_ends_after_its_summary_line(workspace, name):
 
 
 def test_own_process_bad_input_is_one_json_line_and_exit_1(workspace):
-    """Refused after annotate opened its cache: still closed."""
+    """Refused after annotate opened its cache: still closed. A -d pair whose
+    query has no definition is refused there; an unknown id, where the pairs
+    are read, before the cache is opened."""
+    with open(workspace / "queries.jsonl", "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "q3", "text": "A question nobody defined?"}) + "\n")
     pairs = write_lines(workspace / "pairs.jsonl",
-                        json.dumps({"query_id": "q1", "doc_id": "ghost"}))
+                        json.dumps({"query_id": "q3", "doc_id": "d1"}))
     result = run_entry("--config", workspace / "relanno.conf", "annotate", "--pairs", pairs,
                        "--queries", workspace / "queries.jsonl",
                        "--documents", workspace / "documents.jsonl",
-                       "--out", workspace / "a.jsonl")
+                       "--variant", "point-ask-d", "--out", workspace / "a.jsonl")
     assert result.returncode == 1 and result.stdout == ""
     [line] = result.stderr.splitlines()
-    assert "unknown doc id: ghost" in json.loads(line)["error"]
+    assert json.loads(line)["error"] == ("pair (q3,d1): query q3 has no relevance definition, "
+                                         "which point-ask-d needs")
     assert cache_files(workspace) == ["responses.sqlite3"]
     assert not (workspace / "a.jsonl").exists()
 
@@ -1555,12 +1577,27 @@ def bad_input_case(workspace, name):
             "query q7: field 'meaning': expected a string that is not blank, got \"\""]
     if name == "examples for unknown queries":
         examples = write_lines(w / "examples.jsonl",
-                               json.dumps({"query_id": "q9", "example": "x"}),
                                json.dumps({"query_id": "q1", "example": "y"}),
+                               json.dumps({"query_id": "q9", "example": "x"}),
                                json.dumps({"query_id": "q7", "example": "z"}))
         return ["define", "--queries", queries, "--out", str(w / "d.jsonl"),
                 "--examples", examples], [
-            "examples.jsonl", "examples for unknown query ids: q7, q9"]
+            "examples.jsonl:2: field 'query_id': unknown id \"q9\""]
+    if name == "gold with an unknown doc id to ingest":
+        bad = write_lines(w / "bad.jsonl", *(json.dumps(
+            {"query_id": "q1", "doc_id": doc_id, "grade": 1.0, "binary": "relevant"})
+            for doc_id in ("d1", "d9")))
+        return ["ingest", "--queries", queries, "--documents", documents, "--gold", bad,
+                "--out-dir", str(w / "out")], ["bad.jsonl:2: field 'doc_id': unknown id \"d9\""]
+    rankings = {"ranking with no entries": (
+                    [], "bad.jsonl:1: field 'entries': expected a list that is not empty, got []"),
+                "ranking that repeats a doc": (
+                    [["d1", 0.9], ["d2", 0.5], ["d1", 0.1]],
+                    "bad.jsonl:1: field 'entries[2]': doc id 'd1' repeats entries[0]")}
+    if name in rankings:
+        entries, fragment = rankings[name]
+        bad = write_lines(w / "bad.jsonl", json.dumps({"query_id": "q1", "entries": entries}))
+        return ["sample", "--rankings", bad, "--out", str(w / "p.jsonl")], [fragment]
     unknown_variant = {"ask-only row of an unknown variant": "confidence_ask",
                        "tok row of an unknown variant": "confidence_tok"}
     if name in unknown_variant:
@@ -1584,17 +1621,22 @@ def bad_input_case(workspace, name):
             {"query_id": "q1", "doc_id": "d1", "grade": 1.0, "binary": "Relevant"}))
         return [*capitalised[name], bad, "--annotations", annotations,
                 "--out", str(w / "out")], ["bad.jsonl:1", "field 'binary'", "got 'Relevant'"]
-    if name == "pair with an unknown query id":
-        pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q9", "doc_id": "d1"}))
+    unknown_pair = {
+        "pair with an unknown query id": (("q9", "d1"), "field 'query_id': unknown id \"q9\""),
+        "pair with an unknown doc id": (("q1", "d9"), "field 'doc_id': unknown id \"d9\"")}
+    if name in unknown_pair:
+        (query_id, doc_id), fragment = unknown_pair[name]
+        pairs = write_lines(w / "pairs.jsonl", json.dumps({"query_id": "q1", "doc_id": "d1"}),
+                            json.dumps({"query_id": query_id, "doc_id": doc_id}))
         return ["annotate", "--pairs", pairs, "--queries", queries, "--documents", documents,
-                "--out", str(w / "a.jsonl")], ["pair references unknown query id: q9"]
+                "--out", str(w / "a.jsonl")], [f"pairs.jsonl:2: {fragment}"]
     distilled = {
         "annotation with an unknown query id": (
             {"query_id": "q9", "confidence_ask": 0.9},
-            ["annotation references unknown query id: q9"]),
+            ["bad.jsonl:1: field 'query_id': unknown id \"q9\""]),
         "annotation with an unknown doc id": (
             {"doc_id": "d99", "confidence_ask": 0.9},
-            ["annotation references unknown doc id: d99"]),
+            ["bad.jsonl:1: field 'doc_id': unknown id \"d99\""]),
         "score above 1 to distill": (
             {"relevance_score": 1.5, "confidence_tok": 0.9},
             ["bad.jsonl:1", "field 'relevance_score'", "1.5"]),
@@ -1639,6 +1681,8 @@ def bad_input_case(workspace, name):
     "verdict that is Model", "gold binary that is Relevant", "original binary that is Relevant",
     "gold binary that is Relevant to sweep", "gold grade of 1e400", "gold grade that is NaN",
     "gold grade above 1", "ranking score that is -Infinity", "query text with a lone surrogate",
+    "gold with an unknown doc id to ingest", "pair with an unknown doc id",
+    "ranking with no entries", "ranking that repeats a doc",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
@@ -1713,6 +1757,27 @@ def test_a_repeated_row_is_refused_before_any_request_or_output(workspace, mock_
     assert message == f"{path}:{len(rows) + 1}: {key} repeats line 1"
     assert mock_server.request_count == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, output", [
+    ("gold with an unknown doc id to ingest", "out"),
+    ("examples for unknown queries", "d.jsonl"),
+    ("pair with an unknown doc id", "a.jsonl"),
+    ("annotation with an unknown query id", "t.jsonl"),
+    ("ranking with no entries", "p.jsonl"),
+    ("ranking that repeats a doc", "p.jsonl"),
+])
+def test_a_reference_or_rankings_rule_is_refused_before_any_request_or_output(
+        workspace, mock_server, name, output):
+    """Each reference site, and each rule of a rankings row, run as its own
+    process: exit 1, one JSON line naming path:line and the field."""
+    args, [fragment] = bad_input_case(workspace, name)
+    assert re.match(r"\w+\.jsonl:\d+: field '", fragment)
+    assert one_json_error("--config", workspace / "relanno.conf", *args) == \
+        f"{workspace}/{fragment}"
+    assert mock_server.request_count == 0
+    assert not (workspace / output).exists()
+    assert not list(workspace.glob("*.partial"))
 
 
 def test_define_refuses_a_blank_example_before_any_request(workspace, mock_server):

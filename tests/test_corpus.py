@@ -134,7 +134,7 @@ class TestValidateCorpus:
         assert one_json_error("ingest", "--queries", "queries.jsonl",
                               "--documents", "documents.jsonl", "--gold", "gold.jsonl",
                               "--out-dir", "out", cwd=tmp_path) == \
-            "gold.jsonl: gold (q1,nope) references unknown doc id: nope"
+            "gold.jsonl:2: field 'doc_id': unknown id \"nope\""
 
     def test_duplicate_query_id(self, tmp_path):
         write_jsonl(tmp_path / "queries.jsonl", [{"id": "q1", "text": "a"},

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import jsonl_rows
 from relanno.annotator import Annotation, convert_confidence
-from relanno.corpus import Split, to_row
+from relanno.corpus import RowError, Split, read_jsonl, to_row, write_jsonl
 from relanno.distill import (
     audit_balance,
     build_training_record,
@@ -200,18 +200,27 @@ class TestExport:
         assert (manifest.count, manifest.skipped) == (1, 1)
         assert manifest.balance["empty_queries"] == ["q2", "q3"]
 
-    def test_unknown_doc_rejected(self, corpus, tmp_path):
+    @staticmethod
+    def read_refusal(corpus, path, annotations) -> str:
+        """The error of reading annotations as `distill` reads them."""
         queries, chunks = corpus
-        with pytest.raises(ValueError, match="unknown doc id: ghost"):
-            export_training_data([annotation("q1", "ghost")], queries, chunks,
-                                 make_split(), VARIANT, tmp_path / "t.jsonl")
+        write_jsonl(path, annotations)
+        with pytest.raises(RowError) as caught:
+            read_jsonl(path, Annotation, known={"query_id": queries, "doc_id": chunks})
+        return str(caught.value)
+
+    def test_unknown_doc_rejected(self, corpus, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        assert self.read_refusal(corpus, path, [annotation("q1", "ghost")]) == \
+            f"{path}:1: field 'doc_id': unknown id \"ghost\""
 
     def test_unknown_id_is_reported_before_an_earlier_rows_leakage(self, corpus, tmp_path):
-        """Every row's ids are checked before the first leakage check."""
-        queries, chunks = corpus
-        with pytest.raises(ValueError, match="unknown doc id: ghost"):
-            export_training_data([annotation("q2", "d1"), annotation("q1", "ghost")],
-                                 queries, chunks, make_split(), VARIANT, tmp_path / "t.jsonl")
+        """Every row's ids are checked as the file is read, before the export's
+        first leakage check (row 1 is a test-split query's)."""
+        path = tmp_path / "ann.jsonl"
+        assert self.read_refusal(corpus, path, [annotation("q2", "d1"),
+                                                annotation("q1", "ghost")]) == \
+            f"{path}:2: field 'doc_id': unknown id \"ghost\""
 
 
 class TestAuditBalance:

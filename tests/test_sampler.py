@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relanno.annotator import Annotation
-from relanno.corpus import QueryDocPair
+from relanno.corpus import QueryDocPair, RowError
 from relanno.retrieval import Ranking
 from relanno.sampler import (
     Disagreement,
@@ -44,6 +44,23 @@ class TestBalancedSample:
         assert len(result.pairs) == 60
         assert caplog.messages == []
 
+    @pytest.mark.parametrize("policy", ["strict", "fill"])
+    def test_shortfall_after_borrowing_warns_under_either_policy(self, caplog, policy):
+        """10 docs cannot fill 2 x 30: fill has nothing to borrow, so it is
+        short as strict is, and says so with the same two lines."""
+        result = balanced_sample(make_ranking(10), k=5, per_side=30, seed=1,
+                                 fill_policy=policy)
+        assert len(result.pairs) == 10
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("relanno.sampler", "query q: top-5 side short by 25"),
+            ("relanno.sampler", "query q: outside-top-5 side short by 25")]
+
+    def test_fill_that_borrows_too_little_warns_of_the_rest(self, caplog):
+        result = balanced_sample(make_ranking(40), k=5, per_side=30, seed=1,
+                                 fill_policy="fill")
+        assert len(result.pairs) == 40
+        assert caplog.messages == ["query q: top-5 side short by 20"]
+
     def test_deterministic(self):
         a = balanced_sample(make_ranking(50), k=5, per_side=10, seed=9, fill_policy="strict")
         b = balanced_sample(make_ranking(50), k=5, per_side=10, seed=9, fill_policy="strict")
@@ -60,9 +77,10 @@ class TestBalancedSample:
         assert ranks[0] != ranks[1]
 
     def test_empty_ranking_rejected(self):
-        with pytest.raises(ValueError):
-            balanced_sample(Ranking(query_id="q", entries=[]), k=5, per_side=5, seed=0,
-                            fill_policy="strict")
+        """A ranking refuses itself, so no empty one reaches balanced_sample."""
+        with pytest.raises(RowError, match=r"^field 'entries': expected a list that is not "
+                                           r"empty, got \[\]$"):
+            Ranking(query_id="q", entries=[])
 
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=20),
            st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=999))
@@ -75,8 +93,9 @@ class TestBalancedSample:
         assert len(ids) == len(set(ids))
         assert set(ids) <= set(ranking.doc_ids())
 
+    # Unique: a ranking that repeats a doc refuses itself.
     @given(st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]) | st.text(min_size=1),
-                    min_size=1, max_size=120),
+                    min_size=1, max_size=120, unique=True),
            st.integers(min_value=1, max_value=130), st.integers(min_value=1, max_value=70),
            st.integers(min_value=0, max_value=999) | st.text(), st.text(min_size=1),
            st.sampled_from(["strict", "fill"]))
@@ -96,14 +115,14 @@ class TestBalancedSample:
 
 def sample_ranked_entries(ranking, k, per_side, seed, fill_policy):
     """The oracle: `balanced_sample` as it was when it sampled (doc_id, rank)
-    tuples, returning (pairs, warnings)."""
+    tuples, returning (pairs, warnings), with the shortfall warnings logged
+    after any borrowing under either policy."""
     ranked = [(doc_id, rank) for rank, (doc_id, _) in enumerate(ranking.entries, start=1)]
     inside = ranked[:k]
     outside = ranked[k:]
     rng = random.Random(f"{seed}:{ranking.query_id}")
     take_in = rng.sample(inside, min(per_side, len(inside)))
     take_out = rng.sample(outside, min(per_side, len(outside)))
-    warnings = []
     deficit_in = per_side - len(take_in)
     deficit_out = per_side - len(take_out)
     if fill_policy == "fill":
@@ -113,12 +132,13 @@ def sample_ranked_entries(ranking, k, per_side, seed, fill_policy):
         if deficit_out > 0:
             spare = [e for e in inside if e not in take_in]
             take_out += rng.sample(spare, min(deficit_out, len(spare)))
-    else:
-        if deficit_in > 0:
-            warnings.append(f"query {ranking.query_id}: top-{k} side short by {deficit_in}")
-        if deficit_out > 0:
-            warnings.append(
-                f"query {ranking.query_id}: outside-top-{k} side short by {deficit_out}")
+    warnings = []
+    if per_side > len(take_in):
+        warnings.append(f"query {ranking.query_id}: top-{k} side short by "
+                        f"{per_side - len(take_in)}")
+    if per_side > len(take_out):
+        warnings.append(f"query {ranking.query_id}: outside-top-{k} side short by "
+                        f"{per_side - len(take_out)}")
     pairs = [QueryDocPair(query_id=ranking.query_id, doc_id=doc_id, retriever_rank=rank)
              for doc_id, rank in sorted(take_in + take_out, key=lambda e: e[1])]
     return pairs, warnings
