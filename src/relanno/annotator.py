@@ -163,8 +163,11 @@ def annotate_corpus(
 
 
 def relevant_info_proxy(annotations: list[Annotation]) -> list[tuple[str, float]]:
-    """Mean relevance score per query, sorted descending; a proxy for how much
-    relevant information the corpus holds for each question."""
+    """The plain mean relevance_score of each query's sampled pairs, sorted
+    descending. The sample holds all of a query's top-k and `per_side` of its
+    other N - k docs, so the mean over-weights the top-k by about
+    (N - k) / per_side: it does not estimate how much relevant information
+    the corpus holds for the question."""
     by_query: dict[str, list[float]] = {}
     for ann in annotations:
         by_query.setdefault(ann.query_id, []).append(ann.relevance_score)

@@ -24,7 +24,8 @@ from .corpus import (DefinitionExample, DocumentChunk, GoldLabel, Query, QueryDo
                      RelevanceDefinition, RowWriter, Split, check_distinct_outputs, read_json,
                      read_jsonl, write_csv, write_json, write_jsonl, written_in_place)
 from .gateway import LLMGateway, TransportError, ordered_map
-from .metrics import f1_threshold_sweep, gold_relevant, kendall_tau, score_annotations, with_gold
+from .metrics import (f1_threshold_sweep, gain, gold_relevant, kendall_tau, score_annotations,
+                      with_gold)
 from .prompting import (
     PromptVariant,
     parse_definition_response,
@@ -311,11 +312,18 @@ def distill_cmd(annotations_path, queries_path, documents_path,
 @click.option("--gold", "gold_path", required=True, type=click.Path(exists=True))
 @click.option("--scheme", type=click.Choice(["three_way", "graded_1_3", "binary"]),
               default="three_way",
-              help="Gain of a gold row. graded_1_3 takes its grade, which lies in [0,1]: "
-                   "give a 1-3 grade g as (g - 1) / 2.")
+              help="Gain of a relevant gold row in nDCG and MAP. Every dimension reads "
+                   "a row as relevant by its label (partial counts), else grade > 0, and "
+                   "an irrelevant row gains 0. binary: 1. three_way: 1, or 0.5 for "
+                   "partial; a row without a label is refused. graded_1_3: its grade, "
+                   "which lies in [0,1] (give a 1-3 grade g as (g - 1) / 2); a relevant "
+                   "or partial row of grade 0 is refused.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--proxy-out", type=click.Path(), default=None,
-              help="Also write per-query mean relevance scores as CSV.")
+              help="Also write, as CSV, the plain mean relevance_score of each query's "
+                   "sampled pairs. It over-weights the top-k by about (N - k) / per_side, "
+                   "so it does not estimate how much relevant information the corpus "
+                   "holds.")
 @_number_option("--ece-bins", type=int)
 # Not the config's `k`, which is sample's top-k: the default here is no cutoff.
 @_number_option("--k", "cutoff_k", type=int, default=None, help="Cutoff for nDCG@k / MAP@k.")
@@ -323,8 +331,8 @@ def evaluate(annotations_path, gold_path, scheme, out_path, proxy_out, ece_bins,
     """Score annotations on the four dimensions and write report.json."""
     check_distinct_outputs("--out", out_path, "--proxy-out", proxy_out)
     annotations = read_jsonl(annotations_path, Annotation)
-    report = score_annotations(annotations, read_jsonl(gold_path, GoldLabel), scheme,
-                               ece_bins, cutoff_k)
+    gold = read_jsonl(gold_path, GoldLabel, check=functools.partial(gain, scheme=scheme))
+    report = score_annotations(annotations, gold, scheme, ece_bins, cutoff_k)
     write_json(out_path, report)
     if proxy_out:
         write_csv(proxy_out, [("query_id", "mean_relevance_score"),

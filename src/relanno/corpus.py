@@ -315,13 +315,16 @@ def _encoded(value: object) -> object:
     return value
 
 
-def read_jsonl(path: str | Path, cls: type[T], known: Optional[dict] = None) -> list[T]:
+def read_jsonl(path: str | Path, cls: type[T], known: Optional[dict] = None,
+               check: Optional[Callable[[T], object]] = None) -> list[T]:
     """The rows of a JSONL file as cls objects, read once, so a pipe works too.
     Every line is decoded before any row is checked: a line that is not JSON
     is reported before a bad row. Either error names path:line, as does a row
     whose field `f` holds an id not in `known[f]`, the ids of another file's
-    rows, or whose key repeats an earlier row's (naming both lines): cls.KEY,
-    a class attribute and so no field, names the key's fields, () for none."""
+    rows, a row on which `check` raises a RowError (a rule of the command that
+    reads it), or a row whose key repeats an earlier row's (naming both
+    lines): cls.KEY, a class attribute and so no field, names the key's
+    fields, () for none."""
     numbered = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -339,6 +342,8 @@ def read_jsonl(path: str | Path, cls: type[T], known: Optional[dict] = None) -> 
             for name, ids in (known or {}).items():
                 if (value := getattr(obj, name)) not in ids:
                     raise RowError(f"unknown id {_show(value)}", name)
+            if check is not None:
+                check(obj)
         except RowError as exc:
             raise RowError(f"{path}:{lineno}: {exc}") from None
         key = tuple(getattr(obj, name) for name in cls.KEY)

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 from . import lazy_import
 from .annotator import Annotation, primary_confidence
-from .corpus import GoldLabel
+from .corpus import GoldLabel, RowError
 
 np = lazy_import("numpy")
 
@@ -88,7 +88,8 @@ def f1_precision_recall(predicted: Sequence[bool],
 
 
 def gold_relevant(gold: GoldLabel) -> bool:
-    """The binary label when there is one (partial counts), else grade > 0."""
+    """Whether a gold row is relevant, as every dimension and `gain` read it:
+    the binary label when there is one (partial counts), else grade > 0."""
     return gold.binary in ("relevant", "partial") if gold.binary is not None else gold.grade > 0
 
 
@@ -148,19 +149,26 @@ def mean_average_precision(run: RunAndGold, k: Optional[int] = None) -> float:
     return _mean_over_queries(run, "MAP", query_ap)
 
 
-THREE_WAY_GAINS = {"relevant": 1.0, "partial": 0.5, "irrelevant": 0.0}
-
-
 def gain(gold: GoldLabel, scheme: str) -> float:
-    """The gain of a gold label under an `evaluate --scheme` choice: graded_1_3
-    takes the gold grade, three_way and binary map the binary label."""
-    if scheme == "graded_1_3":
-        return gold.grade
+    """The gain of a gold row under an `evaluate --scheme` choice. Whether the
+    row is relevant is read by `gold_relevant` alone, and an irrelevant row
+    gains 0; the scheme sizes a relevant row's gain: binary 1, three_way 1 or
+    0.5 by its label, graded_1_3 its grade. A RowError names the field that
+    the scheme cannot size: a row without a label under three_way, or a
+    relevant or partial row of grade 0 under graded_1_3."""
+    if scheme == "three_way" and gold.binary is None:
+        raise RowError("expected \"relevant\", \"partial\" or \"irrelevant\" under "
+                       "--scheme three_way, got null", "binary")
+    if not gold_relevant(gold):
+        return 0.0
     if scheme == "three_way":
-        if gold.binary not in THREE_WAY_GAINS:
-            raise ValueError(f"unknown three_way label: {gold.binary!r}")
-        return THREE_WAY_GAINS[gold.binary]
-    return 1.0 if gold.binary == "relevant" else 0.0
+        return 0.5 if gold.binary == "partial" else 1.0
+    if scheme == "binary":
+        return 1.0
+    if gold.grade == 0.0:
+        raise RowError(f"expected a grade above 0 for a {gold.binary} label under "
+                       f"--scheme graded_1_3, got {gold.grade}", "grade")
+    return gold.grade
 
 
 def _sort_counting_inversions(values: list) -> tuple[list, int]:
@@ -236,17 +244,16 @@ def _build_run(scored: list[tuple[Annotation, GoldLabel]], scheme: str) -> RunAn
     for ann, g in scored:
         predicted, gold_gains = run.setdefault(ann.query_id, ({}, {}))
         predicted[ann.doc_id] = ann.relevance_score
-        try:
-            gold_gains[ann.doc_id] = gain(g, scheme)
-        except ValueError as exc:
-            raise ValueError(f"gold label ({g.query_id},{g.doc_id}): {exc}") from None
+        gold_gains[ann.doc_id] = gain(g, scheme)
     return run
 
 
 def score_annotations(annotations: list[Annotation], gold: list[GoldLabel], scheme: str,
                       ece_bins: int, k: Optional[int]) -> dict:
     """The four-dimension report (`aggregate_report`) of the annotations that
-    have a gold label; fails on none. ece_bins and the cutoff k, when given, are at least 1."""
+    have a gold label; fails on none. ece_bins and the cutoff k, when given, are at least 1.
+    Every gold row must already pass `gain(g, scheme)`, as `evaluate` checks
+    while it reads them: the RowError raised here names no row."""
     scored = with_gold(annotations, gold)
     confidences = [primary_confidence(a) for a, _ in scored]
     predicted_rel = [a.guess == "Yes" for a, _ in scored]

@@ -560,20 +560,40 @@ class TestEvaluate:
             outputs.append((out.read_bytes(), proxy.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_unannotated_gold_rows_are_not_mapped(self, workspace):
-        # A gold row without `binary` fails three_way only if a pair is annotated.
+    def test_an_unannotated_gold_row_is_refused_when_read(self, workspace):
+        # A gold row without `binary` fails three_way as it is read, whether
+        # or not an annotation scores it; the earlier report stays.
         annotations, _ = annotate_all(workspace)
         gold, out = workspace / "gold.jsonl", workspace / "report.json"
-
-        def report():
-            run_cli(workspace, "evaluate", "--annotations", str(annotations),
-                    "--gold", str(gold), "--out", str(out))
-            return out.read_bytes()
-
-        before = report()
+        run_cli(workspace, "evaluate", "--annotations", str(annotations),
+                "--gold", str(gold), "--out", str(out))
+        before = out.read_bytes()
+        lines = len(gold.read_text(encoding="utf-8").splitlines())
         with gold.open("a", encoding="utf-8") as f:
             f.write(json.dumps({"query_id": "q9", "doc_id": "d9", "grade": 0.7}) + "\n")
-        assert report() == before
+        result = run_cli(workspace, "evaluate", "--annotations", str(annotations),
+                         "--gold", str(gold), "--out", str(out), expect_exit=1)
+        assert_one_line_json_error(result, f"gold.jsonl:{lines + 1}: field 'binary'")
+        assert out.read_bytes() == before
+
+    def test_grade_only_rows_read_one_relevance_under_binary(self, workspace):
+        """Three gold rows with a grade and no label: F1 and nDCG/MAP read the
+        one relevant row (grade 1) alike, so `info` is defined."""
+        annotations = workspace / "three.jsonl"
+        corpus_mod.write_jsonl(annotations, [
+            {"query_id": "q1", "doc_id": doc_id, "guess": guess, "relevance_score": score,
+             "confidence_ask": score if guess == "Yes" else 1 - score}
+            for doc_id, guess, score in (("d1", "Yes", 0.9), ("d2", "Yes", 0.6),
+                                         ("d3", "No", 0.2))])
+        gold = workspace / "graded.jsonl"
+        corpus_mod.write_jsonl(gold, ({"query_id": "q1", "doc_id": doc_id, "grade": grade}
+                                      for doc_id, grade in (("d1", 1.0), ("d2", 0.0),
+                                                            ("d3", 0.0))))
+        out = workspace / "report.json"
+        run_cli(workspace, "evaluate", "--scheme", "binary", "--annotations", str(annotations),
+                "--gold", str(gold), "--out", str(out))
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert (report["info"], report["bin"]) == (100.0, 66.67)
 
     def test_no_overlap_fails(self, workspace):
         corpus_mod.write_jsonl(workspace / "other.jsonl", [
@@ -667,6 +687,21 @@ class TestDistillCommand:
                                                     test_queries=["q2"])
         result = self.distill(workspace, annotations, split_path, expect_exit=1)
         assert "q2" in result.output
+
+    def test_leakage_writes_nothing_to_an_out_written_in_place(self, workspace):
+        """q2's rows come after q1's: every refusal is made before the first
+        record is streamed, so `--out /dev/stdout` gets no q1 record."""
+        annotations, split_path = self.setup_corpus(workspace, test_queries=["q2"])
+        stdout = workspace / "stdout.txt"
+        with open(stdout, "w", encoding="utf-8") as f:
+            message = one_json_error(
+                "--config", workspace / "relanno.conf", "distill", "--annotations", annotations,
+                "--queries", workspace / "queries.jsonl",
+                "--documents", workspace / "documents.jsonl", "--split", split_path,
+                "--out", "/dev/stdout", "--manifest", workspace / "manifest.json", stdout=f)
+        assert message == "annotation for test-split query q2 in training export"
+        assert stdout.read_text(encoding="utf-8") == ""
+        assert not (workspace / "manifest.json").exists()
 
 
 class TestVariantErrors:
@@ -1537,7 +1572,15 @@ def bad_input_case(workspace, name):
             {"query_id": "q1", "doc_id": "d1", "grade": 0.7}))
         return ["evaluate", "--annotations", annotations, "--gold", bad,
                 "--out", str(w / "r.json")], [
-            "(q1,d1)", "unknown three_way label: None"]
+            "bad.jsonl:1: field 'binary': expected \"relevant\", \"partial\" or "
+            "\"irrelevant\" under --scheme three_way, got null"]
+    if name == "partial gold row with grade 0 under graded_1_3":
+        bad = write_lines(w / "bad.jsonl", json.dumps(
+            {"query_id": "q1", "doc_id": "d1", "grade": 0, "binary": "partial"}))
+        return ["evaluate", "--scheme", "graded_1_3", "--annotations", annotations,
+                "--gold", bad, "--out", str(w / "r.json")], [
+            "bad.jsonl:1: field 'grade': expected a grade above 0 for a partial label "
+            "under --scheme graded_1_3, got 0.0"]
     out_of_range = {
         "confidence out of range": ({"confidence_tok": -0.1}, "confidence_tok", "-0.1"),
         "score that is NaN": ({"relevance_score": float("nan")}, "relevance_score", "nan"),
@@ -1683,6 +1726,7 @@ def bad_input_case(workspace, name):
     "gold grade above 1", "ranking score that is -Infinity", "query text with a lone surrogate",
     "gold with an unknown doc id to ingest", "pair with an unknown doc id",
     "ranking with no entries", "ranking that repeats a doc",
+    "partial gold row with grade 0 under graded_1_3",
 ])
 def test_bad_input_row_is_one_json_error(workspace, name):
     args, fragments = bad_input_case(workspace, name)
@@ -1766,11 +1810,14 @@ def test_a_repeated_row_is_refused_before_any_request_or_output(workspace, mock_
     ("annotation with an unknown query id", "t.jsonl"),
     ("ranking with no entries", "p.jsonl"),
     ("ranking that repeats a doc", "p.jsonl"),
+    ("gold row without binary", "r.json"),
+    ("partial gold row with grade 0 under graded_1_3", "r.json"),
 ])
 def test_a_reference_or_rankings_rule_is_refused_before_any_request_or_output(
         workspace, mock_server, name, output):
-    """Each reference site, and each rule of a rankings row, run as its own
-    process: exit 1, one JSON line naming path:line and the field."""
+    """Each reference site, each rule of a rankings row, and each gold row
+    that `evaluate --scheme` cannot size, run as its own process: exit 1, one
+    JSON line naming path:line and the field."""
     args, [fragment] = bad_input_case(workspace, name)
     assert re.match(r"\w+\.jsonl:\d+: field '", fragment)
     assert one_json_error("--config", workspace / "relanno.conf", *args) == \

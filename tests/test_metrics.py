@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relanno.annotator import Annotation, convert_confidence
-from relanno.corpus import GoldLabel
+from relanno.corpus import GoldLabel, RowError
 from relanno.metrics import (
     UndefinedMetricError,
     aggregate_report,
@@ -277,16 +277,48 @@ class TestGainMapping:
         assert gain(gold_label("irrelevant"), "three_way") == 0.0
 
     def test_graded(self):
-        for grade in (0.0, 1 / 3, 0.5, 2 / 3, 1.0):
+        for grade in (1 / 3, 0.5, 2 / 3, 1.0):
             assert gain(gold_label("relevant", grade), "graded_1_3") == grade
+        with pytest.raises(RowError) as caught:
+            gain(gold_label("relevant", 0.0), "graded_1_3")
+        assert caught.value.field == "grade"
 
     def test_binary(self):
         assert gain(gold_label("relevant"), "binary") == 1.0
         assert gain(gold_label("irrelevant"), "binary") == 0.0
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError, match="unknown three_way label: None"):
+        with pytest.raises(RowError) as caught:
             gain(gold_label(None), "three_way")
+        assert caught.value.field == "binary"
+
+
+# Every GoldLabel the row rules accept: an irrelevant label has grade 0.
+accepted_gold_labels = st.builds(
+    lambda binary, grade, uncertain: GoldLabel(
+        "q", "d", grade=0.0 if binary == "irrelevant" else grade, binary=binary,
+        uncertain=uncertain),
+    st.sampled_from([None, "relevant", "partial", "irrelevant"]),
+    st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1)), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_gold_labels, st.sampled_from(["three_way", "graded_1_3", "binary"]))
+def test_a_gain_above_0_is_gold_relevance(gold, scheme):
+    """Under every scheme, `gain` either refuses a row it cannot size, naming
+    the field, or gives a gain in (0,1] to exactly the rows `gold_relevant`
+    reads as relevant, and 0 to the rest."""
+    field = {"three_way": "binary", "graded_1_3": "grade", "binary": None}[scheme]
+    refused = ((scheme == "three_way" and gold.binary is None) or
+               (scheme == "graded_1_3" and gold_relevant(gold) and gold.grade == 0.0))
+    try:
+        value = gain(gold, scheme)
+    except RowError as exc:
+        assert refused and exc.field == field
+        return
+    assert not refused
+    assert (value > 0) == gold_relevant(gold)
+    assert 0.0 <= value <= 1.0
 
 
 class TestKendallTau:
