@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from itertools import groupby
+from operator import add, itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
-from . import lazy_import
 from .annotator import Annotation, primary_confidence
 from .corpus import GoldLabel, RowError
-
-np = lazy_import("numpy")
 
 log = logging.getLogger(__name__)
 
@@ -21,40 +21,40 @@ class UndefinedMetricError(ValueError):
     pass
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Left to right, one rounding per addition; `sum` compensates from Python 3.12 on."""
+    return reduce(add, values, 0.0)
+
+
 def ece(confidences: Sequence[float], correct: Sequence[bool], bins: int) -> float:
     """Expected calibration error with equal-width bins over [0,1]."""
-    conf = np.asarray(confidences, dtype=float)
-    correct = np.asarray(correct, dtype=float)
-    # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
-    indices = np.minimum((conf * bins).astype(int), bins - 1)
-    # Only the filled bins: time and memory do not grow with `bins`.
-    _, filled, n_b = np.unique(indices, return_inverse=True, return_counts=True)
-    acc = np.bincount(filled, weights=correct) / n_b
-    avg_conf = np.bincount(filled, weights=conf) / n_b
-    return float(np.sum(n_b / len(conf) * np.abs(acc - avg_conf)))
+    filled = {}  # Only the filled bins: time and memory do not grow with `bins`.
+    for c, ok in zip(confidences, correct):
+        # Bin membership: [b/B, (b+1)/B), with 1.0 falling in the top bin.
+        b = min(int(c * bins), bins - 1)
+        n, hits, conf_sum = filled.get(b, (0, 0, 0.0))
+        filled[b] = (n + 1, hits + ok, conf_sum + c)
+    return _sum(n / len(confidences) * abs(hits / n - conf_sum / n)
+                for n, hits, conf_sum in (filled[b] for b in sorted(filled)))
 
 
 def brier(confidences: Sequence[float], correct: Sequence[bool]) -> float:
-    conf = np.asarray(confidences, dtype=float)
-    correct = np.asarray(correct, dtype=float)
-    return float(np.mean((conf - correct) ** 2))
+    return _sum((c - ok) * (c - ok) for c, ok in zip(confidences, correct)) / len(confidences)
 
 
 def auroc(confidences: Sequence[float], correct: Sequence[bool]) -> float:
     """Mann-Whitney formulation: P(conf_correct > conf_incorrect), ties 1/2."""
-    conf = np.asarray(confidences, dtype=float)
-    correct = np.asarray(correct, dtype=bool)
-    pos = conf[correct]
-    neg = conf[~correct]
-    if len(pos) == 0 or len(neg) == 0:
+    n_pos = sum(1 for ok in correct if ok)
+    if not 0 < n_pos < len(correct):
         raise UndefinedMetricError("auroc needs both correct and incorrect items")
-    # Tie-averaged ranks: a run of c equal values ending at rank r gets r - (c-1)/2.
-    _, inverse, counts = np.unique(np.concatenate([pos, neg]), return_inverse=True,
-                                   return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
-    rank_sum = ranks[:len(pos)].sum()
-    u = rank_sum - len(pos) * (len(pos) + 1) / 2
-    return float(u / (len(pos) * len(neg)))
+    # Tie-averaged ranks from one sort: a run of c equal values after rank r
+    # gets r + (c+1)/2. Twice that is an integer, so the rank sum is exact.
+    rank = twice_rank_sum = 0
+    for _, run in groupby(sorted(zip(confidences, correct)), key=itemgetter(0)):
+        oks = [ok for _, ok in run]
+        twice_rank_sum += sum(oks) * (2 * rank + len(oks) + 1)
+        rank += len(oks)
+    return (twice_rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * (len(correct) - n_pos))
 
 
 def average_precision(scores: Sequence[float], positives: Sequence[bool],
@@ -122,12 +122,12 @@ def _mean_over_queries(run: RunAndGold, metric: str,
         values.append(score(predicted, gold))
     if not values:
         raise UndefinedMetricError("no query with positive gold gains")
-    return float(np.mean(values))
+    return _sum(values) / len(values)
 
 
 def _dcg(gains: list[float], k: Optional[int]) -> float:
     top = gains if k is None else gains[:k]
-    return sum(g / math.log2(i + 1) for i, g in enumerate(top, start=1))
+    return _sum(g / math.log2(i + 1) for i, g in enumerate(top, start=1))
 
 
 def ndcg(run: RunAndGold, k: Optional[int] = None) -> float:

@@ -88,7 +88,7 @@ print(json.dumps({"exit": code, "loaded": sorted(
 
 
 def loop_command(workspace, name):
-    """The arguments of one loop command on the fixtures, its inputs written first."""
+    """The arguments of one command on the fixtures, its inputs written first."""
     w = workspace
     queries, documents, gold = (str(w / n) for n in
                                 ("queries.jsonl", "documents.jsonl", "gold.jsonl"))
@@ -108,10 +108,19 @@ def loop_command(workspace, name):
         return ["annotate", "--pairs", str(write_all_pairs(w)), "--queries", queries,
                 "--documents", documents, "--out", str(w / "annotations.jsonl"),
                 "--calibration", "ask", "--parallelism", "8"]
+    if name == "benchmark":
+        entries = [("d1", 0.9), ("d2", 0.5), ("d3", 0.1)]
+        save_rankings(w / "a.jsonl", [Ranking("q1", entries)])
+        save_rankings(w / "b.jsonl", [Ranking("q1", entries[::-1])])
+        return ["benchmark", "--rankings-a", str(w / "a.jsonl"),
+                "--rankings-b", str(w / "b.jsonl")]
     annotations, _ = annotate_all(w)
     if name == "evaluate":
         return ["evaluate", "--annotations", str(annotations), "--gold", gold,
                 "--out", str(w / "report.json")]
+    if name == "sweep":
+        return ["sweep", "--annotations", str(annotations), "--gold", gold,
+                "--out", str(w / "sweep.csv")]
     if name == "audit":
         return ["audit", "--annotations", str(annotations), "--original", gold,
                 "--out", str(w / "disagreements.jsonl")]
@@ -125,8 +134,8 @@ def loop_command(workspace, name):
 
 @pytest.mark.parametrize("name,loaded", [
     ("ingest", []), ("rank", ["numpy", "requests"]), ("sample", []),
-    ("define", ["requests"]), ("annotate", ["requests"]), ("evaluate", ["numpy"]),
-    ("audit", []), ("distill", []),
+    ("define", ["requests"]), ("annotate", ["requests"]), ("evaluate", []),
+    ("audit", []), ("distill", []), ("sweep", []), ("benchmark", []),
 ])
 def test_command_executes_only_the_heavy_packages_it_uses(workspace, name, loaded):
     *output, probe = run_fresh(PROBE, "--config", str(workspace / "relanno.conf"),

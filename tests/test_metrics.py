@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,36 @@ def oracle_ece(confidences, correct, bins):
         avg = sum(confidences[i] for i in members) / len(members)
         total += len(members) / n * abs(acc - avg)
     return total
+
+
+# --- the earlier numpy formulas of the calibration metrics, as references ---
+
+def numpy_ece(confidences, correct, bins):
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=float)
+    indices = np.minimum((conf * bins).astype(int), bins - 1)
+    _, filled, n_b = np.unique(indices, return_inverse=True, return_counts=True)
+    acc = np.bincount(filled, weights=correct) / n_b
+    avg_conf = np.bincount(filled, weights=conf) / n_b
+    return float(np.sum(n_b / len(conf) * np.abs(acc - avg_conf)))
+
+
+def numpy_brier(confidences, correct):
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=float)
+    return float(np.mean((conf - correct) ** 2))
+
+
+def numpy_auroc(confidences, correct):
+    conf = np.asarray(confidences, dtype=float)
+    correct = np.asarray(correct, dtype=bool)
+    pos = conf[correct]
+    neg = conf[~correct]
+    _, inverse, counts = np.unique(np.concatenate([pos, neg]), return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    u = ranks[:len(pos)].sum() - len(pos) * (len(pos) + 1) / 2
+    return float(u / (len(pos) * len(neg)))
 
 
 # --- calibration metrics ---------------------------------------------------
@@ -411,6 +442,22 @@ class TestThresholdSweep:
 # --- randomized oracle suite and invariance properties ---------------------
 
 class TestRandomOracles:
+    def test_calibration_matches_the_numpy_formulas(self):
+        # Up to 5000 items with ties, 0.0 and 1.0: AUROC sums exact half-integer
+        # ranks, so it is equal; ECE and Brier sum in another order than numpy.
+        rng = random.Random(7)
+        for n in [2, 3, 10, 100, 1000, 5000] * 4:
+            conf = [rng.choice([rng.random(), round(rng.random(), 2), 0.0, 1.0])
+                    for _ in range(n)]
+            correct = [rng.random() < 0.7 for _ in range(n - 2)] + [True, False]
+            rng.shuffle(correct)
+            assert auroc(conf, correct) == numpy_auroc(conf, correct)
+            assert math.isclose(brier(conf, correct), numpy_brier(conf, correct),
+                                rel_tol=1e-12)
+            for bins in [1, 10, 37, 2**62]:
+                assert math.isclose(ece(conf, correct, bins=bins),
+                                    numpy_ece(conf, correct, bins), rel_tol=1e-12)
+
     def test_auroc_matches_bruteforce(self):
         rng = random.Random(1)
         for _ in range(300):
